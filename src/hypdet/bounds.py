@@ -410,21 +410,32 @@ def _tail_fit(ms, log_sums):
     return float(slope), resid
 
 
+def periodic_exponents(sys: MapSystem, split: SplittingField, m_range) -> dict:
+    """m -> (lambda, nu) at the points of Fix(T^m), for sharing between
+    q_variational calls with different (p, q)."""
+    return {m: hyperbolicity_exponents(sys, split, periodic_points(sys, m).points, m)
+            for m in m_range}
+
+
 def q_variational(sys: MapSystem, split: SplittingField, p: float, q: float,
-                  m_range=range(4, 11), weight_floor_n: int = 100) -> dict:
+                  m_range=range(4, 11), weight_floor_n: int = 100,
+                  exponents=None) -> dict:
     """Pressure-route estimate of Q^{p,q} from periodic sums of the
     potential |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}|.
 
     If the weight vanishes somewhere on the sampled orbits the positive
     floor sqrt(g^2 + 1/n^2) is substituted and the floor level reported.
+    exponents, when given, is periodic_exponents(sys, split, m_range).
     """
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
+    if exponents is None:
+        exponents = periodic_exponents(sys, split, m_range)
     ms, sums = [], []
     floor_used = None
     for m in m_range:
         pts = periodic_points(sys, m)
-        lam, nu = hyperbolicity_exponents(sys, split, pts.points, m)
+        lam, nu = exponents[m]
         lam_pq = np.maximum(lam**p, nu**q)
         g_m = np.abs(pts.weights)
         if np.min(g_m) < 1e-12:

@@ -179,13 +179,16 @@ def cmd_resonances(cfg: RunConfig, quiet: bool = False) -> int:
     dp = det.det_coeffs_from_traces(ts, sys=sys_, p=cfg.p, q=cfg.q)
     zeros = det.det_zeros(dp, cfg.det_radius)
 
+    # the same seeded solver at both truncations, so both sides of the
+    # stability filter keep the same top_k eigenvalues
     tm1 = coll.build_transfer_matrix(sys_, cfg.n_freq)
     tm2 = coll.build_transfer_matrix(sys_, 2 * cfg.n_freq)
-    top = cfg.top_k if tm1.dim > coll.DENSE_EIG_LIMIT else None
-    w1, _ = coll.eigen_resonances(tm1, top=top, seed=cfg.seed)
-    top2 = cfg.top_k if tm2.dim > coll.DENSE_EIG_LIMIT else None
-    w2, _ = coll.eigen_resonances(tm2, top=top2, seed=cfg.seed)
-    stable = coll.stability_filter(w1, w2)
+    w1, r1 = coll.eigen_resonances(tm1, top=cfg.top_k, seed=cfg.seed)
+    w2, r2 = coll.eigen_resonances(tm2, top=cfg.top_k, seed=cfg.seed)
+    i1, i2 = coll.stability_filter(w1, w2).T
+    stable, res1, res2 = w1[i1], r1[i1], r2[i2]
+    coll.check_residuals(stable, res1)
+    coll.check_residuals(w2[i2], res2)
     match = coll.match_resonances_to_zeros(stable, zeros, cfg.det_radius, cfg.match_tol)
 
     reports.write_csv(
@@ -193,13 +196,13 @@ def cmd_resonances(cfg: RunConfig, quiet: bool = False) -> int:
         [(m + 1, float(t)) for m, t in enumerate(ts.traces)], meta,
     )
     reports.write_json(os.path.join(out, "determinant.json"),
-                       det.determinant_report(sys_, cfg.N_det, cfg.det_radius,
-                                              cfg.p, cfg.q), meta)
+                       det.determinant_report(ts, dp, zeros, cfg.det_radius), meta)
     reports.write_json(
         os.path.join(out, "match.json"),
         {
             "n_freq": [cfg.n_freq, 2 * cfg.n_freq],
             "stable_eigenvalues": [complex(z) for z in stable],
+            "residuals": [res1, res2],
             "match": match,
         },
         meta,

@@ -25,6 +25,8 @@ TWO_PI = 2.0 * math.pi
 DENSE_DIM_LIMIT = 4500
 DENSE_EIG_LIMIT = 2600
 SPARSE_DROP_TOL = 1e-13
+SUBSPACE_ITERS = 24
+RITZ_RESIDUAL_TOL = 1e-8
 MIN_GRID_FACTOR = 4
 
 
@@ -53,8 +55,6 @@ class TransferMatrix:
     def entry(self, kprime, k) -> complex:
         r = _mode_index(kprime, self.n_freq)
         c = _mode_index(k, self.n_freq)
-        if isinstance(self.matrix, np.ndarray):
-            return complex(self.matrix[r, c])
         return complex(self.matrix[r, c])
 
 
@@ -246,15 +246,15 @@ def spot_check(sys: MapSystem, tm: TransferMatrix, n_entries: int = 10,
 # ---------------------------------------------------------------------------
 
 
-def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
-                     subspace_iters: int = 24):
+def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0):
     """Eigenvalues sorted by modulus, with residual estimates.
 
     top = None runs the dense nonsymmetric eigensolve and returns the whole
-    spectrum (allowed up to DENSE_EIG_LIMIT modes).  For larger truncations
-    pass top = K: a deterministic seeded subspace iteration returns the K
-    largest-modulus Ritz values; accuracy is certified by the residuals and
-    by doubled-resolution filtering downstream.
+    spectrum (allowed up to DENSE_EIG_LIMIT modes); it is the reference
+    route.  top = K runs a deterministic seeded subspace iteration
+    (SUBSPACE_ITERS steps) and returns the K largest-modulus Ritz values;
+    accuracy is certified by the residuals (check_residuals) and by
+    doubled-resolution filtering downstream.
     """
     dim = tm.dim
     if top is None:
@@ -277,7 +277,7 @@ def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
     b = min(dim, top + 16)
     Q = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
     Q, _ = np.linalg.qr(Q)
-    for _ in range(subspace_iters):
+    for _ in range(SUBSPACE_ITERS):
         Z = M @ Q
         Q, _ = np.linalg.qr(Z)
     H = Q.conj().T @ (M @ Q)
@@ -290,23 +290,42 @@ def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
 
 
 def stability_filter(eigs_n, eigs_2n, tol: float = 1e-6):
-    """Keep eigenvalues reproduced at doubled resolution within relative tol.
+    """Match eigenvalues reproduced at doubled resolution within relative tol.
 
     Greedy nearest-neighbor matching; each doubled-resolution eigenvalue is
-    used at most once.
+    used at most once.  Returns the (k, 2) integer array of matched
+    (index in eigs_n, index in eigs_2n) pairs, largest |eigs_n| first, so
+    per-eigenvalue data such as residuals can follow the stable values
+    eigs_n[idx[:, 0]].
     """
     eigs_n = np.asarray(eigs_n)
-    pool = list(np.asarray(eigs_2n))
-    stable = []
-    for mu in sorted(eigs_n, key=lambda z: -abs(z)):
+    eigs_2n = np.asarray(eigs_2n)
+    pool = list(range(len(eigs_2n)))
+    pairs = []
+    for i in sorted(range(len(eigs_n)), key=lambda i: -abs(eigs_n[i])):
         if not pool:
             break
-        dists = [abs(mu - nu) for nu in pool]
-        j = int(np.argmin(dists))
-        if dists[j] <= tol * max(abs(mu), abs(pool[j])) or dists[j] == 0.0:
-            stable.append(mu)
-            pool.pop(j)
-    return np.array(stable)
+        mu = eigs_n[i]
+        dists = [abs(mu - eigs_2n[j]) for j in pool]
+        jj = int(np.argmin(dists))
+        nu = eigs_2n[pool[jj]]
+        if dists[jj] <= tol * max(abs(mu), abs(nu)) or dists[jj] == 0.0:
+            pairs.append((i, pool.pop(jj)))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+def check_residuals(eigs, residuals):
+    """Raise EigenSolverFailure unless every Ritz residual is at most
+    RITZ_RESIDUAL_TOL * max(1, |mu|)."""
+    eigs = np.asarray(eigs)
+    residuals = np.asarray(residuals)
+    bad = residuals > RITZ_RESIDUAL_TOL * np.maximum(1.0, np.abs(eigs))
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise EigenSolverFailure(
+            f"eigenvalue {complex(eigs[i]):.6g} has residual {residuals[i]:.2e} "
+            f"above {RITZ_RESIDUAL_TOL:g} * max(1, |mu|)"
+        )
 
 
 def match_resonances_to_zeros(stable_eigs, zeros, radius: float, tol: float = 1e-4,

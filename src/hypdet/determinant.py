@@ -246,20 +246,20 @@ def validity_radius(sys: MapSystem, p: float, q: float, m_range=None, split=None
         split = splitting_power_iteration(sys)
     if m_range is None:
         m_range = range(4, 11)
-    qpq = bounds.q_variational(sys, split, p, q, m_range)["estimate"]
-    q00 = bounds.q_variational(sys, split, 0.0, 0.0, m_range)["estimate"]
+    # one exponent evaluation per m serves both the (p, q) and (0, 0) sums
+    exps = bounds.periodic_exponents(sys, split, m_range)
+    qpq = bounds.q_variational(sys, split, p, q, m_range, exponents=exps)["estimate"]
+    q00 = bounds.q_variational(sys, split, 0.0, 0.0, m_range, exponents=exps)["estimate"]
     return 1.0 / qpq, 1.0 / q00
 
 
-def determinant_report(sys: MapSystem, N: int, radius: float, p: float = 1.0,
-                       q: float = -1.0) -> dict:
-    """Traces, coefficients, zeros and radii, as one JSON-ready dict."""
-    ts = trace_series(sys, N)
-    dp = det_coeffs_from_traces(ts, sys=sys, p=p, q=q)
-    zeros = det_zeros(dp, radius)
+def determinant_report(ts: TraceSeries, dp: DeterminantPoly, zeros: list,
+                       radius: float) -> dict:
+    """Traces, coefficients, zeros (from det_zeros(dp, radius)) and radii,
+    as one JSON-ready dict."""
     return {
         "provenance": ts.provenance,
-        "order": N,
+        "order": ts.order,
         "traces": ts.traces.tolist(),
         "coeffs": dp.coeffs.tolist(),
         "validity_radius": dp.validity_radius,

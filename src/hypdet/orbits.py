@@ -261,7 +261,9 @@ def continue_periodic_points(
     _check_hyperbolic_fixed(derivs)
 
     if len(X) > 1:
-        tree = cKDTree(X, boxsize=1.0)
+        # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0, which a
+        # periodic tree of box size 1 rejects; fold it onto 0.0 for the check
+        tree = cKDTree(np.mod(X, 1.0), boxsize=1.0)
         pairs = tree.query_pairs(DEDUPE_RADIUS)
         if pairs:
             i, j = next(iter(pairs))

@@ -96,7 +96,7 @@ def test_criterion_4_cross_method_match():
     tm64 = coll.build_transfer_matrix(pc, 64)
     w32, _ = coll.eigen_resonances(tm32, top=48, seed=0)
     w64, _ = coll.eigen_resonances(tm64, top=48, seed=0)
-    stable = coll.stability_filter(w32, w64)
+    stable = w32[coll.stability_filter(w32, w64)[:, 0]]
     match = coll.match_resonances_to_zeros(stable, zeros, radius=1.5, tol=1e-4)
     elapsed = time.monotonic() - t0
 

@@ -49,6 +49,57 @@ def test_resonances_perturbed_small(tmp_path):
     pairs = m["match"]["pairs"]
     assert len(pairs) == 1
     assert abs(pairs[0]["eigenvalue"]["re"] - 1.0) < 1e-6
+    res_n, res_2n = m["residuals"]
+    assert len(res_n) == len(res_2n) == len(m["stable_eigenvalues"])
+    assert max(res_n + res_2n) < 1e-12
+
+
+def test_resonances_rejects_large_ritz_residual(monkeypatch, tmp_path):
+    from hypdet import collocation as coll
+
+    solve = coll.eigen_resonances
+
+    def uncertified(tm, top=None, seed=0):
+        w, res = solve(tm, top=top, seed=seed)
+        return w, res + 1e-3
+
+    monkeypatch.setattr(coll, "eigen_resonances", uncertified)
+    cfg = write_config(tmp_path, "res3.json", {
+        "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
+        "N_det": 6, "n_freq": 8, "seed": 5,
+    })
+    rc = cli.main(["resonances", "--config", cfg, "--out", str(tmp_path / "o3"),
+                   "--quiet"])
+    assert rc == 4
+
+
+def test_resonances_computes_each_quantity_once(monkeypatch, tmp_path):
+    from hypdet import bounds, determinant, maps
+
+    calls = {"validity_radius": 0, "exponents": []}
+    radius, exponents = determinant.validity_radius, maps.hyperbolicity_exponents
+
+    def counted_radius(*a, **k):
+        calls["validity_radius"] += 1
+        return radius(*a, **k)
+
+    def counted_exponents(sys, split, x, m):
+        calls["exponents"].append(m)
+        return exponents(sys, split, x, m)
+
+    monkeypatch.setattr(determinant, "validity_radius", counted_radius)
+    # bounds imports the function by name, so patch both bindings
+    monkeypatch.setattr(maps, "hyperbolicity_exponents", counted_exponents)
+    monkeypatch.setattr(bounds, "hyperbolicity_exponents", counted_exponents)
+    cfg = write_config(tmp_path, "res4.json", {
+        "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
+        "N_det": 6, "n_freq": 8, "seed": 5,
+    })
+    rc = cli.main(["resonances", "--config", cfg, "--out", str(tmp_path / "o4"),
+                   "--quiet"])
+    assert rc == 0
+    assert calls["validity_radius"] == 1
+    assert calls["exponents"] == list(range(4, 11))
 
 
 @pytest.fixture()

@@ -93,7 +93,7 @@ def test_eigen_cat_stable_spectrum(cat):
     tm2 = coll.build_transfer_matrix(cat, 12, 4, method="fft")
     w1, _ = coll.eigen_resonances(tm1)
     w2, _ = coll.eigen_resonances(tm2)
-    stable = coll.stability_filter(w1, w2)
+    stable = w1[coll.stability_filter(w1, w2)[:, 0]]
     assert abs(stable[0] - 1.0) < 1e-12
     assert np.all(np.abs(stable[1:]) <= 1e-8)
 
@@ -112,9 +112,36 @@ def test_subspace_matches_dense(pcat):
     assert rt[0] < 1e-8
 
 
+@pytest.mark.parametrize("N", [8, 10, 12])
+def test_subspace_both_sides_matches_dense_reference(pcat, N):
+    tm1 = coll.build_transfer_matrix(pcat, N)
+    tm2 = coll.build_transfer_matrix(pcat, 2 * N)
+    w2, _ = coll.eigen_resonances(tm2, top=48, seed=7)
+    wd = coll.eigen_resonances(tm1)[0]
+    ws = coll.eigen_resonances(tm1, top=48, seed=7)[0]
+    dense = wd[coll.stability_filter(wd, w2)[:, 0]]
+    sub = ws[coll.stability_filter(ws, w2)[:, 0]]
+    assert len(sub) == len(dense) >= 1
+    assert np.max(np.abs(sub - dense)) < 1e-10
+
+
+def test_stability_filter_index_pairs():
+    a = np.array([1.0, 0.5, 0.25 + 0j])
+    b = np.array([0.7, 0.25 + 1e-9, 1.0 + 1e-12])
+    assert coll.stability_filter(a, b).tolist() == [[0, 2], [2, 1]]
+    assert coll.stability_filter(a, b * 1j).shape == (0, 2)
+
+
+def test_check_residuals():
+    coll.check_residuals(np.array([1.0, 1e-3]), np.array([1e-15, 9e-9]))
+    coll.check_residuals(np.array([10.0]), np.array([5e-8]))  # relative above 1
+    with pytest.raises(EigenSolverFailure):
+        coll.check_residuals(np.array([1.0, 1e-3]), np.array([1e-15, 2e-8]))
+
+
 def test_stability_filter_edge_cases():
     a = np.array([1.0, 0.5, 0.25])
-    assert np.allclose(coll.stability_filter(a, a.copy()), a)
+    assert np.allclose(a[coll.stability_filter(a, a.copy())[:, 0]], a)
     b = np.array([2.0, 3.0])
     assert coll.stability_filter(np.array([1.0 + 0j]), b * 1j).size == 0
 
@@ -122,8 +149,8 @@ def test_stability_filter_edge_cases():
 def test_match_cat(cat):
     tm1 = coll.build_transfer_matrix(cat, 6, 4, method="fft")
     tm2 = coll.build_transfer_matrix(cat, 12, 4, method="fft")
-    stable = coll.stability_filter(coll.eigen_resonances(tm1)[0],
-                                   coll.eigen_resonances(tm2)[0])
+    w1 = coll.eigen_resonances(tm1)[0]
+    stable = w1[coll.stability_filter(w1, coll.eigen_resonances(tm2)[0])[:, 0]]
     zeros = [{"zero": 1.0 + 0j, "multiplicity": 1, "backward_error": 1e-16}]
     rep = coll.match_resonances_to_zeros(stable, zeros, radius=2.0, tol=1e-6)
     assert rep["pass"]

@@ -136,6 +136,26 @@ def test_validity_radius(cat, cat_split):
     assert abs(cr - 1.0) < 0.02
 
 
+def test_validity_radius_shares_exponents(pcat, pcat_split):
+    from hypdet import bounds
+
+    vr, cr = det.validity_radius(pcat, 1.0, -1.0, split=pcat_split)
+    qpq = bounds.q_variational(pcat, pcat_split, 1.0, -1.0, range(4, 11))["estimate"]
+    q00 = bounds.q_variational(pcat, pcat_split, 0.0, 0.0, range(4, 11))["estimate"]
+    assert (vr, cr) == (1.0 / qpq, 1.0 / q00)
+
+
+def test_determinant_report_from_inputs(pcat):
+    ts = det.trace_series(pcat, 6)
+    dp = det.det_coeffs_from_traces(ts, radius_info=(2.5, 1.0))
+    zeros = det.det_zeros(dp, 1.5)
+    rep = det.determinant_report(ts, dp, zeros, 1.5)
+    assert rep["order"] == 6 and rep["traces"] == ts.traces.tolist()
+    assert rep["coeffs"] == dp.coeffs.tolist()
+    assert (rep["validity_radius"], rep["coarse_radius"], rep["radius"]) == (2.5, 1.0, 1.5)
+    assert [complex(z["re"], z["im"]) for z in rep["zeros"]] == [z["zero"] for z in zeros]
+
+
 def test_validity_radius_weight_floor(cat, cat_split):
     from hypdet import bounds
 

@@ -101,6 +101,12 @@ def test_orbit_closure(pcat):
     assert np.max(d) < 1e-9
 
 
+def test_collision_check_accepts_points_wrapped_to_one():
+    # seed 7 at eps 0.05 yields a coordinate np.mod rounds to exactly 1.0
+    pts = orbits.periodic_points(maps.make_map("perturbed_cat", 0.05, 7), 8)
+    assert len(pts) == exact_count(8) == 2205
+
+
 def test_refined_path_consistency(pcat):
     ref = orbits.fixed_points_linear_toral(A, 4)
     one = orbits.continue_periodic_points(pcat, ref, eps_path=[0.01])
