@@ -269,23 +269,6 @@ class BlockOperator:
         return X[keep], wq[keep] * cell
 
 
-def assemble_blocks(sys: MapSystem, weight, theta: Polarization,
-                    theta_prime: Polarization, n_max: int,
-                    grid: BoxGrid | None = None) -> BlockOperator:
-    """BlockOperator with h exponents computed from (sys, weight, cones)."""
-    if grid is None:
-        grid = BoxGrid(8.0, 1024)
-    hp, hm = h_exponents(sys, weight, theta, theta_prime)
-    return BlockOperator(sys=sys, weight=weight, theta=theta, theta_prime=theta_prime,
-                         grid=grid, n_max=n_max, h_plus=hp, h_minus=hm)
-
-
-def split_bc(block: BlockOperator):
-    """(M_b mask, M_c mask): complementary boolean block masks by hook."""
-    mb = hook_mask(block.n_max, block.h_plus, block.h_minus)
-    return mb, ~mb
-
-
 # ---------------------------------------------------------------------------
 # flat traces
 # ---------------------------------------------------------------------------
@@ -388,15 +371,6 @@ class FlatTraceQuadrature:
             total += float(np.asarray(self.weight(x[None, :]))[0]
                            / abs(np.linalg.det(np.eye(2) - J)))
         return total
-
-
-def block_flat_trace(block: BlockOperator, zeta: tuple,
-                     quad: FlatTraceQuadrature | None = None) -> float:
-    """Flat trace of the diagonal block at zeta = (n, sigma)."""
-    n, sigma = zeta
-    if quad is None:
-        quad = FlatTraceQuadrature(block.sys, block.weight, block.theta_prime, n0_max=n)
-    return quad.band_trace(n, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -327,3 +327,38 @@ def young_check(grid: BoxGrid, a: np.ndarray, u: np.ndarray, theta: Polarization
     rhs = a_l1 * mixed_norm_L1F(grid, u, theta, **norm_kwargs)
     ok = lhs <= rhs * (1.0 + rel_slack) + quad_slack_rel * rhs
     return lhs, rhs, bool(ok)
+
+
+def young_trials(theta: Polarization, n_trials: int, seed: int) -> int:
+    """Number of passed young_check calls over random pairs (a, u).
+
+    a is a Gaussian bump and u a Gaussian-windowed plane wave, with centers,
+    widths and wave vectors drawn from one generator seeded by seed, on a
+    512^2 grid of [-6, 6)^2.
+    """
+    grid = BoxGrid(6.0, 512)
+    pts = grid.points()
+    rng = np.random.default_rng(seed)
+    passed = 0
+    for _ in range(n_trials):
+        ca, cu = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+        wa, wu = rng.uniform(0.25, 0.9), rng.uniform(0.3, 1.2)
+        # a second wave vector is drawn but unused; dropping the draw would
+        # change every later trial
+        k1, _ = rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2)
+        A = np.exp(-((pts[:, 0] - ca[0]) ** 2 + (pts[:, 1] - ca[1]) ** 2) / wa**2)
+        U = (np.exp(-((pts[:, 0] - cu[0]) ** 2 + (pts[:, 1] - cu[1]) ** 2) / wu**2)
+             * np.cos(k1[0] * pts[:, 0] + k1[1] * pts[:, 1]))
+        _, _, ok = young_check(grid, A.reshape(512, 512), U.reshape(512, 512), theta,
+                               n_dirs=9, n_offsets=65, line_samples=384)
+        passed += int(ok)
+    return passed
+
+
+def partition_sum_error(theta: Polarization, n_max: int, side: int = 512) -> float:
+    """max |sum of psi_{Theta,n,sigma} over n <= n_max + 3, sigma - 1| on the
+    side^2 lattice of [-2^n_max, 2^n_max]^2 restricted to |xi| <= 2^n_max."""
+    t = np.linspace(-(2.0**n_max), 2.0**n_max, side)
+    XI = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    XI = XI[np.linalg.norm(XI, axis=1) <= 2.0**n_max]
+    return float(np.max(np.abs(dyadic_partition_sum(theta, XI, n_max + 3) - 1.0)))

@@ -25,6 +25,7 @@ from .maps import (
     MapSystem,
     SplittingField,
     hyperbolicity_exponents,
+    jacobian_cocycle,
     smooth_bump,
     weight_product,
 )
@@ -34,6 +35,10 @@ EXTRAPOLATION_POINTS = 4
 POOR_FIT_RESIDUAL = 0.1
 DEFAULT_CROSS_TOL = 0.05
 PRUNE_SUP = 1e-14
+T_GRID = (1.0, 2.0, math.inf)
+# the cover and partition routes enumerate itineraries, whose number grows
+# exponentially in m; bound_table runs them up to this m
+STAR_M_MAX = 4
 
 
 def _sample_domain(sys: MapSystem, n: int, rng) -> np.ndarray:
@@ -105,42 +110,20 @@ def rho_pq_estimate(per_m: dict) -> dict:
     }
 
 
-def R_pqt_m(sys: MapSystem, split: SplittingField, p: float, q: float, t: float,
-            m: int, n_samples: int = 2048, seed: int = 0) -> float:
-    """Sampled sup of |det DT^m|^{-1/t} |g^(m)| lambda^{(p,q,m)} (t = inf drops it)."""
+def R_pqt_m(sys: MapSystem, split: SplittingField, p: float, q: float, t_grid,
+            m: int, n_samples: int = 2048, seed: int = 0) -> list:
+    """Sampled sup of |det DT^m|^{-1/t} |g^(m)| lambda^{(p,q,m)}, one per t in t_grid.
+
+    The integrand and |det DT^m| are evaluated once; t = inf drops the det factor.
+    """
+    if any(t < 1.0 for t in t_grid):
+        raise ValueError("t in [1, inf] required")
     rng = np.random.default_rng(seed)
     X = np.vstack([_deterministic_grid(sys, n_samples), _sample_domain(sys, n_samples, rng)])
-    from .maps import jacobian_cocycle
-
     vals = _integrand(sys, split, p, q, m, X)
-    if np.isfinite(t):
-        if t < 1.0:
-            raise ValueError("t in [1, inf] required")
-        dets = np.abs(np.linalg.det(jacobian_cocycle(sys, X, m)))
-        vals = vals * dets ** (-1.0 / t)
-    return float(np.max(vals))
-
-
-def appendixB_check(sys: MapSystem, split: SplittingField, p: float, q: float,
-                    m_range=range(1, 7), t_grid=(1.0, 2.0, math.inf),
-                    n_samples: int = 4096, seed: int = 0) -> dict:
-    """rho^{p,q}(m) <= min_t R^{p,q,t}(m) + 3 sigma_MC for each m.
-
-    Valid as a finite-m comparison on volume-one domains.  Raises
-    InequalityViolated with the offending row on failure.
-    """
-    rows = []
-    ok = True
-    for m in m_range:
-        rho, se = rho_pq_m(sys, split, p, q, m, n_samples=n_samples, seed=seed + m)
-        Rmin = min(R_pqt_m(sys, split, p, q, t, m, seed=seed + m) for t in t_grid)
-        passed = rho <= Rmin + 3.0 * se + 1e-12
-        rows.append({"m": m, "rho": rho, "stderr": se, "R_min": Rmin, "pass": passed})
-        ok = ok and passed
-    report = {"p": p, "q": q, "t_grid": [float(t) for t in t_grid], "rows": rows, "pass": ok}
-    if not ok:
-        raise InequalityViolated("rho(m) > min_t R(m) + 3 sigma", data=report)
-    return report
+    dets = np.abs(np.linalg.det(jacobian_cocycle(sys, X, m)))
+    return [float(np.max(vals if math.isinf(t) else vals * dets ** (-1.0 / t)))
+            for t in t_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +457,64 @@ def compare_routes(rho_report: dict, q_report: dict, tol_cross: float = DEFAULT_
     return report
 
 
-def kitaev_crosscheck(sys: MapSystem, split: SplittingField, p: float, q: float,
-                      m_range=range(4, 11), n_samples: int = 4096, seed: int = 0,
-                      tol_cross: float = DEFAULT_CROSS_TOL) -> dict:
-    """Assert the integral route and the variational route agree in log scale."""
-    per_m = {}
-    errs = {}
+# ---------------------------------------------------------------------------
+# the per-m table and the two checks that read it
+# ---------------------------------------------------------------------------
+
+
+def bound_table(sys: MapSystem, split: SplittingField, p: float, q: float, m_range,
+                n_samples: int = 4096, seed: int = 0) -> list:
+    """Per-m rows: rho(m) with its standard error, R(m, t) for each t in T_GRID
+    under the key R_t<t>, and the periodic pressure of the zero potential.
+
+    Rows with m <= STAR_M_MAX also carry the cover value Q_* (greedy) and the
+    partition value rho_*.  Row m samples from seed + m, so it does not depend
+    on which other m are in the table; kitaev_crosscheck and appendixB_check
+    read these rows instead of sampling again.
+    """
+    pts_by_m = {m: periodic_points(sys, m) for m in m_range}
+    pressure = pressure_periodic(sys, pts_by_m, lambda x: np.zeros(np.atleast_2d(x).shape[0]))
+    cover = make_grid_cover(4)
+    phis = make_torus_partition(3)
+    rows = []
     for m in m_range:
-        val, se = rho_pq_m(sys, split, p, q, m, n_samples=n_samples, seed=seed + m)
-        per_m[m] = val
-        errs[m] = se
+        rho, se = rho_pq_m(sys, split, p, q, m, n_samples=n_samples, seed=seed + m)
+        R = R_pqt_m(sys, split, p, q, T_GRID, m, seed=seed + m)
+        row = {"m": m, "rho": rho, "rho_stderr": se,
+               **{f"R_t{t:g}": r for t, r in zip(T_GRID, R)}, "pressure": pressure[m]}
+        if m <= STAR_M_MAX:
+            row["q_star_greedy"] = q_star_cover(sys, split, p, q, cover, m, seed=seed)["greedy"]
+            row["rho_star"] = rho_star_partition(sys, split, p, q, phis, m)["value"]
+        rows.append(row)
+    return rows
+
+
+def appendixB_check(rows, p: float, q: float) -> dict:
+    """rho^{p,q}(m) <= min_t R^{p,q,t}(m) + 3 sigma_MC for each bound_table row.
+
+    Valid as a finite-m comparison on volume-one domains.  Raises
+    InequalityViolated with the offending row on failure.
+    """
+    out = []
+    for row in rows:
+        Rmin = min(row[f"R_t{t:g}"] for t in T_GRID)
+        passed = row["rho"] <= Rmin + 3.0 * row["rho_stderr"] + 1e-12
+        out.append({"m": row["m"], "rho": row["rho"], "stderr": row["rho_stderr"],
+                    "R_min": Rmin, "pass": passed})
+    ok = all(r["pass"] for r in out)
+    report = {"p": p, "q": q, "t_grid": list(T_GRID), "rows": out, "pass": ok}
+    if not ok:
+        raise InequalityViolated("rho(m) > min_t R(m) + 3 sigma", data=report)
+    return report
+
+
+def kitaev_crosscheck(sys: MapSystem, split: SplittingField, p: float, q: float,
+                      rows, tol_cross: float = DEFAULT_CROSS_TOL) -> dict:
+    """Assert the integral route (rho of the bound_table rows) and the
+    variational route over the same m agree in log scale."""
+    per_m = {r["m"]: r["rho"] for r in rows}
     rho_report = rho_pq_estimate(per_m)
-    rho_report["per_m"] = {int(k): v for k, v in per_m.items()}
-    rho_report["stderr"] = {int(k): v for k, v in errs.items()}
-    q_report = q_variational(sys, split, p, q, m_range)
+    rho_report["per_m"] = per_m
+    rho_report["stderr"] = {r["m"]: r["rho_stderr"] for r in rows}
+    q_report = q_variational(sys, split, p, q, list(per_m))
     return compare_routes(rho_report, q_report, tol_cross)

@@ -12,15 +12,16 @@ import json
 import math
 import os
 import sys
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import bounds as bd
 from . import collocation as coll
 from . import determinant as det
-from . import maps, orbits, reports
+from . import maps, reports
 from .aniso import blocks as ablocks
 from .aniso import partition as apart
 from .errors import CrossCheckFailed, HypdetError, InequalityViolated, MissingArtifacts
@@ -29,6 +30,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
+
+# RunConfig fields that live in the nested "map" object, by their key there
+MAP_KEYS = {"map_id": "id", "eps": "eps", "map_seed": "seed"}
 
 
 @dataclass
@@ -55,32 +59,21 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        cfg = cls()
+        types = typing.get_type_hints(cls)
         m = d.get("map", {})
-        cfg.map_id = m.get("id", cfg.map_id)
-        cfg.eps = float(m.get("eps", cfg.eps))
-        cfg.map_seed = int(m.get("seed", cfg.map_seed))
-        cfg.weight = d.get("weight", cfg.weight)
-        for key in ("p", "q", "det_radius", "match_tol", "r_smoothness"):
-            if key in d:
-                setattr(cfg, key, float(d[key]))
-        for key in ("N_det", "m_max", "mc_samples", "n_max_aniso", "n_freq",
-                    "seed", "top_k", "young_trials"):
-            if key in d:
-                setattr(cfg, key, int(d[key]))
-        if "output_dir" in d:
-            cfg.output_dir = str(d["output_dir"])
-        cfg.negative_control = bool(d.get("negative_control", False))
+        given = {**{name: m[key] for name, key in MAP_KEYS.items() if key in m},
+                 **{k: v for k, v in d.items() if k in types and k not in MAP_KEYS}}
+        cfg = cls(**{name: types[name](v) for name, v in given.items()})
         cfg.validate()
         return cfg
 
     def validate(self):
         if not (self.q < 0.0 < self.p):
             raise ValueError(f"require q < 0 < p, got p={self.p}, q={self.q}")
-        for key in ("N_det", "m_max", "mc_samples", "n_max_aniso", "n_freq",
-                    "top_k", "young_trials"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive")
+        # every integer setting except the seeds is a count or an order
+        for name, tp in typing.get_type_hints(type(self)).items():
+            if tp is int and not name.endswith("seed") and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         # builtin maps are analytic; a finite r can be declared for the warning
         if math.isfinite(self.r_smoothness) and self.p - self.q >= self.r_smoothness - 1.0:
             warnings.warn(
@@ -89,19 +82,9 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "map": {"id": self.map_id, "eps": self.eps, "seed": self.map_seed},
-            "weight": self.weight,
-            "p": self.p, "q": self.q,
-            "N_det": self.N_det, "m_max": self.m_max,
-            "mc_samples": self.mc_samples, "n_max_aniso": self.n_max_aniso,
-            "n_freq": self.n_freq, "det_radius": self.det_radius,
-            "match_tol": self.match_tol, "top_k": self.top_k,
-            "young_trials": self.young_trials,
-            "r_smoothness": self.r_smoothness,
-            "negative_control": self.negative_control,
-            "seed": self.seed, "output_dir": self.output_dir,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        nested = {key: d.pop(name) for name, key in MAP_KEYS.items()}
+        return {"map": nested, **d}
 
     def meta(self, command: str) -> dict:
         semantic = self.to_dict()
@@ -220,25 +203,8 @@ def cmd_bounds(cfg: RunConfig, quiet: bool = False) -> int:
     meta = cfg.meta("bounds")
     sys_ = build_map(cfg)
     split = maps.splitting_power_iteration(sys_)
-    t_grid = (1.0, 2.0, math.inf)
-    m_list = list(range(1, cfg.m_max + 1))
-
-    rows = []
-    cover = bd.make_grid_cover(4)
-    phis = bd.make_torus_partition(3)
-    pts_by_m = {m: orbits.periodic_points(sys_, m) for m in m_list}
-    pressure = bd.pressure_periodic(sys_, pts_by_m, lambda x: np.zeros(np.atleast_2d(x).shape[0]))
-    for m in m_list:
-        rho, se = bd.rho_pq_m(sys_, split, cfg.p, cfg.q, m,
-                              n_samples=cfg.mc_samples, seed=cfg.seed + m)
-        Rt = {f"R_t{t:g}": bd.R_pqt_m(sys_, split, cfg.p, cfg.q, t, m, seed=cfg.seed + m)
-              for t in t_grid}
-        row = {"m": m, "rho": rho, "rho_stderr": se, **Rt, "pressure": pressure[m]}
-        if m <= 4:
-            row["q_star_greedy"] = bd.q_star_cover(sys_, split, cfg.p, cfg.q, cover, m,
-                                                   seed=cfg.seed)["greedy"]
-            row["rho_star"] = bd.rho_star_partition(sys_, split, cfg.p, cfg.q, phis, m)["value"]
-        rows.append(row)
+    rows = bd.bound_table(sys_, split, cfg.p, cfg.q, range(1, cfg.m_max + 1),
+                          n_samples=cfg.mc_samples, seed=cfg.seed)
 
     # extrapolation window: the largest five m values, skipping transients
     m_fit = list(range(max(2, cfg.m_max - 4), cfg.m_max + 1))
@@ -253,16 +219,13 @@ def cmd_bounds(cfg: RunConfig, quiet: bool = False) -> int:
             cross = bd.compare_routes(bd.rho_pq_estimate(per_m),
                                       bd.q_variational(sys_, split, cfg.p, cfg.q, m_fit))
         else:
-            cross = bd.kitaev_crosscheck(sys_, split, cfg.p, cfg.q, m_fit,
-                                         n_samples=cfg.mc_samples, seed=cfg.seed)
+            cross = bd.kitaev_crosscheck(sys_, split, cfg.p, cfg.q,
+                                         [r for r in rows if r["m"] in m_fit])
     except CrossCheckFailed as exc:
         cross = exc.data
         failures.append("kitaev")
     try:
-        appB = bd.appendixB_check(sys_, split, cfg.p, cfg.q,
-                                  m_range=range(1, min(cfg.m_max, 6) + 1),
-                                  t_grid=t_grid, n_samples=cfg.mc_samples,
-                                  seed=cfg.seed)
+        appB = bd.appendixB_check([r for r in rows if r["m"] <= 6], cfg.p, cfg.q)
     except InequalityViolated as exc:
         appB = exc.data
         failures.append("appendixB")
@@ -273,7 +236,7 @@ def cmd_bounds(cfg: RunConfig, quiet: bool = False) -> int:
     reports.write_json(
         os.path.join(out, "bounds.json"),
         {
-            "parameters": {"p": cfg.p, "q": cfg.q, "t_grid": list(t_grid),
+            "parameters": {"p": cfg.p, "q": cfg.q, "t_grid": list(bd.T_GRID),
                            "mc_samples": cfg.mc_samples,
                            "split_ref_iterations": split.ref_iterations},
             "per_m": rows,
@@ -305,32 +268,10 @@ def cmd_aniso(cfg: RunConfig, quiet: bool = False) -> int:
     h_weight = maps.chart_weight
     checks = {}
 
-    # dyadic partition sums to 1 below 2^{n_max}
     n_max = cfg.n_max_aniso
-    rng = np.random.default_rng(cfg.seed)
-    side = 512
-    t = np.linspace(-(2.0**n_max), 2.0**n_max, side)
-    XI = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    XI = XI[np.linalg.norm(XI, axis=1) <= 2.0**n_max]
-    part_err = float(np.max(np.abs(apart.dyadic_partition_sum(theta, XI, n_max + 3) - 1.0)))
+    part_err = apart.partition_sum_error(theta, n_max)
     checks["partition"] = {"max_err": part_err, "pass": part_err <= 1e-12}
-
-    # Young inequality trials
-    ygrid = apart.BoxGrid(6.0, 512)
-    pts = ygrid.points()
-    passed = 0
-    for _ in range(cfg.young_trials):
-        ca, cu = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        wa, wu = rng.uniform(0.25, 0.9), rng.uniform(0.3, 1.2)
-        k1, k2 = rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2)
-        A = np.exp(-((pts[:, 0] - ca[0]) ** 2 + (pts[:, 1] - ca[1]) ** 2) / wa**2)
-        U = (np.exp(-((pts[:, 0] - cu[0]) ** 2 + (pts[:, 1] - cu[1]) ** 2) / wu**2)
-             * np.cos(k1[0] * pts[:, 0] + k1[1] * pts[:, 1]))
-        _, _, ok = apart.young_check(
-            ygrid, A.reshape(512, 512), U.reshape(512, 512), theta,
-            n_dirs=9, n_offsets=65, line_samples=384,
-        )
-        passed += int(ok)
+    passed = apart.young_trials(theta, cfg.young_trials, cfg.seed)
     checks["young"] = {"passed": passed, "trials": cfg.young_trials,
                        "pass": passed == cfg.young_trials}
 

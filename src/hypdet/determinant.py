@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class DeterminantPoly:
     coeffs: np.ndarray  # c_0..c_N of the truncated determinant
     validity_radius: float
     coarse_radius: float
-    zeros: list = field(default_factory=list)
 
 
 def dynamical_trace(sys: MapSystem, pts: PeriodicPointSet) -> float:

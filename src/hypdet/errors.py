@@ -74,14 +74,6 @@ class CrossCheckFailed(HypdetError):
         self.data = data
 
 
-class PoorFit(HypdetError):
-    """Least-squares extrapolation residual exceeded its threshold."""
-
-
-class EmptyFixedSet(HypdetError):
-    """No periodic points available for a pressure sum."""
-
-
 class GridTooCoarse(HypdetError):
     """Grid Nyquist frequency cannot resolve the requested dyadic band."""
 

@@ -52,9 +52,6 @@ class MapSystem:
     inverse: Callable
     jacobian: Callable
     weight: Callable
-    smoothness: float = math.inf
-    stable_dim: int = 1
-    unstable_dim: int = 1
     params: dict = field(default_factory=dict)
     # chart models: isolating box V (weight support lives inside), (lo, hi) per axis
     box: Optional[tuple] = None
@@ -75,9 +72,6 @@ class MapSystem:
             inverse=self.inverse,
             jacobian=self.jacobian,
             weight=weight,
-            smoothness=self.smoothness,
-            stable_dim=self.stable_dim,
-            unstable_dim=self.unstable_dim,
             params={**self.params, "weight": tag},
             box=self.box,
             valid_region=self.valid_region,

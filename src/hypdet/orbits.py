@@ -8,8 +8,6 @@ point along an eps homotopy with a (vectorized) Newton iteration.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +252,9 @@ def continue_periodic_points(
     for eps_k in eps_path:
         sys_k = make_map("perturbed_cat" if sys.name != "cat" else "cat", eps_k, seed)
         X, derivs, orbit = _newton_fixed_points(sys_k, orbit, tol)
+    # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0; fold it onto
+    # 0.0 so stored points lie in [0, 1)
+    X = np.where(X < 1.0, X, 0.0)
 
     inv_norm = np.linalg.norm(np.linalg.inv(np.eye(2) - derivs), axis=(1, 2))
     if np.any(inv_norm > 1e10):
@@ -261,9 +262,7 @@ def continue_periodic_points(
     _check_hyperbolic_fixed(derivs)
 
     if len(X) > 1:
-        # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0, which a
-        # periodic tree of box size 1 rejects; fold it onto 0.0 for the check
-        tree = cKDTree(np.mod(X, 1.0), boxsize=1.0)
+        tree = cKDTree(X, boxsize=1.0)
         pairs = tree.query_pairs(DEDUPE_RADIUS)
         if pairs:
             i, j = next(iter(pairs))
@@ -309,46 +308,3 @@ def periodic_points(sys: MapSystem, m: int, tol: float = 1e-12) -> PeriodicPoint
         out = continue_periodic_points(sys, ref, tol=tol)
     _POINT_CACHE[key] = out
     return out
-
-
-def pointset_to_dict(pts: PeriodicPointSet) -> dict:
-    return {
-        "period": pts.period,
-        "method": pts.method,
-        "points": pts.points.tolist(),
-        "derivatives": pts.derivatives.tolist(),
-        "weights": pts.weights.tolist(),
-    }
-
-
-def pointset_from_dict(d: dict) -> PeriodicPointSet:
-    return PeriodicPointSet(
-        period=int(d["period"]),
-        points=np.array(d["points"], dtype=float).reshape(-1, 2),
-        derivatives=np.array(d["derivatives"], dtype=float).reshape(-1, 2, 2),
-        weights=np.array(d["weights"], dtype=float),
-        method=d["method"],
-    )
-
-
-def cache_key(map_id: str, eps: float, m: int, tol: float) -> str:
-    return f"{map_id}|eps={eps!r}|m={m}|tol={tol!r}"
-
-
-def save_cache(path: str, entries: dict):
-    """Continued-point cache: one JSON object keyed by (map id, eps, m, tol).
-
-    Layout: {key: {"period":..., "method":..., "points": [[x,y],...],
-    "derivatives": [...], "weights": [...]}} with keys from cache_key().
-    """
-    payload = {k: pointset_to_dict(v) for k, v in sorted(entries.items())}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def load_cache(path: str) -> dict:
-    if not os.path.exists(path):
-        return {}
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {k: pointset_from_dict(v) for k, v in payload.items()}

@@ -55,8 +55,8 @@ def test_criterion_2_kitaev_equality():
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
     split = maps.splitting_power_iteration(cat)
-    rep = bd.kitaev_crosscheck(cat, split, 1.0, -1.0, range(4, 11),
-                               n_samples=4096, seed=1)
+    rows = bd.bound_table(cat, split, 1.0, -1.0, range(4, 11), n_samples=4096, seed=1)
+    rep = bd.kitaev_crosscheck(cat, split, 1.0, -1.0, rows)
     elapsed = time.monotonic() - t0
     ok = (
         abs(rep["rho_estimate"] - GOLD_RATE) <= 0.02 * GOLD_RATE
@@ -127,8 +127,8 @@ def test_criterion_6_appendix_b_inequality():
     for eps in (0.0, 0.01):
         sys_ = maps.make_map("cat" if eps == 0.0 else "perturbed_cat", eps)
         split = maps.splitting_power_iteration(sys_)
-        rep = bd.appendixB_check(sys_, split, 1.0, -1.0, m_range=range(1, 7),
-                                 n_samples=2048, seed=4)
+        rows = bd.bound_table(sys_, split, 1.0, -1.0, range(1, 7), n_samples=2048, seed=4)
+        rep = bd.appendixB_check(rows, 1.0, -1.0)
         ok = ok and rep["pass"]
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 20.0

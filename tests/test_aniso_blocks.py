@@ -22,8 +22,9 @@ def grid():
 @pytest.fixture(scope="module")
 def block(chart0, grid):
     sys_, theta, theta_p = chart0
-    return ab.assemble_blocks(sys_, maps.chart_weight, theta, theta_p,
-                              n_max=6, grid=grid)
+    hp, hm = ab.h_exponents(sys_, maps.chart_weight, theta, theta_p)
+    return ab.BlockOperator(sys=sys_, weight=maps.chart_weight, theta=theta,
+                            theta_prime=theta_p, grid=grid, n_max=6, h_plus=hp, h_minus=hm)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,8 @@ def test_triangularity_products(chart0, iter10):
 
 
 def test_split_masks_complementary(block):
-    mb, mc = ab.split_bc(block)
+    mb = ab.hook_mask(block.n_max, block.h_plus, block.h_minus)
+    mc = ~mb
     assert np.all(mb ^ mc)
 
 
@@ -165,7 +167,8 @@ def test_block_decomposition_sums(block, grid):
     # M = M_b + M_c as an identity of block sums on a banded input
     pts = grid.points()
     u = (np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))).reshape(grid.n_pix, grid.n_pix)
-    mb, mc = ab.split_bc(block)
+    mb = ab.hook_mask(block.n_max, block.h_plus, block.h_minus)
+    mc = ~mb
     idx = ab.band_indices(block.n_max)
     lt = (1, "+")
     j = idx.index(lt)
@@ -215,11 +218,10 @@ def test_flat_trace_no_fixed_point(chart0):
     assert abs(quad.partial_sum(8)) <= 1e-3
 
 
-def test_block_flat_trace_wrapper(block, chart0):
+def test_band_traces_sum_to_chi_trace(chart0):
     sys_, theta, theta_p = chart0
     quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=4)
-    vals = [ab.block_flat_trace(block, (n, s), quad=quad)
-            for n in range(5) for s in "+-"]
+    vals = [quad.band_trace(n, s) for n in range(5) for s in "+-"]
     assert abs(sum(vals) - quad.chi_trace(4)) <= 1e-10
     # scaling the weight scales every diagonal trace linearly
     half = lambda x: 0.5 * maps.chart_weight(x)  # noqa: E731

@@ -44,13 +44,7 @@ def test_partition_at_origin(theta):
 
 
 def test_partition_sums_to_one(theta, rng):
-    n_max = 9
-    side = 512
-    t = np.linspace(-(2.0**n_max), 2.0**n_max, side)
-    XI = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    XI = XI[np.linalg.norm(XI, axis=1) <= 2.0**n_max]
-    total = ap.dyadic_partition_sum(theta, XI, n_max + 3)
-    assert np.max(np.abs(total - 1.0)) <= 1e-12
+    assert ap.partition_sum_error(theta, 9, side=512) <= 1e-12
 
 
 def test_psi_tilde_covers_psi_support(theta, rng):
@@ -188,3 +182,8 @@ def test_young_random_trials(grid, theta, rng):
                                   n_dirs=9, n_offsets=65, line_samples=384)
         good += int(ok)
     assert good == trials
+
+
+def test_young_trials_counts_passes(theta):
+    assert ap.young_trials(theta, 2, seed=2) == 2
+    assert ap.young_trials(theta, 0, seed=2) == 0

@@ -47,39 +47,64 @@ def test_rho_pq_estimate_poor_fit_flag(rng):
 
 
 def test_R_pqt_cat(cat, cat_split):
-    for t in (1.0, 2.0, math.inf):
-        val = bd.R_pqt_m(cat, cat_split, 1, -1, t, 3, n_samples=128)
+    for val in bd.R_pqt_m(cat, cat_split, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=128):
         assert abs(val - LAM**-3) < 1e-10  # area preserving: det factor is 1
-    assert abs(bd.R_pqt_m(cat, cat_split, 0, 0, math.inf, 2, n_samples=128) - 1.0) < 1e-12
+    [val0] = bd.R_pqt_m(cat, cat_split, 0, 0, (math.inf,), 2, n_samples=128)
+    assert abs(val0 - 1.0) < 1e-12
 
 
 def test_R_monotone_in_t_reported(pcat, pcat_split):
-    vals = {t: bd.R_pqt_m(pcat, pcat_split, 1, -1, t, 3, n_samples=512)
-            for t in (1.0, 2.0, math.inf)}
-    assert all(v > 0 for v in vals.values())  # reported, not asserted
+    vals = bd.R_pqt_m(pcat, pcat_split, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=512)
+    assert all(v > 0 for v in vals)  # reported, not asserted
+
+
+def test_R_pqt_equals_one_t_at_a_time(pcat, pcat_split):
+    grid = (1.0, 2.0, math.inf)
+    together = bd.R_pqt_m(pcat, pcat_split, 1, -1, grid, 3, n_samples=256, seed=5)
+    alone = [bd.R_pqt_m(pcat, pcat_split, 1, -1, (t,), 3, n_samples=256, seed=5)[0]
+             for t in grid]
+    assert together == alone
+    with pytest.raises(ValueError):
+        bd.R_pqt_m(pcat, pcat_split, 1, -1, (0.5,), 3, n_samples=16)
+
+
+def test_bound_table_rows_independent_of_range(pcat, pcat_split):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        full = bd.bound_table(pcat, pcat_split, 1, -1, range(1, 6), n_samples=256, seed=2)
+        tail = bd.bound_table(pcat, pcat_split, 1, -1, range(3, 6), n_samples=256, seed=2)
+    assert [r["m"] for r in full] == [1, 2, 3, 4, 5]
+    assert tail == full[2:]  # each row draws from seed + m
+    assert {"q_star_greedy", "rho_star"} <= set(full[3]) and "rho_star" not in full[4]
+    rho, se = bd.rho_pq_m(pcat, pcat_split, 1, -1, 3, n_samples=256, seed=5)
+    assert (full[2]["rho"], full[2]["rho_stderr"]) == (rho, se)
+    R = bd.R_pqt_m(pcat, pcat_split, 1, -1, bd.T_GRID, 3, seed=5)
+    assert [full[2][k] for k in ("R_t1", "R_t2", "R_tinf")] == R
 
 
 def test_appendixB_cat_and_perturbed(cat, cat_split):
-    rep = bd.appendixB_check(cat, cat_split, 1, -1, m_range=range(1, 5),
-                             n_samples=512, seed=3)
+    rows = bd.bound_table(cat, cat_split, 1, -1, range(1, 5), n_samples=512, seed=3)
+    rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]
     pc = maps.builtin_perturbed_cat(0.02)
     sp = maps.splitting_power_iteration(pc)
-    rep2 = bd.appendixB_check(pc, sp, 1, -1, m_range=range(1, 4),
-                              n_samples=1024, seed=3)
+    rows2 = bd.bound_table(pc, sp, 1, -1, range(1, 4), n_samples=1024, seed=3)
+    rep2 = bd.appendixB_check(rows2, 1, -1)
     assert rep2["pass"]
 
 
 def test_appendixB_zero_weight(cat, cat_split):
-    rep = bd.appendixB_check(zero_weight(cat), cat_split, 1, -1,
-                             m_range=range(1, 3), n_samples=128)
+    rows = bd.bound_table(zero_weight(cat), cat_split, 1, -1, range(1, 3), n_samples=128)
+    rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]  # 0 <= 0
 
 
-def test_appendixB_violation_raises(cat, cat_split, monkeypatch):
-    monkeypatch.setattr(bd, "R_pqt_m", lambda *a, **k: 0.0)
+def test_appendixB_violation_raises(cat, cat_split):
+    rows = bd.bound_table(cat, cat_split, 1, -1, range(1, 3), n_samples=64)
+    for row in rows:
+        row.update({"R_t1": 0.0, "R_t2": 0.0, "R_tinf": 0.0})
     with pytest.raises(InequalityViolated):
-        bd.appendixB_check(cat, cat_split, 1, -1, m_range=range(1, 3), n_samples=64)
+        bd.appendixB_check(rows, 1, -1)
 
 
 def test_cover_spec_validation():
@@ -236,12 +261,12 @@ def test_q_pq_bounded_by_scaled_q00(cat, cat_split):
 
 
 def test_kitaev_crosscheck(cat, cat_split, pcat, pcat_split):
-    rep = bd.kitaev_crosscheck(cat, cat_split, 1, -1, range(4, 11),
-                               n_samples=1024, seed=2)
+    rows = bd.bound_table(cat, cat_split, 1, -1, range(4, 11), n_samples=1024, seed=2)
+    rep = bd.kitaev_crosscheck(cat, cat_split, 1, -1, rows)
     assert rep["pass"] and rep["log_gap"] <= 0.05
     assert abs(rep["rho_estimate"] - 0.381966) < 0.02 * 0.381966
-    rep2 = bd.kitaev_crosscheck(pcat, pcat_split, 1, -1, range(4, 9),
-                                n_samples=2048, seed=2)
+    rows2 = bd.bound_table(pcat, pcat_split, 1, -1, range(4, 9), n_samples=2048, seed=2)
+    rep2 = bd.kitaev_crosscheck(pcat, pcat_split, 1, -1, rows2)
     assert rep2["pass"]
 
 

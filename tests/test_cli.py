@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -121,6 +122,33 @@ def test_bounds_cat(quick_bounds_cfg, tmp_path):
     assert abs(b["kitaev"]["rho_estimate"] - 0.381966) < 0.01
 
 
+def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_path):
+    from hypdet import bounds, maps
+
+    calls = {"rho": 0, "R": 0, "exponents": 0}
+    rho, R, exponents = bounds.rho_pq_m, bounds.R_pqt_m, maps.hyperbolicity_exponents
+
+    def counted(key, fn):
+        def wrapper(*a, **k):
+            calls[key] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "rho_pq_m", counted("rho", rho))
+    monkeypatch.setattr(bounds, "R_pqt_m", counted("R", R))
+    # bounds imports the function by name, so patch both bindings
+    monkeypatch.setattr(maps, "hyperbolicity_exponents", counted("exponents", exponents))
+    monkeypatch.setattr(bounds, "hyperbolicity_exponents", counted("exponents", exponents))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["bounds", "--config", quick_bounds_cfg, "--out",
+                       str(tmp_path / "oc"), "--quiet"])
+    assert rc == 0
+    # m = 1..6: rho and R once each per m, the cover and partition routes
+    # for m <= 4, and the variational route over the five fitted m
+    assert calls == {"rho": 6, "R": 6, "exponents": 6 + 6 + 4 + 4 + 5}
+
+
 def test_bounds_negative_control(tmp_path):
     cfg = write_config(tmp_path, "neg.json", {
         "map": {"id": "cat"}, "m_max": 6, "mc_samples": 256, "seed": 3,
@@ -181,6 +209,24 @@ def test_report_empty_dir(tmp_path):
 def test_config_error_exit_code(tmp_path):
     bad = write_config(tmp_path, "bad.json", {"p": -1.0, "q": -1.0})
     assert cli.main(["bounds", "--config", bad, "--out", str(tmp_path)]) == 3
+
+
+def test_run_config_roundtrip():
+    cfg = cli.RunConfig.from_dict({
+        "map": {"id": "perturbed_cat", "eps": 0.02, "seed": 3},
+        "weight": {"id": "constant", "value": 2.0}, "p": 2.0, "q": -0.5,
+        "N_det": 9, "m_max": 5, "mc_samples": 100, "n_max_aniso": 4, "n_freq": 6,
+        "det_radius": 2.5, "match_tol": 1e-5, "top_k": 10, "young_trials": 3,
+        "r_smoothness": 9.0, "negative_control": True, "seed": 11, "output_dir": "x",
+    })
+    d = cfg.to_dict()
+    flat = {**{f"map.{k}": v for k, v in d.pop("map").items()}, **d}
+    assert len(flat) == len(dataclasses.fields(cfg))
+    assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
+    # every field was read from the config: none kept its default
+    default = cli.RunConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(cfg))
 
 
 def test_finite_r_warning(tmp_path):

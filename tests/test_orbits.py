@@ -107,6 +107,12 @@ def test_collision_check_accepts_points_wrapped_to_one():
     assert len(pts) == exact_count(8) == 2205
 
 
+def test_continued_points_stored_in_unit_square():
+    # the coordinate np.mod rounds to 1.0 is stored folded onto 0.0
+    pts = orbits.periodic_points(maps.make_map("perturbed_cat", 0.05, 7), 8)
+    assert pts.points.max() < 1.0 and pts.points.min() >= 0.0
+
+
 def test_refined_path_consistency(pcat):
     ref = orbits.fixed_points_linear_toral(A, 4)
     one = orbits.continue_periodic_points(pcat, ref, eps_path=[0.01])
@@ -118,19 +124,6 @@ def test_weighted_lattice_points():
     w = lambda x: 2.0 * np.ones(np.atleast_2d(x).shape[0])  # noqa: E731
     pts = orbits.fixed_points_linear_toral(A, 3, weight=w)
     assert np.allclose(pts.weights, 8.0)
-
-
-def test_cache_roundtrip(tmp_path, pcat):
-    pts = orbits.periodic_points(pcat, 3)
-    key = orbits.cache_key("perturbed_cat", 0.01, 3, 1e-12)
-    path = str(tmp_path / "orbits.json")
-    orbits.save_cache(path, {key: pts})
-    loaded = orbits.load_cache(path)
-    assert key in loaded
-    assert np.allclose(loaded[key].points, pts.points)
-    assert np.allclose(loaded[key].derivatives, pts.derivatives)
-    assert loaded[key].method == pts.method
-    assert orbits.load_cache(str(tmp_path / "missing.json")) == {}
 
 
 def test_snf_unimodular_decomposition():
