@@ -289,7 +289,6 @@ class FlatTraceQuadrature:
     theta: Polarization
     n0_max: int
     y_safe: float = 6.0
-    quad_n: int = 192
 
     def __post_init__(self):
         pts = _weight_support_points(self.sys, self.weight, n_side=48)

@@ -178,10 +178,6 @@ class BoxGrid:
     def xi_max(self) -> float:
         return math.pi / self.h
 
-    def max_band(self) -> int:
-        # band n needs support radius 2^{n+1} inside the inscribed Nyquist disc
-        return int(math.floor(math.log2(self.xi_max) - 1.0))
-
     def require_band(self, n: int):
         if 2.0 ** (n + 1) > self.xi_max:
             raise GridTooCoarse(

@@ -63,7 +63,7 @@ class RunConfig:
         m = d.get("map", {})
         given = {**{name: m[key] for name, key in MAP_KEYS.items() if key in m},
                  **{k: v for k, v in d.items() if k in types and k not in MAP_KEYS}}
-        cfg = cls(**{name: types[name](v) for name, v in given.items()})
+        cfg = cls(**{name: _typed(name, types[name], v) for name, v in given.items()})
         cfg.validate()
         return cfg
 
@@ -94,6 +94,19 @@ class RunConfig:
             "config_hash": reports.config_hash(semantic),
             "seed": self.seed,
         }
+
+
+def _typed(name: str, tp: type, v):
+    """v as a value of field type tp; a JSON value of another kind (a string
+    for a number, a bool for a number, 12.7 for an int) is a config error.
+    An int is accepted for a float field."""
+    if tp is float:
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+    else:
+        ok = isinstance(v, tp) and not (tp is int and isinstance(v, bool))
+    if not ok:
+        raise ValueError(f"{name} must be {tp.__name__}, got {v!r}")
+    return tp(v)
 
 
 WEIGHT_BASIS = {
@@ -159,7 +172,7 @@ def cmd_resonances(cfg: RunConfig, quiet: bool = False) -> int:
     sys_ = build_map(cfg)
 
     ts = det.trace_series(sys_, cfg.N_det)
-    dp = det.det_coeffs_from_traces(ts, sys=sys_, p=cfg.p, q=cfg.q)
+    dp = det.det_coeffs_from_traces(ts, det.validity_radius(sys_, cfg.p, cfg.q))
     zeros = det.det_zeros(dp, cfg.det_radius)
 
     # the same seeded solver at both truncations, so both sides of the

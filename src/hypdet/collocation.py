@@ -1,24 +1,25 @@
 """Fourier collocation of the transfer operator on torus maps.
 
 The operator L u = g (u o T) is discretized on the modes k in [-N, N]^2 by
-sampling g e_k(T x) on an oversampled grid and projecting back by FFT.  Two
-equivalent build strategies exist: the direct per-column FFT of the sampled
-symbol, and a factored path for maps given as (integer linear part) +
-(smooth periodic part), which evaluates the same coefficients on a much
-smaller grid.  Both are cross-checked against direct quadrature.
+sampling g e_k(T x) on an oversampled grid and projecting back by FFT.  The
+mode count picks one of two builds of the same coefficients: the direct
+per-column FFT of the sampled symbol up to FFT_MAX_DIM modes, and above it a
+factored path for maps given as (integer linear part) + (smooth periodic
+part), which evaluates them on a much smaller grid.  Both are cross-checked
+against direct quadrature.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sparse
 
-from .errors import AliasingRisk, EigenSolverFailure
+from .determinant import BACKWARD_ERROR_THRESHOLD
+from .errors import EigenSolverFailure
 from .maps import MapSystem
 
 TWO_PI = 2.0 * math.pi
@@ -27,20 +28,23 @@ DENSE_EIG_LIMIT = 2600
 SPARSE_DROP_TOL = 1e-13
 SUBSPACE_ITERS = 24
 RITZ_RESIDUAL_TOL = 1e-8
-MIN_GRID_FACTOR = 4
+STABILITY_RTOL = 1e-6
+# the FFT build samples on a (GRID_FACTOR (2N+1))^2 grid, the anti-aliasing
+# minimum; above FFT_MAX_DIM modes the factored build takes over
+GRID_FACTOR = 4
+FFT_MAX_DIM = 2000
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
     """Truncated collocation matrix over modes k in [-N, N]^2.
 
-    matrix is dense (ndarray) for small truncations, scipy CSR above
-    DENSE_DIM_LIMIT modes; entries below SPARSE_DROP_TOL of the global max
-    are dropped in the sparse representation.
+    matrix is dense (ndarray) up to DENSE_DIM_LIMIT modes, scipy CSR above;
+    the factored build drops entries of modulus at most SPARSE_DROP_TOL,
+    the FFT build keeps them.
     """
 
     n_freq: int
-    grid_factor: int
     matrix: object
 
     @property
@@ -65,56 +69,32 @@ def _mode_index(k, N) -> int:
     return (k1 + N) * (2 * N + 1) + (k2 + N)
 
 
-def modes(N) -> np.ndarray:
-    r = np.arange(-N, N + 1)
-    return np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
-
-
 def _grid(G):
     t = np.arange(G) / G
     return np.meshgrid(t, t, indexing="ij")
 
 
-def _fft_block_indices(N, G):
-    # rows/cols of the [-N, N] block in fft2 output
-    f = np.arange(-N, N + 1) % G
-    return f
-
-
-def build_transfer_matrix(sys: MapSystem, n_freq: int, grid_factor: int = 4,
-                          method: str = "auto") -> TransferMatrix:
+def build_transfer_matrix(sys: MapSystem, n_freq: int) -> TransferMatrix:
     """Collocation matrix of u -> g (u o T) on modes [-N, N]^2.
 
-    method "fft" samples g e_k(Tx) on the (grid_factor (2N+1))^2 grid and
-    FFT-projects each column; "factored" uses the homology decomposition
-    T = A x + s(x) to evaluate the identical coefficients on a small grid
-    sized by the Bessel tail of exp(2 pi i k.s); "auto" picks factored for
-    large truncations when the map provides the decomposition.
+    Up to FFT_MAX_DIM modes g e_k(Tx) is sampled on the (GRID_FACTOR (2N+1))^2
+    grid and each column FFT-projected; above it the homology decomposition
+    T = A x + s(x) gives the identical coefficients on a small grid sized by
+    the Bessel tail of exp(2 pi i k.s).
     """
     if sys.domain != "torus":
         raise ValueError("collocation requires a torus map")
-    if grid_factor < MIN_GRID_FACTOR:
-        warnings.warn(
-            f"grid_factor {grid_factor} below anti-aliasing minimum {MIN_GRID_FACTOR}",
-            AliasingRisk,
-        )
-    dim = (2 * n_freq + 1) ** 2
-    can_factor = sys.linear_part is not None and sys.periodic_part is not None
-    if method == "auto":
-        method = "factored" if (can_factor and dim > 2000) else "fft"
-    if method == "factored" and not can_factor:
-        raise ValueError("factored build needs linear_part and periodic_part")
-    if method == "fft":
-        M = _build_fft(sys, n_freq, grid_factor)
-    elif method == "factored":
-        M = _build_factored(sys, n_freq)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return TransferMatrix(n_freq=n_freq, grid_factor=grid_factor, matrix=M)
+    if (2 * n_freq + 1) ** 2 <= FFT_MAX_DIM:
+        return TransferMatrix(n_freq=n_freq, matrix=_build_fft(sys, n_freq))
+    if sys.linear_part is None or sys.periodic_part is None:
+        raise ValueError(f"more than {FFT_MAX_DIM} modes need a map with "
+                         "linear_part and periodic_part")
+    return TransferMatrix(n_freq=n_freq, matrix=_build_factored(sys, n_freq))
 
 
-def _build_fft(sys, N, grid_factor):
-    G = grid_factor * (2 * N + 1)
+def _build_fft(sys, N):
+    """Dense matrix: per-column FFT of g e_k(Tx) on the oversampled grid."""
+    G = GRID_FACTOR * (2 * N + 1)
     X1, X2 = _grid(G)
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
     T = sys.forward(pts)
@@ -122,33 +102,18 @@ def _build_fft(sys, N, grid_factor):
     E1 = np.exp(TWO_PI * 1j * T[:, 0]).reshape(G, G)
     E2 = np.exp(TWO_PI * 1j * T[:, 1]).reshape(G, G)
     dim = (2 * N + 1) ** 2
-    idx = _fft_block_indices(N, G)
-    dense = dim <= DENSE_DIM_LIMIT
-    if dense:
-        M = np.zeros((dim, dim), dtype=complex)
-    else:
-        rows, cols, vals = [], [], []
+    # rows/cols of the [-N, N] block in fft2 output
+    idx = np.arange(-N, N + 1) % G
+    M = np.zeros((dim, dim), dtype=complex)
     E1_pow = W * E1 ** (-N)
     for k1 in range(-N, N + 1):
         cur = E1_pow * E2 ** (-N)
         for k2 in range(-N, N + 1):
-            coeffs = sfft.fft2(cur)[np.ix_(idx, idx)].ravel() / (G * G)
-            col = ( k1 + N) * (2 * N + 1) + (k2 + N)
-            if dense:
-                M[:, col] = coeffs
-            else:
-                keep = np.abs(coeffs) > SPARSE_DROP_TOL
-                rows.append(np.flatnonzero(keep))
-                cols.append(np.full(keep.sum(), col))
-                vals.append(coeffs[keep])
+            col = (k1 + N) * (2 * N + 1) + (k2 + N)
+            M[:, col] = sfft.fft2(cur)[np.ix_(idx, idx)].ravel() / (G * G)
             cur = cur * E2
         E1_pow = E1_pow * E1
-    if dense:
-        return M
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim), dtype=complex,
-    )
+    return M
 
 
 def _bessel_cutoff(z: float) -> int:
@@ -207,14 +172,13 @@ def _build_factored(sys, N):
     return M
 
 
-def direct_entry(sys: MapSystem, kprime, k, n_freq: int, grid_factor: int = 4,
-                 refine: int = 2) -> complex:
+def direct_entry(sys: MapSystem, kprime, k, n_freq: int, refine: int = 2) -> complex:
     """Independent quadrature of the (k', k) entry on a refined grid.
 
     Used by the spot-check invariant: trapezoid sum of g e_k(Tx) e_{-k'}(x)
     on a refine-times finer grid than the build grid.
     """
-    G = refine * grid_factor * (2 * n_freq + 1)
+    G = refine * GRID_FACTOR * (2 * n_freq + 1)
     X1, X2 = _grid(G)
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
     T = sys.forward(pts)
@@ -234,7 +198,7 @@ def spot_check(sys: MapSystem, tm: TransferMatrix, n_entries: int = 10,
         k = rng.integers(-N, N + 1, size=2)
         kp = rng.integers(-N, N + 1, size=2)
         a = tm.entry(kp, k)
-        b = direct_entry(sys, kp, k, N, tm.grid_factor)
+        b = direct_entry(sys, kp, k, N)
         worst = max(worst, abs(a - b))
     if worst > tol:
         raise AssertionError(f"spot check failed: max entry error {worst:.3e}")
@@ -289,8 +253,9 @@ def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0):
     return w[order], res[order]
 
 
-def stability_filter(eigs_n, eigs_2n, tol: float = 1e-6):
-    """Match eigenvalues reproduced at doubled resolution within relative tol.
+def stability_filter(eigs_n, eigs_2n):
+    """Match eigenvalues reproduced at doubled resolution within relative
+    STABILITY_RTOL.
 
     Greedy nearest-neighbor matching; each doubled-resolution eigenvalue is
     used at most once.  Returns the (k, 2) integer array of matched
@@ -309,7 +274,7 @@ def stability_filter(eigs_n, eigs_2n, tol: float = 1e-6):
         dists = [abs(mu - eigs_2n[j]) for j in pool]
         jj = int(np.argmin(dists))
         nu = eigs_2n[pool[jj]]
-        if dists[jj] <= tol * max(abs(mu), abs(nu)) or dists[jj] == 0.0:
+        if dists[jj] <= STABILITY_RTOL * max(abs(mu), abs(nu)) or dists[jj] == 0.0:
             pairs.append((i, pool.pop(jj)))
     return np.array(pairs, dtype=int).reshape(-1, 2)
 
@@ -328,17 +293,16 @@ def check_residuals(eigs, residuals):
         )
 
 
-def match_resonances_to_zeros(stable_eigs, zeros, radius: float, tol: float = 1e-4,
-                              backward_tol: float = 1e-6) -> dict:
+def match_resonances_to_zeros(stable_eigs, zeros, radius: float, tol: float = 1e-4) -> dict:
     """Bijective matching of determinant zeros to stable eigenvalues.
 
-    Every zero z with |z| < radius (and backward error below backward_tol)
-    needs a stable eigenvalue mu with |mu - 1/z| <= tol, and every stable
-    eigenvalue with |1/mu| < radius needs a zero.  Multiplicities are
-    compared through cluster sizes.
+    Every zero z with |z| < radius and a backward error det_zeros does not
+    flag (at most BACKWARD_ERROR_THRESHOLD) needs a stable eigenvalue mu
+    with |mu - 1/z| <= tol, and every stable eigenvalue with |1/mu| < radius
+    needs a zero.  Multiplicities are compared through cluster sizes.
     """
     zs = [z for z in zeros
-          if abs(z["zero"]) < radius and z["backward_error"] <= backward_tol]
+          if abs(z["zero"]) < radius and z["backward_error"] <= BACKWARD_ERROR_THRESHOLD]
     eig_clusters = _cluster_eigs(
         [mu for mu in stable_eigs if abs(mu) > 1e-300 and 1.0 / abs(mu) < radius], tol
     )

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .errors import IllConditionedRoot, OrientationNotTrivial
-from .maps import MapSystem, SplittingField
+from .maps import MapSystem, SplittingField, splitting_power_iteration
 from .orbits import PeriodicPointSet, periodic_points
 
 BACKWARD_ERROR_THRESHOLD = 1e-6
 CLUSTER_RTOL = 1e-6
 NEAR_BOUNDARY_FRACTION = 0.9
+# periods whose exponents give the validity radius
+VALIDITY_M_RANGE = range(4, 11)
 
 
 @dataclass(frozen=True)
@@ -82,22 +85,14 @@ def traces_from_coeffs(coeffs) -> np.ndarray:
     return t
 
 
-def det_coeffs_from_traces(ts: TraceSeries, sys=None, p: float = 1.0, q: float = -1.0,
-                           radius_info=None) -> DeterminantPoly:
+def det_coeffs_from_traces(ts: TraceSeries, radii) -> DeterminantPoly:
     """Truncated determinant from a trace series; c_0 = 1.
 
-    radius_info, when given, is a (validity_radius, coarse_radius) pair;
-    otherwise it is computed from the bounds module when sys is provided.
+    radii is the (validity_radius, coarse_radius) pair from validity_radius.
     """
-    coeffs = coeffs_from_power_sums(ts.traces, sign=-1.0)
-    if radius_info is None:
-        if sys is not None:
-            vr, cr = validity_radius(sys, p, q)
-        else:
-            vr, cr = math.nan, math.nan
-    else:
-        vr, cr = radius_info
-    return DeterminantPoly(coeffs=coeffs, validity_radius=vr, coarse_radius=cr)
+    vr, cr = radii
+    return DeterminantPoly(coeffs=coeffs_from_power_sums(ts.traces, sign=-1.0),
+                           validity_radius=vr, coarse_radius=cr)
 
 
 def _eval_poly(coeffs, z):
@@ -124,7 +119,7 @@ def det_zeros(dp: DeterminantPoly, radius: float):
     """Roots of the truncation inside |z| < radius, via companion matrix.
 
     Each root carries the backward error |d(z)| / sum |c_k z^k|; roots with
-    backward error above 1e-6 are flagged, not dropped.  Roots within 10% of
+    backward error above BACKWARD_ERROR_THRESHOLD are flagged, not dropped.  Roots within 10% of
     the validity radius are flagged near-boundary.
     """
     if np.isfinite(dp.validity_radius) and radius > dp.validity_radius:
@@ -235,20 +230,15 @@ def zeta_product(sys: MapSystem, N: int, split: SplittingField) -> np.ndarray:
     return _series_mul(num, _series_inv(d1, N), N)
 
 
-def validity_radius(sys: MapSystem, p: float, q: float, m_range=None, split=None):
+def validity_radius(sys: MapSystem, p: float, q: float):
     """(1/Q^{p,q}, 1/Q^{0,0}) from the variational pressure route."""
-    from . import bounds  # deferred: bounds depends on maps/orbits only
-
-    from .maps import splitting_power_iteration
-
-    if split is None:
-        split = splitting_power_iteration(sys)
-    if m_range is None:
-        m_range = range(4, 11)
+    split = splitting_power_iteration(sys)
     # one exponent evaluation per m serves both the (p, q) and (0, 0) sums
-    exps = bounds.periodic_exponents(sys, split, m_range)
-    qpq = bounds.q_variational(sys, split, p, q, m_range, exponents=exps)["estimate"]
-    q00 = bounds.q_variational(sys, split, 0.0, 0.0, m_range, exponents=exps)["estimate"]
+    exps = bounds.periodic_exponents(sys, split, VALIDITY_M_RANGE)
+    qpq = bounds.q_variational(sys, split, p, q, VALIDITY_M_RANGE,
+                               exponents=exps)["estimate"]
+    q00 = bounds.q_variational(sys, split, 0.0, 0.0, VALIDITY_M_RANGE,
+                               exponents=exps)["estimate"]
     return 1.0 / qpq, 1.0 / q00
 
 

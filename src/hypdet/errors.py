@@ -90,10 +90,6 @@ class SingularResolvent(HypdetError):
     """Id - z*M_b too ill-conditioned to invert reliably."""
 
 
-class AliasingRisk(UserWarning):
-    """Oversampling factor below the documented anti-aliasing minimum."""
-
-
 class EmptyWitness(UserWarning):
     """Some itineraries have too few witnesses; their nonemptiness is uncertain."""
 

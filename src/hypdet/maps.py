@@ -195,6 +195,14 @@ def _smooth_bump_deriv(t):
 # ---------------------------------------------------------------------------
 
 
+def _unit_weight(x):
+    # one function for every builtin torus map, so rebuilt maps share the
+    # periodic-point cache, which is keyed by the weight callable
+    xb, sq = _as_batch(x)
+    w = np.ones(xb.shape[0])
+    return float(w[0]) if sq else w
+
+
 def builtin_cat_map() -> MapSystem:
     """Arnold cat map x -> Ax mod 1 with A = [[2,1],[1,1]], weight 1."""
     A = CAT_A
@@ -215,11 +223,6 @@ def builtin_cat_map() -> MapSystem:
         J = np.broadcast_to(A, (xb.shape[0], 2, 2)).copy()
         return J[0] if sq else J
 
-    def weight(x):
-        xb, sq = _as_batch(x)
-        w = np.ones(xb.shape[0])
-        return float(w[0]) if sq else w
-
     def periodic_part(x):
         xb, sq = _as_batch(x)
         z = np.zeros_like(xb)
@@ -232,7 +235,7 @@ def builtin_cat_map() -> MapSystem:
         forward=forward,
         inverse=inverse,
         jacobian=jacobian,
-        weight=weight,
+        weight=_unit_weight,
         params={"eps": 0.0, "seed": 0},
         linear_part=CAT_A_INT.copy(),
         periodic_part=periodic_part,
@@ -299,11 +302,6 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
             x = np.mod(x - np.linalg.solve(J, r[..., None])[..., 0], 1.0)
         return x[0] if sq else x
 
-    def weight(x):
-        xb, sq = _as_batch(x)
-        w = np.ones(xb.shape[0])
-        return float(w[0]) if sq else w
-
     def periodic_part(x):
         xb, sq = _as_batch(x)
         p = pert(xb)
@@ -316,7 +314,7 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
         forward=forward,
         inverse=inverse,
         jacobian=jacobian,
-        weight=weight,
+        weight=_unit_weight,
         params={"eps": float(eps), "seed": int(seed)},
         linear_part=CAT_A_INT.copy(),
         periodic_part=periodic_part,
@@ -573,31 +571,6 @@ def hyperbolicity_exponents(sys: MapSystem, split: SplittingField, x, m: int):
     if sq:
         return float(lam[0]), float(nu[0])
     return lam, nu
-
-
-def lambda_pqm(sys: MapSystem, split: SplittingField, x, p: float, q: float, m: int):
-    """max{ lambda_x(T^m)^p, nu_x(T^m)^q }."""
-    lam, nu = hyperbolicity_exponents(sys, split, x, m)
-    return np.maximum(lam**p, nu**q)
-
-
-def unstable_jacobian(sys: MapSystem, split: SplittingField, x, m: int):
-    """|det(DT^m|_{E^u})|(x); in d_u = 1 the norm of DT^m applied to u(x)."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    xb, sq = _as_batch(x)
-    u = np.atleast_2d(split.unstable(xb))
-    y = xb
-    log_val = np.zeros(xb.shape[0])
-    for _ in range(m):
-        _check_in_box(sys, y)
-        u = (sys.jacobian(y) @ u[..., None])[..., 0]
-        norms = np.linalg.norm(u, axis=-1)
-        log_val += np.log(norms)
-        u = u / norms[:, None]
-        y = sys.forward(y)
-    val = np.exp(log_val)
-    return float(val[0]) if sq else val
 
 
 def weight_floor(g: Callable, n: int) -> Callable:

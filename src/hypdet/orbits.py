@@ -23,6 +23,8 @@ from .maps import MapSystem, jacobian_cocycle, make_map, weight_product
 
 DEDUPE_RADIUS = 1e-6
 UNIT_CIRCLE_MARGIN = 1e-6
+# Newton stops once the composed T^m residual is below this
+NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ def fixed_points_linear_toral(A, m: int, weight=None) -> PeriodicPointSet:
     )
 
 
-def _newton_fixed_points(sys: MapSystem, orbit, tol: float):
+def _newton_fixed_points(sys: MapSystem, orbit):
     """Newton in orbit space for all period-m points at once.
 
     Solves x_{k+1} = T(x_k) (indices mod m) for whole orbit sequences
@@ -194,8 +196,8 @@ def _newton_fixed_points(sys: MapSystem, orbit, tol: float):
         for k in range(m - 1, -1, -1):
             w = w + (S @ F[k][..., None])[..., 0]
             S = S @ P[k]
-        # per-step residual margin keeps the composed T^m residual under tol
-        if np.max(np.abs(F)) <= 0.05 * tol:
+        # per-step residual margin keeps the composed T^m residual under NEWTON_TOL
+        if np.max(np.abs(F)) <= 0.05 * NEWTON_TOL:
             M = S
             break
         # Newton step: delta_{k+1} = P_k delta_k - F_k, cyclic closure at m
@@ -217,7 +219,6 @@ def continue_periodic_points(
     sys: MapSystem,
     ref: PeriodicPointSet,
     eps_path=None,
-    tol: float = 1e-12,
 ) -> PeriodicPointSet:
     """Continue lattice-exact fixed points of T^m along an eps homotopy.
 
@@ -251,7 +252,7 @@ def continue_periodic_points(
     derivs = None
     for eps_k in eps_path:
         sys_k = make_map("perturbed_cat" if sys.name != "cat" else "cat", eps_k, seed)
-        X, derivs, orbit = _newton_fixed_points(sys_k, orbit, tol)
+        X, derivs, orbit = _newton_fixed_points(sys_k, orbit)
     # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0; fold it onto
     # 0.0 so stored points lie in [0, 1)
     X = np.where(X < 1.0, X, 0.0)
@@ -288,16 +289,17 @@ def verify_count(setm: PeriodicPointSet, A) -> bool:
 _POINT_CACHE: dict = {}
 
 
-def periodic_points(sys: MapSystem, m: int, tol: float = 1e-12) -> PeriodicPointSet:
+def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
     """Fixed points of T^m for a builtin torus map, cached per process.
 
     Linear maps are enumerated exactly; perturbed maps are continued from the
-    eps = 0 lattice points.
+    eps = 0 lattice points.  The cache is keyed by the weight callable itself,
+    not by its tag, so two weights under one tag never share g^(m).
     """
     if sys.domain != "torus" or sys.linear_part is None:
         raise ValueError("periodic_points requires a builtin torus map")
     key = (sys.name, float(sys.params.get("eps", 0.0)), int(sys.params.get("seed", 0)),
-           sys.params.get("weight", "one"), m, tol)
+           sys.weight, m)
     if key in _POINT_CACHE:
         return _POINT_CACHE[key]
     ref = fixed_points_linear_toral(sys.linear_part, m, weight=None)
@@ -305,6 +307,6 @@ def periodic_points(sys: MapSystem, m: int, tol: float = 1e-12) -> PeriodicPoint
         w = weight_product(sys, ref.points, m)
         out = PeriodicPointSet(m, ref.points, ref.derivatives, np.asarray(w), "lattice-exact")
     else:
-        out = continue_periodic_points(sys, ref, tol=tol)
+        out = continue_periodic_points(sys, ref)
     _POINT_CACHE[key] = out
     return out

@@ -34,7 +34,7 @@ def test_criterion_1_cat_determinant_exactness():
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
     ts = det.trace_series(cat, 12)
-    dp = det.det_coeffs_from_traces(ts, radius_info=(LAM, 1.0))
+    dp = det.det_coeffs_from_traces(ts, (LAM, 1.0))
     zeros = det.det_zeros(dp, 2.0)
     elapsed = time.monotonic() - t0
     ok = (
@@ -89,7 +89,7 @@ def test_criterion_4_cross_method_match():
     t0 = time.monotonic()
     pc = maps.builtin_perturbed_cat(0.01)
     ts = det.trace_series(pc, 12)
-    dp = det.det_coeffs_from_traces(ts, sys=pc, p=1.0, q=-1.0)
+    dp = det.det_coeffs_from_traces(ts, det.validity_radius(pc, 1.0, -1.0))
     zeros = det.det_zeros(dp, 1.5)
 
     tm32 = coll.build_transfer_matrix(pc, 32)

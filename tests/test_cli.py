@@ -229,6 +229,29 @@ def test_run_config_roundtrip():
                for f in dataclasses.fields(cfg))
 
 
+@pytest.mark.parametrize("payload", [
+    {"negative_control": "false"},  # a string for a bool
+    {"N_det": "12"},  # a string for an int
+    {"p": "1.0"},  # a string for a float
+    {"N_det": 12.7},  # a non-integer for an int
+    {"N_det": True},  # a bool for an int
+    {"det_radius": False},  # a bool for a float
+    {"map": {"id": "cat", "seed": 1.5}},
+])
+def test_config_value_of_wrong_type_rejected(payload, tmp_path):
+    with pytest.raises(ValueError):
+        cli.RunConfig.from_dict(payload)
+    bad = write_config(tmp_path, "typed.json", payload)
+    assert cli.main(["resonances", "--config", bad, "--out", str(tmp_path)]) == 3
+
+
+def test_config_int_accepted_for_float():
+    cfg = cli.RunConfig.from_dict({"p": 2, "q": -1, "det_radius": 2})
+    assert (cfg.p, cfg.q, cfg.det_radius) == (2.0, -1.0, 2.0)
+    assert all(type(v) is float for v in (cfg.p, cfg.q, cfg.det_radius))
+    assert cfg.meta("x") == cli.RunConfig(p=2.0, q=-1.0, det_radius=2.0).meta("x")
+
+
 def test_finite_r_warning(tmp_path):
     with pytest.warns(UserWarning, match="spectral hypotheses"):
         cli.RunConfig.from_dict({"p": 2.0, "q": -2.0, "r_smoothness": 4.0})

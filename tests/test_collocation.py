@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 
 from hypdet import collocation as coll
 from hypdet import maps
-from hypdet.errors import AliasingRisk, EigenSolverFailure
+from hypdet.errors import EigenSolverFailure
 
 
 def test_cat_column_structure(cat):
     N = 8
-    tm = coll.build_transfer_matrix(cat, N, 4, method="fft")
+    tm = coll.build_transfer_matrix(cat, N)
     M = tm.toarray()
     A_tr = maps.CAT_A_INT.T
     for k in ((0, 0), (1, 2), (-3, 1), (2, -2)):
@@ -26,7 +27,7 @@ def test_cat_column_structure(cat):
 
 
 def test_cat_column_sparsity_invariant(cat):
-    tm = coll.build_transfer_matrix(cat, 6, 4, method="fft")
+    tm = coll.build_transfer_matrix(cat, 6)
     M = tm.toarray()
     counts = (np.abs(M) > 1e-12).sum(axis=0)
     assert np.all(counts <= 1)
@@ -35,7 +36,7 @@ def test_cat_column_sparsity_invariant(cat):
 
 
 def test_constant_mode_fixed(cat):
-    tm = coll.build_transfer_matrix(cat, 4, 4, method="fft")
+    tm = coll.build_transfer_matrix(cat, 4)
     col = tm.toarray()[:, coll._mode_index((0, 0), 4)]
     expected = np.zeros_like(col)
     expected[coll._mode_index((0, 0), 4)] = 1.0
@@ -46,7 +47,7 @@ def test_character_weight_shifts_column(cat):
     e1 = cat.with_weight(
         lambda x: np.exp(2j * np.pi * np.atleast_2d(x)[:, 0]), tag="e1")
     N = 6
-    tm = coll.build_transfer_matrix(e1, N, 4, method="fft")
+    tm = coll.build_transfer_matrix(e1, N)
     M = tm.toarray()
     k = np.array([1, 1])
     kp = maps.CAT_A_INT.T @ k + np.array([1, 0])
@@ -56,24 +57,26 @@ def test_character_weight_shifts_column(cat):
 
 
 def test_spot_check_both_methods(pcat):
-    tm_fft = coll.build_transfer_matrix(pcat, 10, 4, method="fft")
+    tm_fft = coll.TransferMatrix(n_freq=10, matrix=coll._build_fft(pcat, 10))
     assert coll.spot_check(pcat, tm_fft, n_entries=6, seed=0) < 1e-10
-    tm_fac = coll.build_transfer_matrix(pcat, 10, 4, method="factored")
+    tm_fac = coll.TransferMatrix(n_freq=10, matrix=coll._build_factored(pcat, 10))
     assert coll.spot_check(pcat, tm_fac, n_entries=6, seed=0) < 1e-10
     assert np.max(np.abs(tm_fft.toarray() - tm_fac.toarray())) < 1e-12
 
 
-def test_aliasing_warning(cat):
-    with pytest.warns(AliasingRisk):
-        coll.build_transfer_matrix(cat, 4, 2, method="fft")
+def test_large_truncation_needs_decomposition(pcat):
+    # 47^2 = 2209 modes are above FFT_MAX_DIM: only the factored build serves
+    bare = dataclasses.replace(pcat, periodic_part=None)
+    with pytest.raises(ValueError, match="linear_part and periodic_part"):
+        coll.build_transfer_matrix(bare, 23)
 
 
 def test_weight_scaling_scales_spectrum(pcat):
     c = 0.5
     scaled = pcat.with_weight(
         lambda x: np.full(np.atleast_2d(x).shape[0], c), tag="half")
-    tm1 = coll.build_transfer_matrix(pcat, 8, 4, method="fft")
-    tm2 = coll.build_transfer_matrix(scaled, 8, 4, method="fft")
+    tm1 = coll.build_transfer_matrix(pcat, 8)
+    tm2 = coll.build_transfer_matrix(scaled, 8)
     assert np.max(np.abs(tm2.toarray() - c * tm1.toarray())) < 1e-12
     w1, _ = coll.eigen_resonances(tm1)
     w2, _ = coll.eigen_resonances(tm2)
@@ -82,15 +85,15 @@ def test_weight_scaling_scales_spectrum(pcat):
 
 def test_eigen_diag_matrix():
     diag = np.diag([3.0, 2.0, 1.0, 0.5])
-    tm = coll.TransferMatrix(n_freq=0, grid_factor=4, matrix=diag)
+    tm = coll.TransferMatrix(n_freq=0, matrix=diag)
     got, res = coll.eigen_resonances(tm)
     assert np.allclose(np.abs(got), [3.0, 2.0, 1.0, 0.5])
     assert np.max(res) < 1e-12
 
 
 def test_eigen_cat_stable_spectrum(cat):
-    tm1 = coll.build_transfer_matrix(cat, 6, 4, method="fft")
-    tm2 = coll.build_transfer_matrix(cat, 12, 4, method="fft")
+    tm1 = coll.build_transfer_matrix(cat, 6)
+    tm2 = coll.build_transfer_matrix(cat, 12)
     w1, _ = coll.eigen_resonances(tm1)
     w2, _ = coll.eigen_resonances(tm2)
     stable = w1[coll.stability_filter(w1, w2)[:, 0]]
@@ -99,13 +102,13 @@ def test_eigen_cat_stable_spectrum(cat):
 
 
 def test_eigen_dense_refused_at_large_dim():
-    big = coll.TransferMatrix(n_freq=40, grid_factor=4, matrix=None)
+    big = coll.TransferMatrix(n_freq=40, matrix=None)
     with pytest.raises(EigenSolverFailure):
         coll.eigen_resonances(big)
 
 
 def test_subspace_matches_dense(pcat):
-    tm = coll.build_transfer_matrix(pcat, 10, 4, method="factored")
+    tm = coll.TransferMatrix(n_freq=10, matrix=coll._build_factored(pcat, 10))
     wd, _ = coll.eigen_resonances(tm)
     wt, rt = coll.eigen_resonances(tm, top=8, seed=0)
     assert abs(wt[0] - wd[0]) < 1e-10
@@ -147,8 +150,8 @@ def test_stability_filter_edge_cases():
 
 
 def test_match_cat(cat):
-    tm1 = coll.build_transfer_matrix(cat, 6, 4, method="fft")
-    tm2 = coll.build_transfer_matrix(cat, 12, 4, method="fft")
+    tm1 = coll.build_transfer_matrix(cat, 6)
+    tm2 = coll.build_transfer_matrix(cat, 12)
     w1 = coll.eigen_resonances(tm1)[0]
     stable = w1[coll.stability_filter(w1, coll.eigen_resonances(tm2)[0])[:, 0]]
     zeros = [{"zero": 1.0 + 0j, "multiplicity": 1, "backward_error": 1e-16}]
@@ -175,7 +178,7 @@ def test_sparse_representation_large():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pc = maps.builtin_perturbed_cat(0.01)
-        tm = coll.build_transfer_matrix(pc, 36, 4, method="factored")
+        tm = coll.build_transfer_matrix(pc, 36)
     import scipy.sparse as sp
 
     assert sp.issparse(tm.matrix)

@@ -58,7 +58,7 @@ def test_coeff_trace_roundtrip(traces):
 
 def test_cat_determinant_exactness(cat):
     ts = det.trace_series(cat, 12)
-    dp = det.det_coeffs_from_traces(ts, radius_info=(LAM, 1.0))
+    dp = det.det_coeffs_from_traces(ts, (LAM, 1.0))
     assert abs(dp.coeffs[1] + 1.0) <= 1e-10
     assert np.max(np.abs(dp.coeffs[2:])) <= 1e-10
     zeros = det.det_zeros(dp, 2.5)
@@ -91,9 +91,9 @@ def test_det_zeros_synthetic_two_roots():
 def test_zero_stability_under_truncation_doubling(cat, pcat):
     for sys_ in (cat, pcat):
         z1 = det.det_zeros(det.det_coeffs_from_traces(det.trace_series(sys_, 6),
-                                                      radius_info=(2.6, 1.0)), 1.5)
+                                                      (2.6, 1.0)), 1.5)
         z2 = det.det_zeros(det.det_coeffs_from_traces(det.trace_series(sys_, 12),
-                                                      radius_info=(2.6, 1.0)), 1.5)
+                                                      (2.6, 1.0)), 1.5)
         keep1 = [z for z in z1 if z["backward_error"] <= 1e-6]
         keep2 = [z for z in z2 if z["backward_error"] <= 1e-6]
         assert len(keep1) == len(keep2) == 1
@@ -130,8 +130,8 @@ def test_zeta_product_orientation_guard(cat, cat_split):
         det._orientation_check_raise(cat, cat_split, flipped)
 
 
-def test_validity_radius(cat, cat_split):
-    vr, cr = det.validity_radius(cat, 1.0, -1.0, split=cat_split)
+def test_validity_radius(cat):
+    vr, cr = det.validity_radius(cat, 1.0, -1.0)
     assert abs(vr - LAM) / LAM < 0.02
     assert abs(cr - 1.0) < 0.02
 
@@ -139,7 +139,7 @@ def test_validity_radius(cat, cat_split):
 def test_validity_radius_shares_exponents(pcat, pcat_split):
     from hypdet import bounds
 
-    vr, cr = det.validity_radius(pcat, 1.0, -1.0, split=pcat_split)
+    vr, cr = det.validity_radius(pcat, 1.0, -1.0)
     qpq = bounds.q_variational(pcat, pcat_split, 1.0, -1.0, range(4, 11))["estimate"]
     q00 = bounds.q_variational(pcat, pcat_split, 0.0, 0.0, range(4, 11))["estimate"]
     assert (vr, cr) == (1.0 / qpq, 1.0 / q00)
@@ -147,7 +147,7 @@ def test_validity_radius_shares_exponents(pcat, pcat_split):
 
 def test_determinant_report_from_inputs(pcat):
     ts = det.trace_series(pcat, 6)
-    dp = det.det_coeffs_from_traces(ts, radius_info=(2.5, 1.0))
+    dp = det.det_coeffs_from_traces(ts, (2.5, 1.0))
     zeros = det.det_zeros(dp, 1.5)
     rep = det.determinant_report(ts, dp, zeros, 1.5)
     assert rep["order"] == 6 and rep["traces"] == ts.traces.tolist()

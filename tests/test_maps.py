@@ -21,6 +21,17 @@ def torus_dist(a, b):
     return np.max(np.abs(d))
 
 
+def lambda_pqm(sys_, split, x, p, q, m):
+    """max{ lambda_x(T^m)^p, nu_x(T^m)^q }."""
+    lam, nu = maps.hyperbolicity_exponents(sys_, split, x, m)
+    return np.maximum(lam**p, nu**q)
+
+
+def unstable_jacobian(sys_, split, x, m):
+    """|det(DT^m|_{E^u})|(x), the nu of hyperbolicity_exponents."""
+    return maps.hyperbolicity_exponents(sys_, split, x, m)[1]
+
+
 def test_cat_basics(cat):
     assert np.allclose(cat.forward(np.zeros(2)), 0.0)
     assert np.allclose(cat.jacobian(np.array([0.3, 0.7])), maps.CAT_A)
@@ -206,23 +217,23 @@ def test_exponent_submultiplicativity(pcat, pcat_split, rng):
         y = x.copy()
         for _ in range(m):
             y = pcat.forward(y)
-        whole = maps.lambda_pqm(pcat, pcat_split, x, p, q, m + k)
-        parts = (maps.lambda_pqm(pcat, pcat_split, x, p, q, m)
-                 * maps.lambda_pqm(pcat, pcat_split, y, p, q, k))
+        whole = lambda_pqm(pcat, pcat_split, x, p, q, m + k)
+        parts = (lambda_pqm(pcat, pcat_split, x, p, q, m)
+                 * lambda_pqm(pcat, pcat_split, y, p, q, k))
         assert whole <= parts + 1e-9
 
 
 def test_lambda_pqm(cat, cat_split):
     x = np.array([0.4, 0.9])
-    assert abs(maps.lambda_pqm(cat, cat_split, x, 1, -1, 3) - LAM**-3) < 1e-9
-    assert abs(maps.lambda_pqm(cat, cat_split, x, 2, -1, 1) - 0.3819660113) < 1e-9
-    assert abs(maps.lambda_pqm(cat, cat_split, x, 0, 0, 4) - 1.0) < 1e-12
+    assert abs(lambda_pqm(cat, cat_split, x, 1, -1, 3) - LAM**-3) < 1e-9
+    assert abs(lambda_pqm(cat, cat_split, x, 2, -1, 1) - 0.3819660113) < 1e-9
+    assert abs(lambda_pqm(cat, cat_split, x, 0, 0, 4) - 1.0) < 1e-12
 
 
 def test_unstable_jacobian(cat, cat_split, pcat, pcat_split, rng):
     x = np.array([0.4, 0.9])
-    assert abs(maps.unstable_jacobian(cat, cat_split, x, 1) - 2.6180339887) < 1e-9
-    assert abs(maps.unstable_jacobian(cat, cat_split, x, 4) - 46.97871376) < 1e-7
+    assert abs(unstable_jacobian(cat, cat_split, x, 1) - 2.6180339887) < 1e-9
+    assert abs(unstable_jacobian(cat, cat_split, x, 4) - 46.97871376) < 1e-7
     # cocycle identity on the perturbed map
     for _ in range(5):
         x = rng.uniform(0, 1, 2)
@@ -230,9 +241,9 @@ def test_unstable_jacobian(cat, cat_split, pcat, pcat_split, rng):
         y = x.copy()
         for _ in range(m):
             y = pcat.forward(y)
-        lhs = maps.unstable_jacobian(pcat, pcat_split, x, m + k)
-        rhs = (maps.unstable_jacobian(pcat, pcat_split, x, m)
-               * maps.unstable_jacobian(pcat, pcat_split, y, k))
+        lhs = unstable_jacobian(pcat, pcat_split, x, m + k)
+        rhs = (unstable_jacobian(pcat, pcat_split, x, m)
+               * unstable_jacobian(pcat, pcat_split, y, k))
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hypdet import maps, orbits
@@ -111,6 +113,23 @@ def test_continued_points_stored_in_unit_square():
     # the coordinate np.mod rounds to 1.0 is stored folded onto 0.0
     pts = orbits.periodic_points(maps.make_map("perturbed_cat", 0.05, 7), 8)
     assert pts.points.max() < 1.0 and pts.points.min() >= 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 7), eps=st.floats(-0.05, 0.05), m=st.integers(1, 8))
+def test_periodic_points_count_and_range(seed, eps, m):
+    pts = orbits.periodic_points(maps.make_map("perturbed_cat", eps, seed), m)
+    assert orbits.verify_count(pts, A)
+    assert pts.points.min() >= 0.0 and pts.points.max() < 1.0
+
+
+def test_point_cache_keyed_by_weight_not_tag():
+    # two weights under the same (default) tag: the second must not be
+    # served the first one's cached g^(m)
+    cat = maps.builtin_cat_map()
+    for c in (2.0, 3.0):
+        sys_ = cat.with_weight(lambda x, c=c: np.full(np.atleast_2d(x).shape[0], c))
+        assert np.all(orbits.periodic_points(sys_, 2).weights == c**2)
 
 
 def test_refined_path_consistency(pcat):
