@@ -1,50 +1,40 @@
 """Anisotropic Fourier laboratory: dyadic band machinery on a 2D chart."""
 
 from .partition import (
-    BandFunction,
     BoxGrid,
     admissible_directions,
-    band_project,
     chi_n,
     dyadic_partition_eval,
     dyadic_partition_sum,
     mixed_norm_L1F,
     mollifier_chi,
-    psi_hat_l1_bound,
     psi_tilde_eval,
     young_check,
 )
 from .blocks import (
     BlockOperator,
     FlatTraceQuadrature,
-    approx_number_proxy,
     h_exponents,
     hook,
     hook_mask,
-    kernel_decay_fit,
     kneading_check,
     triangularity_product_check,
 )
 
 __all__ = [
-    "BandFunction",
     "BoxGrid",
     "BlockOperator",
     "FlatTraceQuadrature",
     "admissible_directions",
-    "approx_number_proxy",
-    "band_project",
     "chi_n",
     "dyadic_partition_eval",
     "dyadic_partition_sum",
     "h_exponents",
     "hook",
     "hook_mask",
-    "kernel_decay_fit",
     "kneading_check",
     "mixed_norm_L1F",
     "mollifier_chi",
-    "psi_hat_l1_bound",
     "psi_tilde_eval",
     "triangularity_product_check",
     "young_check",

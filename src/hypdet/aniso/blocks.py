@@ -1,8 +1,7 @@
 """Band-to-band blocks of the transfer operator, their masks and traces.
 
 The block S^{l,tau}_{n,sigma} u = psi'_{n,sigma}(D) [G (u o T)] psi~_{l,tau}(D)
-is realized two ways: as an FFT-multiplier/compose/FFT-multiplier action on
-grid functions, and as a dense matrix compressed to a decimated set of
+is realized as a dense matrix compressed to a decimated set of
 frequency-lattice modes per band (plane waves are multiplier eigenfunctions,
 so those entries are direct quadratures of the operator).  Flat traces use a
 separate shared frequency-lattice quadrature so partial sums telescope
@@ -15,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.ndimage import map_coordinates
 
 from ..errors import EmptyConstraintSet, SingularResolvent
 from ..maps import MapSystem, Polarization
@@ -129,61 +126,13 @@ class BlockOperator:
     n_max: int
     h_plus: int
     h_minus: int
-    _mult_cache: dict = field(default_factory=dict, repr=False)
-    _support: tuple = field(default=None, repr=False)
+    _support: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.grid.require_band(self.n_max)
         pts = self.grid.points()
-        w = np.asarray(self.weight(pts))
-        mask = w > 1e-15
-        self._support = (mask, pts[mask], w[mask])
-
-    # -- multipliers --------------------------------------------------------
-
-    def mult_out(self, n: int, sigma: str) -> np.ndarray:
-        key = ("out", n, sigma)
-        if key not in self._mult_cache:
-            self._mult_cache[key] = self.grid.multiplier(
-                lambda xi: dyadic_partition_eval(self.theta_prime, n, sigma, xi)
-            )
-        return self._mult_cache[key]
-
-    def mult_in(self, ell: int, tau: str) -> np.ndarray:
-        key = ("in", ell, tau)
-        if key not in self._mult_cache:
-            self._mult_cache[key] = self.grid.multiplier(
-                lambda xi: psi_tilde_eval(self.theta, ell, tau, xi)
-            )
-        return self._mult_cache[key]
-
-    # -- grid action ---------------------------------------------------------
-
-    def compose_weight(self, u: np.ndarray) -> np.ndarray:
-        """G (u o T) on the grid; u interpolated at T(x) over supp G only."""
-        mask, pts, w = self._support
-        out = np.zeros_like(u, dtype=complex)
-        vals = self.grid.interp(u, self.sys.forward(pts))
-        out[mask.reshape(u.shape)] = w * vals
-        return out
-
-    def apply_block(self, u: np.ndarray, lt: tuple, ns: tuple) -> np.ndarray:
-        """S^{l,tau}_{n,sigma} u on grid values."""
-        ell, tau = lt
-        n, sigma = ns
-        band_in = sfft.ifft2(sfft.fft2(np.asarray(u, dtype=complex)) * self.mult_in(ell, tau))
-        mid = self.compose_weight(band_in)
-        return sfft.ifft2(sfft.fft2(mid) * self.mult_out(n, sigma))
-
-    def apply_capped(self, u: np.ndarray, lt: tuple, n_cap: int) -> np.ndarray:
-        """chi_{n_cap}(D) L psi~_{l,tau}(D) u: the all-blocks column sum."""
-        ell, tau = lt
-        band_in = sfft.ifft2(sfft.fft2(np.asarray(u, dtype=complex)) * self.mult_in(ell, tau))
-        mid = self.compose_weight(band_in)
-        cap = self.grid.multiplier(
-            lambda xi: chi_n(np.sqrt(np.sum(xi**2, axis=-1)), n_cap)
-        )
-        return sfft.ifft2(sfft.fft2(mid) * cap)
+        # grid points in supp G; they bound the quadrature grid of the entries
+        self._support = pts[np.asarray(self.weight(pts)) > 1e-15]
 
     # -- compressed dense matrices -------------------------------------------
 
@@ -254,7 +203,7 @@ class BlockOperator:
         return M, Mb, Mc, idx
 
     def _quad_grid(self, n_max_mat: int, quad_n: int, pad: float):
-        mask, pts, w = self._support
+        pts = self._support
         lo = pts.min(axis=0) - 0.05
         hi = pts.max(axis=0) + 0.05
         rate = 2.0 ** (n_max_mat + 1) * pad * 2.0
@@ -400,166 +349,3 @@ def kneading_check(M: np.ndarray, Mb: np.ndarray, Mc: np.ndarray, z_samples,
         rows.append({"z": complex(z), "lhs": complex(lhs), "rhs": complex(rhs),
                      "rel_err": float(rel), "cond": float(cond)})
     return {"rows": rows, "max_rel_err": worst, "pass": worst <= 1e-8}
-
-
-def dump_dense_matrix(path: str, M: np.ndarray, index) -> None:
-    """Binary dump of a dense block matrix for offline inspection.
-
-    Layout: UTF-8 header lines ('hypdet-block-dump 1', 'rows cols', one
-    'band mode' pair per row index), a blank line, then the matrix as
-    row-major little-endian complex128 (re, im) pairs.
-    """
-    M = np.ascontiguousarray(M, dtype=np.complex128)
-    lines = ["hypdet-block-dump 1", f"{M.shape[0]} {M.shape[1]}"]
-    lines += [f"{bi} {k}" for bi, k in index]
-    header = ("\n".join(lines) + "\n\n").encode()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(M.astype("<c16").tobytes(order="C"))
-
-
-def load_dense_matrix(path: str):
-    """Inverse of dump_dense_matrix; returns (matrix, index)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head, _, body = raw.partition(b"\n\n")
-    lines = head.decode().splitlines()
-    if lines[0] != "hypdet-block-dump 1":
-        raise ValueError("not a block dump file")
-    rows, cols = (int(v) for v in lines[1].split())
-    index = [tuple(int(v) for v in ln.split()) for ln in lines[2:]]
-    M = np.frombuffer(body, dtype="<c16", count=rows * cols).reshape(rows, cols)
-    return M.copy(), index
-
-
-# ---------------------------------------------------------------------------
-# kernel decay and approximation numbers
-# ---------------------------------------------------------------------------
-
-
-class PsiHatTable:
-    """Tabulated inverse transforms of the band multipliers.
-
-    Levels 0 and 1 are tabulated directly; higher bands use the exact
-    scaling law psi_hat_n(x) = 2^{2(n-1)} psi_hat_1(2^{n-1} x).
-    """
-
-    def __init__(self, theta: Polarization, kind: str, sigma: str,
-                 box_half: float = 48.0, n_pix: int = 1024):
-        self.grid = BoxGrid(box_half, n_pix)
-        self.tables = {}
-        for level in (0, 1):
-            self.tables[level] = self._make(theta, kind, sigma, level)
-
-    def _make(self, theta, kind, sigma, level):
-        xi = self.grid.xi_points()
-        if kind == "psi":
-            vals = dyadic_partition_eval(theta, level, sigma, xi)
-        else:
-            vals = psi_tilde_eval(theta, level, sigma, xi)
-        vals = np.asarray(vals).reshape(self.grid.n_pix, self.grid.n_pix)
-        scale = self.grid.dxi**2 / TWO_PI**2 * self.grid.n_pix**2
-        hat = sfft.ifft2(vals) * scale
-        # ifft lattice starts at x = 0; roll to center the box at -B
-        return sfft.fftshift(hat)
-
-    def eval(self, n: int, pts: np.ndarray) -> np.ndarray:
-        if n <= 1:
-            table, fac, arg = self.tables[n], 1.0, pts
-        else:
-            table, fac = self.tables[1], 2.0 ** (2 * (n - 1))
-            arg = pts * 2.0 ** (n - 1)
-        B, h = self.grid.box_half, self.grid.h
-        ij = (arg + B) / h
-        inside = np.all((ij >= 1) & (ij <= self.grid.n_pix - 2), axis=1)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        if np.any(inside):
-            c = ij[inside].T
-            out[inside] = (map_coordinates(table.real, c, order=3)
-                           + 1j * map_coordinates(table.imag, c, order=3))
-        return fac * out
-
-
-def kernel_decay_fit(block: BlockOperator, pairs, n_eval: int = 12,
-                     table_n_pix: int = 1024) -> dict:
-    """Empirical decay of unlinked block kernels against max{n, l}.
-
-    Materializes V(x,y) = int psi_hat'(x-w) G(w) psi_tilde_hat(T(w)-T(y)) dw
-    on coarse (x, y) grids with a w-quadrature resolving the 2^{max{n,l}+1}
-    oscillation, and fits log2 max|V| linearly in max{n, l}.
-    """
-    for lt, ns in pairs:
-        if hook(lt, ns, block.h_plus, block.h_minus):
-            raise ValueError(f"pair {lt} -> {ns} is linked; decay bound applies "
-                             "to unlinked pairs")
-    mask, pts, wv = block._support
-    if pts.shape[0] == 0:  # zero weight: every kernel vanishes identically
-        rows = [{"pair": [[lt[0], lt[1]], [ns[0], ns[1]]], "max_abs": 0.0,
-                 "max_nl": int(max(ns[0], lt[0])), "min_nl": int(min(ns[0], lt[0]))}
-                for lt, ns in pairs]
-        return {"rows": rows, "slope_log2": math.nan}
-    lo, hi = pts.min(axis=0) - 0.02, pts.max(axis=0) + 0.02
-    ext = np.linspace(-0.8, 0.8, n_eval)
-    XY = np.stack(np.meshgrid(ext, ext, indexing="ij"), axis=-1).reshape(-1, 2)
-    TY = block.sys.forward(XY)
-
-    tables: dict = {}
-    rows = []
-    for (ell, tau), (n, sigma) in pairs:
-        kp = ("psi", sigma)
-        kt = ("tilde", tau)
-        if kp not in tables:
-            tables[kp] = PsiHatTable(block.theta_prime, "psi", sigma, n_pix=table_n_pix)
-        if kt not in tables:
-            tables[kt] = PsiHatTable(block.theta, "tilde", tau, n_pix=table_n_pix)
-        # w-grid cells below a third of the finest kernel oscillation scale
-        w_side = int(math.ceil(float(max(hi - lo)) * 3.0 * 2.0 ** (max(n, ell) + 1) / math.pi))
-        w_side = min(max(w_side, 48), 512)
-        t1 = lo[0] + (hi[0] - lo[0]) * (np.arange(w_side) + 0.5) / w_side
-        t2 = lo[1] + (hi[1] - lo[1]) * (np.arange(w_side) + 0.5) / w_side
-        Wg = np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2)
-        gw = np.asarray(block.weight(Wg))
-        keep = gw > 1e-16
-        Wg, gw = Wg[keep], gw[keep]
-        cell = (t1[1] - t1[0]) * (t2[1] - t2[0])
-        TW = block.sys.forward(Wg)
-        dx = (XY[:, None, :] - Wg[None, :, :]).reshape(-1, 2)
-        P_out = tables[kp].eval(n, dx).reshape(XY.shape[0], Wg.shape[0])
-        dyv = (TW[:, None, :] - TY[None, :, :]).reshape(-1, 2)
-        P_in = tables[kt].eval(ell, dyv).reshape(Wg.shape[0], XY.shape[0])
-        V = P_out @ (gw[:, None] * cell * P_in)
-        rows.append({
-            "pair": [[ell, tau], [n, sigma]],
-            "max_abs": float(np.max(np.abs(V))),
-            "max_nl": int(max(n, ell)),
-            "min_nl": int(min(n, ell)),
-        })
-    xs = np.array([r["max_nl"] for r in rows], dtype=float)
-    ys = np.log2(np.maximum([r["max_abs"] for r in rows], 1e-300))
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) > 1 else math.nan
-    return {"rows": rows, "slope_log2": slope}
-
-
-def approx_number_proxy(Mc: np.ndarray, index, n_max: int, p: float, q: float,
-                        k_range=None) -> dict:
-    """Singular values of the (p, q)-weighted M_c truncation, log-log fitted.
-
-    index maps matrix rows/cols to (band position, mode); rows and columns
-    are scaled by 2^{c(sigma) n} with c(+) = p, c(-) = q.
-    """
-    bands = band_indices(n_max)
-    wvec = np.empty(Mc.shape[0])
-    for r, (bi, _) in enumerate(index):
-        n, sigma = bands[bi]
-        c = p if sigma == "+" else q
-        wvec[r] = 2.0 ** (c * n)
-    weighted = wvec[:, None] * Mc / wvec[None, :]
-    s = np.linalg.svd(weighted, compute_uv=False)
-    if k_range is None:
-        k_range = range(1, min(len(s), 64) + 1)
-    ks = np.array([k for k in k_range if s[k - 1] > 1e-14])
-    if len(ks) > 3:
-        slope = float(np.polyfit(np.log(ks), np.log(s[ks - 1]), 1)[0])
-    else:
-        slope = math.nan
-    return {"singular_values": s.tolist(), "fit_exponent": slope}

@@ -1,4 +1,4 @@
-"""Dyadic frequency partitions, band projections and the mixed foliation norm.
+"""Dyadic frequency partitions, the periodic grid and the mixed foliation norm.
 
 Functions live on a periodic box [-B, B)^2; frequencies are angular
 (multiplier of e^{i xi.x}), on the lattice xi = (pi/B) j.  Band n carries
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.ndimage import map_coordinates
 
-from ..errors import GridTooCoarse, SupportMarginViolated
+from ..errors import GridTooCoarse
 from ..maps import Polarization, _angdist, _mollifier_f
 
 
@@ -125,19 +125,6 @@ def dyadic_partition_sum(theta: Polarization, xi, n_max: int):
     return total
 
 
-def psi_hat_l1_bound(theta: Polarization, n: int, sigma: str, box_half: float = 40.0,
-                     n_pix: int = 1024) -> float:
-    """Numerical ||psi_hat_{Theta,n,sigma}||_{L^1}; bounded uniformly in n.
-
-    With lattice quadrature of the inverse transform the L1 sum collapses to
-    sum |ifft2| exactly (the h^2 dxi^2 n^2 / (2 pi)^2 factor is 1).
-    """
-    grid = BoxGrid(box_half, n_pix)
-    grid.require_band(n)
-    vals = dyadic_partition_eval(theta, n, sigma, grid.xi_points()).reshape(n_pix, n_pix)
-    return float(np.sum(np.abs(sfft.ifft2(vals))))
-
-
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
@@ -153,10 +140,6 @@ class BoxGrid:
     @property
     def h(self) -> float:
         return 2.0 * self.box_half / self.n_pix
-
-    @property
-    def dxi(self) -> float:
-        return math.pi / self.box_half
 
     def coords_1d(self) -> np.ndarray:
         return -self.box_half + self.h * np.arange(self.n_pix)
@@ -184,13 +167,6 @@ class BoxGrid:
                 f"band {n} needs |xi| up to {2.0 ** (n + 1):.0f}, Nyquist is {self.xi_max:.0f}"
             )
 
-    def multiplier(self, fn) -> np.ndarray:
-        """Evaluate a multiplier on the frequency lattice, shaped (n_pix, n_pix)."""
-        return np.asarray(fn(self.xi_points())).reshape(self.n_pix, self.n_pix)
-
-    def apply_multiplier(self, u: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        return sfft.ifft2(sfft.fft2(u) * mult)
-
     def interp(self, u: np.ndarray, pts: np.ndarray, order: int = 3) -> np.ndarray:
         """Periodic interpolation of grid values at arbitrary points."""
         ij = (pts + self.box_half) / self.h
@@ -200,58 +176,6 @@ class BoxGrid:
             im = map_coordinates(u.imag, coords, order=order, mode="grid-wrap")
             return re + 1j * im
         return map_coordinates(u, coords, order=order, mode="grid-wrap")
-
-    def integral(self, u: np.ndarray):
-        return np.sum(u) * self.h**2
-
-
-@dataclass(frozen=True)
-class BandFunction:
-    """Grid samples of a function declared to live in one dyadic band."""
-
-    grid: BoxGrid
-    values: np.ndarray
-    n: int
-    sigma: str
-
-    def band_mass_outside(self) -> float:
-        """Fourier mass outside supp chi_{n+3}, relative to the total."""
-        hat = sfft.fft2(self.values)
-        norm = np.sqrt(np.sum(self.grid.xi_points() ** 2, axis=-1)).reshape(hat.shape)
-        outside = norm > 2.0 ** (self.n + 4)
-        total = np.sum(np.abs(hat) ** 2)
-        if total == 0:
-            return 0.0
-        return float(np.sum(np.abs(hat[outside]) ** 2) / total)
-
-
-def check_support_margin(grid: BoxGrid, u: np.ndarray, margin_frac: float = 0.25,
-                         tol: float = 1e-8):
-    c = np.abs(grid.coords_1d())
-    outer = c > grid.box_half * (1.0 - margin_frac)
-    ring = np.zeros((grid.n_pix, grid.n_pix), dtype=bool)
-    ring[outer, :] = True
-    ring[:, outer] = True
-    peak = np.max(np.abs(u))
-    if peak > 0 and np.max(np.abs(u[ring])) > tol * peak:
-        raise SupportMarginViolated(
-            f"mass within {margin_frac:.0%} of the box boundary"
-        )
-
-
-def band_project(grid: BoxGrid, u: np.ndarray, theta: Polarization, n: int,
-                 sigma: str, check_margin: bool = True) -> BandFunction:
-    """psi_{Theta,n,sigma}(D) u by FFT multiplier.
-
-    check_margin=False skips the support-margin precondition; the multiplier
-    action is exact on lattice plane waves regardless of support.
-    """
-    grid.require_band(n)
-    if check_margin:
-        check_support_margin(grid, u)
-    mult = grid.multiplier(lambda xi: dyadic_partition_eval(theta, n, sigma, xi))
-    return BandFunction(grid=grid, values=grid.apply_multiplier(np.asarray(u, dtype=complex), mult),
-                        n=n, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .maps import (
     hyperbolicity_exponents,
     jacobian_cocycle,
     smooth_bump,
+    weight_floor,
     weight_product,
 )
 from .orbits import periodic_points
@@ -39,6 +40,9 @@ T_GRID = (1.0, 2.0, math.inf)
 # the cover and partition routes enumerate itineraries, whose number grows
 # exponentially in m; bound_table runs them up to this m
 STAR_M_MAX = 4
+# q_variational substitutes the floor sqrt(g^2 + 1/n^2) at this n for a weight
+# that vanishes on some periodic orbit
+WEIGHT_FLOOR_N = 100
 
 
 def _sample_domain(sys: MapSystem, n: int, rng) -> np.ndarray:
@@ -137,7 +141,6 @@ class CoverSpec:
 
     centers: np.ndarray  # (k, 2)
     radius: float
-    generating_depth: int = 0
 
     def __post_init__(self):
         grid = _deterministic_grid_torus(64)
@@ -162,41 +165,11 @@ def _torus_box_dist(X, centers):
     return d.max(axis=2)
 
 
-def make_grid_cover(k: int, radius_factor: float = 1.0, generating_depth: int = 8) -> CoverSpec:
-    """k x k box cover of the torus; radius_factor 1 tiles exactly."""
+def make_grid_cover(k: int) -> CoverSpec:
+    """k x k box cover of the torus; the boxes tile it exactly."""
     t = (np.arange(k) + 0.5) / k
     centers = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    return CoverSpec(centers=centers, radius=0.5 / k * radius_factor,
-                     generating_depth=generating_depth)
-
-
-def generating_diameter(sys: MapSystem, cover: CoverSpec, depth: int,
-                        n_samples: int = 4096, seed: int = 0) -> float:
-    """Max diameter of sampled two-sided itinerary cells at the given depth.
-
-    A shrinking value as depth grows witnesses that the cover is generating.
-    """
-    rng = np.random.default_rng(seed)
-    X = _sample_domain(sys, n_samples, rng)
-    codes = np.zeros((X.shape[0], 2 * depth + 1), dtype=np.int32)
-    Yf = X.copy()
-    Yb = X.copy()
-    codes[:, 0] = np.argmax(cover.member_matrix(X), axis=0)
-    for k in range(1, depth + 1):
-        Yf = sys.forward(Yf)
-        Yb = sys.inverse(Yb)
-        codes[:, 2 * k - 1] = np.argmax(cover.member_matrix(Yf), axis=0)
-        codes[:, 2 * k] = np.argmax(cover.member_matrix(Yb), axis=0)
-    _, inv = np.unique(codes, axis=0, return_inverse=True)
-    diam = 0.0
-    for c in range(inv.max() + 1):
-        P = X[inv == c]
-        if len(P) < 2:
-            continue
-        d = P[:, None, :] - P[None, :, :]
-        d = np.abs(d - np.round(d))
-        diam = max(diam, float(np.sqrt((d**2).sum(axis=2)).max()))
-    return diam
+    return CoverSpec(centers=centers, radius=0.5 / k)
 
 
 def _element_witnesses(cover: CoverSpec, per_element: int) -> np.ndarray:
@@ -401,13 +374,12 @@ def periodic_exponents(sys: MapSystem, split: SplittingField, m_range) -> dict:
 
 
 def q_variational(sys: MapSystem, split: SplittingField, p: float, q: float,
-                  m_range=range(4, 11), weight_floor_n: int = 100,
-                  exponents=None) -> dict:
+                  m_range, exponents=None) -> dict:
     """Pressure-route estimate of Q^{p,q} from periodic sums of the
     potential |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}|.
 
     If the weight vanishes somewhere on the sampled orbits the positive
-    floor sqrt(g^2 + 1/n^2) is substituted and the floor level reported.
+    floor sqrt(g^2 + 1/n^2), n = WEIGHT_FLOOR_N, is substituted and n reported.
     exponents, when given, is periodic_exponents(sys, split, m_range).
     """
     if not (q <= 0.0 <= p):
@@ -422,11 +394,9 @@ def q_variational(sys: MapSystem, split: SplittingField, p: float, q: float,
         lam_pq = np.maximum(lam**p, nu**q)
         g_m = np.abs(pts.weights)
         if np.min(g_m) < 1e-12:
-            from .maps import weight_floor
-
-            floor_used = weight_floor_n
-            g_n = weight_floor(sys.weight, weight_floor_n)
-            g_m = weight_product(sys.with_weight(g_n, tag=f"floor{weight_floor_n}"),
+            floor_used = WEIGHT_FLOOR_N
+            g_n = weight_floor(sys.weight, WEIGHT_FLOOR_N)
+            g_m = weight_product(sys.with_weight(g_n, tag=f"floor{WEIGHT_FLOOR_N}"),
                                  pts.points, m)
         S = math.fsum(g_m * lam_pq / nu)
         ms.append(m)

@@ -61,8 +61,14 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         types = typing.get_type_hints(cls)
         m = d.get("map", {})
+        # a misspelt key would otherwise run the default without a word
+        top = {k for k in types if k not in MAP_KEYS} | {"map"}
+        unknown = ([k for k in d if k not in top]
+                   + [f"map.{k}" for k in m if k not in MAP_KEYS.values()])
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         given = {**{name: m[key] for name, key in MAP_KEYS.items() if key in m},
-                 **{k: v for k, v in d.items() if k in types and k not in MAP_KEYS}}
+                 **{k: v for k, v in d.items() if k != "map"}}
         cfg = cls(**{name: _typed(name, types[name], v) for name, v in given.items()})
         cfg.validate()
         return cfg

@@ -5,8 +5,8 @@ sampling g e_k(T x) on an oversampled grid and projecting back by FFT.  The
 mode count picks one of two builds of the same coefficients: the direct
 per-column FFT of the sampled symbol up to FFT_MAX_DIM modes, and above it a
 factored path for maps given as (integer linear part) + (smooth periodic
-part), which evaluates them on a much smaller grid.  Both are cross-checked
-against direct quadrature.
+part), which evaluates them on a much smaller grid.  The tests check entries
+of both against direct quadrature.
 """
 
 from __future__ import annotations
@@ -55,18 +55,6 @@ class TransferMatrix:
         if isinstance(self.matrix, np.ndarray):
             return self.matrix
         return self.matrix.toarray()
-
-    def entry(self, kprime, k) -> complex:
-        r = _mode_index(kprime, self.n_freq)
-        c = _mode_index(k, self.n_freq)
-        return complex(self.matrix[r, c])
-
-
-def _mode_index(k, N) -> int:
-    k1, k2 = int(k[0]), int(k[1])
-    if abs(k1) > N or abs(k2) > N:
-        raise IndexError(f"mode {k} outside [-{N},{N}]^2")
-    return (k1 + N) * (2 * N + 1) + (k2 + N)
 
 
 def _grid(G):
@@ -170,39 +158,6 @@ def _build_factored(sys, N):
     if dim <= DENSE_DIM_LIMIT:
         return M.toarray()
     return M
-
-
-def direct_entry(sys: MapSystem, kprime, k, n_freq: int, refine: int = 2) -> complex:
-    """Independent quadrature of the (k', k) entry on a refined grid.
-
-    Used by the spot-check invariant: trapezoid sum of g e_k(Tx) e_{-k'}(x)
-    on a refine-times finer grid than the build grid.
-    """
-    G = refine * GRID_FACTOR * (2 * n_freq + 1)
-    X1, X2 = _grid(G)
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    T = sys.forward(pts)
-    w = np.asarray(sys.weight(pts))
-    phase = TWO_PI * (k[0] * T[:, 0] + k[1] * T[:, 1]
-                      - kprime[0] * pts[:, 0] - kprime[1] * pts[:, 1])
-    return complex(np.sum(w * np.exp(1j * phase)) / (G * G))
-
-
-def spot_check(sys: MapSystem, tm: TransferMatrix, n_entries: int = 10,
-               seed: int = 0, tol: float = 1e-10) -> float:
-    """Compare random matrix entries against direct quadrature; max |diff|."""
-    rng = np.random.default_rng(seed)
-    N = tm.n_freq
-    worst = 0.0
-    for _ in range(n_entries):
-        k = rng.integers(-N, N + 1, size=2)
-        kp = rng.integers(-N, N + 1, size=2)
-        a = tm.entry(kp, k)
-        b = direct_entry(sys, kp, k, N)
-        worst = max(worst, abs(a - b))
-    if worst > tol:
-        raise AssertionError(f"spot check failed: max entry error {worst:.3e}")
-    return worst
 
 
 # ---------------------------------------------------------------------------

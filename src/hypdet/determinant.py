@@ -1,8 +1,9 @@
 """Dynamical traces, the truncated Fredholm determinant, and zeta functions.
 
-The determinant d(z) = exp(-sum_m z^m/m tr_m) is handled through the Newton
-recursion between power sums and polynomial coefficients, so traces ->
-coefficients -> traces round-trips to machine precision.
+The determinant d(z) = exp(-sum_m z^m/m tr_m) is expanded into polynomial
+coefficients through the Newton recursion from power sums.  The zeta
+functions (zeta_direct, zeta_product) are two routes to the same series;
+commands do not run them yet, the tests compare them.
 """
 
 from __future__ import annotations
@@ -72,17 +73,6 @@ def coeffs_from_power_sums(sums, sign: float) -> np.ndarray:
         acc = math.fsum(sums[j - 1] * c[k - j] for j in range(1, k + 1))
         c[k] = sign * acc / k
     return c
-
-
-def traces_from_coeffs(coeffs) -> np.ndarray:
-    """Inverse of coeffs_from_power_sums with sign = -1 (log-derivative)."""
-    c = np.asarray(coeffs, dtype=float)
-    N = len(c) - 1
-    t = np.zeros(N)
-    for k in range(1, N + 1):
-        acc = math.fsum(t[j - 1] * c[k - j] for j in range(1, k))
-        t[k - 1] = -k * c[k] - acc
-    return t
 
 
 def det_coeffs_from_traces(ts: TraceSeries, radii) -> DeterminantPoly:

@@ -78,10 +78,6 @@ class GridTooCoarse(HypdetError):
     """Grid Nyquist frequency cannot resolve the requested dyadic band."""
 
 
-class SupportMarginViolated(HypdetError):
-    """Function mass too close to the periodic box boundary."""
-
-
 class EmptyConstraintSet(HypdetError):
     """No sampled covector satisfied the cone constraint."""
 

@@ -584,88 +584,6 @@ def weight_floor(g: Callable, n: int) -> Callable:
     return g_n
 
 
-# ---------------------------------------------------------------------------
-# cone-hyperbolicity check
-# ---------------------------------------------------------------------------
-
-
-def _sector_image_margin(M, theta: Polarization, theta_p: Polarization, n_dirs: int = 181):
-    """Margin (radians) by which M^tr maps complement(C_+) inside C'_-.
-
-    Uses the two boundary rays of the complement sector plus sampled interior
-    directions; for a linear map the image sector is spanned by the boundary
-    images, the samples guard against degenerate cases.
-    """
-    lo = theta.half_plus  # complement of C_+: directions with angdist > half_plus
-    angles = theta.axis_plus + np.concatenate(
-        [[lo + 1e-12, math.pi - lo - 1e-12], np.linspace(lo + 1e-9, math.pi - lo - 1e-9, n_dirs)]
-    )
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    imgs = dirs @ M  # rows: M^tr @ dir
-    d = _angdist(_angle_of(imgs), theta_p.axis_minus)
-    return float(theta_p.half_minus - np.max(d))
-
-
-def secant_matrix(sys: MapSystem, x, y, nodes: int = 16):
-    """Mean-value matrix L_xy = int_0^1 DT(y + t(x-y)) dt, L_xy (x-y) = T(x)-T(y).
-
-    Fixed Gauss-Legendre quadrature; exact for the builtin trigonometric and
-    polynomial-in-bump Jacobians to quadrature accuracy.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    pts = y[None, :] + t[:, None] * (x - y)[None, :]
-    J = sys.jacobian(pts)
-    return np.einsum("k,kij->ij", w, J)
-
-
-def check_cone_hyperbolic(
-    sys: MapSystem,
-    theta: Polarization,
-    theta_prime: Polarization,
-    n_samples: int = 50,
-    seed: int = 0,
-    sample_box: float = 2.0,
-):
-    """Verify DT^tr and all sampled secant matrices satisfy the cone condition.
-
-    Returns a report dict with the worst margins; raises ConeViolation with
-    the witnessing point or pair on failure.
-    """
-    if sys.domain != "chart":
-        raise ValueError("cone check applies to chart models")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-sample_box, sample_box, size=(n_samples, 2))
-    margins = []
-    for xp in pts:
-        M = sys.jacobian(xp)
-        mgn = _sector_image_margin(M, theta, theta_prime)
-        if mgn <= 0.0:
-            raise ConeViolation(f"derivative cone condition fails, margin {mgn:.4f}", witness=xp)
-        margins.append(mgn)
-    pair_margins = []
-    pairs = rng.uniform(-sample_box, sample_box, size=(n_samples, 2, 2))
-    for xp, yp in pairs:
-        L = secant_matrix(sys, xp, yp)
-        # consistency of the mean-value property
-        resid = L @ (xp - yp) - (sys.forward(xp) - sys.forward(yp))
-        mgn = _sector_image_margin(L, theta, theta_prime)
-        if mgn <= 0.0:
-            raise ConeViolation(
-                f"secant cone condition fails, margin {mgn:.4f}", witness=(xp, yp)
-            )
-        pair_margins.append((mgn, float(np.linalg.norm(resid))))
-    return {
-        "derivative_margin": min(margins),
-        "secant_margin": min(m for m, _ in pair_margins),
-        "max_secant_residual": max(r for _, r in pair_margins),
-        "n_samples": n_samples,
-    }
-
-
 def make_map(map_id: str, eps: float = 0.0, seed: int = 0):
     """Builtin map registry used by continuation and the CLI."""
     if map_id == "cat":

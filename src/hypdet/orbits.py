@@ -19,7 +19,7 @@ from .errors import (
     NonHyperbolicMatrix,
     SingularLinearization,
 )
-from .maps import MapSystem, jacobian_cocycle, make_map, weight_product
+from .maps import MapSystem, make_map, weight_product
 
 DEDUPE_RADIUS = 1e-6
 UNIT_CIRCLE_MARGIN = 1e-6
@@ -276,14 +276,6 @@ def continue_periodic_points(
     order = np.lexsort((X[:, 1], X[:, 0]))
     return PeriodicPointSet(m, X[order], derivs[order], np.asarray(weights)[order],
                             "newton-continued")
-
-
-def verify_count(setm: PeriodicPointSet, A) -> bool:
-    """Lefschetz count check: |points| == |det(A^m - I)|."""
-    Am = _int_matrix_power(A, setm.period)
-    B = Am - np.eye(2, dtype=object)
-    detB = abs(int(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]))
-    return len(setm) == detB
 
 
 _POINT_CACHE: dict = {}

@@ -132,64 +132,6 @@ def test_split_masks_complementary(block):
     assert np.all(mb ^ mc)
 
 
-def test_block_linearity(block, grid, rng):
-    pts = grid.points()
-
-    def mk(seed):
-        r = np.random.default_rng(seed)
-        c = r.uniform(-1, 1, 2)
-        w = r.uniform(0.5, 1.2)
-        return (np.exp(-((pts[:, 0] - c[0]) ** 2 + (pts[:, 1] - c[1]) ** 2) / w**2)
-                * np.cos(3 * pts[:, 0])).reshape(grid.n_pix, grid.n_pix)
-
-    u1, u2 = mk(1), mk(2)
-    a, b = 0.7, -1.3
-    lt, ns = (3, "+"), (2, "-")
-    lhs = block.apply_block(a * u1 + b * u2, lt, ns)
-    rhs = a * block.apply_block(u1, lt, ns) + b * block.apply_block(u2, lt, ns)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-
-def test_block_column_sum_consistency(block, grid):
-    pts = grid.points()
-    u = (np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2) / 1.1**2)
-         * np.cos(5 * pts[:, 1])).reshape(grid.n_pix, grid.n_pix)
-    lt = (2, "+")
-    total = np.zeros_like(u, dtype=complex)
-    for n in range(0, 7):
-        for s in "+-":
-            total += block.apply_block(u, lt, (n, s))
-    capped = block.apply_capped(u, lt, 6)
-    assert np.max(np.abs(total - capped)) <= 1e-8
-
-
-def test_block_decomposition_sums(block, grid):
-    # M = M_b + M_c as an identity of block sums on a banded input
-    pts = grid.points()
-    u = (np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))).reshape(grid.n_pix, grid.n_pix)
-    mb = ab.hook_mask(block.n_max, block.h_plus, block.h_minus)
-    mc = ~mb
-    idx = ab.band_indices(block.n_max)
-    lt = (1, "+")
-    j = idx.index(lt)
-    full = sum(block.apply_block(u, lt, ns) for ns in idx)
-    part_b = sum(block.apply_block(u, lt, ns)
-                 for i, ns in enumerate(idx) if mb[i, j])
-    part_c = sum(block.apply_block(u, lt, ns)
-                 for i, ns in enumerate(idx) if mc[i, j])
-    assert np.max(np.abs(full - part_b - part_c)) <= 1e-10
-
-
-def test_zero_weight_blocks(chart0, grid):
-    sys_, theta, theta_p = chart0
-    zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])  # noqa: E731
-    bz = ab.BlockOperator(sys=sys_, weight=zero, theta=theta, theta_prime=theta_p,
-                          grid=grid, n_max=4, h_plus=5, h_minus=-6)
-    pts = grid.points()
-    u = np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2)).reshape(grid.n_pix, grid.n_pix)
-    assert np.max(np.abs(bz.apply_block(u, (2, "+"), (2, "+")))) == 0.0
-
-
 def test_flat_trace_linear_chart(chart0):
     sys_, theta, theta_p = chart0
     quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=8)
@@ -262,60 +204,3 @@ def test_kneading_singular_resolvent(rng):
     Mc = np.zeros((2, 2))
     with pytest.raises(SingularResolvent):
         ab.kneading_check(M, Mb, Mc, [0.5 + 1e-14])
-
-
-@pytest.mark.slow
-def test_kernel_decay_slope(block):
-    pairs = [((1, "-"), (n, "+")) for n in range(6, 10)]
-    rep = ab.kernel_decay_fit(block, pairs, table_n_pix=2048)
-    assert rep["slope_log2"] <= -3.0
-    vals = [r["max_abs"] for r in rep["rows"]]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_kernel_decay_guards(block, chart0, grid):
-    with pytest.raises(ValueError):
-        ab.kernel_decay_fit(block, [((5, "+"), (2, "+"))])  # linked for h+ = 5
-    sys_, theta, theta_p = chart0
-    zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])  # noqa: E731
-    bz = ab.BlockOperator(sys=sys_, weight=zero, theta=theta, theta_prime=theta_p,
-                          grid=grid, n_max=4, h_plus=5, h_minus=-6)
-    rep = ab.kernel_decay_fit(bz, [((1, "-"), (3, "+"))])
-    assert rep["rows"][0]["max_abs"] == 0.0
-
-
-def test_approx_number_proxy_synthetic():
-    r1 = np.outer(np.ones(6), np.arange(1.0, 7.0))
-    idx = [(0, k) for k in range(6)]
-    rep = ab.approx_number_proxy(r1, idx, 0, 1.0, -1.0)
-    s = rep["singular_values"]
-    assert s[0] > 0 and max(s[1:]) <= 1e-12
-    d = np.diag(2.0 ** -np.arange(8.0))
-    idx = [(0, k) for k in range(8)]
-    rep2 = ab.approx_number_proxy(d, idx, 0, 1.0, -1.0, k_range=range(1, 9))
-    # log s_k ~ -k log 2: local log-log slope at doubling matches
-    s = np.array(rep2["singular_values"])
-    assert abs(s[3] / s[1] - 0.25) < 1e-12
-
-
-def test_approx_number_proxy_builtin(chart0, iter10, grid):
-    sys_, theta, theta_p = chart0
-    it10, hp10, hm10 = iter10
-    b10 = ab.BlockOperator(sys=it10, weight=maps.chart_weight, theta=theta,
-                           theta_prime=theta_p, grid=grid, n_max=4,
-                           h_plus=hp10, h_minus=hm10)
-    M, Mb, Mc, idx = b10.compressed_matrices(n_max_mat=4, per_band=12)
-    rep = ab.approx_number_proxy(Mc, idx, 4, 1.0, -1.0)
-    s = np.array(rep["singular_values"])
-    assert np.all(np.diff(s) <= 1e-12)
-    assert np.isfinite(rep["fit_exponent"])
-
-
-def test_dense_matrix_dump_roundtrip(tmp_path, rng):
-    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    index = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-    path = str(tmp_path / "block.bin")
-    ab.dump_dense_matrix(path, M, index)
-    M2, idx2 = ab.load_dense_matrix(path)
-    assert np.array_equal(M2, M.astype(np.complex128))
-    assert idx2 == index

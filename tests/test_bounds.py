@@ -114,13 +114,6 @@ def test_cover_spec_validation():
     assert cover.centers.shape == (16, 2)
 
 
-def test_generating_diameter_shrinks(cat):
-    cover = bd.make_grid_cover(4)
-    d2 = bd.generating_diameter(cat, cover, 2, n_samples=2048, seed=0)
-    d5 = bd.generating_diameter(cat, cover, 5, n_samples=2048, seed=0)
-    assert d5 < d2
-
-
 def test_q_star_m1_exact(cat, cat_split):
     cover = bd.make_grid_cover(4)
     rep = bd.q_star_cover(cat, cat_split, 0, 0, cover, 1, n_samples=64)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -243,6 +244,24 @@ def test_config_value_of_wrong_type_rejected(payload, tmp_path):
         cli.RunConfig.from_dict(payload)
     bad = write_config(tmp_path, "typed.json", payload)
     assert cli.main(["resonances", "--config", bad, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("payload", [
+    {"n_freqs": 8, "map": {"id": "cat", "sead": 3}},  # misspelt at both levels
+    {"n_freqs": 8},
+    {"map": {"id": "cat", "sead": 3}},
+    {"eps": 0.01},  # a map key outside "map"
+])
+def test_config_unknown_key_rejected(payload, tmp_path):
+    with pytest.raises(ValueError, match="unknown config keys"):
+        cli.RunConfig.from_dict(payload)
+    bad = write_config(tmp_path, "unknown.json", payload)
+    assert cli.main(["resonances", "--config", bad, "--out", str(tmp_path)]) == 3
+
+
+def test_shipped_configs_have_only_known_keys():
+    for path in sorted(pathlib.Path(__file__).parent.parent.glob("configs/*.json")):
+        cli.RunConfig.from_dict(json.loads(path.read_text()))
 
 
 def test_config_int_accepted_for_float():

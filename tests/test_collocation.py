@@ -9,20 +9,57 @@ from hypdet import maps
 from hypdet.errors import EigenSolverFailure
 
 
+def mode_index(k, N):
+    """Row/column of mode k in the [-N, N]^2 truncation, k1-major."""
+    k1, k2 = int(k[0]), int(k[1])
+    assert abs(k1) <= N and abs(k2) <= N
+    return (k1 + N) * (2 * N + 1) + (k2 + N)
+
+
+def entry(tm, kprime, k):
+    return complex(tm.matrix[mode_index(kprime, tm.n_freq), mode_index(k, tm.n_freq)])
+
+
+def direct_entry(sys_, kprime, k, n_freq, refine=2):
+    """The (k', k) entry by a trapezoid sum of g e_k(Tx) e_{-k'}(x) on a grid
+    refine times finer than the FFT build grid: the quadrature oracle."""
+    G = refine * coll.GRID_FACTOR * (2 * n_freq + 1)
+    t = np.arange(G) / G
+    X1, X2 = np.meshgrid(t, t, indexing="ij")
+    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
+    T = sys_.forward(pts)
+    w = np.asarray(sys_.weight(pts))
+    phase = 2 * np.pi * (k[0] * T[:, 0] + k[1] * T[:, 1]
+                         - kprime[0] * pts[:, 0] - kprime[1] * pts[:, 1])
+    return complex(np.sum(w * np.exp(1j * phase)) / (G * G))
+
+
+def spot_check(sys_, tm, n_entries, seed):
+    """Max |entry - direct_entry| over random (k', k) pairs."""
+    rng = np.random.default_rng(seed)
+    N = tm.n_freq
+    worst = 0.0
+    for _ in range(n_entries):
+        k = rng.integers(-N, N + 1, size=2)
+        kp = rng.integers(-N, N + 1, size=2)
+        worst = max(worst, abs(entry(tm, kp, k) - direct_entry(sys_, kp, k, N)))
+    return worst
+
+
 def test_cat_column_structure(cat):
     N = 8
     tm = coll.build_transfer_matrix(cat, N)
     M = tm.toarray()
     A_tr = maps.CAT_A_INT.T
     for k in ((0, 0), (1, 2), (-3, 1), (2, -2)):
-        col = M[:, coll._mode_index(k, N)]
+        col = M[:, mode_index(k, N)]
         kp = A_tr @ np.asarray(k)
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         if np.max(np.abs(kp)) > N:
             assert nz.size == 0  # image mode dropped by the truncation
         else:
             assert nz.size == 1
-            assert nz[0] == coll._mode_index(kp, N)
+            assert nz[0] == mode_index(kp, N)
             assert abs(abs(col[nz[0]]) - 1.0) <= 1e-12
 
 
@@ -37,9 +74,9 @@ def test_cat_column_sparsity_invariant(cat):
 
 def test_constant_mode_fixed(cat):
     tm = coll.build_transfer_matrix(cat, 4)
-    col = tm.toarray()[:, coll._mode_index((0, 0), 4)]
+    col = tm.toarray()[:, mode_index((0, 0), 4)]
     expected = np.zeros_like(col)
-    expected[coll._mode_index((0, 0), 4)] = 1.0
+    expected[mode_index((0, 0), 4)] = 1.0
     assert np.max(np.abs(col - expected)) < 1e-12
 
 
@@ -51,16 +88,16 @@ def test_character_weight_shifts_column(cat):
     M = tm.toarray()
     k = np.array([1, 1])
     kp = maps.CAT_A_INT.T @ k + np.array([1, 0])
-    col = M[:, coll._mode_index(k, N)]
+    col = M[:, mode_index(k, N)]
     nz = np.flatnonzero(np.abs(col) > 1e-12)
-    assert nz.tolist() == [coll._mode_index(kp, N)]
+    assert nz.tolist() == [mode_index(kp, N)]
 
 
 def test_spot_check_both_methods(pcat):
     tm_fft = coll.TransferMatrix(n_freq=10, matrix=coll._build_fft(pcat, 10))
-    assert coll.spot_check(pcat, tm_fft, n_entries=6, seed=0) < 1e-10
+    assert spot_check(pcat, tm_fft, n_entries=6, seed=0) < 1e-10
     tm_fac = coll.TransferMatrix(n_freq=10, matrix=coll._build_factored(pcat, 10))
-    assert coll.spot_check(pcat, tm_fac, n_entries=6, seed=0) < 1e-10
+    assert spot_check(pcat, tm_fac, n_entries=6, seed=0) < 1e-10
     assert np.max(np.abs(tm_fft.toarray() - tm_fac.toarray())) < 1e-12
 
 
@@ -184,5 +221,5 @@ def test_sparse_representation_large():
     assert sp.issparse(tm.matrix)
     k = (3, -5)
     kp = maps.CAT_A_INT.T @ np.asarray(k)
-    direct = coll.direct_entry(pc, kp, k, 36, refine=1)
-    assert abs(tm.entry(kp, k) - direct) < 1e-10
+    direct = direct_entry(pc, kp, k, 36, refine=1)
+    assert abs(entry(tm, kp, k) - direct) < 1e-10

@@ -12,6 +12,17 @@ from hypdet.errors import OrientationNotTrivial
 LAM = maps.CAT_LAMBDA
 
 
+def traces_from_coeffs(coeffs):
+    """Inverse of coeffs_from_power_sums with sign = -1 (log-derivative)."""
+    c = np.asarray(coeffs, dtype=float)
+    N = len(c) - 1
+    t = np.zeros(N)
+    for k in range(1, N + 1):
+        acc = math.fsum(t[j - 1] * c[k - j] for j in range(1, k))
+        t[k - 1] = -k * c[k] - acc
+    return t
+
+
 def test_dynamical_trace_cat(cat):
     pts1 = orbits.periodic_points(cat, 1)
     assert abs(det.dynamical_trace(cat, pts1) - 1.0) < 1e-14
@@ -52,7 +63,7 @@ def test_coeff_recursion_examples():
 @given(st.lists(st.floats(-1.0, 1.0), min_size=20, max_size=20))
 def test_coeff_trace_roundtrip(traces):
     coeffs = det.coeffs_from_power_sums(traces, sign=-1.0)
-    back = det.traces_from_coeffs(coeffs)
+    back = traces_from_coeffs(coeffs)
     assert np.max(np.abs(back - np.asarray(traces))) < 1e-12
 
 
@@ -117,6 +128,15 @@ def test_zeta_product_identities(cat, cat_split, pcat, pcat_split):
     zero = cat.with_weight(lambda x: np.zeros(np.atleast_2d(x).shape[0]), tag="zero")
     zp0 = det.zeta_product(zero, 4, cat_split)
     assert np.allclose(zp0, [1, 0, 0, 0, 0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 7), eps=st.floats(-0.05, 0.05), N=st.integers(1, 6))
+def test_zeta_direct_equals_product(seed, eps, N):
+    sys_ = maps.make_map("perturbed_cat", eps, seed)
+    zd = det.zeta_direct(sys_, N)
+    zp = det.zeta_product(sys_, N, maps.splitting_power_iteration(sys_))
+    assert np.max(np.abs(zd - zp)) < 1e-8
 
 
 def test_zeta_product_orientation_guard(cat, cat_split):

