@@ -25,6 +25,19 @@ from .partition import (
 )
 
 TWO_PI = 2.0 * math.pi
+# covector directions sampled on the half circle by h_exponents
+SPHERE_SAMPLES = 720
+# compressed-matrix quadrature: least points per side, and the factor on the
+# largest phase rate that sets the point count above it
+QUAD_N = 160
+QUAD_PAD = 1.3
+# flat traces: room added to the largest displacement |T(x) - x| when the
+# frequency-lattice spacing is chosen
+Y_SAFE = 6.0
+# points per block of the x-sum that builds the flat-trace kernel W
+W_BLOCK = 1024
+# kneading_check refuses Id - z M_b with a larger condition number
+COND_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +54,8 @@ def _weight_support_points(sys: MapSystem, weight, n_side: int = 24):
     return X[w > 1e-12]
 
 
-def h_exponents(sys: MapSystem, weight, theta: Polarization, theta_prime: Polarization,
-                sphere_samples: int = 720) -> tuple:
+def h_exponents(sys: MapSystem, weight, theta: Polarization,
+                theta_prime: Polarization) -> tuple:
     """(h_max_plus, h_min_minus) from the constrained sup/inf over covectors.
 
     h_max_plus = [log2 sup {|DT^tr xi| : x in supp G, |xi| = 1,
@@ -52,7 +65,7 @@ def h_exponents(sys: MapSystem, weight, theta: Polarization, theta_prime: Polari
     pts = _weight_support_points(sys, weight)
     if pts.shape[0] == 0:
         raise EmptyConstraintSet("weight support contains no sample points")
-    ang = np.linspace(0.0, math.pi, sphere_samples, endpoint=False)
+    ang = np.linspace(0.0, math.pi, SPHERE_SAMPLES, endpoint=False)
     xi = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     J = sys.jacobian(pts)  # (k,2,2)
     img = np.einsum("kji,mj->kmi", J, xi)  # DT^tr xi
@@ -136,22 +149,7 @@ class BlockOperator:
 
     # -- compressed dense matrices -------------------------------------------
 
-    def band_modes(self, n: int, sigma: str, per_band: int, which: str) -> np.ndarray:
-        """Decimated frequency-lattice modes carrying one band, (k, 2)."""
-        xi = self.grid.xi_points()
-        theta = self.theta_prime if which == "out" else self.theta
-        vals = np.asarray(dyadic_partition_eval(theta, n, sigma, xi))
-        good = vals >= 0.5 * vals.max()
-        cand = xi[good]
-        order = np.lexsort((cand[:, 1], cand[:, 0]))
-        cand = cand[order]
-        if cand.shape[0] > per_band:
-            stride = cand.shape[0] / per_band
-            cand = cand[(np.arange(per_band) * stride).astype(int)]
-        return cand
-
-    def compressed_matrices(self, n_max_mat: int, per_band: int = 24,
-                            quad_n: int = 160, pad: float = 1.3):
+    def compressed_matrices(self, n_max_mat: int, per_band: int = 24):
         """(M, M_b, M_c, index) dense matrices on decimated band modes.
 
         Entries are direct quadratures psi'(eta) psi~(xi) (1/|box|) int G
@@ -160,10 +158,12 @@ class BlockOperator:
         """
         self.grid.require_band(n_max_mat)
         bands = band_indices(n_max_mat)
+        lattice = self.grid.xi_points()
+        same_theta = self.theta == self.theta_prime
         modes_in, modes_out, idx = [], [], []
         for bi, (n, s) in enumerate(bands):
-            mo = self.band_modes(n, s, per_band, "out")
-            mi = self.band_modes(n, s, per_band, "in")
+            mo = band_modes(lattice, self.theta_prime, n, s, per_band)
+            mi = mo if same_theta else band_modes(lattice, self.theta, n, s, per_band)
             modes_out.append(mo)
             modes_in.append(mi)
             idx.extend([(bi, k) for k in range(mo.shape[0])])
@@ -172,7 +172,7 @@ class BlockOperator:
 
         # local quadrature grid over supp G, resolving the largest phase rate;
         # the raw coefficient is (1/|box|) int G(x) e^{i xi.T(x)} e^{-i eta.x} dx
-        X, w = self._quad_grid(n_max_mat, quad_n, pad)
+        X, w = self._quad_grid(n_max_mat)
         phase_in_T = np.exp(1j * (self.sys.forward(X) @ xi.T))
         phase_out_x = np.exp(-1j * (X @ eta.T))
         area = (2.0 * self.grid.box_half) ** 2
@@ -202,13 +202,13 @@ class BlockOperator:
         Mc = np.where(~linked, M, 0.0)
         return M, Mb, Mc, idx
 
-    def _quad_grid(self, n_max_mat: int, quad_n: int, pad: float):
+    def _quad_grid(self, n_max_mat: int):
         pts = self._support
         lo = pts.min(axis=0) - 0.05
         hi = pts.max(axis=0) + 0.05
-        rate = 2.0 ** (n_max_mat + 1) * pad * 2.0
+        rate = 2.0 ** (n_max_mat + 1) * QUAD_PAD * 2.0
         n_need = int(np.ceil(max(hi - lo) * rate / math.pi))
-        n_side = max(quad_n, n_need)
+        n_side = max(QUAD_N, n_need)
         t1 = lo[0] + (hi[0] - lo[0]) * (np.arange(n_side) + 0.5) / n_side
         t2 = lo[1] + (hi[1] - lo[1]) * (np.arange(n_side) + 0.5) / n_side
         X = np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -216,6 +216,18 @@ class BlockOperator:
         keep = wq > 1e-15
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n_side**2
         return X[keep], wq[keep] * cell
+
+
+def band_modes(lattice: np.ndarray, theta: Polarization, n: int, sigma: str,
+               per_band: int) -> np.ndarray:
+    """Decimated modes of the frequency lattice (k, 2) carrying one band."""
+    vals = np.asarray(dyadic_partition_eval(theta, n, sigma, lattice))
+    cand = lattice[vals >= 0.5 * vals.max()]
+    cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
+    if cand.shape[0] > per_band:
+        stride = cand.shape[0] / per_band
+        cand = cand[(np.arange(per_band) * stride).astype(int)]
+    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +249,6 @@ class FlatTraceQuadrature:
     weight: object
     theta: Polarization
     n0_max: int
-    y_safe: float = 6.0
 
     def __post_init__(self):
         pts = _weight_support_points(self.sys, self.weight, n_side=48)
@@ -245,7 +256,7 @@ class FlatTraceQuadrature:
         hi = pts.max(axis=0) + 0.03
         disp = self.sys.forward(pts) - pts
         y_max = float(np.max(np.linalg.norm(disp, axis=1))) * 1.1
-        self.dxi = TWO_PI / (y_max + self.y_safe)
+        self.dxi = TWO_PI / (y_max + Y_SAFE)
         r = 2.0 ** (self.n0_max + 1)
         n_half = int(math.ceil(r / self.dxi))
         j = np.arange(-n_half, n_half + 1)
@@ -260,23 +271,7 @@ class FlatTraceQuadrature:
         keep = wq > 1e-16
         X, wq = X[keep], wq[keep]
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n_side**2
-        disp = self.sys.forward(X) - X
-        E1 = np.exp(1j * self.dxi * disp[:, 0])
-        E2 = np.exp(1j * self.dxi * disp[:, 1])
-        # W[j1, j2] = sum_x w E1^{j1} E2^{j2}: cumulative powers, chunked gemm
-        P2 = E2[:, None] ** j[None, :]
-        W = np.empty((j.size, j.size), dtype=complex)
-        base = wq * cell * E1 ** float(j[0])
-        chunk = 64
-        for a0 in range(0, j.size, chunk):
-            cols = []
-            for _ in range(min(chunk, j.size - a0)):
-                cols.append(base)
-                base = base * E1
-            P1 = np.stack(cols, axis=0)  # (chunk, n_x)
-            W[a0:a0 + P1.shape[0]] = P1 @ P2
-        self._j = j
-        self._W = W
+        self._W = _phase_kernel(self.dxi * (self.sys.forward(X) - X), wq * cell, j)
         XI1, XI2 = np.meshgrid(j * self.dxi, j * self.dxi, indexing="ij")
         self._xi = np.stack([XI1.ravel(), XI2.ravel()], axis=-1)
 
@@ -321,17 +316,31 @@ class FlatTraceQuadrature:
         return total
 
 
+def _phase_kernel(phase: np.ndarray, w: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """W[j1, j2] = sum_x w(x) e^{i (j1 phase_1(x) + j2 phase_2(x))}.
+
+    One gemm of phase blocks per W_BLOCK points x, so no phase matrix spans
+    every x.
+    """
+    W = np.zeros((j.size, j.size), dtype=complex)
+    for b in range(0, w.size, W_BLOCK):
+        blk = slice(b, b + W_BLOCK)
+        P1 = w[blk, None] * np.exp(1j * np.outer(phase[blk, 0], j))
+        P2 = np.exp(1j * np.outer(phase[blk, 1], j))
+        W += P1.T @ P2
+    return W
+
+
 # ---------------------------------------------------------------------------
 # kneading identity
 # ---------------------------------------------------------------------------
 
 
-def kneading_check(M: np.ndarray, Mb: np.ndarray, Mc: np.ndarray, z_samples,
-                   cond_limit: float = 1e12) -> dict:
+def kneading_check(M: np.ndarray, Mb: np.ndarray, Mc: np.ndarray, z_samples) -> dict:
     """det(Id - zM) = det(Id - z Mc (Id - z Mb)^{-1}) det(Id - z Mb) at samples.
 
     Pure finite-matrix identity; fails only through conditioning, which is
-    guarded by cond_limit on Id - z Mb.
+    guarded by COND_LIMIT on Id - z Mb.
     """
     dim = M.shape[0]
     eye = np.eye(dim)
@@ -340,7 +349,7 @@ def kneading_check(M: np.ndarray, Mb: np.ndarray, Mc: np.ndarray, z_samples,
     for z in z_samples:
         A = eye - z * Mb
         cond = np.linalg.cond(A)
-        if cond > cond_limit:
+        if cond > COND_LIMIT:
             raise SingularResolvent(f"cond(Id - z Mb) = {cond:.2e} at z = {z}")
         lhs = np.linalg.det(eye - z * M)
         rhs = np.linalg.det(eye - z * Mc @ np.linalg.inv(A)) * np.linalg.det(A)

@@ -13,10 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter
 
 from ..errors import GridTooCoarse
 from ..maps import Polarization, _angdist, _mollifier_f
+
+# cubic spline interpolation of grid values along the mixed-norm lines
+SPLINE_ORDER = 3
+# admissible line directions span this fraction of the cone_plus half-angle
+DIRECTION_SHRINK = 0.95
+# Young check allowances: relative roundoff, and interpolation plus
+# trapezoid error on the shared line sample set, relative to the rhs
+YOUNG_REL_SLACK = 1e-6
+YOUNG_QUAD_SLACK = 2e-3
 
 
 def mollifier_chi(s):
@@ -47,15 +56,24 @@ def _psi_radial(xi_norm, n: int):
 def dyadic_partition_eval(theta: Polarization, n: int, sigma: str, xi):
     """psi_{Theta,n,sigma}(xi): radial dyadic band times the angular cutoff.
 
-    n = 0 is the isotropic core chi_0(xi)/2 for both sigma.
+    n = 0 is the isotropic core chi_0(xi)/2 for both sigma.  The band is
+    exactly 0.0 outside the open annulus 2^{n-1} < |xi| < 2^{n+1} (outside
+    |xi| < 2 for n = 0), so the formula runs only on the points inside it.
     """
     xi = np.asarray(xi, dtype=float)
     norm = np.sqrt(np.sum(xi**2, axis=-1))
+    inside = norm < 2.0 ** (n + 1)
+    if n > 0:
+        inside &= norm > 2.0 ** (n - 1)
+    out = np.zeros(norm.shape)
+    xi, norm = xi[inside], norm[inside]
     if n == 0:
-        return chi_n(norm, 0) / 2.0
+        out[inside] = chi_n(norm, 0) / 2.0
+        return out
     rad = _psi_radial(norm, n)
     ang = np.where(norm > 0, _phi_sigma(theta, xi, norm, sigma), 0.0)
-    return rad * ang
+    out[inside] = rad * ang
+    return out
 
 
 def _phi_sigma(theta, xi, norm, sigma):
@@ -167,15 +185,27 @@ class BoxGrid:
                 f"band {n} needs |xi| up to {2.0 ** (n + 1):.0f}, Nyquist is {self.xi_max:.0f}"
             )
 
-    def interp(self, u: np.ndarray, pts: np.ndarray, order: int = 3) -> np.ndarray:
-        """Periodic interpolation of grid values at arbitrary points."""
+    def interp(self, coeffs, pts: np.ndarray) -> np.ndarray:
+        """Periodic interpolation at arbitrary points of the grid values whose
+        spline_coefficients are coeffs."""
         ij = (pts + self.box_half) / self.h
         coords = np.stack([ij[:, 0], ij[:, 1]])
-        if np.iscomplexobj(u):
-            re = map_coordinates(u.real, coords, order=order, mode="grid-wrap")
-            im = map_coordinates(u.imag, coords, order=order, mode="grid-wrap")
-            return re + 1j * im
-        return map_coordinates(u, coords, order=order, mode="grid-wrap")
+        vals = [map_coordinates(c, coords, order=SPLINE_ORDER, mode="grid-wrap",
+                                prefilter=False) for c in coeffs]
+        return vals[0] if len(vals) == 1 else vals[0] + 1j * vals[1]
+
+
+def spline_coefficients(u: np.ndarray) -> list:
+    """Periodic spline coefficients of grid values u: one array for real u,
+    the real and the imaginary part's for complex u.
+
+    map_coordinates(u, ..., mode="grid-wrap") filters u the same way on every
+    call (that mode needs no pre-padding), so BoxGrid.interp on these
+    coefficients gives its values bit for bit, filtering once.
+    """
+    parts = (u.real, u.imag) if np.iscomplexobj(u) else (u,)
+    return [spline_filter(p, SPLINE_ORDER, output=np.float64, mode="grid-wrap")
+            for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +213,10 @@ class BoxGrid:
 # ---------------------------------------------------------------------------
 
 
-def admissible_directions(theta: Polarization, n_dirs: int = 17,
-                          shrink: float = 0.95) -> np.ndarray:
+def admissible_directions(theta: Polarization, n_dirs: int = 17) -> np.ndarray:
     """Unit line directions v whose conormal v-perp lies inside cone_plus."""
     center = theta.axis_plus + 0.5 * math.pi
-    half = theta.half_plus * shrink
+    half = theta.half_plus * DIRECTION_SHRINK
     ang = center + np.linspace(-half, half, n_dirs)
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
@@ -212,13 +241,13 @@ def mixed_norm_L1F(grid: BoxGrid, u: np.ndarray, theta: Polarization,
     t = np.linspace(-half_len, half_len, line_samples)
     dt = t[1] - t[0]
     best = 0.0
-    u = np.asarray(u)
+    coeffs = spline_coefficients(np.asarray(u))
     for v in dirs:
         nrm = np.array([-v[1], v[0]])
         # all lines of one direction in a single interpolation call
         pts = (offsets[:, None, None] * nrm[None, None, :]
                + t[None, :, None] * v[None, None, :]).reshape(-1, 2)
-        vals = np.abs(grid.interp(u, pts)).reshape(n_offsets, line_samples)
+        vals = np.abs(grid.interp(coeffs, pts)).reshape(n_offsets, line_samples)
         integ = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
         best = max(best, float(integ.max()))
     return best
@@ -234,7 +263,6 @@ def convolve(grid: BoxGrid, a: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def young_check(grid: BoxGrid, a: np.ndarray, u: np.ndarray, theta: Polarization,
-                rel_slack: float = 1e-6, quad_slack_rel: float = 2e-3,
                 **norm_kwargs) -> tuple:
     """(lhs, rhs, pass) for ||a*u||_{L1(F)} <= ||a||_{L1} ||u||_{L1(F)}.
 
@@ -245,7 +273,7 @@ def young_check(grid: BoxGrid, a: np.ndarray, u: np.ndarray, theta: Polarization
     lhs = mixed_norm_L1F(grid, conv, theta, **norm_kwargs)
     a_l1 = float(np.sum(np.abs(a)) * grid.h**2)
     rhs = a_l1 * mixed_norm_L1F(grid, u, theta, **norm_kwargs)
-    ok = lhs <= rhs * (1.0 + rel_slack) + quad_slack_rel * rhs
+    ok = lhs <= rhs * (1.0 + YOUNG_REL_SLACK) + YOUNG_QUAD_SLACK * rhs
     return lhs, rhs, bool(ok)
 
 

@@ -359,10 +359,15 @@ def cmd_report(output_dir: str, quiet: bool = False) -> int:
     if not found:
         raise MissingArtifacts(f"no report files in {output_dir!r}")
     gaps = [n for n in names if n not in found]
-    meta = {"command": "report",
-            "config_hash": found[next(iter(found))]["meta"]["config_hash"],
-            "seed": found[next(iter(found))]["meta"]["seed"]}
-    summary = {"sources": sorted(found), "gaps": gaps,
+    hashes = {name: rep["meta"]["config_hash"] for name, rep in found.items()}
+    mixed = len(set(hashes.values())) > 1
+    if mixed:
+        print(f"warning: reports in {output_dir!r} come from different configs: {hashes}",
+              file=sys.stderr)
+    first = found[next(iter(found))]["meta"]
+    meta = {"command": "report", "config_hash": first["config_hash"], "seed": first["seed"]}
+    summary = {"sources": sorted(found), "gaps": gaps, "config_hashes": hashes,
+               "mixed_config": mixed,
                "reports": {k.replace(".json", ""): v for k, v in found.items()}}
     reports.write_json(os.path.join(output_dir, "summary.json"), summary, meta)
 

@@ -148,6 +148,30 @@ def test_flat_trace_telescoping_all_orders(chart0):
         assert abs(quad.partial_sum(n0) - quad.chi_trace(n0)) <= 1e-8
 
 
+def _kernel_by_powers(phase, w, j):
+    """W[j1, j2] = sum_x w E1^{j1} E2^{j2} with E = e^{i phase}: integer
+    powers of the unit phases, one complex power per (x, j2)."""
+    E1, E2 = np.exp(1j * phase[:, 0]), np.exp(1j * phase[:, 1])
+    P1 = (w[:, None] * E1[:, None] ** j[None, :]).T
+    return P1 @ E2[:, None] ** j[None, :]
+
+
+def test_flat_trace_kernel_from_phase_blocks(chart0, monkeypatch):
+    sys_, theta, theta_p = chart0
+    seen = {}
+    kernel = ab._phase_kernel
+
+    def spy(phase, w, j):
+        seen.update(phase=phase, w=w, j=j)
+        return kernel(phase, w, j)
+
+    monkeypatch.setattr(ab, "_phase_kernel", spy)
+    quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=4)
+    assert seen["w"].size > ab.W_BLOCK  # more than one block of x points
+    ref = _kernel_by_powers(**seen)
+    assert np.max(np.abs(quad._W - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_flat_trace_no_fixed_point(chart0):
     sys_, theta, theta_p = chart0
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from hypdet import maps
 from hypdet.aniso import blocks as ab
@@ -42,6 +43,53 @@ def test_partition_at_origin(theta):
     for n in (1, 2):
         for s in "+-":
             assert ap.dyadic_partition_eval(theta, n, s, zero)[0] == 0.0
+
+
+def _partition_eval_full(theta, n, sigma, xi):
+    """psi_{Theta,n,sigma}: the band formula evaluated on every point."""
+    norm = np.sqrt(np.sum(xi**2, axis=-1))
+    if n == 0:
+        return ap.chi_n(norm, 0) / 2.0
+    rad = ap.chi_n(norm, n) - ap.chi_n(norm, n - 1)
+    unit = xi / np.maximum(norm, 1e-300)[..., None]
+    phi = theta.phi_plus(unit) if sigma == "+" else theta.phi_minus(unit)
+    return rad * np.where(norm > 0, phi, 0.0)
+
+
+def test_partition_eval_annulus_is_exact(theta, rng):
+    # a lattice through xi = 0, the annulus edges 2^k on both axes and their
+    # neighbouring floats, and random points, for every band up to n = 8
+    t = np.arange(-520.0, 521.0, 2.0)
+    fine = np.arange(-4.0, 4.0 + 1e-9, 0.125)
+    edges = [np.nextafter(2.0**k, d) for k in range(-1, 11) for d in (0.0, np.inf)]
+    edges += [2.0**k for k in range(-1, 11)]
+    axis = np.array([[s * e, 0.0] for e in edges for s in (1, -1)])
+    XI = np.vstack([
+        np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2),
+        np.stack(np.meshgrid(fine, fine, indexing="ij"), axis=-1).reshape(-1, 2),
+        axis, axis[:, ::-1], rng.uniform(-600, 600, size=(20000, 2)),
+    ])
+    for n in range(9):
+        for s in "+-":
+            got = ap.dyadic_partition_eval(theta, n, s, XI)
+            want = _partition_eval_full(theta, n, s, XI)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, s)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_interp_prefiltered_once_is_exact(kind, rng):
+    grid = ap.BoxGrid(6.0, 96)
+    u = rng.standard_normal((96, 96))
+    if kind == "complex":
+        u = u + 1j * rng.standard_normal((96, 96))
+    # points outside the box exercise the periodic wrap
+    pts = rng.uniform(-8.0, 8.0, size=(4000, 2))
+    coords = ((pts + grid.box_half) / grid.h).T
+    want = map_coordinates(u, coords, order=3, mode="grid-wrap", prefilter=True)
+    got = grid.interp(ap.spline_coefficients(u), pts)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_partition_sums_to_one(theta, rng):

@@ -200,6 +200,30 @@ def test_report_merge_and_gaps(quick_resonances_cfg, tmp_path):
     assert first.startswith("# config_hash=")
 
 
+def test_report_flags_mixed_configs(quick_resonances_cfg, tmp_path, capsys):
+    out = str(tmp_path / "outm")
+    assert cli.main(["resonances", "--config", quick_resonances_cfg,
+                     "--out", out, "--quiet"]) == 0
+    assert cli.main(["report", "--out", out, "--quiet"]) == 0
+    s = reports.read_json(out + "/summary.json")
+    assert not s["mixed_config"]
+    assert set(s["config_hashes"]) == {"determinant.json", "match.json"}
+    assert "different configs" not in capsys.readouterr().err
+    # an aniso report from another config joins the same directory
+    cfg = write_config(tmp_path, "aniso_m.json", {
+        "map": {"eps": 0.0}, "weight": {"id": "zero"},
+        "n_max_aniso": 4, "young_trials": 1, "seed": 2,
+    })
+    assert cli.main(["aniso", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(["report", "--out", out, "--quiet"]) == 0
+    s = reports.read_json(out + "/summary.json")
+    hashes = s["config_hashes"]
+    assert s["mixed_config"]
+    assert hashes["determinant.json"] == hashes["match.json"] != hashes["aniso.json"]
+    assert hashes["aniso.json"] == s["reports"]["aniso"]["meta"]["config_hash"]
+    assert "different configs" in capsys.readouterr().err
+
+
 def test_report_empty_dir(tmp_path):
     with pytest.raises(MissingArtifacts):
         cli.cmd_report(str(tmp_path / "nothing_here"))
@@ -304,3 +328,15 @@ def test_determinism_byte_identical(tmp_path):
         a = open(outs[0] + "/" + fname, "rb").read()
         b = open(outs[1] + "/" + fname, "rb").read()
         assert a == b
+
+
+def test_aniso_rerun_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, "aniso_r.json", {
+        "map": {"eps": 0.0}, "n_max_aniso": 4, "young_trials": 2, "seed": 3,
+    })
+    reps = []
+    for name in ("a1", "a2"):
+        out = str(tmp_path / name)
+        assert cli.main(["aniso", "--config", cfg, "--out", out, "--quiet"]) == 0
+        reps.append(open(out + "/aniso.json", "rb").read())
+    assert reps[0] == reps[1]
