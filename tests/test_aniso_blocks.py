@@ -149,8 +149,8 @@ def test_flat_trace_telescoping_all_orders(chart0):
 
 
 def _kernel_by_powers(phase, w, j):
-    """W[j1, j2] = sum_x w E1^{j1} E2^{j2} with E = e^{i phase}: integer
-    powers of the unit phases, one complex power per (x, j2)."""
+    """W[j1, j2] = sum_x w E1^{j1} E2^{j2} with E = e^{i phase}, from numpy's
+    integer powers of the unit phases E1 and E2."""
     E1, E2 = np.exp(1j * phase[:, 0]), np.exp(1j * phase[:, 1])
     P1 = (w[:, None] * E1[:, None] ** j[None, :]).T
     return P1 @ E2[:, None] ** j[None, :]
