@@ -300,20 +300,21 @@ class FlatTraceQuadrature:
         from scipy.optimize import fsolve
 
         pts = _weight_support_points(self.sys, self.weight, n_side=16)
-        cands = []
+        roots = []
         for x0 in pts[:: max(1, len(pts) // 25)]:
-            r = fsolve(lambda x: self.sys.forward(x) - x, x0, full_output=True)
+            # fsolve iterates on one point, which the map takes as a batch of one
+            r = fsolve(lambda x: self.sys.forward(x.reshape(1, 2))[0] - x, x0,
+                       full_output=True)
             if r[2] == 1:
-                x = r[0]
-                if np.asarray(self.weight(x[None, :]))[0] > 1e-15:
-                    if not any(np.linalg.norm(x - c) < 1e-8 for c in cands):
-                        cands.append(x)
-        total = 0.0
-        for x in cands:
-            J = self.sys.jacobian(x)
-            total += float(np.asarray(self.weight(x[None, :]))[0]
-                           / abs(np.linalg.det(np.eye(2) - J)))
-        return total
+                roots.append(r[0])
+        roots = np.array(roots).reshape(-1, 2)
+        fixed = []
+        for x in roots[np.asarray(self.weight(roots)) > 1e-15]:
+            if not any(np.linalg.norm(x - c) < 1e-8 for c in fixed):
+                fixed.append(x)
+        X = np.array(fixed).reshape(-1, 2)
+        dets = np.abs(np.linalg.det(np.eye(2) - self.sys.jacobian(X)))
+        return float(sum(np.asarray(self.weight(X)) / dets))
 
 
 def _phase_kernel(phase: np.ndarray, w: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -184,7 +184,7 @@ def _element_witnesses(cover: CoverSpec, per_element: int) -> np.ndarray:
 
 
 def q_star_cover(sys: MapSystem, split: SplittingField, p: float, q: float,
-                 cover: CoverSpec, m: int, n_samples: int = 64, seed: int = 0,
+                 cover: CoverSpec, m: int, n_samples: int = 64,
                  budget: int = 200000) -> dict:
     """Subcover-minimized itinerary sum Q_*(T, g, W, m), greedy approximation.
 
@@ -284,7 +284,6 @@ def make_torus_partition(k: int, width_factor: float = 0.75):
     for ci in centers:
         for cj in centers:
             def phi(x, ci=ci, cj=cj):
-                x = np.atleast_2d(np.asarray(x, dtype=float))
                 num = bump_1d(x[:, 0], ci) * bump_1d(x[:, 1], cj)
                 den = total_1d(x[:, 0]) * total_1d(x[:, 1])
                 return num / den
@@ -443,7 +442,7 @@ def bound_table(sys: MapSystem, split: SplittingField, p: float, q: float, m_ran
     read these rows instead of sampling again.
     """
     pts_by_m = {m: periodic_points(sys, m) for m in m_range}
-    pressure = pressure_periodic(sys, pts_by_m, lambda x: np.zeros(np.atleast_2d(x).shape[0]))
+    pressure = pressure_periodic(sys, pts_by_m, lambda x: np.zeros(x.shape[0]))
     cover = make_grid_cover(4)
     phis = make_torus_partition(3)
     rows = []
@@ -453,7 +452,7 @@ def bound_table(sys: MapSystem, split: SplittingField, p: float, q: float, m_ran
         row = {"m": m, "rho": rho, "rho_stderr": se,
                **{f"R_t{t:g}": r for t, r in zip(T_GRID, R)}, "pressure": pressure[m]}
         if m <= STAR_M_MAX:
-            row["q_star_greedy"] = q_star_cover(sys, split, p, q, cover, m, seed=seed)["greedy"]
+            row["q_star_greedy"] = q_star_cover(sys, split, p, q, cover, m)["greedy"]
             row["rho_star"] = rho_star_partition(sys, split, p, q, phis, m)["value"]
         rows.append(row)
     return rows

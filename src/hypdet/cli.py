@@ -116,29 +116,29 @@ def _typed(name: str, tp: type, v):
 
 
 WEIGHT_BASIS = {
-    "one": lambda x: np.ones(np.atleast_2d(x).shape[0]),
-    "cos1": lambda x: np.cos(2 * np.pi * np.atleast_2d(x)[:, 0]),
-    "cos2": lambda x: np.cos(2 * np.pi * np.atleast_2d(x)[:, 1]),
-    "sin1": lambda x: np.sin(2 * np.pi * np.atleast_2d(x)[:, 0]),
-    "sin2": lambda x: np.sin(2 * np.pi * np.atleast_2d(x)[:, 1]),
+    "one": lambda x: np.ones(x.shape[0]),
+    "cos1": lambda x: np.cos(2 * np.pi * x[:, 0]),
+    "cos2": lambda x: np.cos(2 * np.pi * x[:, 1]),
+    "sin1": lambda x: np.sin(2 * np.pi * x[:, 0]),
+    "sin2": lambda x: np.sin(2 * np.pi * x[:, 1]),
 }
 
 
 def build_weight(spec: dict):
-    """Weight callable from its config spec; see configs/ for the schema."""
+    """Torus-map weight callable from its config spec; see configs/ for the
+    schema."""
     wid = spec.get("id", "one")
     if wid == "one":
         return None  # builtin default weight
     if wid == "constant":
         c = float(spec.get("value", 1.0))
-        return lambda x, c=c: np.full(np.atleast_2d(x).shape[0], c)
+        return lambda x, c=c: np.full(x.shape[0], c)
     if wid == "bump":
         center = np.asarray(spec.get("center", [0.5, 0.5]), dtype=float)
         width = float(spec.get("width", 0.25))
 
         def w(x):
-            xb = np.atleast_2d(x)
-            d = xb - center
+            d = x - center
             d = d - np.round(d)
             return maps.smooth_bump(np.linalg.norm(d, axis=1) / width)
 
@@ -150,11 +150,20 @@ def build_weight(spec: dict):
             raise ValueError(f"unknown weight basis elements: {sorted(unknown)}")
 
         def w(x):
-            xb = np.atleast_2d(x)
-            return sum(float(c) * WEIGHT_BASIS[k](xb) for k, c in terms.items())
+            return sum(float(c) * WEIGHT_BASIS[k](x) for k, c in terms.items())
 
         return w
     raise ValueError(f"unknown weight id {wid!r}")
+
+
+def aniso_weight(spec: dict):
+    """The chart-model weight aniso runs: the builtin bump ("one") or zero."""
+    wid = spec.get("id", "one")
+    if wid == "one":
+        return maps.chart_weight
+    if wid == "zero":
+        return lambda x: np.zeros(x.shape[0])
+    raise ValueError(f"aniso runs the weight ids 'one' and 'zero', not {wid!r}")
 
 
 def build_map(cfg: RunConfig):
@@ -277,11 +286,8 @@ def cmd_aniso(cfg: RunConfig, quiet: bool = False) -> int:
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("aniso")
     sys_, theta, theta_prime = maps.builtin_chart_model(cfg.eps)
-    zero_weight = cfg.weight.get("id") == "zero"
-    if zero_weight:
-        weight = lambda x: np.zeros(np.atleast_2d(x).shape[0])  # noqa: E731
-    else:
-        weight = maps.chart_weight
+    weight = aniso_weight(cfg.weight)
+    zero_weight = weight is not maps.chart_weight
     # h exponents always use the support of the builtin bump; the zero
     # weight makes the operator vanish but leaves the cone geometry intact
     h_weight = maps.chart_weight
@@ -450,6 +456,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args.out, quiet=args.quiet)
         cfg = _load_config(args.config, {"seed": args.seed, "out": args.out})
+        # a weight spec the command does not run is refused before any work
+        (aniso_weight if args.command == "aniso" else build_weight)(cfg.weight)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

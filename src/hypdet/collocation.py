@@ -114,14 +114,14 @@ def _build_factored(sys, N):
     # bound the phase 2 pi |k . s(x)| to size the small grid
     probe = _grid(64)
     ppts = np.stack([probe[0].ravel(), probe[1].ravel()], axis=-1)
-    s_vals = np.atleast_2d(sys.periodic_part(ppts))
+    s_vals = sys.periodic_part(ppts)
     s_sup = float(np.max(np.abs(s_vals), axis=0).sum())
     z_max = TWO_PI * N * s_sup
     d_cut = _bessel_cutoff(z_max)
     Gs = sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False)
     X1, X2 = _grid(Gs)
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    S = np.atleast_2d(sys.periodic_part(pts))
+    S = sys.periodic_part(pts)
     W = np.asarray(sys.weight(pts)).reshape(Gs, Gs).astype(complex)
     E1 = np.exp(TWO_PI * 1j * S[:, 0]).reshape(Gs, Gs)
     E2 = np.exp(TWO_PI * 1j * S[:, 1]).reshape(Gs, Gs)

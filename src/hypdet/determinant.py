@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds
 from .errors import IllConditionedRoot, OrientationNotTrivial
-from .maps import MapSystem, SplittingField, splitting_power_iteration
+from .maps import MapSystem, splitting_power_iteration
 from .orbits import PeriodicPointSet, periodic_points
 
 BACKWARD_ERROR_THRESHOLD = 1e-6
@@ -44,7 +44,7 @@ class DeterminantPoly:
     coarse_radius: float
 
 
-def dynamical_trace(sys: MapSystem, pts: PeriodicPointSet) -> float:
+def dynamical_trace(pts: PeriodicPointSet) -> float:
     """sum over T^m x = x of g^(m)(x) / |det(Id - DT^m(x))|."""
     dets = np.abs(np.linalg.det(np.eye(2) - pts.derivatives))
     return math.fsum(pts.weights / dets)
@@ -54,7 +54,7 @@ def trace_series(sys: MapSystem, N: int) -> TraceSeries:
     """tr_m for m = 1..N via the periodic-orbits module."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    traces = np.array([dynamical_trace(sys, periodic_points(sys, m)) for m in range(1, N + 1)])
+    traces = np.array([dynamical_trace(periodic_points(sys, m)) for m in range(1, N + 1)])
     prov = f"{sys.name}|eps={sys.params.get('eps', 0.0)}|weight={sys.params.get('weight', 'one')}"
     return TraceSeries(traces=traces, order=N, provenance=prov)
 
@@ -181,22 +181,20 @@ def _series_inv(a, N):
     return inv
 
 
-def _orientation_signs(sys: MapSystem, split: SplittingField, pts: PeriodicPointSet):
-    u = np.atleast_2d(split.unstable(pts.points))
-    v = (pts.derivatives @ u[..., None])[..., 0]
-    return np.sign(np.einsum("ij,ij->i", v, u))
+def _check_orientation(pts: PeriodicPointSet):
+    """Raise unless sign det(DT^m|E^u) = +1 at every periodic point.
 
-
-def _orientation_check_raise(sys: MapSystem, split: SplittingField, pts: PeriodicPointSet):
-    """Raise unless sign det(DT^m|E^u) = +1 at every periodic point."""
-    signs = _orientation_signs(sys, split, pts)
-    if np.any(signs < 0):
+    At x in Fix(T^m), DT^m(x) maps E^u(x) to itself, so det(DT^m|E^u) is the
+    eigenvalue of larger modulus of the stored DT^m.  The other eigenvalue
+    has modulus below 1 and the trace their sum, so the trace has its sign.
+    """
+    if np.any(np.trace(pts.derivatives, axis1=1, axis2=2) < 0):
         raise OrientationNotTrivial(
             f"sign det(DT^{pts.period}|E^u) = -1 at a periodic point"
         )
 
 
-def zeta_product(sys: MapSystem, N: int, split: SplittingField) -> np.ndarray:
+def zeta_product(sys: MapSystem, N: int) -> np.ndarray:
     """Zeta truncation from the product of exterior-power determinants (d=2).
 
     Builds, for k = 0, 1, 2, the trace series with Lambda^k weights, forms
@@ -206,7 +204,7 @@ def zeta_product(sys: MapSystem, N: int, split: SplittingField) -> np.ndarray:
     tr_k = np.zeros((3, N))
     for m in range(1, N + 1):
         pts = periodic_points(sys, m)
-        _orientation_check_raise(sys, split, pts)
+        _check_orientation(pts)
         dets = np.abs(np.linalg.det(np.eye(2) - pts.derivatives))
         lam0 = np.ones(len(pts))
         lam1 = np.trace(pts.derivatives, axis1=1, axis2=2)

@@ -9,10 +9,6 @@ class PerturbationTooLarge(HypdetError):
     """Requested perturbation strength exceeds the documented hyperbolicity margin."""
 
 
-class OrbitLeftDomain(HypdetError):
-    """An orbit of a chart-model point left the isolating box."""
-
-
 class DegenerateDirection(HypdetError):
     """Power iteration collapsed; no usable stable/unstable direction."""
 

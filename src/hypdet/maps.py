@@ -1,24 +1,21 @@
 """Hyperbolic map models: toral automorphisms, perturbations, chart models.
 
-Points are numpy arrays of shape (2,) or batches of shape (n, 2).  Torus maps
-act on [0,1)^2, chart models on R^2 with an isolating box V.  All builtin maps
-carry analytic Jacobians; no finite differences anywhere in the core.
+Every map callable takes a batch of points, an (n, 2) array, and returns
+(n, 2) points, (n, 2, 2) Jacobians or (n,) weights; a single point is a batch
+with n = 1.  Torus maps act on [0,1)^2, chart models on R^2 with an isolating
+box V.  All builtin maps carry analytic Jacobians; no finite differences
+anywhere in the core.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ConeViolation,
-    DegenerateDirection,
-    OrbitLeftDomain,
-    PerturbationTooLarge,
-)
+from .errors import ConeViolation, DegenerateDirection, PerturbationTooLarge
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,24 +26,19 @@ CAT_LAMBDA = (3.0 + math.sqrt(5.0)) / 2.0
 CAT_MU = (3.0 - math.sqrt(5.0)) / 2.0
 
 PERTURBATION_BOUND = 0.05
-
-
-def _as_batch(x):
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    return np.atleast_2d(x), squeeze
+# the vector that splitting_power_iteration pushes along orbits
+SPLIT_V0 = np.array([1.0, 0.0])
 
 
 @dataclass(frozen=True)
 class MapSystem:
-    """A hyperbolic diffeomorphism model with weight.
+    """A planar hyperbolic diffeomorphism model with weight.
 
-    forward/inverse/jacobian/weight accept single points (2,) or batches
-    (n, 2); jacobian returns (2, 2) or (n, 2, 2).
+    forward, inverse, jacobian, weight and periodic_part take an (n, 2) batch
+    of points and return (n, 2), (n, 2, 2) or (n,) arrays.
     """
 
     name: str
-    dim: int
     domain: str  # "torus" or "chart"
     forward: Callable
     inverse: Callable
@@ -55,8 +47,6 @@ class MapSystem:
     params: dict = field(default_factory=dict)
     # chart models: isolating box V (weight support lives inside), (lo, hi) per axis
     box: Optional[tuple] = None
-    # region where the callables are defined; None means all of R^2
-    valid_region: Optional[tuple] = None
     # torus maps: induced integer matrix on homology, and the periodic
     # remainder T(x) - A x as an exact callable (used by fast pipelines)
     linear_part: Optional[np.ndarray] = None
@@ -64,20 +54,7 @@ class MapSystem:
 
     def with_weight(self, weight: Callable, tag: str = "custom"):
         """Same dynamics, different weight."""
-        return MapSystem(
-            name=self.name,
-            dim=self.dim,
-            domain=self.domain,
-            forward=self.forward,
-            inverse=self.inverse,
-            jacobian=self.jacobian,
-            weight=weight,
-            params={**self.params, "weight": tag},
-            box=self.box,
-            valid_region=self.valid_region,
-            linear_part=self.linear_part,
-            periodic_part=self.periodic_part,
-        )
+        return replace(self, weight=weight, params={**self.params, "weight": tag})
 
 
 @dataclass(frozen=True)
@@ -122,7 +99,8 @@ class Polarization:
 
 @dataclass(frozen=True)
 class SplittingField:
-    """Approximate stable/unstable line fields, unit vectors per point."""
+    """Approximate stable/unstable line fields: (n, 2) points to (n, 2) unit
+    vectors."""
 
     stable: Callable
     unstable: Callable
@@ -130,10 +108,7 @@ class SplittingField:
 
 
 def _angle_of(v):
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        return math.atan2(v[1], v[0])
-    return np.arctan2(v[..., 1], v[..., 0])
+    return np.arctan2(v[:, 1], v[:, 0])
 
 
 def _angdist(a, b):
@@ -156,8 +131,7 @@ def _mollifier_f(t):
 
 
 def _plateau_step(t, lo, hi):
-    """Smooth transition: 1 for t <= lo, 0 for t >= hi."""
-    t = np.asarray(t, dtype=float)
+    """Smooth transition: 1 for t <= lo, 0 for t >= hi, on an array t."""
     if hi <= lo:
         raise ValueError("empty transition interval")
     s = (np.clip(t, lo, hi) - lo) / (hi - lo)
@@ -166,8 +140,7 @@ def _plateau_step(t, lo, hi):
     with np.errstate(invalid="ignore"):
         val = up / (up + down)
     val = np.where(s <= 0.0, 1.0, val)
-    val = np.where(s >= 1.0, 0.0, val)
-    return val if val.ndim else float(val)
+    return np.where(s >= 1.0, 0.0, val)
 
 
 def smooth_bump(t):
@@ -198,9 +171,7 @@ def _smooth_bump_deriv(t):
 def _unit_weight(x):
     # one function for every builtin torus map, so rebuilt maps share the
     # periodic-point cache, which is keyed by the weight callable
-    xb, sq = _as_batch(x)
-    w = np.ones(xb.shape[0])
-    return float(w[0]) if sq else w
+    return np.ones(x.shape[0])
 
 
 def builtin_cat_map() -> MapSystem:
@@ -209,28 +180,19 @@ def builtin_cat_map() -> MapSystem:
     Ainv = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
     def forward(x):
-        xb, sq = _as_batch(x)
-        y = np.mod(xb @ A.T, 1.0)
-        return y[0] if sq else y
+        return np.mod(x @ A.T, 1.0)
 
     def inverse(x):
-        xb, sq = _as_batch(x)
-        y = np.mod(xb @ Ainv.T, 1.0)
-        return y[0] if sq else y
+        return np.mod(x @ Ainv.T, 1.0)
 
     def jacobian(x):
-        xb, sq = _as_batch(x)
-        J = np.broadcast_to(A, (xb.shape[0], 2, 2)).copy()
-        return J[0] if sq else J
+        return np.broadcast_to(A, (x.shape[0], 2, 2)).copy()
 
     def periodic_part(x):
-        xb, sq = _as_batch(x)
-        z = np.zeros_like(xb)
-        return z[0] if sq else z
+        return np.zeros_like(x)
 
     return MapSystem(
         name="cat",
-        dim=2,
         domain="torus",
         forward=forward,
         inverse=inverse,
@@ -268,48 +230,38 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
     k1 = k1.astype(float)
     k2 = k2.astype(float)
 
-    def pert(xb):
-        s1 = np.sin(TWO_PI * (xb @ k1))
-        s2 = np.sin(TWO_PI * (xb @ k2))
+    def pert(x):
+        s1 = np.sin(TWO_PI * (x @ k1))
+        s2 = np.sin(TWO_PI * (x @ k2))
         return eps * np.stack([s1, s2], axis=-1)
 
     def forward(x):
-        xb, sq = _as_batch(x)
-        y = np.mod(xb @ A.T + pert(xb), 1.0)
-        return y[0] if sq else y
+        return np.mod(x @ A.T + pert(x), 1.0)
 
     def jacobian(x):
-        xb, sq = _as_batch(x)
-        c1 = np.cos(TWO_PI * (xb @ k1)) * eps * TWO_PI
-        c2 = np.cos(TWO_PI * (xb @ k2)) * eps * TWO_PI
-        J = np.empty((xb.shape[0], 2, 2))
+        c1 = np.cos(TWO_PI * (x @ k1)) * eps * TWO_PI
+        c2 = np.cos(TWO_PI * (x @ k2)) * eps * TWO_PI
+        J = np.empty((x.shape[0], 2, 2))
         J[:, 0, 0] = A[0, 0] + c1 * k1[0]
         J[:, 0, 1] = A[0, 1] + c1 * k1[1]
         J[:, 1, 0] = A[1, 0] + c2 * k2[0]
         J[:, 1, 1] = A[1, 1] + c2 * k2[1]
-        return J[0] if sq else J
+        return J
 
     def inverse(y):
-        yb, sq = _as_batch(y)
         Ainv = np.linalg.inv(A)
-        x = np.mod(yb @ Ainv.T, 1.0)
+        x = np.mod(y @ Ainv.T, 1.0)
         for _ in range(60):
-            r = forward(x) - yb
+            r = forward(x) - y
             r -= np.round(r)  # shortest torus displacement
             if np.max(np.abs(r)) < 1e-14:
                 break
             J = jacobian(x)
             x = np.mod(x - np.linalg.solve(J, r[..., None])[..., 0], 1.0)
-        return x[0] if sq else x
-
-    def periodic_part(x):
-        xb, sq = _as_batch(x)
-        p = pert(xb)
-        return p[0] if sq else p
+        return x
 
     return MapSystem(
         name="perturbed_cat",
-        dim=2,
         domain="torus",
         forward=forward,
         inverse=inverse,
@@ -317,7 +269,7 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
         weight=_unit_weight,
         params={"eps": float(eps), "seed": int(seed)},
         linear_part=CAT_A_INT.copy(),
-        periodic_part=periodic_part,
+        periodic_part=pert,
     )
 
 
@@ -332,10 +284,7 @@ CHART_BUMP_SCALE = 1.0
 
 def chart_weight(x):
     """Compactly supported C-infinity weight bump, G(0) = 1."""
-    xb, sq = _as_batch(x)
-    r = np.hypot(xb[:, 0], xb[:, 1]) / CHART_WEIGHT_RADIUS
-    w = smooth_bump(r)
-    return float(w[0]) if sq else w
+    return smooth_bump(np.hypot(x[:, 0], x[:, 1]) / CHART_WEIGHT_RADIUS)
 
 
 def builtin_chart_model(eps: float):
@@ -352,49 +301,45 @@ def builtin_chart_model(eps: float):
         )
     s = CHART_BUMP_SCALE
 
-    def p_fun(xb):
-        return smooth_bump(xb[:, 0] / s) * smooth_bump(xb[:, 1] / s)
+    def p_fun(x):
+        return smooth_bump(x[:, 0] / s) * smooth_bump(x[:, 1] / s)
 
-    def q_fun(xb):
+    def q_fun(x):
         # a second bump, offset so the two perturbations differ
-        return smooth_bump(xb[:, 0] / s) * smooth_bump((xb[:, 1] - 0.2) / s)
+        return smooth_bump(x[:, 0] / s) * smooth_bump((x[:, 1] - 0.2) / s)
 
     def forward(x):
-        xb, sq = _as_batch(x)
-        y = np.empty_like(xb)
-        y[:, 0] = 0.5 * xb[:, 0] + eps * p_fun(xb)
-        y[:, 1] = 2.0 * xb[:, 1] + eps * q_fun(xb)
-        return y[0] if sq else y
+        y = np.empty_like(x)
+        y[:, 0] = 0.5 * x[:, 0] + eps * p_fun(x)
+        y[:, 1] = 2.0 * x[:, 1] + eps * q_fun(x)
+        return y
 
     def jacobian(x):
-        xb, sq = _as_batch(x)
-        bx = smooth_bump(xb[:, 0] / s)
-        by = smooth_bump(xb[:, 1] / s)
-        by2 = smooth_bump((xb[:, 1] - 0.2) / s)
-        dbx = _smooth_bump_deriv(xb[:, 0] / s) / s
-        dby = _smooth_bump_deriv(xb[:, 1] / s) / s
-        dby2 = _smooth_bump_deriv((xb[:, 1] - 0.2) / s) / s
-        J = np.empty((xb.shape[0], 2, 2))
+        bx = smooth_bump(x[:, 0] / s)
+        by = smooth_bump(x[:, 1] / s)
+        by2 = smooth_bump((x[:, 1] - 0.2) / s)
+        dbx = _smooth_bump_deriv(x[:, 0] / s) / s
+        dby = _smooth_bump_deriv(x[:, 1] / s) / s
+        dby2 = _smooth_bump_deriv((x[:, 1] - 0.2) / s) / s
+        J = np.empty((x.shape[0], 2, 2))
         J[:, 0, 0] = 0.5 + eps * dbx * by
         J[:, 0, 1] = eps * bx * dby
         J[:, 1, 0] = eps * dbx * by2
         J[:, 1, 1] = 2.0 + eps * bx * dby2
-        return J[0] if sq else J
+        return J
 
     def inverse(y):
-        yb, sq = _as_batch(y)
-        x = np.stack([2.0 * yb[:, 0], 0.5 * yb[:, 1]], axis=-1)
+        x = np.stack([2.0 * y[:, 0], 0.5 * y[:, 1]], axis=-1)
         for _ in range(60):
-            r = forward(x) - yb
+            r = forward(x) - y
             if np.max(np.abs(r)) < 1e-14:
                 break
             J = jacobian(x)
             x = x - np.linalg.solve(J, r[..., None])[..., 0]
-        return x[0] if sq else x
+        return x
 
     sys = MapSystem(
         name="chart",
-        dim=2,
         domain="chart",
         forward=forward,
         inverse=inverse,
@@ -433,7 +378,6 @@ def iterate_map(sys: MapSystem, m: int) -> MapSystem:
 
     return MapSystem(
         name=f"{sys.name}^{m}",
-        dim=sys.dim,
         domain=sys.domain,
         forward=forward,
         inverse=inverse,
@@ -441,7 +385,6 @@ def iterate_map(sys: MapSystem, m: int) -> MapSystem:
         weight=weight,
         params={**sys.params, "iterate": m},
         box=sys.box,
-        valid_region=sys.valid_region,
     )
 
 
@@ -450,109 +393,96 @@ def iterate_map(sys: MapSystem, m: int) -> MapSystem:
 # ---------------------------------------------------------------------------
 
 
-def _check_in_box(sys: MapSystem, xb):
-    if sys.valid_region is None:
-        return
-    (x0, x1), (y0, y1) = sys.valid_region
-    bad = (xb[:, 0] < x0) | (xb[:, 0] > x1) | (xb[:, 1] < y0) | (xb[:, 1] > y1)
-    if np.any(bad):
-        raise OrbitLeftDomain(f"point {xb[bad][0]} outside map domain")
-
-
 def jacobian_cocycle(sys: MapSystem, x, m: int):
-    """DT^m(x) by the chain rule; m = 0 gives the identity."""
+    """DT^m at the (n, 2) points x by the chain rule, (n, 2, 2); m = 0 gives
+    the identity."""
     if m < 0:
         raise ValueError("m >= 0 required")
-    xb, sq = _as_batch(x)
-    J = np.broadcast_to(np.eye(2), (xb.shape[0], 2, 2)).copy()
-    y = xb
+    J = np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+    y = x
     for _ in range(m):
-        _check_in_box(sys, y)
         J = sys.jacobian(y) @ J
         y = sys.forward(y)
-    return J[0] if sq else J
+    return J
 
 
 def weight_product(sys: MapSystem, x, m: int):
-    """g^(m)(x) = prod_{k<m} g(T^k x); m = 0 gives 1."""
-    xb, sq = _as_batch(x)
-    w = np.ones(xb.shape[0])
-    y = xb
+    """g^(m)(x) = prod_{k<m} g(T^k x) at the (n, 2) points x, (n,); m = 0
+    gives 1."""
+    w = np.ones(x.shape[0])
+    y = x
     for _ in range(m):
         w = w * np.asarray(sys.weight(y))
         y = sys.forward(y)
-    return float(w[0]) if sq else w
+    return w
 
 
-def splitting_power_iteration(sys: MapSystem, n_ref: int = 30, v0=(1.0, 0.0)) -> SplittingField:
+def splitting_power_iteration(sys: MapSystem, n_ref: int = 30) -> SplittingField:
     """Stable/unstable line fields by forward/backward power iteration.
 
     unstable(x) is the direction of DT^{n_ref}(T^{-n_ref} x) v0; stable(x)
-    the direction of [DT^{n_ref}(x)]^{-1} v0 (expansion under T^{-1}).
+    the direction of [DT^{n_ref}(x)]^{-1} v0 (expansion under T^{-1}), with
+    v0 = SPLIT_V0.
     """
     if n_ref < 8:
         raise ValueError("n_ref >= 8 required")
-    v0 = np.asarray(v0, dtype=float)
     angle_floor = 1e-6
 
     def unstable(x):
         # push v0 forward along the stored backward orbit, renormalizing each
         # step; re-iterating forward instead would drift off the orbit at
         # rate lambda^n and evaluate the cocycle at wrong points
-        xb, sq = _as_batch(x)
-        orbit = [xb]
+        orbit = [x]
         for _ in range(n_ref):
             orbit.append(sys.inverse(orbit[-1]))
-        v = np.broadcast_to(v0, xb.shape).copy()
+        v = np.broadcast_to(SPLIT_V0, x.shape).copy()
         for k in range(n_ref, 0, -1):
             v = (sys.jacobian(orbit[k]) @ v[..., None])[..., 0]
             norms = np.linalg.norm(v, axis=-1)
             if np.any(norms < angle_floor):
                 raise DegenerateDirection("unstable iterate collapsed")
             v = v / norms[:, None]
-        growth = np.linalg.norm((sys.jacobian(xb) @ v[..., None])[..., 0], axis=-1)
+        growth = np.linalg.norm((sys.jacobian(x) @ v[..., None])[..., 0], axis=-1)
         if np.any(growth <= 1.0):
             raise DegenerateDirection("candidate unstable direction does not expand")
-        return v[0] if sq else v
+        return v
 
     def stable(x):
         # pull v0 back through the derivative along the forward orbit of x
-        xb, sq = _as_batch(x)
-        orbit = [xb]
+        orbit = [x]
         for _ in range(n_ref):
             orbit.append(sys.forward(orbit[-1]))
-        v = np.broadcast_to(v0, xb.shape).copy()
+        v = np.broadcast_to(SPLIT_V0, x.shape).copy()
         for k in range(n_ref - 1, -1, -1):
             v = np.linalg.solve(sys.jacobian(orbit[k]), v[..., None])[..., 0]
             norms = np.linalg.norm(v, axis=-1)
             if np.any(norms < angle_floor):
                 raise DegenerateDirection("stable iterate collapsed")
             v = v / norms[:, None]
-        shrink = np.linalg.norm((sys.jacobian(xb) @ v[..., None])[..., 0], axis=-1)
+        shrink = np.linalg.norm((sys.jacobian(x) @ v[..., None])[..., 0], axis=-1)
         if np.any(shrink >= 1.0):
             raise DegenerateDirection("candidate stable direction does not contract")
-        return v[0] if sq else v
+        return v
 
     return SplittingField(stable=stable, unstable=unstable, ref_iterations=n_ref)
 
 
 def hyperbolicity_exponents(sys: MapSystem, split: SplittingField, x, m: int):
-    """Local exponents (lambda_x(T^m), nu_x(T^m)) for d_s = d_u = 1.
+    """Local exponents (lambda_x(T^m), nu_x(T^m)) for d_s = d_u = 1, two (n,)
+    arrays at the (n, 2) points x.
 
     lambda is computed exactly in d_s = 1 by pulling the stable line at T^m x
     back through DT^m; nu is the expansion of the unstable direction at x.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
-    xb, sq = _as_batch(x)
-    orbit = [xb]
+    orbit = [x]
     for _ in range(m):
-        _check_in_box(sys, orbit[-1])
         orbit.append(sys.forward(orbit[-1]))
     # v with DT^m v in E^s(T^m x): pull the stable line back step by step,
     # renormalizing; lambda = 1 / prod |DT^{-1}-step growth|
-    v = np.atleast_2d(split.stable(orbit[-1]))
-    log_lam = np.zeros(xb.shape[0])
+    v = split.stable(orbit[-1])
+    log_lam = np.zeros(x.shape[0])
     for k in range(m - 1, -1, -1):
         v = np.linalg.solve(sys.jacobian(orbit[k]), v[..., None])[..., 0]
         norms = np.linalg.norm(v, axis=-1)
@@ -560,16 +490,14 @@ def hyperbolicity_exponents(sys: MapSystem, split: SplittingField, x, m: int):
         v = v / norms[:, None]
     lam = np.exp(log_lam)
     # nu: forward expansion of the unstable direction, renormalized stepwise
-    u = np.atleast_2d(split.unstable(xb))
-    log_nu = np.zeros(xb.shape[0])
+    u = split.unstable(x)
+    log_nu = np.zeros(x.shape[0])
     for k in range(m):
         u = (sys.jacobian(orbit[k]) @ u[..., None])[..., 0]
         norms = np.linalg.norm(u, axis=-1)
         log_nu += np.log(norms)
         u = u / norms[:, None]
     nu = np.exp(log_nu)
-    if sq:
-        return float(lam[0]), float(nu[0])
     return lam, nu
 
 

@@ -35,7 +35,6 @@ class PeriodicPointSet:
     points: np.ndarray  # (k, 2)
     derivatives: np.ndarray  # (k, 2, 2)
     weights: np.ndarray  # (k,)
-    method: str  # "lattice-exact" | "newton-continued"
 
     def __len__(self):
         return self.points.shape[0]
@@ -122,10 +121,11 @@ def _int_matrix_power(A, m):
     return P
 
 
-def fixed_points_linear_toral(A, m: int, weight=None) -> PeriodicPointSet:
+def fixed_points_linear_toral(A, m: int) -> PeriodicPointSet:
     """All solutions of (A^m - I) x in Z^2 inside [0,1)^2, exactly.
 
-    Count equals |det(A^m - I)|.  weight defaults to 1.
+    Count equals |det(A^m - I)|; the weights are 1 (periodic_points puts
+    g^(m) on them).
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -152,23 +152,9 @@ def fixed_points_linear_toral(A, m: int, weight=None) -> PeriodicPointSet:
     Amf = np.array([[float(Am[0, 0]), float(Am[0, 1])], [float(Am[1, 0]), float(Am[1, 1])]])
     derivs = np.broadcast_to(Amf, (X.shape[0], 2, 2)).copy()
     _check_hyperbolic_fixed(derivs[:1])  # constant derivative: one check suffices
-    if weight is None:
-        w = np.ones(X.shape[0])
-    else:
-        Af = np.asarray(A, dtype=float)
-        w = np.ones(X.shape[0])
-        Y = X.copy()
-        for _ in range(m):
-            w *= np.asarray(weight(Y))
-            Y = np.mod(Y @ Af.T, 1.0)
     order = np.lexsort((X[:, 1], X[:, 0]))
-    return PeriodicPointSet(
-        period=m,
-        points=X[order],
-        derivatives=derivs[order],
-        weights=np.asarray(w)[order],
-        method="lattice-exact",
-    )
+    return PeriodicPointSet(period=m, points=X[order], derivatives=derivs[order],
+                            weights=np.ones(X.shape[0]))
 
 
 def _newton_fixed_points(sys: MapSystem, orbit):
@@ -238,15 +224,10 @@ def continue_periodic_points(
     if eps_path and abs(eps_path[-1] - eps_target) > 1e-15:
         raise ValueError("eps_path must end at the target eps")
 
-    X = ref.points.copy()
-    if eps_target == 0.0:
-        weights = weight_product(sys, X, m)
-        return PeriodicPointSet(m, X, ref.derivatives, np.asarray(weights), "newton-continued")
-
     # seed with the exact lattice orbits of the linear reference map
     A = np.asarray(sys.linear_part, dtype=float)
-    orbit = np.empty((m, X.shape[0], 2))
-    orbit[0] = X
+    orbit = np.empty((m, len(ref), 2))
+    orbit[0] = ref.points
     for k in range(1, m):
         orbit[k] = np.mod(orbit[k - 1] @ A.T, 1.0)
     derivs = None
@@ -274,8 +255,7 @@ def continue_periodic_points(
     for k in range(m):
         weights *= np.asarray(sys.weight(orbit[k]))
     order = np.lexsort((X[:, 1], X[:, 0]))
-    return PeriodicPointSet(m, X[order], derivs[order], np.asarray(weights)[order],
-                            "newton-continued")
+    return PeriodicPointSet(m, X[order], derivs[order], weights[order])
 
 
 _POINT_CACHE: dict = {}
@@ -294,10 +274,9 @@ def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
            sys.weight, m)
     if key in _POINT_CACHE:
         return _POINT_CACHE[key]
-    ref = fixed_points_linear_toral(sys.linear_part, m, weight=None)
+    ref = fixed_points_linear_toral(sys.linear_part, m)
     if float(sys.params.get("eps", 0.0)) == 0.0:
-        w = weight_product(sys, ref.points, m)
-        out = PeriodicPointSet(m, ref.points, ref.derivatives, np.asarray(w), "lattice-exact")
+        out = PeriodicPointSet(m, ref.points, ref.derivatives, weight_product(sys, ref.points, m))
     else:
         out = continue_periodic_points(sys, ref)
     _POINT_CACHE[key] = out

@@ -59,7 +59,7 @@ def test_h_exponents_scaling_shift(chart0):
     for k in (1, 3):
         fac = 2.0**k
         scaled = maps.MapSystem(
-            name="scaled", dim=2, domain="chart",
+            name="scaled", domain="chart",
             forward=lambda x, f=fac: f * sys_.forward(x),
             inverse=None,
             jacobian=lambda x, f=fac: f * sys_.jacobian(x),
@@ -80,7 +80,7 @@ def test_h_exponents_iterated(chart0):
 
 def test_h_exponents_empty_support(chart0):
     sys_, theta, theta_p = chart0
-    zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])  # noqa: E731
+    zero = lambda x: np.zeros(x.shape[0])  # noqa: E731
     with pytest.raises(EmptyConstraintSet):
         ab.h_exponents(sys_, zero, theta, theta_p)
 
@@ -137,7 +137,7 @@ def test_flat_trace_linear_chart(chart0):
     quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=8)
     partial = quad.partial_sum(8)
     assert abs(partial - quad.chi_trace(8)) <= 1e-8  # telescoping
-    assert abs(partial - 2.0 * maps.chart_weight(np.zeros(2))) <= 1e-3
+    assert abs(partial - 2.0 * maps.chart_weight(np.zeros((1, 2)))[0]) <= 1e-3
     assert quad.fixed_point_value() == pytest.approx(2.0, abs=1e-9)
 
 
@@ -176,8 +176,7 @@ def test_flat_trace_no_fixed_point(chart0):
     sys_, theta, theta_p = chart0
 
     def shifted_weight(x):
-        xb = np.atleast_2d(x)
-        return maps.chart_weight(xb - np.array([0.0, 0.55]))
+        return maps.chart_weight(x - np.array([0.0, 0.55]))
 
     quad = ab.FlatTraceQuadrature(sys_, shifted_weight, theta_p, n0_max=8)
     assert quad.fixed_point_value() == 0.0

@@ -13,7 +13,7 @@ MU = maps.CAT_MU
 
 
 def zero_weight(sys_):
-    return sys_.with_weight(lambda x: np.zeros(np.atleast_2d(x).shape[0]), tag="zero")
+    return sys_.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
 
 
 def test_rho_pq_m_cat(cat, cat_split):
@@ -140,7 +140,7 @@ def test_q_star_weight_floor_scaling(cat, cat_split):
         warnings.simplefilter("ignore")
         vals = {}
         for n in (4, 8):
-            gn = maps.weight_floor(lambda x: np.zeros(np.atleast_2d(x).shape[0]), n)
+            gn = maps.weight_floor(lambda x: np.zeros(x.shape[0]), n)
             sys_n = cat.with_weight(gn, tag=f"floor{n}")
             vals[n] = bd.q_star_cover(sys_n, cat_split, 0, 0, cover, m,
                                       n_samples=64)["full_sum"]
@@ -150,7 +150,7 @@ def test_q_star_weight_floor_scaling(cat, cat_split):
 
 def test_q_star_floor_monotone_in_n(cat, cat_split):
     cover = bd.make_grid_cover(4)
-    g = lambda x: 0.2 * np.abs(np.sin(2 * np.pi * np.atleast_2d(x)[:, 0]))  # noqa: E731
+    g = lambda x: 0.2 * np.abs(np.sin(2 * np.pi * x[:, 0]))  # noqa: E731
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vals = []
@@ -197,7 +197,7 @@ def test_rho_leq_qstar_rate(cat, cat_split):
 
 
 def test_rho_star_single_element(cat, cat_split):
-    one = [lambda x: np.ones(np.atleast_2d(x).shape[0])]
+    one = [lambda x: np.ones(x.shape[0])]
     rep = bd.rho_star_partition(cat, cat_split, 1, -1, one, 3)
     assert rep["value"] == pytest.approx(MU**6, rel=1e-10)
     assert rep["n_terms"] == 1
@@ -219,19 +219,19 @@ def test_partition_sums_to_one():
 
 def test_pressure_periodic(cat, cat_split):
     pts = {m: orbits.periodic_points(cat, m) for m in (8, 10)}
-    zero_phi = lambda x: np.zeros(np.atleast_2d(x).shape[0])  # noqa: E731
+    zero_phi = lambda x: np.zeros(x.shape[0])  # noqa: E731
     P = bd.pressure_periodic(cat, pts, zero_phi)
     assert abs(P[10] - math.log(LAM)) / math.log(LAM) < 0.02
-    neg = lambda x: np.full(np.atleast_2d(x).shape[0], -math.log(LAM))  # noqa: E731
+    neg = lambda x: np.full(x.shape[0], -math.log(LAM))  # noqa: E731
     Pn = bd.pressure_periodic(cat, pts, neg)
     assert abs(Pn[10]) <= 0.02
     c = 0.3
-    shifted = lambda x: np.full(np.atleast_2d(x).shape[0], -math.log(LAM) + c)  # noqa: E731
+    shifted = lambda x: np.full(x.shape[0], -math.log(LAM) + c)  # noqa: E731
     Ps = bd.pressure_periodic(cat, pts, shifted)
     assert Ps[10] == pytest.approx(Pn[10] + c, abs=1e-12)
     empty = orbits.PeriodicPointSet(period=2, points=np.zeros((0, 2)),
                                     derivatives=np.zeros((0, 2, 2)),
-                                    weights=np.zeros(0), method="lattice-exact")
+                                    weights=np.zeros(0))
     assert bd.pressure_periodic(cat, {2: empty}, zero_phi)[2] == -math.inf
 
 
@@ -241,7 +241,7 @@ def test_q_variational_examples(cat, cat_split):
     rep0 = bd.q_variational(cat, cat_split, 0, 0, range(4, 11))
     assert abs(rep0["estimate"] - 1.0) < 0.02
     inv = cat.with_weight(
-        lambda x: np.full(np.atleast_2d(x).shape[0], 1.0 / LAM), tag="invlam")
+        lambda x: np.full(x.shape[0], 1.0 / LAM), tag="invlam")
     rep2 = bd.q_variational(inv, cat_split, 1, -1, range(4, 11))
     assert rep2["estimate"] == pytest.approx(rep["estimate"] / LAM, rel=1e-9)
 

@@ -236,6 +236,21 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["bounds", "--config", bad, "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("command,weight", [
+    ("resonances", {"id": "zero"}),  # a chart-model weight on a torus map
+    ("bounds", {"id": "zero"}),
+    ("resonances", {"id": "constant", "value": "five"}),
+    ("aniso", {"id": "constant", "value": 5.0}),  # aniso runs one and zero only
+    ("aniso", {"id": "zer0"}),
+])
+def test_weight_spec_the_command_does_not_run_is_a_config_error(command, weight, tmp_path,
+                                                                 capsys):
+    bad = write_config(tmp_path, "weight.json", {"weight": weight})
+    assert cli.main([command, "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_config_roundtrip():
     cfg = cli.RunConfig.from_dict({
         "map": {"id": "perturbed_cat", "eps": 0.02, "seed": 3},

@@ -82,7 +82,7 @@ def test_constant_mode_fixed(cat):
 
 def test_character_weight_shifts_column(cat):
     e1 = cat.with_weight(
-        lambda x: np.exp(2j * np.pi * np.atleast_2d(x)[:, 0]), tag="e1")
+        lambda x: np.exp(2j * np.pi * x[:, 0]), tag="e1")
     N = 6
     tm = coll.build_transfer_matrix(e1, N)
     M = tm.toarray()
@@ -111,7 +111,7 @@ def test_large_truncation_needs_decomposition(pcat):
 def test_weight_scaling_scales_spectrum(pcat):
     c = 0.5
     scaled = pcat.with_weight(
-        lambda x: np.full(np.atleast_2d(x).shape[0], c), tag="half")
+        lambda x: np.full(x.shape[0], c), tag="half")
     tm1 = coll.build_transfer_matrix(pcat, 8)
     tm2 = coll.build_transfer_matrix(scaled, 8)
     assert np.max(np.abs(tm2.toarray() - c * tm1.toarray())) < 1e-12

@@ -25,27 +25,27 @@ def traces_from_coeffs(coeffs):
 
 def test_dynamical_trace_cat(cat):
     pts1 = orbits.periodic_points(cat, 1)
-    assert abs(det.dynamical_trace(cat, pts1) - 1.0) < 1e-14
+    assert abs(det.dynamical_trace(pts1) - 1.0) < 1e-14
     pts2 = orbits.periodic_points(cat, 2)
-    assert abs(det.dynamical_trace(cat, pts2) - 1.0) < 1e-14
+    assert abs(det.dynamical_trace(pts2) - 1.0) < 1e-14
 
 
 def test_dynamical_trace_constant_weight(cat):
     c = 0.7
-    sys_c = cat.with_weight(lambda x: np.full(np.atleast_2d(x).shape[0], c), tag="c")
+    sys_c = cat.with_weight(lambda x: np.full(x.shape[0], c), tag="c")
     for m in (1, 2, 3):
         pts = orbits.periodic_points(sys_c, m)
-        assert abs(det.dynamical_trace(sys_c, pts) - c**m) < 1e-12
+        assert abs(det.dynamical_trace(pts) - c**m) < 1e-12
 
 
 def test_trace_series_examples(cat):
     ts = det.trace_series(cat, 6)
     assert np.max(np.abs(ts.traces - 1.0)) < 1e-12
     inv_lam = cat.with_weight(
-        lambda x: np.full(np.atleast_2d(x).shape[0], 1.0 / LAM), tag="invlam")
+        lambda x: np.full(x.shape[0], 1.0 / LAM), tag="invlam")
     ts2 = det.trace_series(inv_lam, 3)
     assert np.allclose(ts2.traces, [LAM**-1, LAM**-2, LAM**-3], rtol=1e-12)
-    zero = cat.with_weight(lambda x: np.zeros(np.atleast_2d(x).shape[0]), tag="zero")
+    zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
     assert np.all(det.trace_series(zero, 3).traces == 0.0)
 
 
@@ -115,18 +115,18 @@ def test_zeta_direct_examples(cat):
     zd = det.zeta_direct(cat, 2)
     assert abs(zd[1] - 1.0) < 1e-12
     assert abs(zd[2] - 3.0) < 1e-12
-    zero = cat.with_weight(lambda x: np.zeros(np.atleast_2d(x).shape[0]), tag="zero")
+    zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
     zz = det.zeta_direct(zero, 4)
     assert np.allclose(zz, [1, 0, 0, 0, 0])
 
 
-def test_zeta_product_identities(cat, cat_split, pcat, pcat_split):
-    for sys_, split, N in ((cat, cat_split, 8), (pcat, pcat_split, 6)):
+def test_zeta_product_identities(cat, pcat):
+    for sys_, N in ((cat, 8), (pcat, 6)):
         zd = det.zeta_direct(sys_, N)
-        zp = det.zeta_product(sys_, N, split)
+        zp = det.zeta_product(sys_, N)
         assert np.max(np.abs(zd - zp)) < 1e-8
-    zero = cat.with_weight(lambda x: np.zeros(np.atleast_2d(x).shape[0]), tag="zero")
-    zp0 = det.zeta_product(zero, 4, cat_split)
+    zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
+    zp0 = det.zeta_product(zero, 4)
     assert np.allclose(zp0, [1, 0, 0, 0, 0])
 
 
@@ -135,19 +135,34 @@ def test_zeta_product_identities(cat, cat_split, pcat, pcat_split):
 def test_zeta_direct_equals_product(seed, eps, N):
     sys_ = maps.make_map("perturbed_cat", eps, seed)
     zd = det.zeta_direct(sys_, N)
-    zp = det.zeta_product(sys_, N, maps.splitting_power_iteration(sys_))
+    zp = det.zeta_product(sys_, N)
     assert np.max(np.abs(zd - zp)) < 1e-8
 
 
-def test_zeta_product_orientation_guard(cat, cat_split):
+def test_zeta_product_orientation_guard(cat):
     # flip the derivative sign at every point: det(DT|E^u) < 0
     pts = orbits.periodic_points(cat, 1)
     flipped = orbits.PeriodicPointSet(
-        period=1, points=pts.points, derivatives=-pts.derivatives,
-        weights=pts.weights, method="lattice-exact",
+        period=1, points=pts.points, derivatives=-pts.derivatives, weights=pts.weights,
     )
+    det._check_orientation(pts)
     with pytest.raises(OrientationNotTrivial):
-        det._orientation_check_raise(cat, cat_split, flipped)
+        det._check_orientation(flipped)
+
+
+@pytest.mark.parametrize("eps,seed", [(0.0, 0), (0.05, 0), (-0.05, 7)])
+def test_orientation_sign_matches_splitting(eps, seed):
+    # the trace of the stored DT^m against sign <DT^m u, u> for the power
+    # iteration's unstable direction u at each periodic point
+    sys_ = maps.make_map("perturbed_cat", eps, seed)
+    split = maps.splitting_power_iteration(sys_)
+    for m in range(1, 7):
+        pts = orbits.periodic_points(sys_, m)
+        u = split.unstable(pts.points)
+        dtu = (pts.derivatives @ u[..., None])[..., 0]
+        by_split = np.sign(np.einsum("ij,ij->i", dtu, u))
+        by_trace = np.sign(np.trace(pts.derivatives, axis1=1, axis2=2))
+        assert np.array_equal(by_split, by_trace)
 
 
 def test_validity_radius(cat):
@@ -179,7 +194,7 @@ def test_determinant_report_from_inputs(pcat):
 def test_validity_radius_weight_floor(cat, cat_split):
     from hypdet import bounds
 
-    zero = cat.with_weight(lambda x: np.zeros(np.atleast_2d(x).shape[0]), tag="zero")
+    zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
     rep = bounds.q_variational(zero, cat_split, 1.0, -1.0, range(2, 6))
     assert rep["weight_floor_n"] == 100
     assert np.isfinite(rep["estimate"])

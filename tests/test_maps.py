@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from hypdet import maps
-from hypdet.errors import (
-    ConeViolation,
-    DegenerateDirection,
-    OrbitLeftDomain,
-    PerturbationTooLarge,
-)
+from hypdet.errors import ConeViolation, DegenerateDirection, PerturbationTooLarge
 
 LAM = maps.CAT_LAMBDA
 MU = maps.CAT_MU
@@ -37,13 +32,20 @@ def sector_image_margin(M, theta, theta_p):
     return float(theta_p.half_minus - np.max(d))
 
 
+# composite Gauss-Legendre rule on [0, 1]: 16 nodes on each of 64 equal panels.
+# One 16-node rule over [0, 1] leaves mean-value residuals up to 6.6e-3 at
+# eps = +-0.05, where a segment crosses the edge of a chart bump's support; the
+# panels bring them to 1e-14.
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(16)
+SECANT_T = ((np.arange(64)[:, None] + 0.5 * (_GL_T + 1.0)) / 64).ravel()
+SECANT_W = np.tile(0.5 * _GL_W / 64, 64)
+
+
 def secant_matrix(sys_, x, y):
     """Mean-value matrix L_xy = int_0^1 DT(y + t(x-y)) dt, so L_xy (x-y) = T(x)-T(y),
-    by 16-node Gauss-Legendre quadrature."""
-    t, w = np.polynomial.legendre.leggauss(16)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    pts = y[None, :] + t[:, None] * (x - y)[None, :]
-    return np.einsum("k,kij->ij", w, sys_.jacobian(pts))
+    for two points x, y of shape (2,)."""
+    pts = y[None, :] + SECANT_T[:, None] * (x - y)[None, :]
+    return np.einsum("k,kij->ij", SECANT_W, sys_.jacobian(pts))
 
 
 def check_cone_hyperbolic(sys_, theta, theta_prime, n_samples, seed):
@@ -54,19 +56,20 @@ def check_cone_hyperbolic(sys_, theta, theta_prime, n_samples, seed):
     """
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-2.0, 2.0, size=(n_samples, 2))
-    margins = [sector_image_margin(sys_.jacobian(xp), theta, theta_prime) for xp in pts]
+    margins = [sector_image_margin(J, theta, theta_prime) for J in sys_.jacobian(pts)]
     pair_margins, residuals = [], []
     for xp, yp in rng.uniform(-2.0, 2.0, size=(n_samples, 2, 2)):
         L = secant_matrix(sys_, xp, yp)
         # consistency of the mean-value property
-        residuals.append(np.linalg.norm(L @ (xp - yp) - (sys_.forward(xp) - sys_.forward(yp))))
+        Tx, Ty = sys_.forward(np.stack([xp, yp]))
+        residuals.append(np.linalg.norm(L @ (xp - yp) - (Tx - Ty)))
         pair_margins.append(sector_image_margin(L, theta, theta_prime))
     return {"derivative_margin": min(margins), "secant_margin": min(pair_margins),
             "max_secant_residual": max(residuals)}
 
 
 def lambda_pqm(sys_, split, x, p, q, m):
-    """max{ lambda_x(T^m)^p, nu_x(T^m)^q }."""
+    """max{ lambda_x(T^m)^p, nu_x(T^m)^q } at the (n, 2) points x."""
     lam, nu = maps.hyperbolicity_exponents(sys_, split, x, m)
     return np.maximum(lam**p, nu**q)
 
@@ -77,9 +80,9 @@ def unstable_jacobian(sys_, split, x, m):
 
 
 def test_cat_basics(cat):
-    assert np.allclose(cat.forward(np.zeros(2)), 0.0)
-    assert np.allclose(cat.jacobian(np.array([0.3, 0.7])), maps.CAT_A)
-    lead = np.max(np.abs(np.linalg.eigvals(cat.jacobian(np.zeros(2)))))
+    assert np.allclose(cat.forward(np.zeros((1, 2))), 0.0)
+    assert np.allclose(cat.jacobian(np.array([[0.3, 0.7]])), maps.CAT_A)
+    lead = np.max(np.abs(np.linalg.eigvals(cat.jacobian(np.zeros((1, 2))))))
     assert abs(lead - 2.6180339887) < 1e-9
 
 
@@ -126,21 +129,21 @@ def test_chart_weight_support_and_continuity(rng):
 def test_perturbed_cat_examples():
     pc0 = maps.builtin_perturbed_cat(0.0)
     cat = maps.builtin_cat_map()
-    x = np.array([0.123, 0.456])
+    x = np.array([[0.123, 0.456]])
     for _ in range(5):
         assert torus_dist(pc0.forward(x), cat.forward(x)) < 1e-15
         x = cat.forward(x)
     pc = maps.builtin_perturbed_cat(0.01)
-    assert np.allclose(pc.forward(np.zeros(2)), 0.0)
+    assert np.allclose(pc.forward(np.zeros((1, 2))), 0.0)
     expected = maps.CAT_A + 0.01 * 2 * math.pi * np.array([[0.0, 1.0], [1.0, 1.0]])
-    assert np.allclose(pc.jacobian(np.zeros(2)), expected, atol=1e-14)
+    assert np.allclose(pc.jacobian(np.zeros((1, 2))), expected, atol=1e-14)
     with pytest.raises(PerturbationTooLarge):
         maps.builtin_perturbed_cat(0.06)
 
 
 def test_chart_model_examples():
     sys_, theta, theta_p = maps.builtin_chart_model(0.0)
-    far = np.array([5.0, 5.0])  # outside the bumps: exactly linear
+    far = np.array([[5.0, 5.0]])  # outside the bumps: exactly linear
     assert np.allclose(sys_.jacobian(far), np.diag([0.5, 2.0]))
     L = secant_matrix(sys_, np.array([3.0, 4.0]), np.array([5.0, -2.0]))
     assert np.allclose(L, np.diag([0.5, 2.0]), atol=1e-12)
@@ -163,7 +166,7 @@ def test_polarization_cutoffs(chart):
 
 
 def test_jacobian_cocycle(cat, rng):
-    x = rng.uniform(0, 1, 2)
+    x = rng.uniform(0, 1, (1, 2))
     assert np.allclose(maps.jacobian_cocycle(cat, x, 3), [[13, 8], [8, 5]])
     assert np.allclose(maps.jacobian_cocycle(cat, x, 0), np.eye(2))
 
@@ -171,25 +174,25 @@ def test_jacobian_cocycle(cat, rng):
 def test_cocycle_against_finite_differences():
     # oracle: central finite differences of the composed map T^2
     pc = maps.builtin_perturbed_cat(0.01)
-    x = np.zeros(2)
+    x = np.zeros((1, 2))
     J = maps.jacobian_cocycle(pc, x, 2)
     h = 1e-6
     fd = np.zeros((2, 2))
     for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
+        e = np.zeros((1, 2))
+        e[0, j] = h
         fp = pc.forward(pc.forward(x + e))
         fm = pc.forward(pc.forward(x - e))
         d = fp - fm
         d -= np.round(d)
-        fd[:, j] = d / (2 * h)
+        fd[:, j] = d[0] / (2 * h)
     assert np.max(np.abs(J - fd)) < 1e-6
 
 
 def test_cocycle_identity(rng):
     pc = maps.builtin_perturbed_cat(0.02)
     for _ in range(50):
-        x = rng.uniform(0, 1, 2)
+        x = rng.uniform(0, 1, (1, 2))
         m, k = rng.integers(1, 7), rng.integers(1, 7)
         lhs = maps.jacobian_cocycle(pc, x, m + k)
         y = x.copy()
@@ -223,17 +226,17 @@ def test_splitting_invariance_residual(pcat, pcat_split, rng):
 def test_splitting_degenerate_direction(chart):
     sys_, _, _ = chart
     # (1,0) is exactly the contracting eigendirection of the linear chart map
-    split = maps.splitting_power_iteration(sys_, 10, v0=(1.0, 0.0))
+    split = maps.splitting_power_iteration(sys_, 10)
     with pytest.raises(DegenerateDirection):
-        split.unstable(np.array([0.0, 0.0]))
+        split.unstable(np.zeros((1, 2)))
 
 
 def test_hyperbolicity_exponents(cat, cat_split):
-    x = np.array([0.1, 0.2])
-    lam, nu = maps.hyperbolicity_exponents(cat, cat_split, x, 1)
+    x = np.array([[0.1, 0.2]])
+    (lam,), (nu,) = maps.hyperbolicity_exponents(cat, cat_split, x, 1)
     assert abs(lam - 0.3819660113) < 1e-9
     assert abs(nu - 2.6180339887) < 1e-9
-    lam3, nu3 = maps.hyperbolicity_exponents(cat, cat_split, x, 3)
+    (lam3,), (nu3,) = maps.hyperbolicity_exponents(cat, cat_split, x, 3)
     assert abs(lam3 - MU**3) < 1e-9
     assert abs(nu3 - LAM**3) < 1e-9
 
@@ -246,17 +249,17 @@ def test_exponents_x_independent_on_linear(cat, cat_split, rng):
 
 
 def test_exponent_multiplicativity_linear(cat, cat_split):
-    x = np.array([0.3, 0.9])
-    lam2, _ = maps.hyperbolicity_exponents(cat, cat_split, x, 2)
-    lam3, _ = maps.hyperbolicity_exponents(cat, cat_split, x, 3)
-    lam5, _ = maps.hyperbolicity_exponents(cat, cat_split, x, 5)
+    x = np.array([[0.3, 0.9]])
+    (lam2,), _ = maps.hyperbolicity_exponents(cat, cat_split, x, 2)
+    (lam3,), _ = maps.hyperbolicity_exponents(cat, cat_split, x, 3)
+    (lam5,), _ = maps.hyperbolicity_exponents(cat, cat_split, x, 5)
     assert lam5 <= lam2 * lam3 + 1e-8
 
 
 def test_exponent_submultiplicativity(pcat, pcat_split, rng):
     p, q = 1.0, -1.0
     for _ in range(10):
-        x = rng.uniform(0, 1, 2)
+        x = rng.uniform(0, 1, (1, 2))
         m, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         y = x.copy()
         for _ in range(m):
@@ -264,46 +267,46 @@ def test_exponent_submultiplicativity(pcat, pcat_split, rng):
         whole = lambda_pqm(pcat, pcat_split, x, p, q, m + k)
         parts = (lambda_pqm(pcat, pcat_split, x, p, q, m)
                  * lambda_pqm(pcat, pcat_split, y, p, q, k))
-        assert whole <= parts + 1e-9
+        assert whole[0] <= parts[0] + 1e-9
 
 
 def test_lambda_pqm(cat, cat_split):
-    x = np.array([0.4, 0.9])
-    assert abs(lambda_pqm(cat, cat_split, x, 1, -1, 3) - LAM**-3) < 1e-9
-    assert abs(lambda_pqm(cat, cat_split, x, 2, -1, 1) - 0.3819660113) < 1e-9
-    assert abs(lambda_pqm(cat, cat_split, x, 0, 0, 4) - 1.0) < 1e-12
+    x = np.array([[0.4, 0.9]])
+    assert abs(lambda_pqm(cat, cat_split, x, 1, -1, 3)[0] - LAM**-3) < 1e-9
+    assert abs(lambda_pqm(cat, cat_split, x, 2, -1, 1)[0] - 0.3819660113) < 1e-9
+    assert abs(lambda_pqm(cat, cat_split, x, 0, 0, 4)[0] - 1.0) < 1e-12
 
 
 def test_unstable_jacobian(cat, cat_split, pcat, pcat_split, rng):
-    x = np.array([0.4, 0.9])
-    assert abs(unstable_jacobian(cat, cat_split, x, 1) - 2.6180339887) < 1e-9
-    assert abs(unstable_jacobian(cat, cat_split, x, 4) - 46.97871376) < 1e-7
+    x = np.array([[0.4, 0.9]])
+    assert abs(unstable_jacobian(cat, cat_split, x, 1)[0] - 2.6180339887) < 1e-9
+    assert abs(unstable_jacobian(cat, cat_split, x, 4)[0] - 46.97871376) < 1e-7
     # cocycle identity on the perturbed map
     for _ in range(5):
-        x = rng.uniform(0, 1, 2)
+        x = rng.uniform(0, 1, (1, 2))
         m, k = 3, 2
         y = x.copy()
         for _ in range(m):
             y = pcat.forward(y)
-        lhs = unstable_jacobian(pcat, pcat_split, x, m + k)
+        lhs = unstable_jacobian(pcat, pcat_split, x, m + k)[0]
         rhs = (unstable_jacobian(pcat, pcat_split, x, m)
-               * unstable_jacobian(pcat, pcat_split, y, k))
+               * unstable_jacobian(pcat, pcat_split, y, k))[0]
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
 def test_weight_floor():
-    zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])  # noqa: E731
+    zero = lambda x: np.zeros(x.shape[0])  # noqa: E731
     g4 = maps.weight_floor(zero, 4)
     x = np.array([[0.2, 0.3]])
     assert np.allclose(g4(x), 0.25)
-    one = lambda x: np.ones(np.atleast_2d(x).shape[0])  # noqa: E731
+    one = lambda x: np.ones(x.shape[0])  # noqa: E731
     for n in (10, 100, 1000):
         gn = maps.weight_floor(one, n)
         assert np.all(gn(x) - 1.0 <= 1.0 / (2 * n**2) + 1e-15)
         assert np.all(gn(x) >= 1.0)
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, (100, 2))
-    g = lambda x: np.cos(2 * np.pi * np.atleast_2d(x)[:, 0])  # noqa: E731
+    g = lambda x: np.cos(2 * np.pi * x[:, 0])  # noqa: E731
     g4, g5 = maps.weight_floor(g, 4), maps.weight_floor(g, 5)
     assert np.all(g4(pts) >= g5(pts))
     assert np.all(g5(pts) >= np.abs(g(pts)))
@@ -326,6 +329,7 @@ def _check_perturbed_cones(eps):
     report = check_cone_hyperbolic(sys_, theta, theta_p, n_samples=40, seed=1)
     assert report["derivative_margin"] > 0
     assert report["secant_margin"] > 0
+    assert report["max_secant_residual"] < 1e-10
     lin = check_cone_hyperbolic(maps.builtin_chart_model(0.0)[0], theta,
                                 theta_p, n_samples=40, seed=1)
     assert report["derivative_margin"] <= lin["derivative_margin"] + 1e-9
@@ -342,17 +346,6 @@ def test_cone_check_at_perturbation_bound(eps):
     _check_perturbed_cones(eps)
 
 
-def test_orbit_left_domain():
-    base = maps.builtin_chart_model(0.0)[0]
-    restricted = maps.MapSystem(
-        name="restricted", dim=2, domain="chart",
-        forward=base.forward, inverse=base.inverse, jacobian=base.jacobian,
-        weight=base.weight, box=base.box, valid_region=((-1.0, 1.0), (-1.0, 1.0)),
-    )
-    with pytest.raises(OrbitLeftDomain):
-        maps.jacobian_cocycle(restricted, np.array([0.0, 0.6]), 3)
-
-
 def test_splitting_transversality_floor(cat, cat_split, pcat, pcat_split, rng):
     pts = rng.uniform(0, 1, (60, 2))
     for split in (cat_split, pcat_split):
@@ -360,3 +353,27 @@ def test_splitting_transversality_floor(cat, cat_split, pcat, pcat_split, rng):
         s = split.stable(pts)
         angle = np.arccos(np.clip(np.abs(np.einsum("ij,ij->i", u, s)), 0, 1))
         assert np.min(angle) > 0.5  # radians, far above any reasonable floor
+
+
+@pytest.mark.parametrize("build", ["cat", "pcat", "chart", "chart_iterate", "reweighted",
+                                   "splitting"])
+@pytest.mark.parametrize("n", [1, 7])
+def test_map_callables_take_and_return_batches(build, n, cat, cat_split, rng):
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    if build == "splitting":
+        for field in (cat_split.stable, cat_split.unstable):
+            assert field(x).shape == (n, 2)
+        return
+    sys_ = {
+        "cat": lambda: cat,
+        "pcat": lambda: maps.builtin_perturbed_cat(0.05, seed=3),
+        "chart": lambda: maps.builtin_chart_model(0.05)[0],
+        "chart_iterate": lambda: maps.iterate_map(maps.builtin_chart_model(0.05)[0], 3),
+        "reweighted": lambda: cat.with_weight(lambda y: np.cos(2 * np.pi * y[:, 0])),
+    }[build]()
+    assert sys_.forward(x).shape == (n, 2)
+    assert sys_.inverse(x).shape == (n, 2)
+    assert sys_.jacobian(x).shape == (n, 2, 2)
+    assert np.asarray(sys_.weight(x)).shape == (n,)
+    if sys_.periodic_part is not None:
+        assert sys_.periodic_part(x).shape == (n, 2)
