@@ -110,7 +110,7 @@ def hook_mask(n_max: int, h_plus: int, h_minus: int) -> np.ndarray:
     return mask
 
 
-def triangularity_product_check(masks, n_max: int) -> bool:
+def triangularity_product_check(masks) -> bool:
     """Diagonal of the product of linked-block masks is empty (mask algebra).
 
     masks: one boolean (out, in) block mask per factor, e.g. from hook_mask

@@ -16,7 +16,7 @@ import scipy.fft as sfft
 from scipy.ndimage import map_coordinates, spline_filter
 
 from ..errors import GridTooCoarse
-from ..maps import Polarization, _angdist, _mollifier_f
+from ..maps import Polarization, _angdist, _mollifier_f, _plateau_step
 
 # cubic spline interpolation of grid values along the mixed-norm lines
 SPLINE_ORDER = 3
@@ -34,11 +34,7 @@ def mollifier_chi(s):
     chi(s) = f(2-s) / (f(2-s) + f(s-1)) with f(t) = exp(-1/t) for t > 0;
     chi(1.5) = 0.5 exactly.
     """
-    s = np.asarray(s, dtype=float)
-    up = _mollifier_f(2.0 - s)
-    down = _mollifier_f(s - 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.where(s <= 1.0, 1.0, np.where(s >= 2.0, 0.0, up / (up + down)))
+    val = _plateau_step(np.asarray(s, dtype=float), 1.0, 2.0)
     return val if val.ndim else float(val)
 
 

@@ -45,26 +45,10 @@ STAR_M_MAX = 4
 WEIGHT_FLOOR_N = 100
 
 
-def _sample_domain(sys: MapSystem, n: int, rng) -> np.ndarray:
-    if sys.domain == "torus":
-        return rng.uniform(0.0, 1.0, size=(n, 2))
-    (x0, x1), (y0, y1) = sys.box
-    out = np.empty((n, 2))
-    out[:, 0] = rng.uniform(x0, x1, size=n)
-    out[:, 1] = rng.uniform(y0, y1, size=n)
-    return out
-
-
-def _deterministic_grid(sys: MapSystem, n: int) -> np.ndarray:
-    side = max(2, int(math.ceil(math.sqrt(n))))
+def _torus_grid(side: int) -> np.ndarray:
+    """Cell centres of the side x side grid on the torus, (side^2, 2)."""
     t = (np.arange(side) + 0.5) / side
-    G = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    if sys.domain == "torus":
-        return G
-    (x0, x1), (y0, y1) = sys.box
-    G[:, 0] = x0 + (x1 - x0) * G[:, 0]
-    G[:, 1] = y0 + (y1 - y0) * G[:, 1]
-    return G
+    return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _integrand(sys, split, p, q, m, X, det_unstable=False):
@@ -84,23 +68,24 @@ def rho_pq_m(sys: MapSystem, split: SplittingField, p: float, q: float, m: int,
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
     rng = np.random.default_rng(seed)
-    X = _sample_domain(sys, n_samples, rng)
+    X = rng.uniform(0.0, 1.0, size=(n_samples, 2))
     vals = _integrand(sys, split, p, q, m, X)
     mean = float(np.mean(vals))
     se = float(np.std(vals) / math.sqrt(n_samples))
     return mean, se
 
 
-def rho_pq_estimate(per_m: dict) -> dict:
-    """Growth rate from per-m values: exp of the log-linear slope.
+def log_linear_fit(ms, logs) -> dict:
+    """Growth rate exp(slope) of the least-squares line through the
+    (m, log value) pairs with the largest EXTRAPOLATION_POINTS m.
 
-    per_m maps m -> value.  Residual is the RMS misfit of the log-linear
-    model; a residual above 0.1 sets the poor_fit flag.
+    ms must be increasing.  Residual is the RMS misfit of the line; a
+    residual above POOR_FIT_RESIDUAL sets the poor_fit flag.
     """
-    if len(per_m) < 4:
-        raise ValueError("need at least 4 values of m")
-    ms = np.array(sorted(per_m), dtype=float)
-    logs = np.log([per_m[int(m)] for m in ms])
+    if len(ms) < EXTRAPOLATION_POINTS:
+        raise ValueError(f"need at least {EXTRAPOLATION_POINTS} values of m")
+    ms = np.asarray(ms, dtype=float)[-EXTRAPOLATION_POINTS:]
+    logs = np.asarray(logs, dtype=float)[-EXTRAPOLATION_POINTS:]
     slope, intercept = np.polyfit(ms, logs, 1)
     resid = float(np.sqrt(np.mean((slope * ms + intercept - logs) ** 2)))
     poor = resid > POOR_FIT_RESIDUAL
@@ -123,7 +108,8 @@ def R_pqt_m(sys: MapSystem, split: SplittingField, p: float, q: float, t_grid,
     if any(t < 1.0 for t in t_grid):
         raise ValueError("t in [1, inf] required")
     rng = np.random.default_rng(seed)
-    X = np.vstack([_deterministic_grid(sys, n_samples), _sample_domain(sys, n_samples, rng)])
+    side = max(2, math.ceil(math.sqrt(n_samples)))
+    X = np.vstack([_torus_grid(side), rng.uniform(0.0, 1.0, size=(n_samples, 2))])
     vals = _integrand(sys, split, p, q, m, X)
     dets = np.abs(np.linalg.det(jacobian_cocycle(sys, X, m)))
     return [float(np.max(vals if math.isinf(t) else vals * dets ** (-1.0 / t)))
@@ -143,7 +129,7 @@ class CoverSpec:
     radius: float
 
     def __post_init__(self):
-        grid = _deterministic_grid_torus(64)
+        grid = _torus_grid(64)
         d = _torus_box_dist(grid, self.centers)
         if np.any(d.min(axis=1) > self.radius + 1e-12):
             raise ValueError("cover does not cover the torus (grid check)")
@@ -151,11 +137,6 @@ class CoverSpec:
     def member_matrix(self, X) -> np.ndarray:
         """Boolean (n_elements, n_points) membership table."""
         return _torus_box_dist(X, self.centers).T <= self.radius + 1e-12
-
-
-def _deterministic_grid_torus(side):
-    t = (np.arange(side) + 0.5) / side
-    return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _torus_box_dist(X, centers):
@@ -300,7 +281,7 @@ def rho_star_partition(sys: MapSystem, split: SplittingField, p: float, q: float
     """
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
-    X = _deterministic_grid_torus(n_grid)
+    X = _torus_grid(n_grid)
     total = sum(np.asarray(phi(X)) for phi in phis)
     if np.max(np.abs(total - 1.0)) > 1e-10:
         raise ValueError("phis do not sum to 1 on the check grid")
@@ -355,16 +336,6 @@ def pressure_periodic(sys: MapSystem, pts_by_m: dict, phi) -> dict:
     return out
 
 
-def _tail_fit(ms, log_sums):
-    """Log-linear slope over the largest EXTRAPOLATION_POINTS m values."""
-    ms = np.asarray(ms, dtype=float)
-    log_sums = np.asarray(log_sums, dtype=float)
-    k = min(EXTRAPOLATION_POINTS, len(ms))
-    slope, intercept = np.polyfit(ms[-k:], log_sums[-k:], 1)
-    resid = float(np.sqrt(np.mean((slope * ms[-k:] + intercept - log_sums[-k:]) ** 2)))
-    return float(slope), resid
-
-
 def periodic_exponents(sys: MapSystem, split: SplittingField, m_range) -> dict:
     """m -> (lambda, nu) at the points of Fix(T^m), for sharing between
     q_variational calls with different (p, q)."""
@@ -400,12 +371,9 @@ def q_variational(sys: MapSystem, split: SplittingField, p: float, q: float,
         S = math.fsum(g_m * lam_pq / nu)
         ms.append(m)
         sums.append(math.log(S))
-    slope, resid = _tail_fit(ms, sums)
     return {
         "per_m": [{"m": m, "log_sum": s, "pressure": s / m} for m, s in zip(ms, sums)],
-        "estimate": float(np.exp(slope)),
-        "slope": slope,
-        "residual": resid,
+        **log_linear_fit(ms, sums),
         "weight_floor_n": floor_used,
     }
 
@@ -421,7 +389,7 @@ def compare_routes(rho_report: dict, q_report: dict, tol_cross: float = DEFAULT_
         "rho_route": rho_report,
         "q_route": q_report,
     }
-    if gap > tol_cross:
+    if not gap <= tol_cross:  # a NaN gap fails too
         raise CrossCheckFailed(f"log gap {gap:.4f} exceeds {tol_cross}", data=report)
     return report
 
@@ -482,7 +450,7 @@ def kitaev_crosscheck(sys: MapSystem, split: SplittingField, p: float, q: float,
     """Assert the integral route (rho of the bound_table rows) and the
     variational route over the same m agree in log scale."""
     per_m = {r["m"]: r["rho"] for r in rows}
-    rho_report = rho_pq_estimate(per_m)
+    rho_report = log_linear_fit(list(per_m), np.log(list(per_m.values())))
     rho_report["per_m"] = per_m
     rho_report["stderr"] = {r["m"]: r["rho_stderr"] for r in rows}
     q_report = q_variational(sys, split, p, q, list(per_m))

@@ -33,11 +33,17 @@ EXIT_NUMERICAL = 4
 
 # RunConfig fields that live in the nested "map" object, by their key there
 MAP_KEYS = {"map_id": "id", "eps": "eps", "map_seed": "seed"}
+# the map ids each command runs; the first is the one a config without an id gets
+COMMAND_MAPS = {
+    "resonances": ("cat", "perturbed_cat"),
+    "bounds": ("cat", "perturbed_cat"),
+    "aniso": ("chart",),
+}
 
 
 @dataclass
 class RunConfig:
-    map_id: str = "cat"
+    map_id: str = ""  # empty: the command's own map, COMMAND_MAPS[command][0]
     eps: float = 0.0
     map_seed: int = 0
     weight: dict = field(default_factory=lambda: {"id": "one"})
@@ -80,6 +86,10 @@ class RunConfig:
         for name, tp in typing.get_type_hints(type(self)).items():
             if tp is int and not name.endswith("seed") and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # the bounds growth-rate fit reads m = 2..m_max
+        if self.m_max < bd.EXTRAPOLATION_POINTS + 1:
+            raise ValueError(f"m_max must be at least {bd.EXTRAPOLATION_POINTS + 1}, "
+                             f"got {self.m_max}")
         # builtin maps are analytic; a finite r can be declared for the warning
         if math.isfinite(self.r_smoothness) and self.p - self.q >= self.r_smoothness - 1.0:
             warnings.warn(
@@ -157,22 +167,38 @@ def build_weight(spec: dict):
 
 
 def aniso_weight(spec: dict):
-    """The chart-model weight aniso runs: the builtin bump ("one") or zero."""
+    """Chart-model weight callable: the builtin bump ("one") or zero."""
     wid = spec.get("id", "one")
     if wid == "one":
-        return maps.chart_weight
+        return None  # builtin chart_weight
     if wid == "zero":
         return lambda x: np.zeros(x.shape[0])
     raise ValueError(f"aniso runs the weight ids 'one' and 'zero', not {wid!r}")
 
 
-def build_map(cfg: RunConfig):
-    sys_ = maps.make_map(cfg.map_id, cfg.eps, cfg.map_seed)
-    w = build_weight(cfg.weight)
+def build_system(cfg: RunConfig, command: str):
+    """The map with its weight that `command` runs, built once from cfg.
+
+    resonances and bounds get a torus MapSystem; aniso gets the chart model
+    as (MapSystem, theta, theta_prime).  A map id, seed, eps or weight spec
+    the command does not run raises ValueError.
+    """
+    allowed = COMMAND_MAPS[command]
+    map_id = cfg.map_id or allowed[0]
+    if map_id not in allowed:
+        raise ValueError(f"{command} runs the map ids {list(allowed)}, not {map_id!r}")
+    # a too large eps raises PerturbationTooLarge, a ValueError
+    if command == "aniso":
+        if cfg.map_seed != 0:
+            raise ValueError(f"the chart model has no seed, got map.seed {cfg.map_seed}")
+        sys_, theta, theta_prime = maps.builtin_chart_model(cfg.eps)
+        w = aniso_weight(cfg.weight)
+    else:
+        sys_ = maps.make_map(map_id, cfg.eps, cfg.map_seed)
+        w = build_weight(cfg.weight)
     if w is not None:
-        tag = json.dumps(cfg.weight, sort_keys=True)
-        sys_ = sys_.with_weight(w, tag=tag)
-    return sys_
+        sys_ = sys_.with_weight(w, tag=json.dumps(cfg.weight, sort_keys=True))
+    return (sys_, theta, theta_prime) if command == "aniso" else sys_
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +206,10 @@ def build_map(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def cmd_resonances(cfg: RunConfig, quiet: bool = False) -> int:
+def cmd_resonances(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int:
     """Orbits -> traces -> determinant -> collocation -> zero/eigen match."""
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("resonances")
-    sys_ = build_map(cfg)
 
     ts = det.trace_series(sys_, cfg.N_det)
     dp = det.det_coeffs_from_traces(ts, det.validity_radius(sys_, cfg.p, cfg.q))
@@ -225,26 +250,24 @@ def cmd_resonances(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_OK if match["pass"] else EXIT_CHECK_FAILED
 
 
-def cmd_bounds(cfg: RunConfig, quiet: bool = False) -> int:
+def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int:
     """Per-m bound table, Kitaev equality and the Appendix-B inequality."""
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("bounds")
-    sys_ = build_map(cfg)
     split = maps.splitting_power_iteration(sys_)
     rows = bd.bound_table(sys_, split, cfg.p, cfg.q, range(1, cfg.m_max + 1),
                           n_samples=cfg.mc_samples, seed=cfg.seed)
 
-    # extrapolation window: the largest five m values, skipping transients
+    # the largest five m values, skipping transients; both routes fit the
+    # last EXTRAPOLATION_POINTS of them
     m_fit = list(range(max(2, cfg.m_max - 4), cfg.m_max + 1))
     failures = []
     try:
         if cfg.negative_control:
             # deliberately mismatched exponents between the two routes
-            per_m = {}
-            for m in m_fit:
-                per_m[m], _ = bd.rho_pq_m(sys_, split, cfg.p, 0.0, m,
-                                          n_samples=cfg.mc_samples, seed=cfg.seed + m)
-            cross = bd.compare_routes(bd.rho_pq_estimate(per_m),
+            rho = [bd.rho_pq_m(sys_, split, cfg.p, 0.0, m, n_samples=cfg.mc_samples,
+                               seed=cfg.seed + m)[0] for m in m_fit]
+            cross = bd.compare_routes(bd.log_linear_fit(m_fit, np.log(rho)),
                                       bd.q_variational(sys_, split, cfg.p, cfg.q, m_fit))
         else:
             cross = bd.kitaev_crosscheck(sys_, split, cfg.p, cfg.q,
@@ -281,12 +304,13 @@ def cmd_bounds(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
-def cmd_aniso(cfg: RunConfig, quiet: bool = False) -> int:
-    """Partition, Young, triangularity, flat-trace and kneading checks."""
+def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
+    """Partition, Young, triangularity, flat-trace and kneading checks on
+    chart = (MapSystem, theta, theta_prime) from build_system."""
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("aniso")
-    sys_, theta, theta_prime = maps.builtin_chart_model(cfg.eps)
-    weight = aniso_weight(cfg.weight)
+    sys_, theta, theta_prime = chart
+    weight = sys_.weight
     zero_weight = weight is not maps.chart_weight
     # h exponents always use the support of the builtin bump; the zero
     # weight makes the operator vanish but leaves the cone geometry intact
@@ -308,7 +332,7 @@ def cmd_aniso(cfg: RunConfig, quiet: bool = False) -> int:
     masks = [ablocks.hook_mask(6, hp10, hm10), ablocks.hook_mask(6, hp12, hm12),
              ablocks.hook_mask(6, hp10, hm10)]
     tri = (hp10 < 0 < hm10 and hp12 < 0 < hm12
-           and ablocks.triangularity_product_check(masks, 6))
+           and ablocks.triangularity_product_check(masks))
     checks["triangularity"] = {"h10": [hp10, hm10], "h12": [hp12, hm12], "pass": bool(tri)}
 
     # flat-trace convergence to the fixed-point value; the 1e-3 gap criterion
@@ -403,11 +427,11 @@ def cmd_report(output_dir: str, quiet: bool = False) -> int:
         ms = [r["m"] for r in rows]
         reports.write_columns(
             os.path.join(output_dir, "bounds_curves.dat"),
-            "log of per-m bound values",
+            "log of per-m bound values (-inf for 0)",
             ["m", "log_rho", "log_R_min", "pressure"],
             [ms,
-             [math.log(r["rho"]) for r in rows],
-             [math.log(min(v for k, v in r.items() if k.startswith("R_t"))) for r in rows],
+             [_log(r["rho"]) for r in rows],
+             [_log(min(v for k, v in r.items() if k.startswith("R_t"))) for r in rows],
              [r["pressure"] for r in rows]],
             meta,
         )
@@ -416,6 +440,11 @@ def cmd_report(output_dir: str, quiet: bool = False) -> int:
         print(f"report: merged {len(found)} reports, wrote summary.json + {len(plots)} plot files"
               + (f", gaps: {gaps}" if gaps else ""))
     return EXIT_OK
+
+
+def _log(v: float) -> float:
+    """log v, with the -inf marker for v = 0 (a vanishing weight)."""
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +470,7 @@ def main(argv=None) -> int:
                                  description="dynamical determinants and "
                                              "resonances for hyperbolic maps")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("resonances", "bounds", "aniso"):
+    for name in COMMAND_MAPS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -452,26 +481,28 @@ def main(argv=None) -> int:
     p.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    try:
-        if args.command == "report":
+    if args.command == "report":
+        try:
             return cmd_report(args.out, quiet=args.quiet)
+        except MissingArtifacts as exc:
+            print(f"missing artifacts: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+
+    try:
         cfg = _load_config(args.config, {"seed": args.seed, "out": args.out})
-        # a weight spec the command does not run is refused before any work
-        (aniso_weight if args.command == "aniso" else build_weight)(cfg.weight)
+        # a map or weight the command does not run is refused before any work
+        system = build_system(cfg, args.command)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingArtifacts as exc:
-        print(f"missing artifacts: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
     try:
         if args.command == "resonances":
-            return cmd_resonances(cfg, quiet=args.quiet)
+            return cmd_resonances(cfg, system, quiet=args.quiet)
         if args.command == "bounds":
-            return cmd_bounds(cfg, quiet=args.quiet)
+            return cmd_bounds(cfg, system, quiet=args.quiet)
         if args.command == "aniso":
-            return cmd_aniso(cfg, quiet=args.quiet)
+            return cmd_aniso(cfg, system, quiet=args.quiet)
     except HypdetError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

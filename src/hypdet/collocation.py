@@ -70,13 +70,11 @@ def build_transfer_matrix(sys: MapSystem, n_freq: int) -> TransferMatrix:
     T = A x + s(x) gives the identical coefficients on a small grid sized by
     the Bessel tail of exp(2 pi i k.s).
     """
-    if sys.domain != "torus":
-        raise ValueError("collocation requires a torus map")
+    if sys.linear_part is None or sys.periodic_part is None:
+        raise ValueError("collocation requires a torus map with "
+                         "linear_part and periodic_part")
     if (2 * n_freq + 1) ** 2 <= FFT_MAX_DIM:
         return TransferMatrix(n_freq=n_freq, matrix=_build_fft(sys, n_freq))
-    if sys.linear_part is None or sys.periodic_part is None:
-        raise ValueError(f"more than {FFT_MAX_DIM} modes need a map with "
-                         "linear_part and periodic_part")
     return TransferMatrix(n_freq=n_freq, matrix=_build_factored(sys, n_freq))
 
 

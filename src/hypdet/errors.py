@@ -5,8 +5,9 @@ class HypdetError(Exception):
     """Base class for all package errors."""
 
 
-class PerturbationTooLarge(HypdetError):
-    """Requested perturbation strength exceeds the documented hyperbolicity margin."""
+class PerturbationTooLarge(HypdetError, ValueError):
+    """Requested perturbation strength exceeds the documented hyperbolicity
+    margin; a ValueError, so the CLI reports it as a config error."""
 
 
 class DegenerateDirection(HypdetError):

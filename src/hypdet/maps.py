@@ -35,11 +35,11 @@ class MapSystem:
     """A planar hyperbolic diffeomorphism model with weight.
 
     forward, inverse, jacobian, weight and periodic_part take an (n, 2) batch
-    of points and return (n, 2), (n, 2, 2) or (n,) arrays.
+    of points and return (n, 2), (n, 2, 2) or (n,) arrays.  Torus maps carry
+    linear_part and periodic_part; chart maps carry box.
     """
 
     name: str
-    domain: str  # "torus" or "chart"
     forward: Callable
     inverse: Callable
     jacobian: Callable
@@ -193,7 +193,6 @@ def builtin_cat_map() -> MapSystem:
 
     return MapSystem(
         name="cat",
-        domain="torus",
         forward=forward,
         inverse=inverse,
         jacobian=jacobian,
@@ -262,7 +261,6 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
 
     return MapSystem(
         name="perturbed_cat",
-        domain="torus",
         forward=forward,
         inverse=inverse,
         jacobian=jacobian,
@@ -340,7 +338,6 @@ def builtin_chart_model(eps: float):
 
     sys = MapSystem(
         name="chart",
-        domain="chart",
         forward=forward,
         inverse=inverse,
         jacobian=jacobian,
@@ -378,7 +375,6 @@ def iterate_map(sys: MapSystem, m: int) -> MapSystem:
 
     return MapSystem(
         name=f"{sys.name}^{m}",
-        domain=sys.domain,
         forward=forward,
         inverse=inverse,
         jacobian=jacobian,
@@ -512,12 +508,10 @@ def weight_floor(g: Callable, n: int) -> Callable:
     return g_n
 
 
-def make_map(map_id: str, eps: float = 0.0, seed: int = 0):
-    """Builtin map registry used by continuation and the CLI."""
+def make_map(map_id: str, eps: float = 0.0, seed: int = 0) -> MapSystem:
+    """Builtin torus map registry used by continuation and the CLI."""
     if map_id == "cat":
         return builtin_cat_map() if eps == 0.0 else builtin_perturbed_cat(eps, seed)
     if map_id == "perturbed_cat":
         return builtin_perturbed_cat(eps, seed)
-    if map_id == "chart":
-        return builtin_chart_model(eps)[0]
-    raise ValueError(f"unknown map id {map_id!r}")
+    raise ValueError(f"unknown torus map id {map_id!r}")

@@ -268,7 +268,7 @@ def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
     eps = 0 lattice points.  The cache is keyed by the weight callable itself,
     not by its tag, so two weights under one tag never share g^(m).
     """
-    if sys.domain != "torus" or sys.linear_part is None:
+    if sys.linear_part is None:
         raise ValueError("periodic_points requires a builtin torus map")
     key = (sys.name, float(sys.params.get("eps", 0.0)), int(sys.params.get("seed", 0)),
            sys.weight, m)

@@ -59,7 +59,7 @@ def test_h_exponents_scaling_shift(chart0):
     for k in (1, 3):
         fac = 2.0**k
         scaled = maps.MapSystem(
-            name="scaled", domain="chart",
+            name="scaled",
             forward=lambda x, f=fac: f * sys_.forward(x),
             inverse=None,
             jacobian=lambda x, f=fac: f * sys_.jacobian(x),
@@ -119,11 +119,11 @@ def test_triangularity_products(chart0, iter10):
     hp12, hm12 = ab.h_exponents(it12, maps.chart_weight, theta, theta_p)
     m10 = ab.hook_mask(6, hp10, hm10)
     m12 = ab.hook_mask(6, hp12, hm12)
-    assert ab.triangularity_product_check([m10], 6)
-    assert ab.triangularity_product_check([m10, m12, m10], 6)
+    assert ab.triangularity_product_check([m10])
+    assert ab.triangularity_product_check([m10, m12, m10])
     bad = m10.copy()
     bad[4, 4] = True  # an unlinked diagonal block forced into the mask
-    assert not ab.triangularity_product_check([bad], 6)
+    assert not ab.triangularity_product_check([bad])
 
 
 def test_split_masks_complementary(block):

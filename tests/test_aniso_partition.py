@@ -34,6 +34,11 @@ def test_mollifier_values():
     v = ap.mollifier_chi(s)
     assert np.all(np.diff(v) <= 1e-15)  # nonincreasing
     assert np.all((v >= 0) & (v <= 1))
+    # chi is the plateau step on [1, 2], bit for bit, at the ends and their
+    # neighbouring floats too
+    edges = np.concatenate([np.nextafter(e, [-np.inf, np.inf]) for e in (1.0, 2.0)])
+    s = np.concatenate([np.linspace(0.5, 2.5, 200001), edges, [1.0, 2.0]])
+    assert np.array_equal(ap.mollifier_chi(s), maps._plateau_step(s, 1.0, 2.0))
 
 
 def test_partition_at_origin(theta):

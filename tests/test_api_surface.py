@@ -1,7 +1,9 @@
-"""Every public function, class and method in src/hypdet has a caller there.
+"""Every public function, class and method in src/hypdet has a caller there,
+and every dataclass field is read there.
 
 A name counts as called when some ast.Name or ast.Attribute anywhere under
-src/hypdet refers to it; the strings of an __all__ list do not count.  Test
+src/hypdet refers to it; the strings of an __all__ list do not count.  A
+field counts as read when some ast.Attribute of that name is loaded.  Test
 oracles live in the test files, not in the package.
 """
 
@@ -15,6 +17,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypdet"
 # (2-core x86-64, one BLAS thread); they wait until `resonances` compares
 # per-m traces.
 ALLOWED_WITHOUT_CALLER = {"zeta_direct", "zeta_product"}
+# dataclass fields ("Class.field") that may be set without being read
+ALLOWED_UNREAD_FIELDS: set = set()
 
 
 def _public_definitions_and_references():
@@ -48,3 +52,38 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_entries_exist():
     public, _ = _public_definitions_and_references()
     assert ALLOWED_WITHOUT_CALLER <= set(public)
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields_and_reads():
+    fields, read = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        fields[f"{node.name}.{sub.target.id}"] = path
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return fields, read
+
+
+def test_every_dataclass_field_is_read():
+    fields, read = _dataclass_fields_and_reads()
+    dead = sorted(f"{p.relative_to(SRC.parent)}: {name}" for name, p in fields.items()
+                  if name.split(".")[-1] not in read and name not in ALLOWED_UNREAD_FIELDS)
+    assert not dead, "dataclass fields never read in src/hypdet:\n" + "\n".join(dead)
+
+
+def test_field_allowlist_entries_exist():
+    fields, _ = _dataclass_fields_and_reads()
+    assert ALLOWED_UNREAD_FIELDS <= set(fields)

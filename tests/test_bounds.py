@@ -26,23 +26,31 @@ def test_rho_pq_m_cat(cat, cat_split):
     assert valz == 0.0
 
 
-def test_rho_pq_estimate_fits():
+def _fit(per_m):
+    return bd.log_linear_fit(list(per_m), np.log(list(per_m.values())))
+
+
+def test_log_linear_fit_fits():
     geo = {m: LAM**-m for m in range(1, 8)}
-    rep = bd.rho_pq_estimate(geo)
+    rep = _fit(geo)
     assert abs(rep["estimate"] - MU) < 1e-3
     const = {m: 0.37 for m in range(1, 6)}
-    assert abs(bd.rho_pq_estimate(const)["estimate"] - 1.0) < 1e-12
+    assert abs(_fit(const)["estimate"] - 1.0) < 1e-12
     pows = {m: 2.0**m for m in range(1, 6)}
-    assert abs(bd.rho_pq_estimate(pows)["estimate"] - 2.0) < 1e-12
+    assert abs(_fit(pows)["estimate"] - 2.0) < 1e-12
+    # only the largest EXTRAPOLATION_POINTS values of m enter the fit
+    transient = {**pows, 1: 50.0}
+    assert abs(_fit(transient)["estimate"] - 2.0) < 1e-12
+    assert _fit(transient)["residual"] < 1e-12
     with pytest.raises(ValueError):
-        bd.rho_pq_estimate({1: 1.0, 2: 1.0})
+        _fit({1: 1.0, 2: 1.0, 3: 1.0})
 
 
-def test_rho_pq_estimate_poor_fit_flag(rng):
+def test_log_linear_fit_poor_fit_flag(rng):
     rows = {m: math.exp(rng.uniform(-2, 2)) for m in range(1, 8)}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = bd.rho_pq_estimate(rows)
+        rep = _fit(rows)
     assert rep["poor_fit"]
 
 
@@ -188,11 +196,11 @@ def test_rho_leq_qstar_rate(cat, cat_split):
         warnings.simplefilter("ignore")
         per_m = {m: bd.rho_pq_m(cat, cat_split, 1, -1, m, n_samples=512,
                                 seed=m)[0] for m in range(2, 6)}
-        rho_rate = bd.rho_pq_estimate(per_m)["estimate"]
+        rho_rate = _fit(per_m)["estimate"]
         cover = bd.make_grid_cover(4)
         q_roots = {m: bd.q_star_cover(cat, cat_split, 1, -1, cover, m,
                                       n_samples=256)["greedy"] for m in range(2, 6)}
-        q_rate = bd.rho_pq_estimate(q_roots)["estimate"]
+        q_rate = _fit(q_roots)["estimate"]
     assert rho_rate <= q_rate * 1.05
 
 
@@ -267,7 +275,7 @@ def test_crosscheck_negative_control(cat, cat_split):
     # q = 0 on the integral route only: the rates genuinely differ
     per_m = {m: bd.rho_pq_m(cat, cat_split, 1, 0, m, n_samples=256, seed=m)[0]
              for m in range(4, 9)}
-    rho_mismatched = bd.rho_pq_estimate(per_m)
+    rho_mismatched = _fit(per_m)
     q1 = bd.q_variational(cat, cat_split, 1, -1, range(4, 9))
     with pytest.raises(CrossCheckFailed):
         bd.compare_routes(rho_mismatched, q1)

@@ -150,6 +150,43 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
     assert calls == {"rho": 6, "R": 6, "exponents": 6 + 6 + 4 + 4 + 5}
 
 
+def test_bounds_zero_weight_fails_kitaev_and_reports(tmp_path):
+    # rho vanishes at every m, so its log-linear fit is NaN; the Q route
+    # floors the weight and is finite, and a NaN gap must fail the check
+    cfg = write_config(tmp_path, "zero.json", {
+        "map": {"id": "cat"}, "weight": {"id": "constant", "value": 0.0},
+        "m_max": 5, "mc_samples": 64,
+    })
+    out = str(tmp_path / "outz")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["bounds", "--config", cfg, "--out", out, "--quiet"])
+    assert rc == 2
+    b = reports.read_json(out + "/bounds.json")
+    assert b["failures"] == ["kitaev"]
+    assert not b["kitaev"]["pass"] and np.isnan(b["kitaev"]["log_gap"])
+    assert all(r["rho"] == 0.0 for r in b["per_m"])
+    # the log of a zero rho is written as the -inf marker
+    assert cli.main(["report", "--out", out, "--quiet"]) == 0
+    rows = [ln.split() for ln in open(out + "/bounds_curves.dat") if not ln.startswith("#")]
+    assert [r[1] for r in rows] == ["-inf"] * 5
+
+
+def test_report_error_is_not_a_config_error(quick_bounds_cfg, tmp_path, monkeypatch):
+    out = str(tmp_path / "outre")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["bounds", "--config", quick_bounds_cfg, "--out", out,
+                         "--quiet"]) == 0
+
+    def broken(*a, **k):
+        raise ValueError("broken writer")
+
+    monkeypatch.setattr(reports, "write_columns", broken)
+    with pytest.raises(ValueError, match="broken writer"):
+        cli.main(["report", "--out", out, "--quiet"])
+
+
 def test_bounds_negative_control(tmp_path):
     cfg = write_config(tmp_path, "neg.json", {
         "map": {"id": "cat"}, "m_max": 6, "mc_samples": 256, "seed": 3,
@@ -234,6 +271,80 @@ def test_report_empty_dir(tmp_path):
 def test_config_error_exit_code(tmp_path):
     bad = write_config(tmp_path, "bad.json", {"p": -1.0, "q": -1.0})
     assert cli.main(["bounds", "--config", bad, "--out", str(tmp_path)]) == 3
+
+
+# (command, map id) -> the map the command runs; a pair not listed is refused
+RUNS = {
+    ("resonances", None): "cat", ("resonances", "cat"): "cat",
+    ("resonances", "perturbed_cat"): "perturbed_cat",
+    ("bounds", None): "cat", ("bounds", "cat"): "cat",
+    ("bounds", "perturbed_cat"): "perturbed_cat",
+    ("aniso", None): "chart", ("aniso", "chart"): "chart",
+}
+
+
+@pytest.mark.parametrize("command", ["resonances", "bounds", "aniso"])
+@pytest.mark.parametrize("map_id", [None, "cat", "perturbed_cat", "chart"])
+def test_each_command_runs_only_its_own_maps(command, map_id, monkeypatch, tmp_path, capsys):
+    ran = []
+    monkeypatch.setattr(cli, f"cmd_{command}",
+                        lambda cfg, system, quiet=False: ran.append(system) or 0)
+    cfg = write_config(tmp_path, "map.json", {} if map_id is None else {"map": {"id": map_id}})
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    if (command, map_id) in RUNS:
+        assert rc == 0
+        (system,) = ran
+        name = (system[0] if command == "aniso" else system).name
+        assert name == RUNS[command, map_id]
+    else:
+        assert rc == 3 and not ran
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("resonances", {"map": {"id": "cat", "eps": 0.06}}),
+    ("bounds", {"map": {"id": "perturbed_cat", "eps": -0.06}}),
+    ("aniso", {"map": {"eps": 0.06}}),
+    ("aniso", {"map": {"id": "chart", "seed": 3}}),  # the chart model has no seed
+    ("bounds", {"m_max": 4}),  # the growth-rate fit needs m = 2..5
+])
+def test_map_the_command_cannot_build_is_a_config_error(command, payload, tmp_path, capsys):
+    bad = write_config(tmp_path, "bad_map.json", payload)
+    assert cli.main([command, "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("resonances", {"map": {"id": "cat"}, "weight": {"id": "constant", "value": 2.0},
+                    "N_det": 6, "n_freq": 6}),
+    ("bounds", {"map": {"id": "cat"}, "m_max": 6, "mc_samples": 64}),
+    ("aniso", {"weight": {"id": "zero"}, "n_max_aniso": 4, "young_trials": 1}),
+])
+def test_each_run_builds_its_map_and_weight_once(command, payload, monkeypatch, tmp_path):
+    from hypdet import maps
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            calls.append(name)
+            return fn(*a, **k)
+        return wrapper
+
+    for mod, name in ((maps, "make_map"), (maps, "builtin_chart_model"),
+                      (cli, "build_weight"), (cli, "aniso_weight")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    cfg = write_config(tmp_path, "once.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
+    if command == "aniso":
+        assert calls == ["builtin_chart_model", "aniso_weight"]
+    else:
+        assert calls == ["make_map", "build_weight"]
 
 
 @pytest.mark.parametrize("command,weight", [

@@ -101,11 +101,13 @@ def test_spot_check_both_methods(pcat):
     assert np.max(np.abs(tm_fft.toarray() - tm_fac.toarray())) < 1e-12
 
 
-def test_large_truncation_needs_decomposition(pcat):
-    # 47^2 = 2209 modes are above FFT_MAX_DIM: only the factored build serves
+def test_large_truncation_needs_decomposition(pcat, chart):
+    # 47^2 = 2209 modes are above FFT_MAX_DIM, 9^2 below: both sizes refuse a
+    # map without the torus decomposition, and the chart model has none
     bare = dataclasses.replace(pcat, periodic_part=None)
-    with pytest.raises(ValueError, match="linear_part and periodic_part"):
-        coll.build_transfer_matrix(bare, 23)
+    for sys_, n_freq in ((bare, 23), (bare, 4), (chart[0], 4)):
+        with pytest.raises(ValueError, match="linear_part and periodic_part"):
+            coll.build_transfer_matrix(sys_, n_freq)
 
 
 def test_weight_scaling_scales_spectrum(pcat):
