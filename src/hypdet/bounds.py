@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     CrossCheckFailed,
+    DegenerateDirection,
     EmptyWitness,
     InequalityViolated,
 )
@@ -336,26 +337,40 @@ def pressure_periodic(sys: MapSystem, pts_by_m: dict, phi) -> dict:
     return out
 
 
-def periodic_exponents(sys: MapSystem, split: SplittingField, m_range) -> dict:
+def periodic_exponents(sys: MapSystem, m_range) -> dict:
     """m -> (lambda, nu) at the points of Fix(T^m), for sharing between
-    q_variational calls with different (p, q)."""
-    return {m: hyperbolicity_exponents(sys, split, periodic_points(sys, m).points, m)
-            for m in m_range}
+    q_variational calls with different (p, q).
+
+    At x in Fix(T^m), DT^m(x) maps E^u(x) and E^s(x) to themselves, so nu is
+    the modulus of the larger eigenvalue of the stored DT^m,
+    (|tr| + sqrt(tr^2 - 4 det)) / 2, and lambda = |det| / nu that of the
+    smaller one.
+    """
+    out = {}
+    for m in m_range:
+        D = periodic_points(sys, m).derivatives
+        tr = np.trace(D, axis1=1, axis2=2)
+        det = np.linalg.det(D)
+        disc = tr**2 - 4.0 * det
+        if np.any(disc <= 0.0):
+            raise DegenerateDirection(f"DT^{m} has no real eigenvalue pair at a periodic point")
+        nu = (np.abs(tr) + np.sqrt(disc)) / 2.0
+        out[m] = (np.abs(det) / nu, nu)
+    return out
 
 
-def q_variational(sys: MapSystem, split: SplittingField, p: float, q: float,
-                  m_range, exponents=None) -> dict:
+def q_variational(sys: MapSystem, p: float, q: float, m_range, exponents=None) -> dict:
     """Pressure-route estimate of Q^{p,q} from periodic sums of the
     potential |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}|.
 
     If the weight vanishes somewhere on the sampled orbits the positive
     floor sqrt(g^2 + 1/n^2), n = WEIGHT_FLOOR_N, is substituted and n reported.
-    exponents, when given, is periodic_exponents(sys, split, m_range).
+    exponents, when given, is periodic_exponents(sys, m_range).
     """
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
     if exponents is None:
-        exponents = periodic_exponents(sys, split, m_range)
+        exponents = periodic_exponents(sys, m_range)
     ms, sums = [], []
     floor_used = None
     for m in m_range:
@@ -445,13 +460,13 @@ def appendixB_check(rows, p: float, q: float) -> dict:
     return report
 
 
-def kitaev_crosscheck(sys: MapSystem, split: SplittingField, p: float, q: float,
-                      rows, tol_cross: float = DEFAULT_CROSS_TOL) -> dict:
+def kitaev_crosscheck(sys: MapSystem, p: float, q: float, rows,
+                      tol_cross: float = DEFAULT_CROSS_TOL) -> dict:
     """Assert the integral route (rho of the bound_table rows) and the
     variational route over the same m agree in log scale."""
     per_m = {r["m"]: r["rho"] for r in rows}
     rho_report = log_linear_fit(list(per_m), np.log(list(per_m.values())))
     rho_report["per_m"] = per_m
     rho_report["stderr"] = {r["m"]: r["rho_stderr"] for r in rows}
-    q_report = q_variational(sys, split, p, q, list(per_m))
+    q_report = q_variational(sys, p, q, list(per_m))
     return compare_routes(rho_report, q_report, tol_cross)

@@ -14,6 +14,7 @@ import os
 import sys
 import typing
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -86,7 +87,7 @@ class RunConfig:
         for name, tp in typing.get_type_hints(type(self)).items():
             if tp is int and not name.endswith("seed") and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        # the bounds growth-rate fit reads m = 2..m_max
+        # the bounds growth-rate fit reads the last EXTRAPOLATION_POINTS m, above m = 1
         if self.m_max < bd.EXTRAPOLATION_POINTS + 1:
             raise ValueError(f"m_max must be at least {bd.EXTRAPOLATION_POINTS + 1}, "
                              f"got {self.m_max}")
@@ -206,21 +207,43 @@ def build_system(cfg: RunConfig, command: str):
 # ---------------------------------------------------------------------------
 
 
+def cpu_count() -> int:
+    """CPUs this process may run on; cmd_resonances runs one pool worker on each."""
+    return len(os.sched_getaffinity(0))
+
+
 def cmd_resonances(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int:
-    """Orbits -> traces -> determinant -> collocation -> zero/eigen match."""
+    """Orbits -> traces -> determinant, and collocation at n_freq and 2 n_freq,
+    then the stability filter and the zero/eigen match.
+
+    The three routes share nothing until the filter, so they run at the same
+    time on a thread pool: their FFT, BLAS, LAPACK and sparse kernels release
+    the GIL.  The outputs do not depend on the number of workers.
+    """
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("resonances")
 
-    ts = det.trace_series(sys_, cfg.N_det)
-    dp = det.det_coeffs_from_traces(ts, det.validity_radius(sys_, cfg.p, cfg.q))
-    zeros = det.det_zeros(dp, cfg.det_radius)
+    def determinant_and_lo():
+        ts = det.trace_series(sys_, cfg.N_det)
+        dp = det.det_coeffs_from_traces(ts, det.validity_radius(sys_, cfg.p, cfg.q))
+        zeros = det.det_zeros(dp, cfg.det_radius)
+        tm1 = coll.build_transfer_matrix(sys_, cfg.n_freq)
+        return ts, dp, zeros, coll.eigen_resonances(tm1, top=cfg.top_k, seed=cfg.seed)
 
-    # the same seeded solver at both truncations, so both sides of the
-    # stability filter keep the same top_k eigenvalues
-    tm1 = coll.build_transfer_matrix(sys_, cfg.n_freq)
-    tm2 = coll.build_transfer_matrix(sys_, 2 * cfg.n_freq)
-    w1, r1 = coll.eigen_resonances(tm1, top=cfg.top_k, seed=cfg.seed)
-    w2, r2 = coll.eigen_resonances(tm2, top=cfg.top_k, seed=cfg.seed)
+    # Only this thread waits on futures, so no task waits on another and a
+    # one-worker pool cannot deadlock.  The 2 n_freq matrix is built first:
+    # its row blocks next to a live dense n_freq matrix raise peak memory.
+    with ThreadPoolExecutor(max_workers=cpu_count()) as pool:
+        # the same seeded solver at both truncations, so both sides of the
+        # stability filter keep the same top_k eigenvalues
+        hi = pool.submit(coll.eigen_resonances,
+                         coll.build_transfer_matrix(sys_, 2 * cfg.n_freq, pool),
+                         top=cfg.top_k, seed=cfg.seed)
+        lo = pool.submit(determinant_and_lo)
+        # read in the serial order, so the error raised is the one a serial
+        # run would raise first
+        ts, dp, zeros, (w1, r1) = lo.result()
+        w2, r2 = hi.result()
     i1, i2 = coll.stability_filter(w1, w2).T
     stable, res1, res2 = w1[i1], r1[i1], r2[i2]
     coll.check_residuals(stable, res1)
@@ -258,9 +281,9 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
     rows = bd.bound_table(sys_, split, cfg.p, cfg.q, range(1, cfg.m_max + 1),
                           n_samples=cfg.mc_samples, seed=cfg.seed)
 
-    # the largest five m values, skipping transients; both routes fit the
-    # last EXTRAPOLATION_POINTS of them
-    m_fit = list(range(max(2, cfg.m_max - 4), cfg.m_max + 1))
+    # both routes fit the largest EXTRAPOLATION_POINTS m values; validate
+    # keeps them above the m = 1 transient
+    m_fit = list(range(cfg.m_max - bd.EXTRAPOLATION_POINTS + 1, cfg.m_max + 1))
     failures = []
     try:
         if cfg.negative_control:
@@ -268,9 +291,9 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
             rho = [bd.rho_pq_m(sys_, split, cfg.p, 0.0, m, n_samples=cfg.mc_samples,
                                seed=cfg.seed + m)[0] for m in m_fit]
             cross = bd.compare_routes(bd.log_linear_fit(m_fit, np.log(rho)),
-                                      bd.q_variational(sys_, split, cfg.p, cfg.q, m_fit))
+                                      bd.q_variational(sys_, cfg.p, cfg.q, m_fit))
         else:
-            cross = bd.kitaev_crosscheck(sys_, split, cfg.p, cfg.q,
+            cross = bd.kitaev_crosscheck(sys_, cfg.p, cfg.q,
                                          [r for r in rows if r["m"] in m_fit])
     except CrossCheckFailed as exc:
         cross = exc.data
@@ -385,7 +408,10 @@ def cmd_report(output_dir: str, quiet: bool = False) -> int:
     for name in names:
         path = os.path.join(output_dir, name)
         if os.path.exists(path):
-            found[name] = reports.read_json(path)
+            try:
+                found[name] = reports.read_json(path)
+            except ValueError as exc:  # truncated or not JSON
+                raise MissingArtifacts(f"{path} is not a readable report: {exc}") from exc
     if not found:
         raise MissingArtifacts(f"no report files in {output_dir!r}")
     gaps = [n for n in names if n not in found]
@@ -485,7 +511,7 @@ def main(argv=None) -> int:
         try:
             return cmd_report(args.out, quiet=args.quiet)
         except MissingArtifacts as exc:
-            print(f"missing artifacts: {exc}", file=sys.stderr)
+            print(f"bad artifacts: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
 
     try:

@@ -12,6 +12,7 @@ of both against direct quadrature.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ STABILITY_RTOL = 1e-6
 # minimum; above FFT_MAX_DIM modes the factored build takes over
 GRID_FACTOR = 4
 FFT_MAX_DIM = 2000
+# k1 rows per task of the factored build: about ten tasks at 2 n_freq = 40,
+# so a pool of a few workers stays busy to the end
+BUILD_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -62,20 +66,22 @@ def _grid(G):
     return np.meshgrid(t, t, indexing="ij")
 
 
-def build_transfer_matrix(sys: MapSystem, n_freq: int) -> TransferMatrix:
+def build_transfer_matrix(sys: MapSystem, n_freq: int, pool: Executor | None = None
+                          ) -> TransferMatrix:
     """Collocation matrix of u -> g (u o T) on modes [-N, N]^2.
 
     Up to FFT_MAX_DIM modes g e_k(Tx) is sampled on the (GRID_FACTOR (2N+1))^2
     grid and each column FFT-projected; above it the homology decomposition
     T = A x + s(x) gives the identical coefficients on a small grid sized by
-    the Bessel tail of exp(2 pi i k.s).
+    the Bessel tail of exp(2 pi i k.s).  With a pool, the factored build runs
+    its blocks of k1 rows there; the matrix is the same bit for bit.
     """
     if sys.linear_part is None or sys.periodic_part is None:
         raise ValueError("collocation requires a torus map with "
                          "linear_part and periodic_part")
     if (2 * n_freq + 1) ** 2 <= FFT_MAX_DIM:
         return TransferMatrix(n_freq=n_freq, matrix=_build_fft(sys, n_freq))
-    return TransferMatrix(n_freq=n_freq, matrix=_build_factored(sys, n_freq))
+    return TransferMatrix(n_freq=n_freq, matrix=_build_factored(sys, n_freq, pool))
 
 
 def _build_fft(sys, N):
@@ -107,7 +113,7 @@ def _bessel_cutoff(z: float) -> int:
     return int(math.ceil(z + 8.0 * z ** (1.0 / 3.0) + 12.0))
 
 
-def _build_factored(sys, N):
+def _build_factored(sys, N, pool=None):
     A = np.asarray(sys.linear_part, dtype=np.int64)
     # bound the phase 2 pi |k . s(x)| to size the small grid
     probe = _grid(64)
@@ -129,30 +135,45 @@ def _build_factored(sys, N):
     D2 = D2.ravel()
     dim = (2 * N + 1) ** 2
     side = 2 * N + 1
-    rows_all, cols_all, vals_all = [], [], []
-    E1_pow = W * E1 ** (-N)
-    for k1 in range(-N, N + 1):
-        cur = E1_pow * E2 ** (-N)
-        for k2 in range(-N, N + 1):
-            coeffs = (sfft.fft2(cur) / (Gs * Gs)).ravel()
-            keep = np.abs(coeffs) > SPARSE_DROP_TOL
-            if np.any(keep):
+
+    def columns(k1s, E1_pow):
+        """Row indices, values and per-column counts of the columns k1 in
+        k1s, in column order; E1_pow is W E1^{k1s[0]}."""
+        rows_b, vals_b, counts = [], [], []
+        for k1 in k1s:
+            cur = E1_pow * E2 ** (-N)
+            for k2 in range(-N, N + 1):
+                coeffs = (sfft.fft2(cur) / (Gs * Gs)).ravel()
+                keep = np.abs(coeffs) > SPARSE_DROP_TOL
                 kp1 = A[0, 0] * k1 + A[1, 0] * k2 + D1[keep]
                 kp2 = A[0, 1] * k1 + A[1, 1] * k2 + D2[keep]
                 # k' = A^tr k + d, kept only inside the truncation
                 inside = (np.abs(kp1) <= N) & (np.abs(kp2) <= N)
-                if np.any(inside):
-                    r = (kp1[inside] + N) * side + (kp2[inside] + N)
-                    c = (k1 + N) * side + (k2 + N)
-                    rows_all.append(r)
-                    cols_all.append(np.full(r.size, c))
-                    vals_all.append(coeffs[keep][inside])
-            cur = cur * E2
-        E1_pow = E1_pow * E1
-    M = sparse.csr_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(dim, dim), dtype=complex,
-    )
+                rows_b.append((kp1[inside] + N) * side + (kp2[inside] + N))
+                vals_b.append(coeffs[keep][inside])
+                counts.append(rows_b[-1].size)
+                cur = cur * E2
+            E1_pow = E1_pow * E1
+        return np.concatenate(rows_b), np.concatenate(vals_b), counts
+
+    # each block starts from W E1^{k1} of one running product, so its
+    # columns have the bits of a build in one piece
+    blocks = [range(k, min(k + BUILD_BLOCK_ROWS, N + 1))
+              for k in range(-N, N + 1, BUILD_BLOCK_ROWS)]
+    starts = []
+    E1_pow = W * E1 ** (-N)
+    for block in blocks:
+        starts.append(E1_pow)
+        for _ in block:
+            E1_pow = E1_pow * E1
+    parts = list((pool.map if pool is not None else map)(columns, blocks, starts))
+    # columns come in order, so their counts give the CSC pointer directly
+    indptr = np.concatenate([[0], np.cumsum([c for part in parts for c in part[2]])])
+    M = sparse.csc_matrix(
+        (np.concatenate([part[1] for part in parts]),
+         np.concatenate([part[0] for part in parts]), indptr),
+        shape=(dim, dim),
+    ).tocsr()
     if dim <= DENSE_DIM_LIMIT:
         return M.toarray()
     return M

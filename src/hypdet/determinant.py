@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds
 from .errors import IllConditionedRoot, OrientationNotTrivial
-from .maps import MapSystem, splitting_power_iteration
+from .maps import MapSystem
 from .orbits import PeriodicPointSet, periodic_points
 
 BACKWARD_ERROR_THRESHOLD = 1e-6
@@ -220,13 +220,10 @@ def zeta_product(sys: MapSystem, N: int) -> np.ndarray:
 
 def validity_radius(sys: MapSystem, p: float, q: float):
     """(1/Q^{p,q}, 1/Q^{0,0}) from the variational pressure route."""
-    split = splitting_power_iteration(sys)
     # one exponent evaluation per m serves both the (p, q) and (0, 0) sums
-    exps = bounds.periodic_exponents(sys, split, VALIDITY_M_RANGE)
-    qpq = bounds.q_variational(sys, split, p, q, VALIDITY_M_RANGE,
-                               exponents=exps)["estimate"]
-    q00 = bounds.q_variational(sys, split, 0.0, 0.0, VALIDITY_M_RANGE,
-                               exponents=exps)["estimate"]
+    exps = bounds.periodic_exponents(sys, VALIDITY_M_RANGE)
+    qpq = bounds.q_variational(sys, p, q, VALIDITY_M_RANGE, exponents=exps)["estimate"]
+    q00 = bounds.q_variational(sys, 0.0, 0.0, VALIDITY_M_RANGE, exponents=exps)["estimate"]
     return 1.0 / qpq, 1.0 / q00
 
 

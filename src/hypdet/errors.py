@@ -92,4 +92,4 @@ class IllConditionedRoot(UserWarning):
 
 
 class MissingArtifacts(HypdetError):
-    """Report consolidation found no prior run outputs."""
+    """Report consolidation found no prior run outputs, or one it cannot read."""

@@ -56,7 +56,7 @@ def test_criterion_2_kitaev_equality():
     cat = maps.builtin_cat_map()
     split = maps.splitting_power_iteration(cat)
     rows = bd.bound_table(cat, split, 1.0, -1.0, range(4, 11), n_samples=4096, seed=1)
-    rep = bd.kitaev_crosscheck(cat, split, 1.0, -1.0, rows)
+    rep = bd.kitaev_crosscheck(cat, 1.0, -1.0, rows)
     elapsed = time.monotonic() - t0
     ok = (
         abs(rep["rho_estimate"] - GOLD_RATE) <= 0.02 * GOLD_RATE
@@ -70,8 +70,7 @@ def test_criterion_2_kitaev_equality():
 def test_criterion_3_pressure_route():
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
-    split = maps.splitting_power_iteration(cat)
-    q00 = bd.q_variational(cat, split, 0.0, 0.0, range(4, 11))["estimate"]
+    q00 = bd.q_variational(cat, 0.0, 0.0, range(4, 11))["estimate"]
     pts = {10: orbits.periodic_points(cat, 10)}
     zero_phi = lambda x: np.zeros(x.shape[0])  # noqa: E731
     p10 = bd.pressure_periodic(cat, pts, zero_phi)[10]

@@ -243,31 +243,43 @@ def test_pressure_periodic(cat, cat_split):
     assert bd.pressure_periodic(cat, {2: empty}, zero_phi)[2] == -math.inf
 
 
-def test_q_variational_examples(cat, cat_split):
-    rep = bd.q_variational(cat, cat_split, 1, -1, range(4, 11))
+def test_q_variational_examples(cat):
+    rep = bd.q_variational(cat, 1, -1, range(4, 11))
     assert abs(rep["estimate"] - MU) / MU < 0.02
-    rep0 = bd.q_variational(cat, cat_split, 0, 0, range(4, 11))
+    rep0 = bd.q_variational(cat, 0, 0, range(4, 11))
     assert abs(rep0["estimate"] - 1.0) < 0.02
     inv = cat.with_weight(
         lambda x: np.full(x.shape[0], 1.0 / LAM), tag="invlam")
-    rep2 = bd.q_variational(inv, cat_split, 1, -1, range(4, 11))
+    rep2 = bd.q_variational(inv, 1, -1, range(4, 11))
     assert rep2["estimate"] == pytest.approx(rep["estimate"] / LAM, rel=1e-9)
 
 
-def test_q_pq_bounded_by_scaled_q00(cat, cat_split):
+def test_periodic_exponents_match_splitting_route():
+    # lambda, nu from the eigenvalues of the stored DT^m against the
+    # 30-step splitting iteration at every point of Fix(T^m)
+    pc = maps.builtin_perturbed_cat(0.05)
+    split = maps.splitting_power_iteration(pc)
+    exps = bd.periodic_exponents(pc, range(1, 9))
+    for m in range(1, 9):
+        lam, nu = maps.hyperbolicity_exponents(pc, split, orbits.periodic_points(pc, m).points, m)
+        assert np.allclose(exps[m][0], lam, rtol=1e-7, atol=0.0)
+        assert np.allclose(exps[m][1], nu, rtol=1e-12, atol=0.0)
+
+
+def test_q_pq_bounded_by_scaled_q00(cat):
     # closed-form remark: Q^{p,q} <= lambda^{min(p,-q)} Q^{0,0} on linear maps
-    q_pq = bd.q_variational(cat, cat_split, 2, -1, range(4, 11))["estimate"]
-    q_00 = bd.q_variational(cat, cat_split, 0, 0, range(4, 11))["estimate"]
+    q_pq = bd.q_variational(cat, 2, -1, range(4, 11))["estimate"]
+    q_00 = bd.q_variational(cat, 0, 0, range(4, 11))["estimate"]
     assert q_pq <= LAM ** -min(2.0, 1.0) * q_00 * 1.01
 
 
 def test_kitaev_crosscheck(cat, cat_split, pcat, pcat_split):
     rows = bd.bound_table(cat, cat_split, 1, -1, range(4, 11), n_samples=1024, seed=2)
-    rep = bd.kitaev_crosscheck(cat, cat_split, 1, -1, rows)
+    rep = bd.kitaev_crosscheck(cat, 1, -1, rows)
     assert rep["pass"] and rep["log_gap"] <= 0.05
     assert abs(rep["rho_estimate"] - 0.381966) < 0.02 * 0.381966
     rows2 = bd.bound_table(pcat, pcat_split, 1, -1, range(4, 9), n_samples=2048, seed=2)
-    rep2 = bd.kitaev_crosscheck(pcat, pcat_split, 1, -1, rows2)
+    rep2 = bd.kitaev_crosscheck(pcat, 1, -1, rows2)
     assert rep2["pass"]
 
 
@@ -276,6 +288,6 @@ def test_crosscheck_negative_control(cat, cat_split):
     per_m = {m: bd.rho_pq_m(cat, cat_split, 1, 0, m, n_samples=256, seed=m)[0]
              for m in range(4, 9)}
     rho_mismatched = _fit(per_m)
-    q1 = bd.q_variational(cat, cat_split, 1, -1, range(4, 9))
+    q1 = bd.q_variational(cat, 1, -1, range(4, 9))
     with pytest.raises(CrossCheckFailed):
         bd.compare_routes(rho_mismatched, q1)

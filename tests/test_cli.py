@@ -101,7 +101,50 @@ def test_resonances_computes_each_quantity_once(monkeypatch, tmp_path):
                    "--quiet"])
     assert rc == 0
     assert calls["validity_radius"] == 1
-    assert calls["exponents"] == list(range(4, 11))
+    # the validity radius reads the exponents from the stored DT^m
+    assert calls["exponents"] == []
+
+
+def run_resonances_with_workers(monkeypatch, tmp_path, workers, cfg):
+    """Report bytes of one resonances run on a pool of `workers` threads."""
+    monkeypatch.setattr(cli, "cpu_count", lambda: workers)
+    out = tmp_path / f"w{workers}"
+    rc = cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"])
+    return rc, {name: (out / name).read_bytes()
+                for name in ("traces.csv", "determinant.json", "match.json")}
+
+
+def test_resonances_same_bytes_on_one_and_two_workers(monkeypatch, tmp_path):
+    # 2 n_freq = 24 takes the factored build, which runs in row blocks on the pool
+    cfg = write_config(tmp_path, "res5.json", {
+        "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
+        "N_det": 6, "n_freq": 12, "seed": 5,
+    })
+    rc1, one = run_resonances_with_workers(monkeypatch, tmp_path, 1, cfg)
+    rc2, two = run_resonances_with_workers(monkeypatch, tmp_path, 2, cfg)
+    assert rc1 == rc2 == 0
+    assert one == two
+
+
+def test_resonances_failure_on_the_pool_exits_4(monkeypatch, tmp_path):
+    from hypdet import collocation as coll
+    from hypdet.errors import EigenSolverFailure
+
+    solve = coll.eigen_resonances
+
+    def failing_at_2n(tm, top=None, seed=0):
+        if tm.n_freq == 16:
+            raise EigenSolverFailure("injected at 2 n_freq")
+        return solve(tm, top=top, seed=seed)
+
+    monkeypatch.setattr(coll, "eigen_resonances", failing_at_2n)
+    cfg = write_config(tmp_path, "res6.json", {
+        "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
+        "N_det": 6, "n_freq": 8, "seed": 5,
+    })
+    out = tmp_path / "o6"
+    assert cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    assert list(out.iterdir()) == []
 
 
 @pytest.fixture()
@@ -145,9 +188,9 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
         rc = cli.main(["bounds", "--config", quick_bounds_cfg, "--out",
                        str(tmp_path / "oc"), "--quiet"])
     assert rc == 0
-    # m = 1..6: rho and R once each per m, the cover and partition routes
-    # for m <= 4, and the variational route over the five fitted m
-    assert calls == {"rho": 6, "R": 6, "exponents": 6 + 6 + 4 + 4 + 5}
+    # m = 1..6: rho and R once each per m, and the cover and partition routes
+    # for m <= 4; the variational route reads the stored DT^m
+    assert calls == {"rho": 6, "R": 6, "exponents": 6 + 6 + 4 + 4}
 
 
 def test_bounds_zero_weight_fails_kitaev_and_reports(tmp_path):
@@ -187,7 +230,17 @@ def test_report_error_is_not_a_config_error(quick_bounds_cfg, tmp_path, monkeypa
         cli.main(["report", "--out", out, "--quiet"])
 
 
-def test_bounds_negative_control(tmp_path):
+def test_bounds_negative_control(monkeypatch, tmp_path):
+    from hypdet import bounds
+
+    calls = []
+    rho = bounds.rho_pq_m
+
+    def counted(sys, split, p, q, m, **k):
+        calls.append(m)
+        return rho(sys, split, p, q, m, **k)
+
+    monkeypatch.setattr(bounds, "rho_pq_m", counted)
     cfg = write_config(tmp_path, "neg.json", {
         "map": {"id": "cat"}, "m_max": 6, "mc_samples": 256, "seed": 3,
         "negative_control": True,
@@ -197,6 +250,8 @@ def test_bounds_negative_control(tmp_path):
         warnings.simplefilter("ignore")
         rc = cli.main(["bounds", "--config", cfg, "--out", out, "--quiet"])
     assert rc == 2
+    # the table's m = 1..6, then only the EXTRAPOLATION_POINTS m the fit reads
+    assert calls == [1, 2, 3, 4, 5, 6, 3, 4, 5, 6]
 
 
 def test_aniso_quick(tmp_path):
@@ -266,6 +321,13 @@ def test_report_empty_dir(tmp_path):
         cli.cmd_report(str(tmp_path / "nothing_here"))
     rc = cli.main(["report", "--out", str(tmp_path / "nothing_here")])
     assert rc == 4
+
+
+def test_report_truncated_json_is_a_bad_artifact(tmp_path, capsys):
+    (tmp_path / "bounds.json").write_text('{"meta": {"config_hash": "x", "seed": 1}, "per_m": [')
+    assert cli.main(["report", "--out", str(tmp_path), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "bounds.json" in err and len(err.strip().splitlines()) == 1
 
 
 def test_config_error_exit_code(tmp_path):

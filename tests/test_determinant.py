@@ -171,12 +171,12 @@ def test_validity_radius(cat):
     assert abs(cr - 1.0) < 0.02
 
 
-def test_validity_radius_shares_exponents(pcat, pcat_split):
+def test_validity_radius_shares_exponents(pcat):
     from hypdet import bounds
 
     vr, cr = det.validity_radius(pcat, 1.0, -1.0)
-    qpq = bounds.q_variational(pcat, pcat_split, 1.0, -1.0, range(4, 11))["estimate"]
-    q00 = bounds.q_variational(pcat, pcat_split, 0.0, 0.0, range(4, 11))["estimate"]
+    qpq = bounds.q_variational(pcat, 1.0, -1.0, range(4, 11))["estimate"]
+    q00 = bounds.q_variational(pcat, 0.0, 0.0, range(4, 11))["estimate"]
     assert (vr, cr) == (1.0 / qpq, 1.0 / q00)
 
 
@@ -191,10 +191,10 @@ def test_determinant_report_from_inputs(pcat):
     assert [complex(z["re"], z["im"]) for z in rep["zeros"]] == [z["zero"] for z in zeros]
 
 
-def test_validity_radius_weight_floor(cat, cat_split):
+def test_validity_radius_weight_floor(cat):
     from hypdet import bounds
 
     zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
-    rep = bounds.q_variational(zero, cat_split, 1.0, -1.0, range(2, 6))
+    rep = bounds.q_variational(zero, 1.0, -1.0, range(2, 6))
     assert rep["weight_floor_n"] == 100
     assert np.isfinite(rep["estimate"])
