@@ -172,11 +172,17 @@ class BlockOperator:
 
         # local quadrature grid over supp G, resolving the largest phase rate;
         # the raw coefficient is (1/|box|) int G(x) e^{i xi.T(x)} e^{-i eta.x} dx
+        # (the phases are the largest arrays of aniso: each exp and the
+        # weighting run in place, with the arithmetic of the plain expressions)
         X, w = self._quad_grid(n_max_mat)
-        phase_in_T = np.exp(1j * (self.sys.forward(X) @ xi.T))
-        phase_out_x = np.exp(-1j * (X @ eta.T))
+        phase_in_T = 1j * (self.sys.forward(X) @ xi.T)
+        np.exp(phase_in_T, out=phase_in_T)
+        phase_out_x = -1j * (X @ eta.T)
+        np.exp(phase_out_x, out=phase_out_x)
+        phase_out_x *= w[:, None]
         area = (2.0 * self.grid.box_half) ** 2
-        C = (phase_out_x * w[:, None]).T @ phase_in_T / area
+        C = phase_out_x.T @ phase_in_T / area
+        del phase_in_T, phase_out_x
 
         # multiplier scalings and block masks
         n_b = len(bands)

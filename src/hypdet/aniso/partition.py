@@ -8,6 +8,7 @@ angular cutoff of its polarization half.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -273,30 +274,40 @@ def young_check(grid: BoxGrid, a: np.ndarray, u: np.ndarray, theta: Polarization
     return lhs, rhs, bool(ok)
 
 
-def young_trials(theta: Polarization, n_trials: int, seed: int) -> int:
+def young_trials(theta: Polarization, n_trials: int, seed: int, pool=None) -> int:
     """Number of passed young_check calls over random pairs (a, u).
 
     a is a Gaussian bump and u a Gaussian-windowed plane wave, with centers,
     widths and wave vectors drawn from one generator seeded by seed, on a
-    512^2 grid of [-6, 6)^2.
+    512^2 grid of [-6, 6)^2.  Every trial's parameters are drawn here first;
+    with a concurrent.futures pool the trials then run on it, read back in
+    trial order, so the count and the first error raised are those of a
+    serial run.
     """
     grid = BoxGrid(6.0, 512)
     pts = grid.points()
     rng = np.random.default_rng(seed)
-    passed = 0
+    draws = []
     for _ in range(n_trials):
         ca, cu = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         wa, wu = rng.uniform(0.25, 0.9), rng.uniform(0.3, 1.2)
         # a second wave vector is drawn but unused; dropping the draw would
         # change every later trial
         k1, _ = rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2)
-        A = np.exp(-((pts[:, 0] - ca[0]) ** 2 + (pts[:, 1] - ca[1]) ** 2) / wa**2)
-        U = (np.exp(-((pts[:, 0] - cu[0]) ** 2 + (pts[:, 1] - cu[1]) ** 2) / wu**2)
-             * np.cos(k1[0] * pts[:, 0] + k1[1] * pts[:, 1]))
-        _, _, ok = young_check(grid, A.reshape(512, 512), U.reshape(512, 512), theta,
-                               n_dirs=9, n_offsets=65, line_samples=384)
-        passed += int(ok)
-    return passed
+        draws.append((ca, cu, wa, wu, k1))
+    trial = functools.partial(_young_trial, grid, pts, theta)
+    return sum((map if pool is None else pool.map)(trial, draws))
+
+
+def _young_trial(grid: BoxGrid, pts: np.ndarray, theta: Polarization, draw) -> bool:
+    """young_check on the pair (a, u) of one young_trials draw."""
+    ca, cu, wa, wu, k1 = draw
+    A = np.exp(-((pts[:, 0] - ca[0]) ** 2 + (pts[:, 1] - ca[1]) ** 2) / wa**2)
+    U = (np.exp(-((pts[:, 0] - cu[0]) ** 2 + (pts[:, 1] - cu[1]) ** 2) / wu**2)
+         * np.cos(k1[0] * pts[:, 0] + k1[1] * pts[:, 1]))
+    n = grid.n_pix
+    return young_check(grid, A.reshape(n, n), U.reshape(n, n), theta,
+                       n_dirs=9, n_offsets=65, line_samples=384)[2]
 
 
 def partition_sum_error(theta: Polarization, n_max: int, side: int = 512) -> float:

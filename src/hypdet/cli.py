@@ -208,7 +208,8 @@ def build_system(cfg: RunConfig, command: str):
 
 
 def cpu_count() -> int:
-    """CPUs this process may run on; cmd_resonances runs one pool worker on each."""
+    """CPUs this process may run on; cmd_resonances and cmd_aniso run one pool
+    worker on each."""
     return len(os.sched_getaffinity(0))
 
 
@@ -329,7 +330,16 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
 
 def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
     """Partition, Young, triangularity, flat-trace and kneading checks on
-    chart = (MapSystem, theta, theta_prime) from build_system."""
+    chart = (MapSystem, theta, theta_prime) from build_system.
+
+    After the h exponents the checks share nothing, so they run at the same
+    time on a thread pool: their FFT, BLAS, LAPACK, spline and ufunc kernels
+    release the GIL.  One task computes the compressed matrices with the
+    kneading identity and then the flat trace, so the two largest working
+    sets never overlap.  Meanwhile this thread computes the partition error
+    and then hands the Young trials to the pool one by one.  The outputs do
+    not depend on the number of workers.
+    """
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("aniso")
     sys_, theta, theta_prime = chart
@@ -338,16 +348,10 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
     # h exponents always use the support of the builtin bump; the zero
     # weight makes the operator vanish but leaves the cone geometry intact
     h_weight = maps.chart_weight
-    checks = {}
-
     n_max = cfg.n_max_aniso
-    part_err = apart.partition_sum_error(theta, n_max)
-    checks["partition"] = {"max_err": part_err, "pass": part_err <= 1e-12}
-    passed = apart.young_trials(theta, cfg.young_trials, cfg.seed)
-    checks["young"] = {"passed": passed, "trials": cfg.young_trials,
-                       "pass": passed == cfg.young_trials}
 
-    # strict triangularity of linked masks for large iterates
+    # strict triangularity of linked masks for large iterates; the kneading
+    # blocks use the h exponents of T^10 too
     it10 = maps.iterate_map(sys_, 10)
     it12 = maps.iterate_map(sys_, 12)
     hp10, hm10 = ablocks.h_exponents(it10, h_weight, theta, theta_prime)
@@ -356,20 +360,19 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
              ablocks.hook_mask(6, hp10, hm10)]
     tri = (hp10 < 0 < hm10 and hp12 < 0 < hm12
            and ablocks.triangularity_product_check(masks))
-    checks["triangularity"] = {"h10": [hp10, hm10], "h12": [hp12, hm12], "pass": bool(tri)}
 
-    # flat-trace convergence to the fixed-point value; the 1e-3 gap criterion
-    # is pinned at n0 = 8 independently of the band cap
-    n0 = 8
-    if zero_weight:
-        checks["flat_trace"] = {"partial_sum": 0.0, "telescoping_err": 0.0,
-                                "fixed_point_value": 0.0, "gap": 0.0, "pass": True}
-    else:
+    def flat_trace():
+        # flat-trace convergence to the fixed-point value; the 1e-3 gap
+        # criterion is pinned at n0 = 8 independently of the band cap
+        n0 = 8
+        if zero_weight:
+            return {"partial_sum": 0.0, "telescoping_err": 0.0,
+                    "fixed_point_value": 0.0, "gap": 0.0, "pass": True}
         quad = ablocks.FlatTraceQuadrature(sys_, weight, theta_prime, n0_max=n0)
         partial = quad.partial_sum(n0)
         tele = abs(partial - quad.chi_trace(n0))
         oracle = quad.fixed_point_value()
-        checks["flat_trace"] = {
+        return {
             "partial_sum": partial,
             "telescoping_err": tele,
             "fixed_point_value": oracle,
@@ -377,20 +380,51 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
             "pass": bool(tele <= 1e-8 and abs(partial - oracle) <= 1e-3),
         }
 
-    # kneading identity on the compressed truncation
-    n_mat = min(6, n_max)
-    zs = 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
-    if zero_weight:
-        Z = np.zeros((4, 4))
-        knead = ablocks.kneading_check(Z, Z, Z, zs)
-    else:
-        block10 = ablocks.BlockOperator(
-            sys=it10, weight=weight, theta=theta, theta_prime=theta_prime,
-            grid=apart.BoxGrid(8.0, 1024), n_max=n_mat, h_plus=hp10, h_minus=hm10,
-        )
-        M, Mb, Mc, _ = block10.compressed_matrices(n_max_mat=n_mat, per_band=16)
-        knead = ablocks.kneading_check(M, Mb, Mc, zs)
-    checks["kneading"] = {"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]}
+    def kneading():
+        # kneading identity on the compressed truncation
+        n_mat = min(6, n_max)
+        zs = 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
+        if zero_weight:
+            Z = np.zeros((4, 4))
+            knead = ablocks.kneading_check(Z, Z, Z, zs)
+        else:
+            block10 = ablocks.BlockOperator(
+                sys=it10, weight=weight, theta=theta, theta_prime=theta_prime,
+                grid=apart.BoxGrid(8.0, 1024), n_max=n_mat, h_plus=hp10, h_minus=hm10,
+            )
+            M, Mb, Mc, _ = block10.compressed_matrices(n_max_mat=n_mat, per_band=16)
+            knead = ablocks.kneading_check(M, Mb, Mc, zs)
+        return {"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]}
+
+    def kneading_then_flat_trace():
+        # The compressed matrices, the largest working set, are built first,
+        # when only the partition error and one Young trial run beside them.
+        # Built last, they would add to what the flat trace and the Young
+        # trials leave in their threads' malloc arenas.
+        try:
+            knead = kneading()
+        except Exception:
+            flat_trace()  # a serial run raises the flat-trace error first
+            raise
+        return flat_trace(), knead
+
+    # Only this thread waits on futures, so no task waits on another and a
+    # one-worker pool cannot deadlock.
+    with ThreadPoolExecutor(max_workers=cpu_count()) as pool:
+        blocks = pool.submit(kneading_then_flat_trace)
+        part_err = apart.partition_sum_error(theta, n_max)
+        passed = apart.young_trials(theta, cfg.young_trials, cfg.seed, pool)
+        # read after the Young trials, so the error raised is the one a
+        # serial run would raise first
+        flat, knead = blocks.result()
+    checks = {
+        "partition": {"max_err": part_err, "pass": part_err <= 1e-12},
+        "young": {"passed": passed, "trials": cfg.young_trials,
+                  "pass": passed == cfg.young_trials},
+        "triangularity": {"h10": [hp10, hm10], "h12": [hp12, hm12], "pass": bool(tri)},
+        "flat_trace": flat,
+        "kneading": knead,
+    }
 
     all_pass = all(c["pass"] for c in checks.values())
     reports.write_json(os.path.join(out, "aniso.json"),

@@ -134,10 +134,11 @@ def _plateau_step(t, lo, hi):
     """Smooth transition: 1 for t <= lo, 0 for t >= hi, on an array t."""
     if hi <= lo:
         raise ValueError("empty transition interval")
-    s = (np.clip(t, lo, hi) - lo) / (hi - lo)
-    up = _mollifier_f(1.0 - s)
-    down = _mollifier_f(s)
-    with np.errstate(invalid="ignore"):
+    # no clip: the two np.where overwrite every point outside [lo, hi]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (t - lo) / (hi - lo)
+        up = _mollifier_f(1.0 - s)
+        down = _mollifier_f(s)
         val = up / (up + down)
     val = np.where(s <= 0.0, 1.0, val)
     return np.where(s >= 1.0, 0.0, val)

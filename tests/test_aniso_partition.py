@@ -207,3 +207,28 @@ def test_young_random_trials(grid, theta, rng):
 def test_young_trials_counts_passes(theta):
     assert ap.young_trials(theta, 2, seed=2) == 2
     assert ap.young_trials(theta, 0, seed=2) == 0
+
+
+def test_young_trials_same_count_with_a_pool(theta, monkeypatch):
+    import hashlib
+    from concurrent.futures import ThreadPoolExecutor
+
+    # a verdict that depends on the pair (a, u), so the count is not simply
+    # the trial count, and a record of every pair checked
+    seen = []
+
+    def verdict_by_pair(grid, a, u, theta, **kwargs):
+        key = hashlib.sha256(a.tobytes() + u.tobytes()).digest()
+        seen.append(key)
+        return 0.0, 0.0, key[0] % 2 == 0
+
+    monkeypatch.setattr(ap, "young_check", verdict_by_pair)
+    serial = ap.young_trials(theta, 12, seed=4)
+    pairs, seen[:] = list(seen), []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = ap.young_trials(theta, 12, seed=4, pool=pool)
+    assert pooled == serial == sum(k[0] % 2 == 0 for k in pairs)
+    assert sorted(seen) == sorted(pairs) and len(set(pairs)) == 12
+    monkeypatch.undo()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert ap.young_trials(theta, 2, seed=2, pool=pool) == 2

@@ -265,6 +265,70 @@ def test_aniso_quick(tmp_path):
     assert all(c["pass"] for c in a["checks"].values())
 
 
+def run_aniso_with_workers(monkeypatch, tmp_path, workers, cfg):
+    """aniso.json bytes of one aniso run on a pool of `workers` threads."""
+    monkeypatch.setattr(cli, "cpu_count", lambda: workers)
+    out = tmp_path / f"w{workers}"
+    rc = cli.main(["aniso", "--config", cfg, "--out", str(out), "--quiet"])
+    return rc, (out / "aniso.json").read_bytes()
+
+
+def test_aniso_same_bytes_on_one_and_two_workers(monkeypatch, tmp_path):
+    # the chart weight, so the flat-trace and kneading task runs
+    cfg = write_config(tmp_path, "aniso_w.json", {
+        "map": {"eps": 0.0}, "weight": {"id": "one"}, "n_max_aniso": 4,
+        "young_trials": 3, "seed": 3,
+    })
+    rc1, one = run_aniso_with_workers(monkeypatch, tmp_path, 1, cfg)
+    rc2, two = run_aniso_with_workers(monkeypatch, tmp_path, 2, cfg)
+    assert rc1 == rc2 == 0
+    assert one == two
+
+
+@pytest.mark.parametrize("module, name", [
+    ("blocks", "kneading_check"),  # the flat-trace and kneading task
+    ("partition", "young_check"),  # one Young trial
+])
+def test_aniso_failure_on_the_pool_exits_4(module, name, monkeypatch, tmp_path):
+    import importlib
+
+    from hypdet.errors import SingularResolvent
+
+    mod = importlib.import_module(f"hypdet.aniso.{module}")
+
+    def failing(*args, **kwargs):
+        raise SingularResolvent(f"injected in {name}")
+
+    monkeypatch.setattr(mod, name, failing)
+    cfg = write_config(tmp_path, "aniso_f.json", {
+        "map": {"eps": 0.0}, "weight": {"id": "zero"}, "n_max_aniso": 4,
+        "young_trials": 2, "seed": 2,
+    })
+    out = tmp_path / "of"
+    assert cli.main(["aniso", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    assert list(out.iterdir()) == []
+
+
+def test_aniso_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_path, capsys):
+    from hypdet.aniso import blocks
+    from hypdet.errors import GridTooCoarse, SingularResolvent
+
+    def failing(exc):
+        def f(*args, **kwargs):
+            raise exc
+        return f
+
+    # the pool task builds the kneading blocks first, but a serial run
+    # reaches the flat trace first
+    monkeypatch.setattr(blocks, "FlatTraceQuadrature", failing(GridTooCoarse("flat trace")))
+    monkeypatch.setattr(blocks, "BlockOperator", failing(SingularResolvent("kneading")))
+    cfg = write_config(tmp_path, "aniso_o.json", {
+        "map": {"eps": 0.0}, "n_max_aniso": 4, "young_trials": 1, "seed": 2,
+    })
+    assert cli.main(["aniso", "--config", cfg, "--out", str(tmp_path / "oo"), "--quiet"]) == 4
+    assert "flat trace" in capsys.readouterr().err
+
+
 def test_aniso_zero_weight(tmp_path):
     cfg = write_config(tmp_path, "aniso0.json", {
         "map": {"eps": 0.0}, "weight": {"id": "zero"},

@@ -377,3 +377,28 @@ def test_map_callables_take_and_return_batches(build, n, cat, cat_split, rng):
     assert np.asarray(sys_.weight(x)).shape == (n,)
     if sys_.periodic_part is not None:
         assert sys_.periodic_part(x).shape == (n, 2)
+
+
+def _clipped_plateau_step(t, lo, hi):
+    """maps._plateau_step in its former form, with t clipped to [lo, hi]."""
+    s = (np.clip(t, lo, hi) - lo) / (hi - lo)
+    up = maps._mollifier_f(1.0 - s)
+    down = maps._mollifier_f(s)
+    with np.errstate(invalid="ignore"):
+        val = up / (up + down)
+    val = np.where(s <= 0.0, 1.0, val)
+    return np.where(s >= 1.0, 0.0, val)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (math.radians(35), math.radians(55)),
+                                    (-3.0, 1e-3)])
+def test_plateau_step_needs_no_clip(lo, hi):
+    # its final np.where overwrite every point outside [lo, hi], so clipping t
+    # first changes no bit, also at the ends, their neighbouring floats and
+    # the extremes
+    width = hi - lo
+    ends = [np.nextafter(e, d) for e in (lo, hi) for d in (-np.inf, np.inf)]
+    t = np.concatenate([np.random.default_rng(11).uniform(lo - width, hi + width, 1_000_000),
+                        [lo, hi], ends, [1e308, -1e308, np.inf, -np.inf]])
+    got = maps._plateau_step(t, lo, hi)
+    assert np.array_equal(got.view(np.uint64), _clipped_plateau_step(t, lo, hi).view(np.uint64))
