@@ -274,7 +274,7 @@ def run_aniso_with_workers(monkeypatch, tmp_path, workers, cfg):
 
 
 def test_aniso_same_bytes_on_one_and_two_workers(monkeypatch, tmp_path):
-    # the chart weight, so the flat-trace and kneading task runs
+    # the chart weight, so the kneading and flat-trace task runs
     cfg = write_config(tmp_path, "aniso_w.json", {
         "map": {"eps": 0.0}, "weight": {"id": "one"}, "n_max_aniso": 4,
         "young_trials": 3, "seed": 3,
@@ -285,21 +285,17 @@ def test_aniso_same_bytes_on_one_and_two_workers(monkeypatch, tmp_path):
     assert one == two
 
 
-@pytest.mark.parametrize("module, name", [
-    ("blocks", "kneading_check"),  # the flat-trace and kneading task
-    ("partition", "young_check"),  # one Young trial
+@pytest.mark.parametrize("target", [
+    "hypdet.aniso.blocks.kneading_check",  # the kneading and flat-trace task
+    "hypdet.aniso.partition.young_check",  # one Young trial
 ])
-def test_aniso_failure_on_the_pool_exits_4(module, name, monkeypatch, tmp_path):
-    import importlib
-
+def test_aniso_failure_on_the_pool_exits_4(target, monkeypatch, tmp_path):
     from hypdet.errors import SingularResolvent
 
-    mod = importlib.import_module(f"hypdet.aniso.{module}")
-
     def failing(*args, **kwargs):
-        raise SingularResolvent(f"injected in {name}")
+        raise SingularResolvent(f"injected in {target}")
 
-    monkeypatch.setattr(mod, name, failing)
+    monkeypatch.setattr(target, failing)
     cfg = write_config(tmp_path, "aniso_f.json", {
         "map": {"eps": 0.0}, "weight": {"id": "zero"}, "n_max_aniso": 4,
         "young_trials": 2, "seed": 2,
