@@ -38,6 +38,11 @@ Y_SAFE = 6.0
 W_BLOCK = 1024
 # kneading_check refuses Id - z M_b with a larger condition number
 COND_LIMIT = 1e12
+# the chart grid of BlockOperator: its points bound supp G, its frequency
+# lattice holds the band modes, and its Nyquist limit caps the bands at n = 6
+CHART_GRID = BoxGrid(8.0, 1024)
+# decimated lattice modes per band in the compressed matrices
+PER_BAND = 16
 
 
 # ---------------------------------------------------------------------------
@@ -135,35 +140,34 @@ class BlockOperator:
     weight: object
     theta: Polarization
     theta_prime: Polarization
-    grid: BoxGrid
     n_max: int
     h_plus: int
     h_minus: int
     _support: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.grid.require_band(self.n_max)
-        pts = self.grid.points()
+        CHART_GRID.require_band(self.n_max)
+        pts = CHART_GRID.points()
         # grid points in supp G; they bound the quadrature grid of the entries
         self._support = pts[np.asarray(self.weight(pts)) > 1e-15]
 
     # -- compressed dense matrices -------------------------------------------
 
-    def compressed_matrices(self, n_max_mat: int, per_band: int = 24):
-        """(M, M_b, M_c, index) dense matrices on decimated band modes.
+    def compressed_matrices(self):
+        """(M, M_b, M_c, index) dense matrices on PER_BAND decimated modes of
+        each band n <= n_max.
 
         Entries are direct quadratures psi'(eta) psi~(xi) (1/|box|) int G
         e^{i (xi.T(x) - eta.x)} dx over supp G; the b/c split applies the
         hook mask blockwise.  index lists (band, mode) per matrix row.
         """
-        self.grid.require_band(n_max_mat)
-        bands = band_indices(n_max_mat)
-        lattice = self.grid.xi_points()
+        bands = band_indices(self.n_max)
+        lattice = CHART_GRID.xi_points()
         same_theta = self.theta == self.theta_prime
         modes_in, modes_out, idx = [], [], []
         for bi, (n, s) in enumerate(bands):
-            mo = band_modes(lattice, self.theta_prime, n, s, per_band)
-            mi = mo if same_theta else band_modes(lattice, self.theta, n, s, per_band)
+            mo = band_modes(lattice, self.theta_prime, n, s)
+            mi = mo if same_theta else band_modes(lattice, self.theta, n, s)
             modes_out.append(mo)
             modes_in.append(mi)
             idx.extend([(bi, k) for k in range(mo.shape[0])])
@@ -174,13 +178,13 @@ class BlockOperator:
         # the raw coefficient is (1/|box|) int G(x) e^{i xi.T(x)} e^{-i eta.x} dx
         # (the phases are the largest arrays of aniso: each exp and the
         # weighting run in place, with the arithmetic of the plain expressions)
-        X, w = self._quad_grid(n_max_mat)
+        X, w = self._quad_grid()
         phase_in_T = 1j * (self.sys.forward(X) @ xi.T)
         np.exp(phase_in_T, out=phase_in_T)
         phase_out_x = -1j * (X @ eta.T)
         np.exp(phase_out_x, out=phase_out_x)
         phase_out_x *= w[:, None]
-        area = (2.0 * self.grid.box_half) ** 2
+        area = (2.0 * CHART_GRID.box_half) ** 2
         C = phase_out_x.T @ phase_in_T / area
         del phase_in_T, phase_out_x
 
@@ -208,11 +212,11 @@ class BlockOperator:
         Mc = np.where(~linked, M, 0.0)
         return M, Mb, Mc, idx
 
-    def _quad_grid(self, n_max_mat: int):
+    def _quad_grid(self):
         pts = self._support
         lo = pts.min(axis=0) - 0.05
         hi = pts.max(axis=0) + 0.05
-        rate = 2.0 ** (n_max_mat + 1) * QUAD_PAD * 2.0
+        rate = 2.0 ** (self.n_max + 1) * QUAD_PAD * 2.0
         n_need = int(np.ceil(max(hi - lo) * rate / math.pi))
         n_side = max(QUAD_N, n_need)
         t1 = lo[0] + (hi[0] - lo[0]) * (np.arange(n_side) + 0.5) / n_side
@@ -224,15 +228,14 @@ class BlockOperator:
         return X[keep], wq[keep] * cell
 
 
-def band_modes(lattice: np.ndarray, theta: Polarization, n: int, sigma: str,
-               per_band: int) -> np.ndarray:
-    """Decimated modes of the frequency lattice (k, 2) carrying one band."""
+def band_modes(lattice: np.ndarray, theta: Polarization, n: int, sigma: str) -> np.ndarray:
+    """PER_BAND decimated modes of the frequency lattice (k, 2) carrying one band."""
     vals = np.asarray(dyadic_partition_eval(theta, n, sigma, lattice))
     cand = lattice[vals >= 0.5 * vals.max()]
     cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
-    if cand.shape[0] > per_band:
-        stride = cand.shape[0] / per_band
-        cand = cand[(np.arange(per_band) * stride).astype(int)]
+    if cand.shape[0] > PER_BAND:
+        stride = cand.shape[0] / PER_BAND
+        cand = cand[(np.arange(PER_BAND) * stride).astype(int)]
     return cand
 
 

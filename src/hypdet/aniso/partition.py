@@ -17,7 +17,7 @@ import scipy.fft as sfft
 from scipy.ndimage import map_coordinates, spline_filter
 
 from ..errors import GridTooCoarse
-from ..maps import Polarization, _angdist, _mollifier_f, _plateau_step
+from ..maps import Polarization, _angdist, _plateau_step
 
 # cubic spline interpolation of grid values along the mixed-norm lines
 SPLINE_ORDER = 3
@@ -27,6 +27,8 @@ DIRECTION_SHRINK = 0.95
 # trapezoid error on the shared line sample set, relative to the rhs
 YOUNG_REL_SLACK = 1e-6
 YOUNG_QUAD_SLACK = 2e-3
+# partition_sum_error samples a PARTITION_SIDE^2 lattice of frequencies
+PARTITION_SIDE = 512
 
 
 def mollifier_chi(s):
@@ -92,28 +94,14 @@ def _phi_tilde(theta: Polarization, xi, norm, tau: str):
     safe = np.maximum(norm, 1e-300)
     unit = xi / safe[..., None]
     t_p = _angdist(np.arctan2(unit[..., 1], unit[..., 0]), theta.axis_plus)
-    gap = _angdist(theta.axis_plus, theta.axis_minus) - theta.half_plus - theta.half_minus
     if tau == "+":
         # transition inside C_-: from its boundary to the half-margin inner cone
         lo = _angdist(theta.axis_plus, theta.axis_minus) - theta.half_minus
-        hi = lo + 0.5 * theta.half_minus
-        return 1.0 - _smooth01(t_p, lo, hi)
+        return _plateau_step(t_p, lo, lo + 0.5 * theta.half_minus)
     if tau == "-":
         # zero on the shrunk C~_+, one outside C_+
-        hi = theta.half_plus
-        lo = 0.5 * theta.half_plus
-        return _smooth01(t_p, lo, hi)
+        return 1.0 - _plateau_step(t_p, 0.5 * theta.half_plus, theta.half_plus)
     raise ValueError("tau must be '+' or '-'")
-
-
-def _smooth01(t, lo, hi):
-    """Smooth 0 -> 1 ramp on [lo, hi]."""
-    s = (np.clip(t, lo, hi) - lo) / (hi - lo)
-    up = _mollifier_f(s)
-    down = _mollifier_f(1.0 - s)
-    with np.errstate(invalid="ignore"):
-        v = np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, up / (up + down)))
-    return v
 
 
 def psi_tilde_eval(theta: Polarization, ell: int, tau: str, xi):
@@ -310,10 +298,11 @@ def _young_trial(grid: BoxGrid, pts: np.ndarray, theta: Polarization, draw) -> b
                        n_dirs=9, n_offsets=65, line_samples=384)[2]
 
 
-def partition_sum_error(theta: Polarization, n_max: int, side: int = 512) -> float:
+def partition_sum_error(theta: Polarization, n_max: int) -> float:
     """max |sum of psi_{Theta,n,sigma} over n <= n_max + 3, sigma - 1| on the
-    side^2 lattice of [-2^n_max, 2^n_max]^2 restricted to |xi| <= 2^n_max."""
-    t = np.linspace(-(2.0**n_max), 2.0**n_max, side)
+    PARTITION_SIDE^2 lattice of [-2^n_max, 2^n_max]^2 restricted to
+    |xi| <= 2^n_max."""
+    t = np.linspace(-(2.0**n_max), 2.0**n_max, PARTITION_SIDE)
     XI = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
     XI = XI[np.linalg.norm(XI, axis=1) <= 2.0**n_max]
     return float(np.max(np.abs(dyadic_partition_sum(theta, XI, n_max + 3) - 1.0)))

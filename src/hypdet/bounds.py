@@ -214,11 +214,10 @@ def q_star_cover(sys: MapSystem, split: SplittingField, p: float, q: float,
     full_sum = float(math.fsum(values))
 
     # greedy weighted set cover of the witness cloud
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i][0])
     covered = np.zeros(n_pts, dtype=bool)
     greedy_sum = 0.0
     chosen = 0
-    remaining = set(order)
+    remaining = set(range(len(nodes)))
     while covered.sum() < n_pts and remaining:
         best, best_score, best_new = None, math.inf, 0
         for i in remaining:
@@ -307,7 +306,7 @@ def rho_star_partition(sys: MapSystem, split: SplittingField, p: float, q: float
             for e in range(n_phi):
                 v = vals * tk[e]
                 keep = v >= PRUNE_SUP
-                if np.any(v[keep] >= PRUNE_SUP):
+                if np.any(keep):
                     nxt.append((idx[keep], v[keep]))
             if len(nxt) > budget:
                 raise BudgetExceeded(f"partition itineraries exceeded {budget}")
@@ -338,8 +337,7 @@ def pressure_periodic(sys: MapSystem, pts_by_m: dict, phi) -> dict:
 
 
 def periodic_exponents(sys: MapSystem, m_range) -> dict:
-    """m -> (lambda, nu) at the points of Fix(T^m), for sharing between
-    q_variational calls with different (p, q).
+    """m -> (lambda, nu) at the points of Fix(T^m).
 
     At x in Fix(T^m), DT^m(x) maps E^u(x) and E^s(x) to themselves, so nu is
     the modulus of the larger eigenvalue of the stored DT^m,
@@ -359,18 +357,16 @@ def periodic_exponents(sys: MapSystem, m_range) -> dict:
     return out
 
 
-def q_variational(sys: MapSystem, p: float, q: float, m_range, exponents=None) -> dict:
+def q_variational(sys: MapSystem, p: float, q: float, m_range) -> dict:
     """Pressure-route estimate of Q^{p,q} from periodic sums of the
     potential |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}|.
 
     If the weight vanishes somewhere on the sampled orbits the positive
     floor sqrt(g^2 + 1/n^2), n = WEIGHT_FLOOR_N, is substituted and n reported.
-    exponents, when given, is periodic_exponents(sys, m_range).
     """
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
-    if exponents is None:
-        exponents = periodic_exponents(sys, m_range)
+    exponents = periodic_exponents(sys, m_range)
     ms, sums = [], []
     floor_used = None
     for m in m_range:
@@ -393,19 +389,19 @@ def q_variational(sys: MapSystem, p: float, q: float, m_range, exponents=None) -
     }
 
 
-def compare_routes(rho_report: dict, q_report: dict, tol_cross: float = DEFAULT_CROSS_TOL) -> dict:
+def compare_routes(rho_report: dict, q_report: dict) -> dict:
     gap = abs(math.log(rho_report["estimate"]) - math.log(q_report["estimate"]))
     report = {
         "rho_estimate": rho_report["estimate"],
         "q_estimate": q_report["estimate"],
         "log_gap": gap,
-        "tol": tol_cross,
-        "pass": gap <= tol_cross,
+        "tol": DEFAULT_CROSS_TOL,
+        "pass": gap <= DEFAULT_CROSS_TOL,
         "rho_route": rho_report,
         "q_route": q_report,
     }
-    if not gap <= tol_cross:  # a NaN gap fails too
-        raise CrossCheckFailed(f"log gap {gap:.4f} exceeds {tol_cross}", data=report)
+    if not gap <= DEFAULT_CROSS_TOL:  # a NaN gap fails too
+        raise CrossCheckFailed(f"log gap {gap:.4f} exceeds {DEFAULT_CROSS_TOL}", data=report)
     return report
 
 
@@ -460,13 +456,13 @@ def appendixB_check(rows, p: float, q: float) -> dict:
     return report
 
 
-def kitaev_crosscheck(sys: MapSystem, p: float, q: float, rows,
-                      tol_cross: float = DEFAULT_CROSS_TOL) -> dict:
-    """Assert the integral route (rho of the bound_table rows) and the
-    variational route over the same m agree in log scale."""
+def kitaev_crosscheck(sys: MapSystem, p: float, q: float, rows) -> dict:
+    """Assert the integral route (rho of the rows, each with the keys m, rho
+    and rho_stderr of a bound_table row) and the variational route over the
+    same m agree in log scale, to DEFAULT_CROSS_TOL."""
     per_m = {r["m"]: r["rho"] for r in rows}
     rho_report = log_linear_fit(list(per_m), np.log(list(per_m.values())))
     rho_report["per_m"] = per_m
     rho_report["stderr"] = {r["m"]: r["rho_stderr"] for r in rows}
     q_report = q_variational(sys, p, q, list(per_m))
-    return compare_routes(rho_report, q_report, tol_cross)
+    return compare_routes(rho_report, q_report)

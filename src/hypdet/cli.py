@@ -67,7 +67,11 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         types = typing.get_type_hints(cls)
+        if not isinstance(d, dict):
+            raise ValueError(f"a config is a JSON object, got {d!r}")
         m = d.get("map", {})
+        if not isinstance(m, dict):
+            raise ValueError(f"map must be a JSON object, got {m!r}")
         # a misspelt key would otherwise run the default without a word
         top = {k for k in types if k not in MAP_KEYS} | {"map"}
         unknown = ([k for k in d if k not in top]
@@ -159,9 +163,10 @@ def build_weight(spec: dict):
         unknown = set(terms) - set(WEIGHT_BASIS)
         if unknown:
             raise ValueError(f"unknown weight basis elements: {sorted(unknown)}")
+        terms = {k: float(c) for k, c in terms.items()}
 
         def w(x):
-            return sum(float(c) * WEIGHT_BASIS[k](x) for k, c in terms.items())
+            return sum(c * WEIGHT_BASIS[k](x) for k, c in terms.items())
 
         return w
     raise ValueError(f"unknown weight id {wid!r}")
@@ -285,17 +290,18 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
     # both routes fit the largest EXTRAPOLATION_POINTS m values; validate
     # keeps them above the m = 1 transient
     m_fit = list(range(cfg.m_max - bd.EXTRAPOLATION_POINTS + 1, cfg.m_max + 1))
+    if cfg.negative_control:
+        # deliberately mismatched exponents: the integral route at q = 0
+        fit_rows = []
+        for m in m_fit:
+            rho, se = bd.rho_pq_m(sys_, split, cfg.p, 0.0, m, n_samples=cfg.mc_samples,
+                                  seed=cfg.seed + m)
+            fit_rows.append({"m": m, "rho": rho, "rho_stderr": se})
+    else:
+        fit_rows = [r for r in rows if r["m"] in m_fit]
     failures = []
     try:
-        if cfg.negative_control:
-            # deliberately mismatched exponents between the two routes
-            rho = [bd.rho_pq_m(sys_, split, cfg.p, 0.0, m, n_samples=cfg.mc_samples,
-                               seed=cfg.seed + m)[0] for m in m_fit]
-            cross = bd.compare_routes(bd.log_linear_fit(m_fit, np.log(rho)),
-                                      bd.q_variational(sys_, cfg.p, cfg.q, m_fit))
-        else:
-            cross = bd.kitaev_crosscheck(sys_, cfg.p, cfg.q,
-                                         [r for r in rows if r["m"] in m_fit])
+        cross = bd.kitaev_crosscheck(sys_, cfg.p, cfg.q, fit_rows)
     except CrossCheckFailed as exc:
         cross = exc.data
         failures.append("kitaev")
@@ -390,9 +396,9 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
         else:
             block10 = ablocks.BlockOperator(
                 sys=it10, weight=weight, theta=theta, theta_prime=theta_prime,
-                grid=apart.BoxGrid(8.0, 1024), n_max=n_mat, h_plus=hp10, h_minus=hm10,
+                n_max=n_mat, h_plus=hp10, h_minus=hm10,
             )
-            M, Mb, Mc, _ = block10.compressed_matrices(n_max_mat=n_mat, per_band=16)
+            M, Mb, Mc, _ = block10.compressed_matrices()
             knead = ablocks.kneading_check(M, Mb, Mc, zs)
         return {"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]}
 
@@ -443,9 +449,14 @@ def cmd_report(output_dir: str, quiet: bool = False) -> int:
         path = os.path.join(output_dir, name)
         if os.path.exists(path):
             try:
-                found[name] = reports.read_json(path)
+                rep = reports.read_json(path)
             except ValueError as exc:  # truncated or not JSON
                 raise MissingArtifacts(f"{path} is not a readable report: {exc}") from exc
+            head = rep.get("meta") if isinstance(rep, dict) else None
+            if not (isinstance(head, dict) and {"config_hash", "seed"} <= head.keys()):
+                raise MissingArtifacts(f"{path} is not a report: no meta.config_hash and "
+                                       "meta.seed")
+            found[name] = rep
     if not found:
         raise MissingArtifacts(f"no report files in {output_dir!r}")
     gaps = [n for n in names if n not in found]

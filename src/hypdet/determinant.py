@@ -131,7 +131,7 @@ def det_zeros(dp: DeterminantPoly, radius: float):
     for center, mult in _cluster_roots([complex(r) for r in roots]):
         if abs(center) >= radius:
             continue
-        val, denom = _eval_poly(c, center)
+        val, denom = _eval_poly(c[: deg + 1], center)
         backward = abs(val) / denom if denom > 0 else math.inf
         if backward > BACKWARD_ERROR_THRESHOLD:
             warnings.warn(
@@ -220,10 +220,8 @@ def zeta_product(sys: MapSystem, N: int) -> np.ndarray:
 
 def validity_radius(sys: MapSystem, p: float, q: float):
     """(1/Q^{p,q}, 1/Q^{0,0}) from the variational pressure route."""
-    # one exponent evaluation per m serves both the (p, q) and (0, 0) sums
-    exps = bounds.periodic_exponents(sys, VALIDITY_M_RANGE)
-    qpq = bounds.q_variational(sys, p, q, VALIDITY_M_RANGE, exponents=exps)["estimate"]
-    q00 = bounds.q_variational(sys, 0.0, 0.0, VALIDITY_M_RANGE, exponents=exps)["estimate"]
+    qpq = bounds.q_variational(sys, p, q, VALIDITY_M_RANGE)["estimate"]
+    q00 = bounds.q_variational(sys, 0.0, 0.0, VALIDITY_M_RANGE)["estimate"]
     return 1.0 / qpq, 1.0 / q00
 
 

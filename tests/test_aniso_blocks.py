@@ -5,7 +5,6 @@ import pytest
 
 from hypdet import maps
 from hypdet.aniso import blocks as ab
-from hypdet.aniso import partition as ap
 from hypdet.errors import EmptyConstraintSet, SingularResolvent
 
 
@@ -15,16 +14,11 @@ def chart0():
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return ap.BoxGrid(8.0, 1024)
-
-
-@pytest.fixture(scope="module")
-def block(chart0, grid):
+def block(chart0):
     sys_, theta, theta_p = chart0
     hp, hm = ab.h_exponents(sys_, maps.chart_weight, theta, theta_p)
     return ab.BlockOperator(sys=sys_, weight=maps.chart_weight, theta=theta,
-                            theta_prime=theta_p, grid=grid, n_max=6, h_plus=hp, h_minus=hm)
+                            theta_prime=theta_p, n_max=6, h_plus=hp, h_minus=hm)
 
 
 @pytest.fixture(scope="module")
@@ -194,13 +188,13 @@ def test_band_traces_sum_to_chi_trace(chart0):
     assert quad_h.partial_sum(4) == pytest.approx(0.5 * quad.partial_sum(4), rel=1e-12)
 
 
-def test_kneading_full(chart0, iter10, grid):
+def test_kneading_full(chart0, iter10):
     sys_, theta, theta_p = chart0
     it10, hp10, hm10 = iter10
     b10 = ab.BlockOperator(sys=it10, weight=maps.chart_weight, theta=theta,
-                           theta_prime=theta_p, grid=grid, n_max=4,
+                           theta_prime=theta_p, n_max=4,
                            h_plus=hp10, h_minus=hm10)
-    M, Mb, Mc, idx = b10.compressed_matrices(n_max_mat=4, per_band=16)
+    M, Mb, Mc, idx = b10.compressed_matrices()
     assert np.max(np.abs(M - (Mb + Mc))) == 0.0
     zs = 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
     rep = ab.kneading_check(M, Mb, Mc, zs)

@@ -98,7 +98,7 @@ def test_interp_prefiltered_once_is_exact(kind, rng):
 
 
 def test_partition_sums_to_one(theta, rng):
-    assert ap.partition_sum_error(theta, 9, side=512) <= 1e-12
+    assert ap.partition_sum_error(theta, 9) <= 1e-12
 
 
 def test_psi_tilde_covers_psi_support(theta, rng):
@@ -112,12 +112,12 @@ def test_psi_tilde_covers_psi_support(theta, rng):
 
 
 def test_grid_too_coarse():
-    # band 8 needs |xi| up to 512; 128 pixels on [-8, 8) resolve only 8 pi
+    # band 7 needs |xi| up to 256; the 1024 pixels of CHART_GRID on [-8, 8)
+    # resolve only 64 pi
     sys_, theta, theta_p = maps.builtin_chart_model(0.0)
     with pytest.raises(GridTooCoarse):
         ab.BlockOperator(sys=sys_, weight=maps.chart_weight, theta=theta,
-                         theta_prime=theta_p, grid=ap.BoxGrid(8.0, 128), n_max=8,
-                         h_plus=5, h_minus=-6)
+                         theta_prime=theta_p, n_max=7, h_plus=5, h_minus=-6)
 
 
 def _psi_hat_lattice(theta, n, sigma, v_pts, dxi):

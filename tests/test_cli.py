@@ -383,11 +383,17 @@ def test_report_empty_dir(tmp_path):
     assert rc == 4
 
 
-def test_report_truncated_json_is_a_bad_artifact(tmp_path, capsys):
-    (tmp_path / "bounds.json").write_text('{"meta": {"config_hash": "x", "seed": 1}, "per_m": [')
+@pytest.mark.parametrize("name,payload", [
+    ("bounds.json", '{"meta": {"config_hash": "x", "seed": 1}, "per_m": ['),
+    # the next two parse, but have no meta.config_hash and meta.seed
+    ("match.json", "[]"),
+    ("match.json", "{}"),
+], ids=["truncated", "list", "no-meta"])
+def test_report_truncated_json_is_a_bad_artifact(name, payload, tmp_path, capsys):
+    (tmp_path / name).write_text(payload)
     assert cli.main(["report", "--out", str(tmp_path), "--quiet"]) == 4
     err = capsys.readouterr().err
-    assert "bounds.json" in err and len(err.strip().splitlines()) == 1
+    assert name in err and len(err.strip().splitlines()) == 1
 
 
 def test_config_error_exit_code(tmp_path):
@@ -475,6 +481,7 @@ def test_each_run_builds_its_map_and_weight_once(command, payload, monkeypatch, 
     ("resonances", {"id": "constant", "value": "five"}),
     ("aniso", {"id": "constant", "value": 5.0}),  # aniso runs one and zero only
     ("aniso", {"id": "zer0"}),
+    ("bounds", {"id": "expression", "terms": {"one": "a"}}),  # a coefficient that is no number
 ])
 def test_weight_spec_the_command_does_not_run_is_a_config_error(command, weight, tmp_path,
                                                                  capsys):
@@ -510,6 +517,8 @@ def test_run_config_roundtrip():
     {"N_det": True},  # a bool for an int
     {"det_radius": False},  # a bool for a float
     {"map": {"id": "cat", "seed": 1.5}},
+    [],  # a top level that is not an object
+    {"map": 5},  # a map that is not an object
 ])
 def test_config_value_of_wrong_type_rejected(payload, tmp_path):
     with pytest.raises(ValueError):

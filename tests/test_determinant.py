@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hypdet import determinant as det
 from hypdet import maps, orbits
-from hypdet.errors import OrientationNotTrivial
+from hypdet.errors import IllConditionedRoot, OrientationNotTrivial
 
 LAM = maps.CAT_LAMBDA
 
@@ -97,6 +98,19 @@ def test_det_zeros_synthetic_two_roots():
     vals = sorted(abs(z["zero"]) for z in good)
     assert len(vals) == 2
     assert abs(vals[0] - 1.0) < 1e-8 and abs(vals[1] - 2.0) < 1e-6
+
+
+def test_det_zeros_backward_error_on_the_trimmed_polynomial():
+    # d(z) = (1 - z)(1 - z/30) with a roundoff tail c_3..c_12 = 1e-15, which
+    # det_zeros trims before solving; over all 13 coefficients the tail times
+    # 30^12 would swamp the residual at z = 30
+    c = np.concatenate([[1.0, -(1.0 + 1.0 / 30.0), 1.0 / 30.0], np.full(10, 1e-15)])
+    dp = det.DeterminantPoly(coeffs=c, validity_radius=math.inf, coarse_radius=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedRoot)
+        zeros = det.det_zeros(dp, 40.0)
+    assert [round(abs(z["zero"]), 10) for z in zeros] == [1.0, 30.0]
+    assert all(z["backward_error"] <= 1e-15 for z in zeros)
 
 
 def test_zero_stability_under_truncation_doubling(cat, pcat):
