@@ -34,8 +34,13 @@ QUAD_PAD = 1.3
 # flat traces: room added to the largest displacement |T(x) - x| when the
 # frequency-lattice spacing is chosen
 Y_SAFE = 6.0
-# points per block of the x-sum that builds the flat-trace kernel W
-W_BLOCK = 1024
+# points per block of the x-sum that builds the flat-trace kernel W; a gemm
+# over at most 512 points gets the same bits from one and two OpenBLAS
+# threads (over 600 or 744 points it does not)
+W_BLOCK = 512
+# e^{i k phi} tables of the flat-trace kernel are products of a coarse table
+# in steps of POWER_SPLIT and a fine one of POWER_SPLIT entries
+POWER_SPLIT = 32
 # kneading_check refuses Id - z M_b with a larger condition number
 COND_LIMIT = 1e12
 # the chart grid of BlockOperator: its points bound supp G, its frequency
@@ -251,7 +256,9 @@ class FlatTraceQuadrature:
     tr_flat(M_zeta_zeta) = int psi_zeta(T(x) - x) -hat kernel- G(x) dx is
     evaluated as (dxi^2 / (2 pi)^2) sum_j psi_zeta(xi_j) W(xi_j) with
     W(xi) = int e^{i (T(x)-x) . xi} G(x) dx computed once; partial sums over
-    bands then telescope exactly against the chi_{n0} version.
+    bands then telescope exactly against the chi_{n0} version.  _W holds
+    Re W only: the partition functions are real and the traces are real, so
+    the imaginary part of W never reaches a trace.
     """
 
     sys: MapSystem
@@ -283,15 +290,21 @@ class FlatTraceQuadrature:
         self._W = _phase_kernel(self.dxi * (self.sys.forward(X) - X), wq * cell, j)
         XI1, XI2 = np.meshgrid(j * self.dxi, j * self.dxi, indexing="ij")
         self._xi = np.stack([XI1.ravel(), XI2.ravel()], axis=-1)
+        self._norm = np.linalg.norm(self._xi, axis=1)
 
     def _lip_t_minus_i(self, pts):
         J = self.sys.jacobian(pts) - np.eye(2)
         return float(np.max(np.linalg.norm(J, axis=(1, 2)))) * 1.1
 
     def band_trace(self, n: int, sigma: str) -> float:
-        vals = np.asarray(dyadic_partition_eval(self.theta, n, sigma, self._xi))
-        s = np.sum(vals * self._W.ravel()) * self.dxi**2 / TWO_PI**2
-        return float(s.real)
+        """Flat trace of one diagonal block, summed over its band's annulus
+        2^{n-1} < |xi| < 2^{n+1} (|xi| < 2 for n = 0), where it is nonzero."""
+        inside = self._norm < 2.0 ** (n + 1)
+        if n > 0:
+            inside &= self._norm > 2.0 ** (n - 1)
+        vals = dyadic_partition_eval(self.theta, n, sigma, self._xi[inside])
+        s = np.sum(vals * self._W.ravel()[inside]) * self.dxi**2 / TWO_PI**2
+        return float(s)
 
     def partial_sum(self, n0: int) -> float:
         """sum of band traces over n <= n0, both sigma."""
@@ -299,10 +312,9 @@ class FlatTraceQuadrature:
 
     def chi_trace(self, n0: int) -> float:
         """int chi_hat_{n0}(T(x)-x) G(x) dx on the same lattice (telescoped form)."""
-        norm = np.linalg.norm(self._xi, axis=1)
-        vals = chi_n(norm, n0)
+        vals = chi_n(self._norm, n0)
         s = np.sum(vals * self._W.ravel()) * self.dxi**2 / TWO_PI**2
-        return float(s.real)
+        return float(s)
 
     def fixed_point_value(self) -> float:
         """Oracle limit: sum over fixed points in supp G of G/|det(Id-DT)|."""
@@ -327,18 +339,43 @@ class FlatTraceQuadrature:
 
 
 def _phase_kernel(phase: np.ndarray, w: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """W[j1, j2] = sum_x w(x) e^{i (j1 phase_1(x) + j2 phase_2(x))}.
+    """Re W[j1, j2] = sum_x w(x) cos(j1 phase_1(x) + j2 phase_2(x)), j = -n..n.
 
-    One gemm of phase blocks per W_BLOCK points x, so no phase matrix spans
-    every x.
+    Only the real part: every reader weighs W with a real partition
+    function and keeps the real part of the sum.  For real w it is even,
+    Re W(-xi) = Re W(xi), so only the rows j1 >= 0 are summed, from
+    P = sum w cos(j1 phase_1) cos(j2 phase_2) and Q = sum w sin sin over
+    j1, j2 >= 0 (one real gemm each per block of W_BLOCK points x, so no
+    table spans every x): Re W is P - Q at j2 >= 0 and P + Q at -j2, and
+    the rows j1 < 0 are the mirror image of the rows j1 > 0.
     """
-    W = np.zeros((j.size, j.size), dtype=complex)
+    n = j.size // 2
+    P = np.zeros((n + 1, n + 1))
+    Q = np.zeros((n + 1, n + 1))
     for b in range(0, w.size, W_BLOCK):
         blk = slice(b, b + W_BLOCK)
-        P1 = w[blk, None] * np.exp(1j * np.outer(phase[blk, 0], j))
-        P2 = np.exp(1j * np.outer(phase[blk, 1], j))
-        W += P1.T @ P2
-    return W
+        C1, S1 = _cos_sin_powers(phase[blk, 0], n)
+        C2, S2 = _cos_sin_powers(phase[blk, 1], n)
+        wb = w[blk, None]
+        P += (wb * C1).T @ C2
+        Q += (wb * S1).T @ S2
+    R = np.hstack([(P + Q)[:, :0:-1], P - Q])
+    return np.concatenate([R[1:][::-1, ::-1], R])
+
+
+def _cos_sin_powers(phi: np.ndarray, n: int) -> tuple:
+    """(cos, sin) of k phi for k = 0..n, one row per point of phi.
+
+    e^{i k phi} is the product of a coarse table e^{i POWER_SPLIT a phi} and
+    a fine one e^{i b phi}, k = POWER_SPLIT a + b, so only
+    n / POWER_SPLIT + POWER_SPLIT complex exponentials are taken per point.
+    """
+    a = np.arange(n // POWER_SPLIT + 1) * POWER_SPLIT
+    b = np.arange(POWER_SPLIT)
+    coarse = np.exp(1j * np.outer(phi, a))
+    fine = np.exp(1j * np.outer(phi, b))
+    E = (coarse[:, :, None] * fine[:, None, :]).reshape(phi.size, -1)[:, : n + 1]
+    return E.real, E.imag
 
 
 # ---------------------------------------------------------------------------

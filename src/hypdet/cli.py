@@ -146,11 +146,14 @@ def build_weight(spec: dict):
     if wid == "one":
         return None  # builtin default weight
     if wid == "constant":
-        c = float(spec.get("value", 1.0))
+        c = _typed("weight.value", float, spec.get("value", 1.0))
         return lambda x, c=c: np.full(x.shape[0], c)
     if wid == "bump":
-        center = np.asarray(spec.get("center", [0.5, 0.5]), dtype=float)
-        width = float(spec.get("width", 0.25))
+        center = spec.get("center", [0.5, 0.5])
+        if not (isinstance(center, list) and len(center) == 2):
+            raise ValueError(f"weight.center must be a list of two numbers, got {center!r}")
+        center = np.array([_typed("weight.center", float, c) for c in center])
+        width = _typed("weight.width", float, spec.get("width", 0.25))
 
         def w(x):
             d = x - center
@@ -160,10 +163,12 @@ def build_weight(spec: dict):
         return w
     if wid == "expression":
         terms = spec.get("terms", {"one": 1.0})
+        if not isinstance(terms, dict):
+            raise ValueError(f"weight.terms must be an object, got {terms!r}")
         unknown = set(terms) - set(WEIGHT_BASIS)
         if unknown:
             raise ValueError(f"unknown weight basis elements: {sorted(unknown)}")
-        terms = {k: float(c) for k, c in terms.items()}
+        terms = {k: _typed(f"weight.terms.{k}", float, c) for k, c in terms.items()}
 
         def w(x):
             return sum(c * WEIGHT_BASIS[k](x) for k, c in terms.items())

@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hypdet import maps
 from hypdet.aniso import blocks as ab
+from hypdet.aniso.partition import dyadic_partition_eval
 from hypdet.errors import EmptyConstraintSet, SingularResolvent
 
 
@@ -163,18 +168,67 @@ def test_flat_trace_kernel_from_phase_blocks(chart0, monkeypatch):
     quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=4)
     assert seen["w"].size > ab.W_BLOCK  # more than one block of x points
     ref = _kernel_by_powers(**seen)
-    assert np.max(np.abs(quad._W - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(quad._W - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def shifted_weight(x):
+    """The chart bump moved off the fixed point at the origin."""
+    return maps.chart_weight(x - np.array([0.0, 0.55]))
 
 
 def test_flat_trace_no_fixed_point(chart0):
     sys_, theta, theta_p = chart0
-
-    def shifted_weight(x):
-        return maps.chart_weight(x - np.array([0.0, 0.55]))
-
     quad = ab.FlatTraceQuadrature(sys_, shifted_weight, theta_p, n0_max=8)
     assert quad.fixed_point_value() == 0.0
     assert abs(quad.partial_sum(8)) <= 1e-3
+
+
+def test_flat_trace_kernel_is_real_part_for_odd_weight(chart0, monkeypatch):
+    # the shifted weight is not even, so W itself is not real: the kernel
+    # must keep Re W, mirrored bit for bit, and drop a part that matters
+    sys_, theta, theta_p = chart0
+    seen = {}
+    kernel = ab._phase_kernel
+
+    def spy(phase, w, j):
+        seen.update(phase=phase, w=w, j=j)
+        return kernel(phase, w, j)
+
+    monkeypatch.setattr(ab, "_phase_kernel", spy)
+    W = ab.FlatTraceQuadrature(sys_, shifted_weight, theta_p, n0_max=4)._W
+    ref = _kernel_by_powers(**seen)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) >= 0.1 * scale
+    assert np.max(np.abs(W - ref.real)) <= 1e-13 * scale
+    assert np.array_equal(W, W[::-1, ::-1])
+
+
+def test_band_trace_is_full_lattice_sum(chart0):
+    # each band is summed on its annulus only; the full-lattice sum of the
+    # band's partition function times W is the same trace
+    sys_, theta, theta_p = chart0
+    quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=8)
+    for n in range(9):
+        for s in "+-":
+            vals = dyadic_partition_eval(theta_p, n, s, quad._xi)
+            full = np.sum(vals * quad._W.ravel()) * quad.dxi**2 / ab.TWO_PI**2
+            assert quad.band_trace(n, s) == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+def test_flat_trace_kernel_same_bits_on_one_and_two_blas_threads():
+    # the W_BLOCK gemms are not split along the points differently by the
+    # two thread counts, so W has one set of bits
+    src = str(pathlib.Path(ab.__file__).parents[2])
+    run = ("import hashlib; from hypdet import maps; from hypdet.aniso import blocks; "
+           "s, th, thp = maps.builtin_chart_model(0.0); "
+           "q = blocks.FlatTraceQuadrature(s, maps.chart_weight, thp, n0_max=8); "
+           "print(hashlib.sha256(q._W.tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        digests.add(subprocess.run([sys.executable, "-c", run], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert len(digests) == 1
 
 
 def test_band_traces_sum_to_chi_trace(chart0):

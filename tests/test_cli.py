@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -491,6 +495,22 @@ def test_weight_spec_the_command_does_not_run_is_a_config_error(command, weight,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("weight", [
+    *({"id": "constant", "value": v} for v in (None, [], {})),
+    *({"id": "bump", "width": v} for v in (None, [], {})),
+    *({"id": "bump", "center": [0.5, v]} for v in (None, [], {})),
+    {"id": "bump", "center": 5},  # a center that is not a list of two
+    {"id": "bump", "center": [0.5]},
+    *({"id": "expression", "terms": {"one": v}} for v in (None, [], {})),
+    *({"id": "expression", "terms": v} for v in (None, [], 5)),  # terms not an object
+])
+def test_weight_number_of_wrong_type_is_a_config_error(weight, tmp_path, capsys):
+    bad = write_config(tmp_path, "weight.json", {"weight": weight})
+    assert cli.main(["bounds", "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("config error: weight.")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_config_roundtrip():
     cfg = cli.RunConfig.from_dict({
         "map": {"id": "perturbed_cat", "eps": 0.02, "seed": 3},
@@ -597,3 +617,28 @@ def test_aniso_rerun_byte_identical(tmp_path):
         assert cli.main(["aniso", "--config", cfg, "--out", out, "--quiet"]) == 0
         reps.append(open(out + "/aniso.json", "rb").read())
     assert reps[0] == reps[1]
+
+
+def test_aniso_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # the flat-trace kernel and every other aniso check give the same bits
+    # with one and two OpenBLAS threads; the kneading residual is a roundoff
+    # measurement of LAPACK calls that do not, so its value is masked
+    cfg = write_config(tmp_path, "aniso_b.json", {
+        "map": {"eps": 0.0}, "weight": {"id": "one"}, "n_max_aniso": 6,
+        "young_trials": 2, "seed": 7,
+    })
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    run = "import sys; from hypdet import cli; sys.exit(cli.main(sys.argv[1:]))"
+    texts, residuals = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", run, "aniso", "--config", cfg,
+                        "--out", str(out), "--quiet"], env=env, check=True)
+        text = (out / "aniso.json").read_text()
+        residuals.append(json.loads(text)["checks"]["kneading"]["max_rel_err"])
+        masked, count = re.subn(r'"max_rel_err": [^,\n]+', '"max_rel_err": _', text)
+        assert count == 1
+        texts.append(masked)
+    assert texts[0] == texts[1]
+    assert max(residuals) <= 1e-8
