@@ -155,8 +155,9 @@ def _kernel_by_powers(phase, w, j):
     return P1 @ E2[:, None] ** j[None, :]
 
 
-def test_flat_trace_kernel_from_phase_blocks(chart0, monkeypatch):
-    sys_, theta, theta_p = chart0
+def _kernel_and_reference(monkeypatch, sys_, weight, theta_p):
+    """W of a FlatTraceQuadrature at n0_max 4, the arguments its _phase_kernel
+    call got, and _kernel_by_powers of them."""
     seen = {}
     kernel = ab._phase_kernel
 
@@ -165,10 +166,15 @@ def test_flat_trace_kernel_from_phase_blocks(chart0, monkeypatch):
         return kernel(phase, w, j)
 
     monkeypatch.setattr(ab, "_phase_kernel", spy)
-    quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=4)
+    W = ab.FlatTraceQuadrature(sys_, weight, theta_p, n0_max=4)._W
+    return W, seen, _kernel_by_powers(**seen)
+
+
+def test_flat_trace_kernel_from_phase_blocks(chart0, monkeypatch):
+    sys_, theta, theta_p = chart0
+    W, seen, ref = _kernel_and_reference(monkeypatch, sys_, maps.chart_weight, theta_p)
     assert seen["w"].size > ab.W_BLOCK  # more than one block of x points
-    ref = _kernel_by_powers(**seen)
-    assert np.max(np.abs(quad._W - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(W - ref.real)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def shifted_weight(x):
@@ -187,16 +193,7 @@ def test_flat_trace_kernel_is_real_part_for_odd_weight(chart0, monkeypatch):
     # the shifted weight is not even, so W itself is not real: the kernel
     # must keep Re W, mirrored bit for bit, and drop a part that matters
     sys_, theta, theta_p = chart0
-    seen = {}
-    kernel = ab._phase_kernel
-
-    def spy(phase, w, j):
-        seen.update(phase=phase, w=w, j=j)
-        return kernel(phase, w, j)
-
-    monkeypatch.setattr(ab, "_phase_kernel", spy)
-    W = ab.FlatTraceQuadrature(sys_, shifted_weight, theta_p, n0_max=4)._W
-    ref = _kernel_by_powers(**seen)
+    W, _, ref = _kernel_and_reference(monkeypatch, sys_, shifted_weight, theta_p)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(ref.imag)) >= 0.1 * scale
     assert np.max(np.abs(W - ref.real)) <= 1e-13 * scale
