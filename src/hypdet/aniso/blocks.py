@@ -19,6 +19,7 @@ from ..errors import EmptyConstraintSet, SingularResolvent
 from ..maps import MapSystem, Polarization
 from .partition import (
     BoxGrid,
+    annulus,
     chi_n,
     dyadic_partition_eval,
     psi_tilde_eval,
@@ -167,15 +168,8 @@ class BlockOperator:
         hook mask blockwise.  index lists (band, mode) per matrix row.
         """
         bands = band_indices(self.n_max)
-        lattice = CHART_GRID.xi_points()
-        same_theta = self.theta == self.theta_prime
-        modes_in, modes_out, idx = [], [], []
-        for bi, (n, s) in enumerate(bands):
-            mo = band_modes(lattice, self.theta_prime, n, s)
-            mi = mo if same_theta else band_modes(lattice, self.theta, n, s)
-            modes_out.append(mo)
-            modes_in.append(mi)
-            idx.extend([(bi, k) for k in range(mo.shape[0])])
+        modes_out, modes_in = self._band_mode_lists(bands)
+        idx = [(bi, k) for bi, mo in enumerate(modes_out) for k in range(mo.shape[0])]
         eta = np.vstack(modes_out)
         xi = np.vstack(modes_in)
 
@@ -217,6 +211,26 @@ class BlockOperator:
         Mc = np.where(~linked, M, 0.0)
         return M, Mb, Mc, idx
 
+    def _band_mode_lists(self, bands):
+        """(modes_out, modes_in): the band_modes of each band on the
+        CHART_GRID lattice, for theta_prime and theta.
+
+        Each band sees only the lattice points of its annulus: it is +0.0
+        outside, and its modes are the points at or above half its maximum,
+        so the modes are those of the whole lattice.  The lattice and its
+        norm are freed on return, before the phase matrices are allocated.
+        """
+        lattice = CHART_GRID.xi_points()
+        norm = np.sqrt(np.sum(lattice**2, axis=-1))
+        same_theta = self.theta == self.theta_prime
+        modes_out, modes_in = [], []
+        for n, s in bands:
+            ring = lattice[annulus(norm, n)]
+            mo = band_modes(ring, self.theta_prime, n, s)
+            modes_out.append(mo)
+            modes_in.append(mo if same_theta else band_modes(ring, self.theta, n, s))
+        return modes_out, modes_in
+
     def _quad_grid(self):
         pts = self._support
         lo = pts.min(axis=0) - 0.05
@@ -234,7 +248,8 @@ class BlockOperator:
 
 
 def band_modes(lattice: np.ndarray, theta: Polarization, n: int, sigma: str) -> np.ndarray:
-    """PER_BAND decimated modes of the frequency lattice (k, 2) carrying one band."""
+    """PER_BAND decimated modes carrying one band, from the frequency lattice
+    points (k, 2)."""
     vals = np.asarray(dyadic_partition_eval(theta, n, sigma, lattice))
     cand = lattice[vals >= 0.5 * vals.max()]
     cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
@@ -299,9 +314,7 @@ class FlatTraceQuadrature:
     def band_trace(self, n: int, sigma: str) -> float:
         """Flat trace of one diagonal block, summed over its band's annulus
         2^{n-1} < |xi| < 2^{n+1} (|xi| < 2 for n = 0), where it is nonzero."""
-        inside = self._norm < 2.0 ** (n + 1)
-        if n > 0:
-            inside &= self._norm > 2.0 ** (n - 1)
+        inside = annulus(self._norm, n)
         vals = dyadic_partition_eval(self.theta, n, sigma, self._xi[inside])
         s = np.sum(vals * self._W.ravel()[inside]) * self.dxi**2 / TWO_PI**2
         return float(s)

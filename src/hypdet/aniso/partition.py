@@ -52,27 +52,37 @@ def _psi_radial(xi_norm, n: int):
     return chi_n(xi_norm, n) - chi_n(xi_norm, n - 1)
 
 
+def annulus(norm, n: int):
+    """Points of norms norm in the open annulus 2^{n-1} < |xi| < 2^{n+1}
+    (|xi| < 2 for n = 0), outside which band n is exactly 0.0."""
+    inside = norm < 2.0 ** (n + 1)
+    if n > 0:
+        inside &= norm > 2.0 ** (n - 1)
+    return inside
+
+
 def dyadic_partition_eval(theta: Polarization, n: int, sigma: str, xi):
     """psi_{Theta,n,sigma}(xi): radial dyadic band times the angular cutoff.
 
     n = 0 is the isotropic core chi_0(xi)/2 for both sigma.  The band is
-    exactly 0.0 outside the open annulus 2^{n-1} < |xi| < 2^{n+1} (outside
-    |xi| < 2 for n = 0), so the formula runs only on the points inside it.
+    exactly 0.0 outside its annulus, so the formula runs only on the points
+    inside it.
     """
     xi = np.asarray(xi, dtype=float)
     norm = np.sqrt(np.sum(xi**2, axis=-1))
-    inside = norm < 2.0 ** (n + 1)
-    if n > 0:
-        inside &= norm > 2.0 ** (n - 1)
+    inside = annulus(norm, n)
     out = np.zeros(norm.shape)
-    xi, norm = xi[inside], norm[inside]
+    out[inside] = _band_values(theta, n, sigma, xi[inside], norm[inside])
+    return out
+
+
+def _band_values(theta, n, sigma, xi, norm):
+    """psi_{Theta,n,sigma} at points xi of its annulus, whose norms are norm."""
     if n == 0:
-        out[inside] = chi_n(norm, 0) / 2.0
-        return out
+        return chi_n(norm, 0) / 2.0
     rad = _psi_radial(norm, n)
     ang = np.where(norm > 0, _phi_sigma(theta, xi, norm, sigma), 0.0)
-    out[inside] = rad * ang
-    return out
+    return rad * ang
 
 
 def _phi_sigma(theta, xi, norm, sigma):
@@ -120,11 +130,19 @@ def psi_tilde_eval(theta: Polarization, ell: int, tau: str, xi):
 
 
 def dyadic_partition_sum(theta: Polarization, xi, n_max: int):
-    """sum over n <= n_max, sigma of psi_{Theta,n,sigma}(xi) (= chi_{n_max} there)."""
-    total = dyadic_partition_eval(theta, 0, "+", xi) + dyadic_partition_eval(theta, 0, "-", xi)
-    for n in range(1, n_max + 1):
+    """sum over n <= n_max, sigma of psi_{Theta,n,sigma}(xi) (= chi_{n_max} there).
+
+    Each band is added only on its annulus: elsewhere it is +0.0, which
+    changes no bit of the running total.
+    """
+    xi = np.asarray(xi, dtype=float)
+    norm = np.sqrt(np.sum(xi**2, axis=-1))
+    total = np.zeros(norm.shape)
+    for n in range(n_max + 1):
+        inside = annulus(norm, n)
+        xi_in, norm_in = xi[inside], norm[inside]
         for sigma in "+-":
-            total = total + dyadic_partition_eval(theta, n, sigma, xi)
+            total[inside] += _band_values(theta, n, sigma, xi_in, norm_in)
     return total
 
 
@@ -170,27 +188,23 @@ class BoxGrid:
                 f"band {n} needs |xi| up to {2.0 ** (n + 1):.0f}, Nyquist is {self.xi_max:.0f}"
             )
 
-    def interp(self, coeffs, pts: np.ndarray) -> np.ndarray:
+    def interp(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Periodic interpolation at arbitrary points of the grid values whose
         spline_coefficients are coeffs."""
         ij = (pts + self.box_half) / self.h
         coords = np.stack([ij[:, 0], ij[:, 1]])
-        vals = [map_coordinates(c, coords, order=SPLINE_ORDER, mode="grid-wrap",
-                                prefilter=False) for c in coeffs]
-        return vals[0] if len(vals) == 1 else vals[0] + 1j * vals[1]
+        return map_coordinates(coeffs, coords, order=SPLINE_ORDER, mode="grid-wrap",
+                               prefilter=False)
 
 
-def spline_coefficients(u: np.ndarray) -> list:
-    """Periodic spline coefficients of grid values u: one array for real u,
-    the real and the imaginary part's for complex u.
+def spline_coefficients(u: np.ndarray) -> np.ndarray:
+    """Periodic spline coefficients of real grid values u.
 
     map_coordinates(u, ..., mode="grid-wrap") filters u the same way on every
     call (that mode needs no pre-padding), so BoxGrid.interp on these
     coefficients gives its values bit for bit, filtering once.
     """
-    parts = (u.real, u.imag) if np.iscomplexobj(u) else (u,)
-    return [spline_filter(p, SPLINE_ORDER, output=np.float64, mode="grid-wrap")
-            for p in parts]
+    return spline_filter(u, SPLINE_ORDER, output=np.float64, mode="grid-wrap")
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +253,25 @@ def mixed_norm_L1F(grid: BoxGrid, u: np.ndarray, theta: Polarization,
 
 
 def convolve(grid: BoxGrid, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Continuous convolution a * u realized on the periodic grid.
+    """Continuous convolution a * u of real grid values, realized on the
+    periodic grid with real FFTs (a complex a or u raises TypeError).
 
     One factor is ifftshifted so that index arithmetic matches coordinates
     that start at -B rather than 0.
     """
-    return sfft.ifft2(sfft.fft2(a) * sfft.fft2(sfft.ifftshift(u))) * grid.h**2
+    spec = sfft.rfft2(a) * sfft.rfft2(sfft.ifftshift(u))
+    return sfft.irfft2(spec, s=a.shape) * grid.h**2
 
 
 def young_check(grid: BoxGrid, a: np.ndarray, u: np.ndarray, theta: Polarization,
                 **norm_kwargs) -> tuple:
-    """(lhs, rhs, pass) for ||a*u||_{L1(F)} <= ||a||_{L1} ||u||_{L1(F)}.
+    """(lhs, rhs, pass) for ||a*u||_{L1(F)} <= ||a||_{L1} ||u||_{L1(F)}, a and
+    u real.
 
     Both sides share the same line sample set; the quadrature allowance
     covers interpolation and trapezoid error on the shared grid.
     """
-    conv = convolve(grid, np.asarray(a, dtype=complex), np.asarray(u, dtype=complex))
-    lhs = mixed_norm_L1F(grid, conv, theta, **norm_kwargs)
+    lhs = mixed_norm_L1F(grid, convolve(grid, a, u), theta, **norm_kwargs)
     a_l1 = float(np.sum(np.abs(a)) * grid.h**2)
     rhs = a_l1 * mixed_norm_L1F(grid, u, theta, **norm_kwargs)
     ok = lhs <= rhs * (1.0 + YOUNG_REL_SLACK) + YOUNG_QUAD_SLACK * rhs

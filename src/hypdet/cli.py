@@ -345,11 +345,11 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
 
     After the h exponents the checks share nothing, so they run at the same
     time on a thread pool: their FFT, BLAS, LAPACK, spline and ufunc kernels
-    release the GIL.  One task computes the compressed matrices with the
-    kneading identity and then the flat trace, so the two largest working
-    sets never overlap.  Meanwhile this thread computes the partition error
-    and then hands the Young trials to the pool one by one.  The outputs do
-    not depend on the number of workers.
+    release the GIL.  One task computes the flat trace and then the
+    compressed matrices with the kneading identity, so the two largest
+    working sets never overlap.  Meanwhile this thread computes the
+    partition error and then hands the Young trials to the pool one by one.
+    The outputs do not depend on the number of workers.
     """
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("aniso")
@@ -407,22 +407,18 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
             knead = ablocks.kneading_check(M, Mb, Mc, zs)
         return {"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]}
 
-    def kneading_then_flat_trace():
-        # The compressed matrices, the largest working set, are built first,
-        # when only the partition error and one Young trial run beside them.
-        # Built last, they would add to what the flat trace and the Young
-        # trials leave in their threads' malloc arenas.
-        try:
-            knead = kneading()
-        except Exception:
-            flat_trace()  # a serial run raises the flat-trace error first
-            raise
-        return flat_trace(), knead
+    def flat_trace_then_kneading():
+        # The compressed matrices, the largest working set, are built last,
+        # beside the last Young trials.  Built first, beside the partition
+        # error and the first Young trials, they raised the peak of the
+        # benchmark aniso command from 269-276 MB to 285 MB (2-core x86-64,
+        # one BLAS thread).
+        return flat_trace(), kneading()
 
     # Only this thread waits on futures, so no task waits on another and a
     # one-worker pool cannot deadlock.
     with ThreadPoolExecutor(max_workers=cpu_count()) as pool:
-        blocks = pool.submit(kneading_then_flat_trace)
+        blocks = pool.submit(flat_trace_then_kneading)
         part_err = apart.partition_sum_error(theta, n_max)
         passed = apart.young_trials(theta, cfg.young_trials, cfg.seed, pool)
         # read after the Young trials, so the error raised is the one a

@@ -239,6 +239,30 @@ def test_band_traces_sum_to_chi_trace(chart0):
     assert quad_h.partial_sum(4) == pytest.approx(0.5 * quad.partial_sum(4), rel=1e-12)
 
 
+def test_band_modes_on_the_annulus_are_those_of_the_lattice(chart0):
+    # the modes each band picks on its annulus are those it picks on the
+    # whole chart lattice, for every n <= 6 and sigma; with the chart's
+    # theta_prime (== theta) and with another one, so that both branches
+    # of _band_mode_lists run
+    sys_, theta, theta_p = chart0
+    other = maps.Polarization(math.radians(10.0), math.radians(30.0),
+                              math.radians(95.0), math.radians(30.0))
+    assert theta_p == theta and other != theta
+    lattice = ab.CHART_GRID.xi_points()
+    bands = ab.band_indices(6)
+    want = {(t, n, s): ab.band_modes(lattice, t, n, s)
+            for t in (theta, other) for n, s in bands}
+    for prime in (theta_p, other):
+        b = ab.BlockOperator(sys=sys_, weight=maps.chart_weight, theta=theta,
+                             theta_prime=prime, n_max=6, h_plus=5, h_minus=-6)
+        modes_out, modes_in = b._band_mode_lists(bands)
+        for (n, s), mo, mi in zip(bands, modes_out, modes_in):
+            for got, t in ((mo, prime), (mi, theta)):
+                ref = want[(t, n, s)]
+                assert got.shape == ref.shape and got.shape[0] > 0, (n, s)
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (n, s)
+
+
 def test_kneading_full(chart0, iter10):
     sys_, theta, theta_p = chart0
     it10, hp10, hm10 = iter10

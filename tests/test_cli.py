@@ -318,8 +318,8 @@ def test_aniso_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_path,
             raise exc
         return f
 
-    # the pool task builds the kneading blocks first, but a serial run
-    # reaches the flat trace first
+    # the pool task, like a serial run, reaches the flat trace before the
+    # kneading blocks
     monkeypatch.setattr(blocks, "FlatTraceQuadrature", failing(GridTooCoarse("flat trace")))
     monkeypatch.setattr(blocks, "BlockOperator", failing(SingularResolvent("kneading")))
     cfg = write_config(tmp_path, "aniso_o.json", {
