@@ -245,16 +245,20 @@ def cmd_resonances(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) ->
     # one-worker pool cannot deadlock.  The 2 n_freq matrix is built first:
     # its row blocks next to a live dense n_freq matrix raise peak memory.
     with ThreadPoolExecutor(max_workers=cpu_count()) as pool:
-        # the same seeded solver at both truncations, so both sides of the
-        # stability filter keep the same top_k eigenvalues
-        hi = pool.submit(coll.eigen_resonances,
-                         coll.build_transfer_matrix(sys_, 2 * cfg.n_freq, pool),
-                         top=cfg.top_k, seed=cfg.seed)
+        tm2 = coll.build_transfer_matrix(sys_, 2 * cfg.n_freq, pool)
         lo = pool.submit(determinant_and_lo)
-        # read in the serial order, so the error raised is the one a serial
-        # run would raise first
+        # the same seeded solver at both truncations, so both sides of the
+        # stability filter keep the same top_k eigenvalues; this thread and
+        # the pool share its sparse products
+        try:
+            w2, r2 = coll.eigen_resonances(tm2, top=cfg.top_k, seed=cfg.seed, pool=pool)
+        except Exception:
+            # a serial run meets an error of the other route first
+            lo.result()
+            raise
+        # freed before the dense matrices of the other route, if it is still running
+        del tm2
         ts, dp, zeros, (w1, r1) = lo.result()
-        w2, r2 = hi.result()
     i1, i2 = coll.stability_filter(w1, w2).T
     stable, res1, res2 = w1[i1], r1[i1], r2[i2]
     coll.check_residuals(stable, res1)

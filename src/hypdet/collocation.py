@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sparse
+from scipy.sparse import _sparsetools
 
 from .determinant import BACKWARD_ERROR_THRESHOLD
 from .errors import EigenSolverFailure
@@ -102,7 +103,9 @@ def _build_fft(sys, N):
         cur = E1_pow * E2 ** (-N)
         for k2 in range(-N, N + 1):
             col = (k1 + N) * (2 * N + 1) + (k2 + N)
-            M[:, col] = sfft.fft2(cur)[np.ix_(idx, idx)].ravel() / (G * G)
+            # fft2 transforms axis 0, then axis 1: axis 1 on the kept rows
+            # only gives the same bits
+            M[:, col] = sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
             cur = cur * E2
         E1_pow = E1_pow * E1
     return M
@@ -126,32 +129,46 @@ def _build_factored(sys, N, pool=None):
     X1, X2 = _grid(Gs)
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
     S = sys.periodic_part(pts)
-    W = np.asarray(sys.weight(pts)).reshape(Gs, Gs).astype(complex)
-    E1 = np.exp(TWO_PI * 1j * S[:, 0]).reshape(Gs, Gs)
-    E2 = np.exp(TWO_PI * 1j * S[:, 1]).reshape(Gs, Gs)
-    dvals = np.concatenate([np.arange(0, Gs // 2), np.arange(-Gs // 2, 0)])
-    D1, D2 = np.meshgrid(dvals, dvals, indexing="ij")
-    D1 = D1.ravel()
-    D2 = D2.ravel()
+    # the grids are held transposed, so the first transform of fft2 (axis 0)
+    # runs along the contiguous axis; the products have the same bits
+    W = np.asarray(sys.weight(pts)).reshape(Gs, Gs).astype(complex).T.copy()
+    E1 = np.exp(TWO_PI * 1j * S[:, 0]).reshape(Gs, Gs).T.copy()
+    E2 = np.exp(TWO_PI * 1j * S[:, 1]).reshape(Gs, Gs).T.copy()
+    dvals = np.concatenate([np.arange(0, Gs // 2), np.arange(-Gs // 2, 0)]).astype(np.int32)
     dim = (2 * N + 1) ** 2
     side = 2 * N + 1
+    # column k keeps the rows k' = A^tr k + d with |k'|_inf <= N, so each d_i
+    # ranges over the FFT indices of a window known before the FFT: those of
+    # c + d in [-N, N], for every c = (A^tr k)_i a column can have
+    c_max = N * int(np.abs(A).sum(axis=0).max())
+    window = {c: np.flatnonzero(np.abs(c + dvals) <= N) for c in range(-c_max, c_max + 1)}
 
     def columns(k1s, E1_pow):
         """Row indices, values and per-column counts of the columns k1 in
-        k1s, in column order; E1_pow is W E1^{k1s[0]}."""
-        rows_b, vals_b, counts = [], [], []
+        k1s, in column order; E1_pow is W E1^{k1s[0]}, transposed."""
+        rows_b = [np.zeros(0, dtype=np.int32)]
+        vals_b = [np.zeros(0, dtype=complex)]
+        counts = []
         for k1 in k1s:
             cur = E1_pow * E2 ** (-N)
             for k2 in range(-N, N + 1):
-                coeffs = (sfft.fft2(cur) / (Gs * Gs)).ravel()
-                keep = np.abs(coeffs) > SPARSE_DROP_TOL
-                kp1 = A[0, 0] * k1 + A[1, 0] * k2 + D1[keep]
-                kp2 = A[0, 1] * k1 + A[1, 1] * k2 + D2[keep]
-                # k' = A^tr k + d, kept only inside the truncation
-                inside = (np.abs(kp1) <= N) & (np.abs(kp2) <= N)
-                rows_b.append((kp1[inside] + N) * side + (kp2[inside] + N))
-                vals_b.append(coeffs[keep][inside])
-                counts.append(rows_b[-1].size)
+                # Python ints keep the row indices int32, the CSC index type
+                c1 = int(A[0, 0] * k1 + A[1, 0] * k2)
+                c2 = int(A[0, 1] * k1 + A[1, 1] * k2)
+                r1, r2 = window[c1], window[c2]
+                if r1.size and r2.size:
+                    # fft2 transforms axis 0, then axis 1: axis 1 on the
+                    # window rows only, then the window columns, gives the
+                    # same bits; cur is transposed, so the block comes out
+                    # transposed too
+                    coeffs = sfft.fft(sfft.fft(cur, axis=1)[:, r1], axis=0)[r2].T / (Gs * Gs)
+                    keep = np.abs(coeffs) > SPARSE_DROP_TOL
+                    kp = (c1 + dvals[r1] + N)[:, None] * side + (c2 + dvals[r2] + N)
+                    rows_b.append(kp[keep])
+                    vals_b.append(coeffs[keep])
+                    counts.append(rows_b[-1].size)
+                else:
+                    counts.append(0)
                 cur = cur * E2
             E1_pow = E1_pow * E1
         return np.concatenate(rows_b), np.concatenate(vals_b), counts
@@ -166,14 +183,13 @@ def _build_factored(sys, N, pool=None):
         starts.append(E1_pow)
         for _ in block:
             E1_pow = E1_pow * E1
-    parts = list((pool.map if pool is not None else map)(columns, blocks, starts))
+    rows, vals, counts = zip(*(pool.map if pool is not None else map)(columns, blocks, starts))
     # columns come in order, so their counts give the CSC pointer directly
-    indptr = np.concatenate([[0], np.cumsum([c for part in parts for c in part[2]])])
-    M = sparse.csc_matrix(
-        (np.concatenate([part[1] for part in parts]),
-         np.concatenate([part[0] for part in parts]), indptr),
-        shape=(dim, dim),
-    ).tocsr()
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    M = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                          shape=(dim, dim))
+    del rows, vals
+    M = M.tocsr()
     if dim <= DENSE_DIM_LIMIT:
         return M.toarray()
     return M
@@ -184,7 +200,8 @@ def _build_factored(sys, N, pool=None):
 # ---------------------------------------------------------------------------
 
 
-def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0):
+def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
+                     pool: Executor | None = None):
     """Eigenvalues sorted by modulus, with residual estimates.
 
     top = None runs the dense nonsymmetric eigensolve and returns the whole
@@ -192,7 +209,9 @@ def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0):
     route.  top = K runs a deterministic seeded subspace iteration
     (SUBSPACE_ITERS steps) and returns the K largest-modulus Ritz values;
     accuracy is certified by the residuals (check_residuals) and by
-    doubled-resolution filtering downstream.
+    doubled-resolution filtering downstream.  With a pool, each product of
+    a CSR matrix runs as two row halves, one there and one on this thread;
+    the result is the same bit for bit.
     """
     dim = tm.dim
     if top is None:
@@ -211,20 +230,61 @@ def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0):
         return w[order], res[order]
 
     M = tm.matrix
+    if pool is not None and sparse.issparse(M):
+        product = _split_product(M, pool)
+    else:
+        product = M.__matmul__
     rng = np.random.default_rng(seed)
     b = min(dim, top + 16)
     Q = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
     Q, _ = np.linalg.qr(Q)
     for _ in range(SUBSPACE_ITERS):
-        Z = M @ Q
+        Z = product(Q)
+        # only the product is live while it is factored
+        del Q
         Q, _ = np.linalg.qr(Z)
-    H = Q.conj().T @ (M @ Q)
+        del Z
+    H = Q.conj().T @ product(Q)
     w, S = np.linalg.eig(H)
     V = Q @ S
-    R = M @ V - V * w[None, :]
+    del Q
+    R = product(V)
+    R -= V * w[None, :]
     res = np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
     order = np.argsort(-np.abs(w))[:top]
     return w[order], res[order]
+
+
+def _split_product(M, pool):
+    """X -> M @ X for CSR M, its rows in two halves of about equal nnz: the
+    first on the pool, the second on this thread.
+
+    Both halves run scipy's CSR kernel on M's own arrays and write into one
+    output, as M @ X does for all rows; each row is summed in the same
+    order, so the result has the same bits.  (The halves as matrices of
+    their own, multiplied with @, would each allocate a result, and stacking
+    them a third array.)
+    """
+    n = M.shape[0]
+    h = int(np.searchsorted(M.indptr, M.nnz // 2))
+    data = M.data.astype(complex, copy=False)
+
+    def rows(start, stop, X, Z):
+        _sparsetools.csr_matvecs(stop - start, M.shape[1], X.shape[1],
+                                 M.indptr[start:stop + 1], M.indices, data,
+                                 X.ravel(), Z[start:stop].ravel())
+
+    def product(X):
+        X = np.ascontiguousarray(X, dtype=complex)
+        Z = np.zeros((n, X.shape[1]), dtype=complex)
+        head = pool.submit(rows, 0, h, X, Z)
+        try:
+            rows(h, n, X, Z)
+        finally:
+            head.result()
+        return Z
+
+    return product
 
 
 def stability_filter(eigs_n, eigs_2n):

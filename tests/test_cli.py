@@ -65,8 +65,8 @@ def test_resonances_rejects_large_ritz_residual(monkeypatch, tmp_path):
 
     solve = coll.eigen_resonances
 
-    def uncertified(tm, top=None, seed=0):
-        w, res = solve(tm, top=top, seed=seed)
+    def uncertified(tm, top=None, seed=0, pool=None):
+        w, res = solve(tm, top=top, seed=seed, pool=pool)
         return w, res + 1e-3
 
     monkeypatch.setattr(coll, "eigen_resonances", uncertified)
@@ -136,10 +136,10 @@ def test_resonances_failure_on_the_pool_exits_4(monkeypatch, tmp_path):
 
     solve = coll.eigen_resonances
 
-    def failing_at_2n(tm, top=None, seed=0):
+    def failing_at_2n(tm, top=None, seed=0, pool=None):
         if tm.n_freq == 16:
             raise EigenSolverFailure("injected at 2 n_freq")
-        return solve(tm, top=top, seed=seed)
+        return solve(tm, top=top, seed=seed, pool=pool)
 
     monkeypatch.setattr(coll, "eigen_resonances", failing_at_2n)
     cfg = write_config(tmp_path, "res6.json", {
@@ -149,6 +149,38 @@ def test_resonances_failure_on_the_pool_exits_4(monkeypatch, tmp_path):
     out = tmp_path / "o6"
     assert cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"]) == 4
     assert list(out.iterdir()) == []
+
+
+def test_resonances_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_path, capsys):
+    import time
+
+    from hypdet import collocation as coll
+    from hypdet import determinant
+    from hypdet.errors import EigenSolverFailure, NewtonDiverged
+
+    def failing_at_2n(tm, top=None, seed=0, pool=None):
+        if tm.n_freq == 16:
+            raise EigenSolverFailure("injected at 2 n_freq")
+        raise AssertionError("a serial run stops before the n_freq eigensolve")
+
+    def late_orbit_failure(*args, **kwargs):
+        # fails after the 2 n_freq route has failed on the calling thread
+        time.sleep(0.5)
+        raise NewtonDiverged("injected in the orbits")
+
+    # a serial run computes the determinant before the 2 n_freq eigenvalues
+    monkeypatch.setattr(coll, "eigen_resonances", failing_at_2n)
+    monkeypatch.setattr(determinant, "trace_series", late_orbit_failure)
+    cfg = write_config(tmp_path, "res7.json", {
+        "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
+        "N_det": 6, "n_freq": 8, "seed": 5,
+    })
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "cpu_count", lambda: workers)
+        out = tmp_path / f"o7_{workers}"
+        assert cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert "injected in the orbits" in err and "2 n_freq" not in err
 
 
 @pytest.fixture()

@@ -1,8 +1,11 @@
 import dataclasses
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
+import scipy.sparse as sp
 
 from hypdet import collocation as coll
 from hypdet import maps
@@ -218,10 +221,151 @@ def test_sparse_representation_large():
         warnings.simplefilter("ignore")
         pc = maps.builtin_perturbed_cat(0.01)
         tm = coll.build_transfer_matrix(pc, 36)
-    import scipy.sparse as sp
-
     assert sp.issparse(tm.matrix)
     k = (3, -5)
     kp = maps.CAT_A_INT.T @ np.asarray(k)
     direct = direct_entry(pc, kp, k, 36, refine=1)
     assert abs(entry(tm, kp, k) - direct) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the windowed and pruned builds against the full-grid builds they replace
+# ---------------------------------------------------------------------------
+
+
+def full_grid_factored(sys_, N):
+    """The factored build with every column transformed on the whole small
+    grid and masked to the truncation afterwards, in one piece; also
+    returns the grid size Gs and the frequency of each FFT index."""
+    A = np.asarray(sys_.linear_part, dtype=np.int64)
+    t = np.arange(64) / 64
+    P1, P2 = np.meshgrid(t, t, indexing="ij")
+    s_vals = sys_.periodic_part(np.stack([P1.ravel(), P2.ravel()], axis=-1))
+    s_sup = float(np.max(np.abs(s_vals), axis=0).sum())
+    d_cut = coll._bessel_cutoff(coll.TWO_PI * N * s_sup)
+    Gs = sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False)
+    t = np.arange(Gs) / Gs
+    X1, X2 = np.meshgrid(t, t, indexing="ij")
+    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
+    S = sys_.periodic_part(pts)
+    W = np.asarray(sys_.weight(pts)).reshape(Gs, Gs).astype(complex)
+    E1 = np.exp(coll.TWO_PI * 1j * S[:, 0]).reshape(Gs, Gs)
+    E2 = np.exp(coll.TWO_PI * 1j * S[:, 1]).reshape(Gs, Gs)
+    dvals = np.concatenate([np.arange(0, Gs // 2), np.arange(-Gs // 2, 0)])
+    D1, D2 = (D.ravel() for D in np.meshgrid(dvals, dvals, indexing="ij"))
+    side = 2 * N + 1
+    rows_b, vals_b, counts = [], [], []
+    E1_pow = W * E1 ** (-N)
+    for k1 in range(-N, N + 1):
+        cur = E1_pow * E2 ** (-N)
+        for k2 in range(-N, N + 1):
+            coeffs = (sfft.fft2(cur) / (Gs * Gs)).ravel()
+            keep = np.abs(coeffs) > coll.SPARSE_DROP_TOL
+            kp1 = A[0, 0] * k1 + A[1, 0] * k2 + D1[keep]
+            kp2 = A[0, 1] * k1 + A[1, 1] * k2 + D2[keep]
+            inside = (np.abs(kp1) <= N) & (np.abs(kp2) <= N)
+            rows_b.append((kp1[inside] + N) * side + (kp2[inside] + N))
+            vals_b.append(coeffs[keep][inside])
+            counts.append(rows_b[-1].size)
+            cur = cur * E2
+        E1_pow = E1_pow * E1
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    M = sp.csc_matrix((np.concatenate(vals_b), np.concatenate(rows_b), indptr),
+                      shape=(side * side, side * side)).tocsr()
+    return (M.toarray() if side * side <= coll.DENSE_DIM_LIMIT else M), Gs, dvals
+
+
+def assert_same_bits(got, ref):
+    assert sp.issparse(got) == sp.issparse(ref)
+    if sp.issparse(ref):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    else:
+        assert got.flags.c_contiguous and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("N", [24, 40])
+@pytest.mark.parametrize("map_seed", [0, 3])
+def test_windowed_factored_build_is_the_full_grid_build(N, map_seed):
+
+    sys_ = maps.builtin_perturbed_cat(0.01, seed=map_seed)
+    ref, Gs, dvals = full_grid_factored(sys_, N)
+    assert_same_bits(coll._build_factored(sys_, N), ref)
+    if N == 40 and map_seed == 0:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert_same_bits(coll._build_factored(sys_, N, pool), ref)
+    if N == 40:
+        # columns whose first window is empty: no FFT index d has
+        # |(A^tr k)_1 + d| <= N, so the build skips their transforms
+        side = 2 * N + 1
+        A = maps.CAT_A_INT
+        empty = [(k1 + N) * side + (k2 + N)
+                 for k1 in range(-N, N + 1) for k2 in range(-N, N + 1)
+                 if np.all(np.abs(A[0, 0] * k1 + A[1, 0] * k2 + dvals) > N)]
+        assert len(empty) > 0
+        assert ref[:, empty].nnz == 0
+
+
+def full_grid_fft(sys_, N):
+    """The FFT build with each column taken from the whole fft2."""
+    G = coll.GRID_FACTOR * (2 * N + 1)
+    t = np.arange(G) / G
+    X1, X2 = np.meshgrid(t, t, indexing="ij")
+    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
+    T = sys_.forward(pts)
+    W = np.asarray(sys_.weight(pts)).reshape(G, G).astype(complex)
+    E1 = np.exp(coll.TWO_PI * 1j * T[:, 0]).reshape(G, G)
+    E2 = np.exp(coll.TWO_PI * 1j * T[:, 1]).reshape(G, G)
+    dim = (2 * N + 1) ** 2
+    idx = np.arange(-N, N + 1) % G
+    M = np.zeros((dim, dim), dtype=complex)
+    E1_pow = W * E1 ** (-N)
+    for k1 in range(-N, N + 1):
+        cur = E1_pow * E2 ** (-N)
+        for k2 in range(-N, N + 1):
+            col = (k1 + N) * (2 * N + 1) + (k2 + N)
+            M[:, col] = sfft.fft2(cur)[np.ix_(idx, idx)].ravel() / (G * G)
+            cur = cur * E2
+        E1_pow = E1_pow * E1
+    return M
+
+
+@pytest.mark.parametrize("N", [6, 20])
+def test_pruned_fft_build_is_the_full_fft2_build(pcat, N):
+    assert_same_bits(coll._build_fft(pcat, N), full_grid_fft(pcat, N))
+
+
+class CountingPool:
+    """A thread pool that counts the tasks it is given."""
+
+    def __init__(self, workers):
+        self.pool = ThreadPoolExecutor(max_workers=workers)
+        self.tasks = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.tasks += 1
+        return self.pool.submit(fn, *args, **kwargs)
+
+    def shutdown(self):
+        self.pool.shutdown()
+
+
+def test_split_sparse_products_same_bits_on_any_pool():
+    # above DENSE_DIM_LIMIT, where the factored build hands over CSR
+    n_freq = 34
+    dim = (2 * n_freq + 1) ** 2
+    assert dim > coll.DENSE_DIM_LIMIT
+    rng = np.random.default_rng(11)
+    M = sp.random(dim, dim, density=6.0 / dim, format="csr", dtype=complex, random_state=rng,
+                  data_rvs=lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    M = M + sp.identity(dim, dtype=complex, format="csr")
+    tm = coll.TransferMatrix(n_freq=n_freq, matrix=M.tocsr())
+    w0, r0 = coll.eigen_resonances(tm, top=8, seed=3)
+    for workers in (1, 2):
+        pool = CountingPool(workers)
+        try:
+            w, r = coll.eigen_resonances(tm, top=8, seed=3, pool=pool)
+        finally:
+            pool.shutdown()
+        assert pool.tasks == coll.SUBSPACE_ITERS + 2
+        assert np.array_equal(w, w0) and np.array_equal(r, r0)
