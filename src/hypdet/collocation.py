@@ -7,6 +7,12 @@ per-column FFT of the sampled symbol up to FFT_MAX_DIM modes, and above it a
 factored path for maps given as (integer linear part) + (smooth periodic
 part), which evaluates them on a much smaller grid.  The tests check entries
 of both against direct quadrature.
+
+For a real map and weight, L commutes with complex conjugation: the
+truncation M satisfies M_{-k',-k} = conj M_{k',k} and is real on the basis of
+the real modes sqrt 2 cos 2 pi k.x, sqrt 2 sin 2 pi k.x.  Both builds hand
+over that real form (real_form), and the eigensolves run on it in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.linalg as sla
 import scipy.sparse as sparse
 from scipy.sparse import _sparsetools
 
@@ -25,6 +32,7 @@ from .errors import EigenSolverFailure
 from .maps import MapSystem
 
 TWO_PI = 2.0 * math.pi
+SQRT_HALF = math.sqrt(0.5)
 DENSE_DIM_LIMIT = 4500
 DENSE_EIG_LIMIT = 2600
 SPARSE_DROP_TOL = 1e-13
@@ -36,21 +44,26 @@ STABILITY_RTOL = 1e-6
 GRID_FACTOR = 4
 FFT_MAX_DIM = 2000
 # k1 rows per task of the factored build: about ten tasks at 2 n_freq = 40,
-# so a pool of a few workers stays busy to the end
+# so a pool of a few workers stays busy to the end; the real form of a CSR
+# matrix is taken in row blocks of the same k1 count
 BUILD_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Truncated collocation matrix over modes k in [-N, N]^2.
+    """Truncated collocation matrix over modes k in [-N, N]^2, k1-major.
 
-    matrix is dense (ndarray) up to DENSE_DIM_LIMIT modes, scipy CSR above;
-    the factored build drops entries of modulus at most SPARSE_DROP_TOL,
-    the FFT build keeps them.
+    With delta None, matrix holds the entries on the basis e_k.  Otherwise
+    it is the real form R = Re(U^H M U) of such a matrix M (real_form) and
+    delta = ||U^H M U - R||_F is what R leaves out.  matrix is dense
+    (ndarray) up to DENSE_DIM_LIMIT modes, scipy CSR above; the factored
+    build and the real form of a CSR matrix drop entries of modulus at most
+    SPARSE_DROP_TOL, the FFT build keeps them.
     """
 
     n_freq: int
     matrix: object
+    delta: float | None = None
 
     @property
     def dim(self) -> int:
@@ -69,24 +82,125 @@ def _grid(G):
 
 def build_transfer_matrix(sys: MapSystem, n_freq: int, pool: Executor | None = None
                           ) -> TransferMatrix:
-    """Collocation matrix of u -> g (u o T) on modes [-N, N]^2.
+    """Real form of the collocation matrix of u -> g (u o T) on modes [-N, N]^2.
 
     Up to FFT_MAX_DIM modes g e_k(Tx) is sampled on the (GRID_FACTOR (2N+1))^2
     grid and each column FFT-projected; above it the homology decomposition
     T = A x + s(x) gives the identical coefficients on a small grid sized by
-    the Bessel tail of exp(2 pi i k.s).  With a pool, the factored build runs
-    its blocks of k1 rows there; the matrix is the same bit for bit.
+    the Bessel tail of exp(2 pi i k.s).  The complex matrix never exists
+    whole next to its real form: the FFT build hands its columns over in
+    pairs (k, -k), and the factored build's CSR matrix is freed before the
+    real rows are joined.  With a pool, the factored build runs its blocks
+    of k1 rows there; the matrix is the same bit for bit.
     """
     if sys.linear_part is None or sys.periodic_part is None:
         raise ValueError("collocation requires a torus map with "
                          "linear_part and periodic_part")
-    if (2 * n_freq + 1) ** 2 <= FFT_MAX_DIM:
-        return TransferMatrix(n_freq=n_freq, matrix=_build_fft(sys, n_freq))
-    return TransferMatrix(n_freq=n_freq, matrix=_build_factored(sys, n_freq, pool))
+    dim = (2 * n_freq + 1) ** 2
+    if dim <= FFT_MAX_DIM:
+        R, delta = _real_columns(_fft_columns(sys, n_freq), dim)
+        return TransferMatrix(n_freq=n_freq, matrix=R, delta=delta)
+    M = _factored_csr(sys, n_freq, pool)
+    blocks, delta = _real_rows(M, n_freq)
+    del M
+    R = sparse.vstack(blocks, format="csr")
+    del blocks
+    if dim <= DENSE_DIM_LIMIT:
+        R = R.toarray()
+    return TransferMatrix(n_freq=n_freq, matrix=R, delta=delta)
 
 
-def _build_fft(sys, N):
-    """Dense matrix: per-column FFT of g e_k(Tx) on the oversampled grid."""
+def real_form(tm: TransferMatrix) -> TransferMatrix:
+    """The truncation on the real modes, with the part it leaves out.
+
+    Mode 0 keeps its index.  For k > 0 (the indices above dim // 2, whose
+    partner -k is at dim - 1 - i) U sends e_k, e_-k to cos at the index of
+    k and sin at the index of -k:
+      (e_k + e_-k) / sqrt 2 = sqrt 2 cos 2 pi k.x,
+      (e_k - e_-k) / (i sqrt 2) = sqrt 2 sin 2 pi k.x.
+    R = Re(U^H M U) and delta = ||U^H M U - R||_F, which also counts the
+    entries of a CSR R dropped at SPARSE_DROP_TOL.  A matrix already in real
+    form is returned as it is.
+    """
+    if tm.delta is not None:
+        return tm
+    if sparse.issparse(tm.matrix):
+        blocks, delta = _real_rows(tm.matrix.tocsr(), tm.n_freq)
+        R = sparse.vstack(blocks, format="csr")
+    else:
+        R, delta = _real_columns(np.asarray(tm.matrix).T, tm.dim)
+    return TransferMatrix(n_freq=tm.n_freq, matrix=R, delta=delta)
+
+
+def _uh_rows(X):
+    """U^H X along axis 0: cos rows above the middle index, sin rows below."""
+    c = X.shape[0] // 2
+    top, bot = X[c + 1:], X[:c][::-1]
+    Y = np.empty(X.shape, dtype=complex)
+    Y[c] = X[c]
+    Y[c + 1:] = (top + bot) * SQRT_HALF
+    Y[:c][::-1] = (top - bot) * (1j * SQRT_HALF)
+    return Y
+
+
+def _real_columns(columns, dim):
+    """Dense R (Fortran order) and delta from the columns of M on the e_k
+    basis, given in index order: each k < 0 column is held until its k > 0
+    partner arrives, and then both become real columns."""
+    c = dim // 2
+    R = np.empty((dim, dim), order="F")
+    held = np.empty((c, dim), dtype=complex)
+    sq = 0.0
+    for i, col in enumerate(columns):
+        if i < c:
+            held[i] = col
+            continue
+        if i == c:
+            Y = _uh_rows(col[:, None])
+            R[:, c] = Y[:, 0].real
+        else:
+            low = held[dim - 1 - i]
+            Y = _uh_rows(np.stack([(col + low) * SQRT_HALF,
+                                   (col - low) * (-1j * SQRT_HALF)], axis=1))
+            R[:, i] = Y[:, 0].real
+            R[:, dim - 1 - i] = Y[:, 1].real
+        sq += float(np.sum(Y.imag ** 2))
+    return R, math.sqrt(sq)
+
+
+def _real_rows(M, N):
+    """Row blocks of R = Re(U^H M U) for CSR M, BUILD_BLOCK_ROWS values of
+    k1 at a time, without their entries of modulus at most SPARSE_DROP_TOL;
+    and delta, which counts those entries and the imaginary parts."""
+    dim = M.shape[0]
+    c = dim // 2
+    up = np.arange(c + 1, dim)
+    low = dim - 1 - up
+    # U: e_0 -> e_0; cos column k: s (e_k + e_-k); sin column -k: -i s (e_k - e_-k)
+    s = SQRT_HALF
+    U = sparse.csr_matrix(
+        (np.concatenate([[1.0], np.full(up.size, s), np.full(up.size, s),
+                         np.full(up.size, -1j * s), np.full(up.size, 1j * s)]),
+         (np.concatenate([[c], up, low, up, low]), np.concatenate([[c], up, up, low, low]))),
+        shape=(dim, dim), dtype=complex)
+    Uh = U.conj().T.tocsr()
+    step = BUILD_BLOCK_ROWS * (2 * N + 1)
+    blocks = []
+    sq = 0.0
+    for r0 in range(0, dim, step):
+        D = Uh[r0:r0 + step] @ M @ U
+        re = D.data.real
+        drop = np.abs(re) <= SPARSE_DROP_TOL
+        sq += float(np.sum(D.data.imag ** 2)) + float(np.sum(re[drop] ** 2))
+        kept = np.concatenate([[0], np.cumsum(~drop)])
+        blocks.append(sparse.csr_matrix((re[~drop], D.indices[~drop], kept[D.indptr]),
+                                        shape=D.shape))
+    return blocks, math.sqrt(sq)
+
+
+def _fft_columns(sys, N):
+    """Columns of the e_k-basis matrix, in index order: per-column FFT of
+    g e_k(Tx) on the oversampled grid."""
     G = GRID_FACTOR * (2 * N + 1)
     X1, X2 = _grid(G)
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
@@ -94,21 +208,22 @@ def _build_fft(sys, N):
     W = np.asarray(sys.weight(pts)).reshape(G, G).astype(complex)
     E1 = np.exp(TWO_PI * 1j * T[:, 0]).reshape(G, G)
     E2 = np.exp(TWO_PI * 1j * T[:, 1]).reshape(G, G)
-    dim = (2 * N + 1) ** 2
     # rows/cols of the [-N, N] block in fft2 output
     idx = np.arange(-N, N + 1) % G
-    M = np.zeros((dim, dim), dtype=complex)
     E1_pow = W * E1 ** (-N)
     for k1 in range(-N, N + 1):
         cur = E1_pow * E2 ** (-N)
         for k2 in range(-N, N + 1):
-            col = (k1 + N) * (2 * N + 1) + (k2 + N)
             # fft2 transforms axis 0, then axis 1: axis 1 on the kept rows
             # only gives the same bits
-            M[:, col] = sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
+            yield sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
             cur = cur * E2
         E1_pow = E1_pow * E1
-    return M
+
+
+def _build_fft(sys, N):
+    """The FFT build's e_k-basis matrix, dense."""
+    return np.stack(list(_fft_columns(sys, N)), axis=1)
 
 
 def _bessel_cutoff(z: float) -> int:
@@ -117,6 +232,15 @@ def _bessel_cutoff(z: float) -> int:
 
 
 def _build_factored(sys, N, pool=None):
+    """The factored build's e_k-basis matrix, dense up to DENSE_DIM_LIMIT
+    modes."""
+    M = _factored_csr(sys, N, pool)
+    return M.toarray() if M.shape[0] <= DENSE_DIM_LIMIT else M
+
+
+def _factored_csr(sys, N, pool=None):
+    """e_k-basis matrix as CSR: the FFT coefficients of g e_k(s(x)) on the
+    small grid, shifted by A^tr k."""
     A = np.asarray(sys.linear_part, dtype=np.int64)
     # bound the phase 2 pi |k . s(x)| to size the small grid
     probe = _grid(64)
@@ -189,10 +313,7 @@ def _build_factored(sys, N, pool=None):
     M = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
                           shape=(dim, dim))
     del rows, vals
-    M = M.tocsr()
-    if dim <= DENSE_DIM_LIMIT:
-        return M.toarray()
-    return M
+    return M.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -202,62 +323,92 @@ def _build_factored(sys, N, pool=None):
 
 def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
                      pool: Executor | None = None):
-    """Eigenvalues sorted by modulus, with residual estimates.
+    """Eigenvalues sorted by modulus, with residual bounds.
 
-    top = None runs the dense nonsymmetric eigensolve and returns the whole
-    spectrum (allowed up to DENSE_EIG_LIMIT modes); it is the reference
-    route.  top = K runs a deterministic seeded subspace iteration
-    (SUBSPACE_ITERS steps) and returns the K largest-modulus Ritz values;
-    accuracy is certified by the residuals (check_residuals) and by
-    doubled-resolution filtering downstream.  With a pool, each product of
-    a CSR matrix runs as two row halves, one there and one on this thread;
-    the result is the same bit for bit.
+    Both routes solve the real form R of tm (real_form) in real arithmetic,
+    so each non-real eigenvalue comes with its conjugate bit for bit.  The
+    residual of mu is ||R v - mu v|| / ||v|| + delta, a bound on the residual
+    of U v against the e_k-basis matrix.  top = None runs the dense
+    nonsymmetric eigensolve (dgeev) and returns the whole spectrum (allowed
+    up to DENSE_EIG_LIMIT modes); it is the reference route.  top = K runs a
+    deterministic seeded subspace iteration (SUBSPACE_ITERS steps) and
+    returns the K largest-modulus Ritz values, less the K-th when its
+    conjugate is not among them; accuracy is certified by the residuals
+    (check_residuals) and by doubled-resolution filtering downstream.  With
+    a pool, each product of a CSR matrix runs as two row halves, one there
+    and one on this thread; the result is the same bit for bit.
     """
     dim = tm.dim
+    if top is None and dim > DENSE_EIG_LIMIT:
+        raise EigenSolverFailure(f"dense eigensolve refused at dim {dim}; pass top=K")
+    tm = real_form(tm)
     if top is None:
-        if dim > DENSE_EIG_LIMIT:
-            raise EigenSolverFailure(
-                f"dense eigensolve refused at dim {dim}; pass top=K"
-            )
-        M = tm.toarray()
-        try:
-            w, V = np.linalg.eig(M)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise EigenSolverFailure(str(exc)) from exc
-        R = M @ V - V * w[None, :]
-        res = np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
-        order = np.argsort(-np.abs(w))
-        return w[order], res[order]
+        R = tm.toarray()
+        w, W = _real_eig(R)
+        res = _residual_norms(w, W, R @ W)
+        order = np.argsort(-np.abs(w), kind="stable")
+        return w[order], res[order] + tm.delta
 
-    M = tm.matrix
-    if pool is not None and sparse.issparse(M):
-        product = _split_product(M, pool)
+    R = tm.matrix
+    if pool is not None and sparse.issparse(R):
+        product = _split_product(R, pool)
     else:
-        product = M.__matmul__
+        product = R.__matmul__
     rng = np.random.default_rng(seed)
     b = min(dim, top + 16)
-    Q = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
-    Q, _ = np.linalg.qr(Q)
+    Q = sla.qr(rng.standard_normal((dim, b)), mode="economic")[0]
     for _ in range(SUBSPACE_ITERS):
         Z = product(Q)
         # only the product is live while it is factored
         del Q
-        Q, _ = np.linalg.qr(Z)
+        Q = sla.qr(Z, mode="economic")[0]
         del Z
-    H = Q.conj().T @ product(Q)
-    w, S = np.linalg.eig(H)
-    V = Q @ S
+    w, S = _real_eig(Q.T @ product(Q))
+    W = Q @ S
     del Q
-    R = product(V)
-    R -= V * w[None, :]
-    res = np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
-    order = np.argsort(-np.abs(w))[:top]
-    return w[order], res[order]
+    res = _residual_norms(w, W, product(W))
+    order = np.argsort(-np.abs(w), kind="stable")[:top]
+    # a conjugate pair is kept whole or not at all
+    partner = np.arange(w.size) + np.sign(w.imag).astype(int)
+    kept = np.zeros(w.size, dtype=bool)
+    kept[order] = True
+    order = order[kept[partner[order]]]
+    return w[order], res[order] + tm.delta
+
+
+def _real_eig(A):
+    """Eigenvalues w of the real matrix A and its real eigenvector matrix
+    (dgeev): a conjugate pair w_j = conj w_{j+1}, Im w_j > 0, has the
+    eigenvectors W_j + i W_{j+1} and W_j - i W_{j+1}."""
+    geev, geev_lwork = sla.get_lapack_funcs(("geev", "geev_lwork"), (A,))
+    lwork, info = geev_lwork(A.shape[0], compute_vl=0)
+    if info == 0:
+        wr, wi, _, W, info = geev(A, compute_vl=0, lwork=int(lwork))
+    if info != 0:
+        raise EigenSolverFailure(f"dgeev failed with info {info}")
+    w = wr.astype(complex)
+    w.imag = wi
+    return w, W
+
+
+def _residual_norms(w, W, Y):
+    """||A v - mu v|| / ||v|| for the eigenpairs (w, W) of _real_eig, given
+    Y = A W: for a pair with v = x + i y and mu = a + i b the residual is
+    (A x - a x + b y) + i (A y - a y - b x), the same for both members."""
+    E = Y - W * w.real
+    j = np.flatnonzero(w.imag > 0)
+    E[:, j] += W[:, j + 1] * w.imag[j]
+    E[:, j + 1] -= W[:, j] * w.imag[j]
+    num = np.linalg.norm(E, axis=0)
+    den = np.linalg.norm(W, axis=0)
+    for a in (num, den):
+        a[j] = a[j + 1] = np.hypot(a[j], a[j + 1])
+    return num / np.maximum(den, 1e-300)
 
 
 def _split_product(M, pool):
-    """X -> M @ X for CSR M, its rows in two halves of about equal nnz: the
-    first on the pool, the second on this thread.
+    """X -> M @ X for real CSR M, its rows in two halves of about equal nnz:
+    the first on the pool, the second on this thread.
 
     Both halves run scipy's CSR kernel on M's own arrays and write into one
     output, as M @ X does for all rows; each row is summed in the same
@@ -267,16 +418,15 @@ def _split_product(M, pool):
     """
     n = M.shape[0]
     h = int(np.searchsorted(M.indptr, M.nnz // 2))
-    data = M.data.astype(complex, copy=False)
 
     def rows(start, stop, X, Z):
         _sparsetools.csr_matvecs(stop - start, M.shape[1], X.shape[1],
-                                 M.indptr[start:stop + 1], M.indices, data,
+                                 M.indptr[start:stop + 1], M.indices, M.data,
                                  X.ravel(), Z[start:stop].ravel())
 
     def product(X):
-        X = np.ascontiguousarray(X, dtype=complex)
-        Z = np.zeros((n, X.shape[1]), dtype=complex)
+        X = np.ascontiguousarray(X, dtype=float)
+        Z = np.zeros((n, X.shape[1]))
         head = pool.submit(rows, 0, h, X, Z)
         try:
             rows(h, n, X, Z)

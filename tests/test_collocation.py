@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,6 +8,7 @@ import pytest
 import scipy.fft as sfft
 import scipy.sparse as sp
 
+from hypdet import cli
 from hypdet import collocation as coll
 from hypdet import maps
 from hypdet.errors import EigenSolverFailure
@@ -87,8 +89,9 @@ def test_character_weight_shifts_column(cat):
     e1 = cat.with_weight(
         lambda x: np.exp(2j * np.pi * x[:, 0]), tag="e1")
     N = 6
-    tm = coll.build_transfer_matrix(e1, N)
-    M = tm.toarray()
+    # a complex weight breaks the conjugation symmetry, so this reads the
+    # e_k-basis matrix of the build, not its real form
+    M = coll._build_fft(e1, N)
     k = np.array([1, 1])
     kp = maps.CAT_A_INT.T @ k + np.array([1, 0])
     col = M[:, mode_index(k, N)]
@@ -126,10 +129,13 @@ def test_weight_scaling_scales_spectrum(pcat):
 
 
 def test_eigen_diag_matrix():
-    diag = np.diag([3.0, 2.0, 1.0, 0.5])
-    tm = coll.TransferMatrix(n_freq=0, matrix=diag)
+    # d_{-k} = conj d_k, the symmetry of a real operator: the real modes
+    # turn each pair (k, -k) into a real 2 x 2 block
+    d = np.array([0.5, 1j, 2.0, 3.0 + 1j, 4.0, 3.0 - 1j, 2.0, -1j, 0.5])
+    tm = coll.TransferMatrix(n_freq=1, matrix=np.diag(d))
     got, res = coll.eigen_resonances(tm)
-    assert np.allclose(np.abs(got), [3.0, 2.0, 1.0, 0.5])
+    assert np.allclose(np.abs(got), np.sort(np.abs(d))[::-1])
+    assert np.allclose(np.sort_complex(got), np.sort_complex(d))
     assert np.max(res) < 1e-12
 
 
@@ -222,9 +228,13 @@ def test_sparse_representation_large():
         pc = maps.builtin_perturbed_cat(0.01)
         tm = coll.build_transfer_matrix(pc, 36)
     assert sp.issparse(tm.matrix)
-    k = (3, -5)
-    kp = maps.CAT_A_INT.T @ np.asarray(k)
-    direct = direct_entry(pc, kp, k, 36, refine=1)
+    # k and k' are both above mode 0, so their indices hold cos modes, and
+    # the entry is Re of half the sum of the e_k entries at (+-k', +-k)
+    k = np.array([3, -5])
+    kp = maps.CAT_A_INT.T @ k
+    assert mode_index(k, 36) > tm.dim // 2 and mode_index(kp, 36) > tm.dim // 2
+    direct = sum(direct_entry(pc, a * kp, b * k, 36, refine=1)
+                 for a in (1, -1) for b in (1, -1)).real / 2
     assert abs(entry(tm, kp, k) - direct) < 1e-10
 
 
@@ -350,16 +360,36 @@ class CountingPool:
         self.pool.shutdown()
 
 
+def real_modes(dim):
+    """The unitary U of the real modes, as CSR: e_0 stays; for the index i
+    of k > 0 and its partner q = dim - 1 - i of -k, column i is
+    (e_i + e_q) / sqrt 2 and column q is (e_i - e_q) / (i sqrt 2)."""
+    c = dim // 2
+    up = np.arange(c + 1, dim)
+    low = dim - 1 - up
+    s = np.sqrt(0.5)
+    vals = np.concatenate([[1.0], np.full(up.size, s), np.full(up.size, s),
+                           np.full(up.size, -1j * s), np.full(up.size, 1j * s)])
+    rows = np.concatenate([[c], up, low, up, low])
+    cols = np.concatenate([[c], up, up, low, low])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
 def test_split_sparse_products_same_bits_on_any_pool():
-    # above DENSE_DIM_LIMIT, where the factored build hands over CSR
+    # above DENSE_DIM_LIMIT, where the factored build hands over CSR; the
+    # matrix is U R U^H for a random real R, so it has the symmetry of a
+    # real operator and the eigensolve runs on R
     n_freq = 34
     dim = (2 * n_freq + 1) ** 2
     assert dim > coll.DENSE_DIM_LIMIT
     rng = np.random.default_rng(11)
-    M = sp.random(dim, dim, density=6.0 / dim, format="csr", dtype=complex, random_state=rng,
-                  data_rvs=lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    M = M + sp.identity(dim, dtype=complex, format="csr")
-    tm = coll.TransferMatrix(n_freq=n_freq, matrix=M.tocsr())
+    R = sp.random(dim, dim, density=6.0 / dim, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    R = R + sp.identity(dim, format="csr")
+    U = real_modes(dim)
+    tm = coll.TransferMatrix(n_freq=n_freq, matrix=(U @ R @ U.conj().T).tocsr())
+    rf = coll.real_form(tm)
+    assert rf.delta < 1e-12 and abs(rf.matrix - R).max() < 1e-14
     w0, r0 = coll.eigen_resonances(tm, top=8, seed=3)
     for workers in (1, 2):
         pool = CountingPool(workers)
@@ -369,3 +399,134 @@ def test_split_sparse_products_same_bits_on_any_pool():
             pool.shutdown()
         assert pool.tasks == coll.SUBSPACE_ITERS + 2
         assert np.array_equal(w, w0) and np.array_equal(r, r0)
+
+
+# ---------------------------------------------------------------------------
+# the real form: a similarity that the residuals can see fail
+# ---------------------------------------------------------------------------
+
+
+SIMILARITY_WEIGHTS = {
+    "one": {"id": "one"},
+    "bump": {"id": "bump"},
+    # sin terms make the e_k-basis matrix complex; its real form stays real
+    "expression": {"id": "expression", "terms": {"one": 1.0, "sin1": 0.3, "sin2": 0.2}},
+}
+
+
+def weighted_pcat(weight_id):
+    weight = cli.build_weight(SIMILARITY_WEIGHTS[weight_id])
+    pc = maps.builtin_perturbed_cat(0.01)
+    return pc if weight is None else pc.with_weight(weight, tag=weight_id)
+
+
+def matched_rel_gaps(a, b, k):
+    """Relative distance from each of the k largest of a to its nearest
+    unused value in b."""
+    pool = list(b)
+    gaps = []
+    for z in a[np.argsort(-np.abs(a), kind="stable")][:k]:
+        j = int(np.argmin([abs(z - y) for y in pool]))
+        gaps.append(abs(z - pool.pop(j)) / abs(z))
+    return np.array(gaps)
+
+
+# how many of the top 12 np.linalg.eigvals resolves to 1e-12 on the complex
+# matrix at n_freq 6-8.  The truncation is strongly nonnormal (eigenvalue
+# condition numbers from 7e10 for -0.0316 up to 1e17, ROADMAP item 4): past
+# these, the dense spectra of M and R differ by 3e-11 to 1e-2 relative, the
+# error of the eigensolves and not of the real form, whose traces agree
+RESOLVED_TOP = {"one": 1, "bump": 12, "expression": 3}
+
+
+@pytest.mark.parametrize("weight_id", sorted(SIMILARITY_WEIGHTS))
+@pytest.mark.parametrize("N", [6, 7, 8])
+def test_real_form_is_a_similarity(weight_id, N):
+    sys_ = weighted_pcat(weight_id)
+    M = coll._build_fft(sys_, N)
+    if weight_id == "expression":
+        assert np.abs(M.imag).max() > 0.1
+    rf = coll.real_form(coll.TransferMatrix(n_freq=N, matrix=M))
+    assert rf.matrix.dtype == np.float64
+    assert rf.delta < 1e-12
+    U = real_modes(M.shape[0]).toarray()
+    assert np.linalg.norm(U @ rf.matrix @ U.conj().T - M) <= rf.delta + 1e-14
+    # similarity invariants that do not depend on eigenvalue conditioning
+    Rm, Mm = np.eye(M.shape[0]), np.eye(M.shape[0])
+    for _ in range(12):
+        Rm, Mm = Rm @ rf.matrix, Mm @ M
+        assert abs(np.trace(Rm) - np.trace(Mm)) <= 1e-12 * max(1.0, abs(np.trace(Mm)))
+    top = RESOLVED_TOP[weight_id]
+    gaps = matched_rel_gaps(np.linalg.eigvals(rf.matrix), np.linalg.eigvals(M), top)
+    assert np.max(gaps) <= 1e-12
+
+
+def test_build_hands_over_the_real_form_of_its_columns(pcat):
+    fft = coll.build_transfer_matrix(pcat, 8)
+    ref = coll.real_form(coll.TransferMatrix(n_freq=8, matrix=coll._build_fft(pcat, 8)))
+    assert fft.delta == ref.delta and np.array_equal(fft.matrix, ref.matrix)
+    # the factored build at 24 modes a side: its CSR rows, densified
+    fac = coll.build_transfer_matrix(pcat, 24)
+    ref = coll.real_form(coll.TransferMatrix(n_freq=24, matrix=coll._factored_csr(pcat, 24)))
+    assert isinstance(fac.matrix, np.ndarray) and fac.matrix.dtype == np.float64
+    assert fac.delta == ref.delta and np.array_equal(fac.matrix, ref.toarray())
+    assert 0 < fac.delta < 1e-12
+
+
+def test_real_form_delta_is_what_it_leaves_out(pcat):
+    # the real form of a CSR matrix drops entries at SPARSE_DROP_TOL, and
+    # delta counts them with the imaginary parts
+    M = coll._factored_csr(pcat, 10)
+    rf = coll.real_form(coll.TransferMatrix(n_freq=10, matrix=M))
+    U = real_modes(M.shape[0]).toarray()
+    D = U.conj().T @ M.toarray() @ U
+    R = rf.matrix.toarray()
+    dropped = (R == 0) & (D.real != 0)
+    assert np.count_nonzero(dropped) > 0
+    assert np.abs(D.real[dropped]).max() <= coll.SPARSE_DROP_TOL
+    assert np.linalg.norm(D.imag) < 0.1 * rf.delta
+    assert math.isclose(rf.delta, np.linalg.norm(D - R), rel_tol=1e-4)
+
+
+def test_matrix_without_the_symmetry_fails_the_residual_check(pcat):
+    N = 8
+    M = coll._build_fft(pcat, N)
+    k = np.array([1, 2])
+    i, j = mode_index(maps.CAT_A_INT.T @ k, N), mode_index(k, N)
+    assert abs(M[i, j]) > 0.5
+    M[i, j] *= 1 + 1e-6j
+    tm = coll.TransferMatrix(n_freq=N, matrix=M)
+    delta = coll.real_form(tm).delta
+    assert delta >= 1e-6 * abs(M[i, j]) / math.sqrt(2)
+    for top in (None, 8):
+        w, res = coll.eigen_resonances(tm, top=top, seed=0)
+        assert np.all(res >= delta)
+        with pytest.raises(EigenSolverFailure):
+            coll.check_residuals(w, res)
+
+
+def assert_conjugate_pairs(w, res=None):
+    """Each non-real value of w has exactly one partner that is its
+    conjugate bit for bit, with the same residual."""
+    for j in np.flatnonzero(w.imag != 0):
+        partner = np.flatnonzero((w.real == w[j].real) & (w.imag == -w[j].imag))
+        assert partner.size == 1, w[j]
+        if res is not None:
+            assert res[partner[0]] == res[j]
+
+
+def test_subspace_route_keeps_conjugate_pairs_whole(pcat):
+    # the benchmark map at half the benchmark truncations
+    tm10 = coll.build_transfer_matrix(pcat, 10)
+    w10, r10 = coll.eigen_resonances(tm10, top=48, seed=7)
+    w20, r20 = coll.eigen_resonances(coll.build_transfer_matrix(pcat, 20), top=48, seed=7)
+    for w, res in ((w10, r10), (w20, r20)):
+        assert 0 < len(w) <= 48 and np.count_nonzero(w.imag) >= 20
+        assert_conjugate_pairs(w, res)
+    # against the doubled truncation only real values survive here; against
+    # the dense spectrum of the same matrix, pairs do, and survive together
+    wd, _ = coll.eigen_resonances(tm10)
+    for ref in (w20, wd):
+        stable = w10[coll.stability_filter(w10, ref)[:, 0]]
+        assert_conjugate_pairs(stable)
+    assert np.count_nonzero(stable.imag) >= 2
