@@ -242,10 +242,11 @@ def cmd_resonances(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) ->
         return ts, dp, zeros, coll.eigen_resonances(tm1, top=cfg.top_k, seed=cfg.seed)
 
     # Only this thread waits on futures, so no task waits on another and a
-    # one-worker pool cannot deadlock.  The 2 n_freq matrix is built first:
-    # its row blocks next to a live dense n_freq matrix raise peak memory.
+    # one-worker pool cannot deadlock.  The 2 n_freq matrix is built first,
+    # alone: built beside the orbit search of the other route, its transient
+    # arrays raise the peak memory.
     with ThreadPoolExecutor(max_workers=cpu_count()) as pool:
-        tm2 = coll.build_transfer_matrix(sys_, 2 * cfg.n_freq, pool)
+        tm2 = coll.build_transfer_matrix(sys_, 2 * cfg.n_freq)
         lo = pool.submit(determinant_and_lo)
         # the same seeded solver at both truncations, so both sides of the
         # stability filter keep the same top_k eigenvalues; this thread and

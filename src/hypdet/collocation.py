@@ -1,12 +1,12 @@
 """Fourier collocation of the transfer operator on torus maps.
 
-The operator L u = g (u o T) is discretized on the modes k in [-N, N]^2 by
-sampling g e_k(T x) on an oversampled grid and projecting back by FFT.  The
-mode count picks one of two builds of the same coefficients: the direct
-per-column FFT of the sampled symbol up to FFT_MAX_DIM modes, and above it a
-factored path for maps given as (integer linear part) + (smooth periodic
-part), which evaluates them on a much smaller grid.  The tests check entries
-of both against direct quadrature.
+The operator L u = g (u o T) is discretized on the modes k in [-N, N]^2.
+The mode count picks one of two builds: up to FFT_MAX_DIM modes, the
+per-column FFT of g e_k(T x) sampled on an oversampled grid; above it, the
+closed form that the Jacobi-Anger expansion gives for maps
+T x = A x + eps (sin 2 pi a.x, sin 2 pi b.x), with the weight entering as a
+convolution with its Fourier coefficients.  The tests check entries of both
+against direct quadrature.
 
 For a real map and weight, L commutes with complex conjugation: the
 truncation M satisfies M_{-k',-k} = conj M_{k',k} and is real on the basis of
@@ -25,6 +25,7 @@ import numpy as np
 import scipy.fft as sfft
 import scipy.linalg as sla
 import scipy.sparse as sparse
+import scipy.special as special
 from scipy.sparse import _sparsetools
 
 from .determinant import BACKWARD_ERROR_THRESHOLD
@@ -33,20 +34,19 @@ from .maps import MapSystem
 
 TWO_PI = 2.0 * math.pi
 SQRT_HALF = math.sqrt(0.5)
-DENSE_DIM_LIMIT = 4500
 DENSE_EIG_LIMIT = 2600
 SPARSE_DROP_TOL = 1e-13
 SUBSPACE_ITERS = 24
 RITZ_RESIDUAL_TOL = 1e-8
 STABILITY_RTOL = 1e-6
 # the FFT build samples on a (GRID_FACTOR (2N+1))^2 grid, the anti-aliasing
-# minimum; above FFT_MAX_DIM modes the factored build takes over
+# minimum; above FFT_MAX_DIM modes the closed form takes over
 GRID_FACTOR = 4
 FFT_MAX_DIM = 2000
-# k1 rows per task of the factored build: about ten tasks at 2 n_freq = 40,
-# so a pool of a few workers stays busy to the end; the real form of a CSR
-# matrix is taken in row blocks of the same k1 count
-BUILD_BLOCK_ROWS = 8
+# the closed form leaves out the terms with |J_n| below BESSEL_FLOOR; past
+# the cut they fall faster than geometrically, so an entry moves by a few
+# times BESSEL_FLOOR times sum_j |g^_j|, under the roundoff of a unit entry
+BESSEL_FLOOR = 1e-17
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,10 @@ class TransferMatrix:
     With delta None, matrix holds the entries on the basis e_k.  Otherwise
     it is the real form R = Re(U^H M U) of such a matrix M (real_form) and
     delta = ||U^H M U - R||_F is what R leaves out.  matrix is dense
-    (ndarray) up to DENSE_DIM_LIMIT modes, scipy CSR above; the factored
-    build and the real form of a CSR matrix drop entries of modulus at most
-    SPARSE_DROP_TOL, the FFT build keeps them.
+    (ndarray) from the FFT build, up to FFT_MAX_DIM modes, and scipy CSR
+    from the closed form above; the closed form and the real form of a CSR
+    matrix drop entries of modulus at most SPARSE_DROP_TOL, the FFT build
+    keeps them.
     """
 
     n_freq: int
@@ -80,33 +81,24 @@ def _grid(G):
     return np.meshgrid(t, t, indexing="ij")
 
 
-def build_transfer_matrix(sys: MapSystem, n_freq: int, pool: Executor | None = None
-                          ) -> TransferMatrix:
+def build_transfer_matrix(sys: MapSystem, n_freq: int) -> TransferMatrix:
     """Real form of the collocation matrix of u -> g (u o T) on modes [-N, N]^2.
 
     Up to FFT_MAX_DIM modes g e_k(Tx) is sampled on the (GRID_FACTOR (2N+1))^2
-    grid and each column FFT-projected; above it the homology decomposition
-    T = A x + s(x) gives the identical coefficients on a small grid sized by
-    the Bessel tail of exp(2 pi i k.s).  The complex matrix never exists
-    whole next to its real form: the FFT build hands its columns over in
-    pairs (k, -k), and the factored build's CSR matrix is freed before the
-    real rows are joined.  With a pool, the factored build runs its blocks
-    of k1 rows there; the matrix is the same bit for bit.
+    grid and each column FFT-projected, and R is dense; above it the
+    Jacobi-Anger closed form of T = A x + eps (sin 2 pi a.x, sin 2 pi b.x)
+    gives the same coefficients, and R is CSR.  The complex matrix never
+    exists whole: both builds hand their columns over in pairs (k, -k), the
+    closed form as pairs of k1 blocks.
     """
-    if sys.linear_part is None or sys.periodic_part is None:
+    if sys.linear_part is None or sys.perturbation is None:
         raise ValueError("collocation requires a torus map with "
-                         "linear_part and periodic_part")
+                         "linear_part and perturbation")
     dim = (2 * n_freq + 1) ** 2
     if dim <= FFT_MAX_DIM:
         R, delta = _real_columns(_fft_columns(sys, n_freq), dim)
-        return TransferMatrix(n_freq=n_freq, matrix=R, delta=delta)
-    M = _factored_csr(sys, n_freq, pool)
-    blocks, delta = _real_rows(M, n_freq)
-    del M
-    R = sparse.vstack(blocks, format="csr")
-    del blocks
-    if dim <= DENSE_DIM_LIMIT:
-        R = R.toarray()
+    else:
+        R, delta = _real_pairs(_closed_form_blocks(sys, n_freq, _pair_order(n_freq)), n_freq)
     return TransferMatrix(n_freq=n_freq, matrix=R, delta=delta)
 
 
@@ -125,8 +117,13 @@ def real_form(tm: TransferMatrix) -> TransferMatrix:
     if tm.delta is not None:
         return tm
     if sparse.issparse(tm.matrix):
-        blocks, delta = _real_rows(tm.matrix.tocsr(), tm.n_freq)
-        R = sparse.vstack(blocks, format="csr")
+        M = tm.matrix.tocsc()
+        side = 2 * tm.n_freq + 1
+        blocks = ((M.indices[M.indptr[i * side]:M.indptr[(i + 1) * side]],
+                   M.data[M.indptr[i * side]:M.indptr[(i + 1) * side]],
+                   np.diff(M.indptr[i * side:(i + 1) * side + 1]))
+                  for i in _pair_order(tm.n_freq))
+        R, delta = _real_pairs(blocks, tm.n_freq)
     else:
         R, delta = _real_columns(np.asarray(tm.matrix).T, tm.dim)
     return TransferMatrix(n_freq=tm.n_freq, matrix=R, delta=delta)
@@ -168,11 +165,21 @@ def _real_columns(columns, dim):
     return R, math.sqrt(sq)
 
 
-def _real_rows(M, N):
-    """Row blocks of R = Re(U^H M U) for CSR M, BUILD_BLOCK_ROWS values of
-    k1 at a time, without their entries of modulus at most SPARSE_DROP_TOL;
-    and delta, which counts those entries and the imaginary parts."""
-    dim = M.shape[0]
+def _pair_order(N):
+    """The k1 blocks (index k1 + N) in the order 0, -1, 1, -2, 2, ..., N:
+    the modes k and -k lie in the blocks of k1 and -k1."""
+    return [N] + [N + s * k1 for k1 in range(1, N + 1) for s in (-1, 1)]
+
+
+def _real_pairs(blocks, N):
+    """R = Re(U^H M U) as CSR and delta, from the columns of M as (rows,
+    values, counts) of each k1 block in _pair_order.  U mixes the columns k
+    and -k only, so with S the indices of the blocks of k1 and -k1,
+    R[:, S]^tr = Re(U[S, S]^tr M[:, S]^tr conj U).  Entries of modulus at
+    most SPARSE_DROP_TOL are left out; delta counts them and the imaginary
+    parts."""
+    side = 2 * N + 1
+    dim = side * side
     c = dim // 2
     up = np.arange(c + 1, dim)
     low = dim - 1 - up
@@ -183,19 +190,26 @@ def _real_rows(M, N):
                          np.full(up.size, -1j * s), np.full(up.size, 1j * s)]),
          (np.concatenate([[c], up, low, up, low]), np.concatenate([[c], up, up, low, low]))),
         shape=(dim, dim), dtype=complex)
-    Uh = U.conj().T.tocsr()
-    step = BUILD_BLOCK_ROWS * (2 * N + 1)
-    blocks = []
+    Ubar = U.conj()
+    blocks = iter(blocks)
+    Rt = [None] * side
     sq = 0.0
-    for r0 in range(0, dim, step):
-        D = Uh[r0:r0 + step] @ M @ U
+    for k1 in range(N + 1):
+        ks = [N] if k1 == 0 else [N - k1, N + k1]
+        rows, vals, counts = (np.concatenate(x) for x in zip(*(next(blocks) for _ in ks)))
+        S = np.concatenate([np.arange(i * side, (i + 1) * side) for i in ks])
+        MSt = sparse.csc_matrix((vals, rows, np.concatenate([[0], np.cumsum(counts)])),
+                                shape=(dim, S.size)).T
+        D = (U[S][:, S].T @ MSt @ Ubar).tocsr()
         re = D.data.real
         drop = np.abs(re) <= SPARSE_DROP_TOL
         sq += float(np.sum(D.data.imag ** 2)) + float(np.sum(re[drop] ** 2))
         kept = np.concatenate([[0], np.cumsum(~drop)])
-        blocks.append(sparse.csr_matrix((re[~drop], D.indices[~drop], kept[D.indptr]),
-                                        shape=D.shape))
-    return blocks, math.sqrt(sq)
+        D = sparse.csr_matrix((re[~drop], D.indices[~drop], kept[D.indptr]), shape=D.shape)
+        for j, i in enumerate(ks):
+            Rt[i] = D[j * side:(j + 1) * side]
+    Rt = sparse.vstack(Rt, format="csr")
+    return Rt.T.tocsr(), math.sqrt(sq)
 
 
 def _fft_columns(sys, N):
@@ -231,89 +245,141 @@ def _bessel_cutoff(z: float) -> int:
     return int(math.ceil(z + 8.0 * z ** (1.0 / 3.0) + 12.0))
 
 
-def _build_factored(sys, N, pool=None):
-    """The factored build's e_k-basis matrix, dense up to DENSE_DIM_LIMIT
-    modes."""
-    M = _factored_csr(sys, N, pool)
-    return M.toarray() if M.shape[0] <= DENSE_DIM_LIMIT else M
+def _bessel_table(z):
+    """J_n(z_i) for |n| < h as rows (i) by columns (n + h), each row cut to
+    zero past its last |n| with |J_n(z_i)| >= BESSEL_FLOOR; also the cuts.
+    h is the first n with (max |z| / 2)^n / n! < BESSEL_FLOOR, which bounds
+    |J_n(z)| from n on (DLMF 10.14.4)."""
+    z_max = float(np.abs(z).max())
+    h, bound = 1, z_max / 2.0
+    while bound >= BESSEL_FLOOR:
+        h += 1
+        bound *= z_max / (2.0 * h)
+    n = np.arange(1 - h, h)
+    J = special.jv(n, z[:, None])
+    cut = np.max(np.where(np.abs(J) >= BESSEL_FLOOR, np.abs(n), 0), axis=1)
+    J[np.abs(n) > cut[:, None]] = 0.0
+    return J, cut
 
 
-def _factored_csr(sys, N, pool=None):
-    """e_k-basis matrix as CSR: the FFT coefficients of g e_k(s(x)) on the
-    small grid, shifted by A^tr k."""
-    A = np.asarray(sys.linear_part, dtype=np.int64)
-    # bound the phase 2 pi |k . s(x)| to size the small grid
-    probe = _grid(64)
-    ppts = np.stack([probe[0].ravel(), probe[1].ravel()], axis=-1)
-    s_vals = sys.periodic_part(ppts)
-    s_sup = float(np.max(np.abs(s_vals), axis=0).sum())
-    z_max = TWO_PI * N * s_sup
-    d_cut = _bessel_cutoff(z_max)
-    Gs = sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False)
-    X1, X2 = _grid(Gs)
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    S = sys.periodic_part(pts)
-    # the grids are held transposed, so the first transform of fft2 (axis 0)
-    # runs along the contiguous axis; the products have the same bits
-    W = np.asarray(sys.weight(pts)).reshape(Gs, Gs).astype(complex).T.copy()
-    E1 = np.exp(TWO_PI * 1j * S[:, 0]).reshape(Gs, Gs).T.copy()
-    E2 = np.exp(TWO_PI * 1j * S[:, 1]).reshape(Gs, Gs).T.copy()
-    dvals = np.concatenate([np.arange(0, Gs // 2), np.arange(-Gs // 2, 0)]).astype(np.int32)
-    dim = (2 * N + 1) ** 2
+def _weight_coefficients(sys, G):
+    """Fourier coefficients g^_j of the weight, at index j + G // 2, from one
+    FFT of its samples on the (G, G) grid.  The computed FFT has normwise
+    error about log2(G^2) eps ||g^||_2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 24.1), so coefficients below that are its
+    roundoff and are set to zero.  For even G the FFT's -G/2 row and column
+    stand for +-G/2 together and are split in halves over both, so a real
+    weight keeps g^_-j = conj g^_j, the symmetry the real form needs."""
+    X1, X2 = _grid(G)
+    w = np.asarray(sys.weight(np.stack([X1.ravel(), X2.ravel()], axis=-1))).reshape(G, G)
+    gh = sfft.fft2(w)
+    # divided as reals: complex division by G^2 turns the exact sum of a
+    # unit weight into 1 - 2^-53
+    gh.view(float)[...] /= G * G
+    gh[np.abs(gh) <= math.log2(G * G) * np.finfo(float).eps * np.linalg.norm(gh)] = 0.0
+    gh = sfft.fftshift(gh)
+    if G % 2 == 0:
+        gh = np.pad(gh, ((0, 1), (0, 1)))
+        gh[-1], gh[:, -1] = gh[0], gh[:, 0]
+        for edge in (gh[0], gh[-1], gh[:, 0], gh[:, -1]):
+            edge /= 2
+    return gh
+
+
+def _closed_form_blocks(sys, N, order):
+    """Rows, values and per-column counts of the e_k-basis columns of each
+    k1 block (index k1 + N) in order, from the Jacobi-Anger expansion: for
+    T x = A x + eps (sin 2 pi a.x, sin 2 pi b.x),
+      e_k(T x) = sum_{n, m} J_n(2 pi eps k1) J_m(2 pi eps k2) e_{A^tr k + n a + m b}(x),
+    and the weight multiplies by g = sum_j g^_j e_j, so column k holds
+    g^_j J_n J_m at the rows A^tr k + j + n a + m b.  Terms that meet at one
+    row (a = b, or several g^_j) are summed in a fixed order.  Each column
+    comes in row order, without entries of modulus at most SPARSE_DROP_TOL.
+    """
+    eps, a, b = sys.perturbation
+    ks = np.arange(-N, N + 1)
+    J, cut = _bessel_table(TWO_PI * eps * ks)
+    # the weight is sampled on the grid that resolves e_k(s(x)) for every
+    # column, sized by the Bessel tail at the largest phase 2 pi |k.s|
+    d_cut = _bessel_cutoff(TWO_PI * N * 2.0 * abs(eps))
+    gh = _weight_coefficients(sys, sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False))
+    # A^tr k of every column, as C[:, k1 + N, k2 + N]
+    C = np.einsum("ji,jkl->ikl", sys.linear_part, np.meshgrid(ks, ks, indexing="ij"))
+    # a column has count(g^) (2h + 1)^2 terms (j, n, m), against 2h + 1
+    # window sums of (2N + 1)^2 entries: the cheaper way builds the columns
+    columns = (_few_coefficient_columns if np.count_nonzero(gh) * J.shape[1] <= ks.size ** 2
+               else _window_columns)
+    return columns(gh, J, cut, np.array(a), np.array(b), C, N, order)
+
+
+def _few_coefficient_columns(gh, J, cut, a, b, C, N, order):
+    """Rows, values and counts of the columns of each k1, vectorised over
+    the terms (j, n, m): sorted by their offset j + n a + m b once, the
+    terms give every column's rows in order, and equal offsets are adjacent
+    and summed there in the sorted order."""
     side = 2 * N + 1
-    # column k keeps the rows k' = A^tr k + d with |k'|_inf <= N, so each d_i
-    # ranges over the FFT indices of a window known before the FFT: those of
-    # c + d in [-N, N], for every c = (A^tr k)_i a column can have
-    c_max = N * int(np.abs(A).sum(axis=0).max())
-    window = {c: np.flatnonzero(np.abs(c + dvals) <= N) for c in range(-c_max, c_max + 1)}
+    h = J.shape[1] // 2
+    nz = np.flatnonzero(gh)
+    jj = np.stack(np.unravel_index(nz, gh.shape), axis=1) - gh.shape[0] // 2
+    tj, tn, tm = (t.ravel() for t in np.meshgrid(np.arange(nz.size), np.arange(-h, h + 1),
+                                                np.arange(-h, h + 1), indexing="ij"))
+    o1 = jj[tj, 0] + tn * a[0] + tm * b[0]
+    o2 = jj[tj, 1] + tn * a[1] + tm * b[1]
+    span = int(np.abs(o2).max()) + 1
+    perm = np.argsort(o1 * (2 * span + 1) + o2, kind="stable")
+    tj, tn, tm, o1, o2 = tj[perm], tn[perm], tm[perm], o1[perm], o2[perm]
+    merge = bool(np.any((np.diff(o1) == 0) & (np.diff(o2) == 0)))
+    gv = gh.ravel()[nz]
+    for i in order:
+        t = np.abs(tn) <= cut[i]
+        Jm = J[:, tm[t] + h]
+        r1 = C[0, i][:, None] + o1[t]
+        r2 = C[1, i][:, None] + o2[t]
+        keep = (Jm != 0) & (np.abs(r1) <= N) & (np.abs(r2) <= N)
+        col, term = np.nonzero(keep)
+        rows = ((r1[keep] + N) * side + (r2[keep] + N)).astype(np.int32)
+        vals = (gv[tj[t]] * J[i, tn[t] + h])[term] * Jm[keep]
+        if merge:
+            first = np.flatnonzero(np.concatenate([[True], (np.diff(rows) != 0)
+                                                   | (np.diff(col) != 0)]))
+            vals = np.add.reduceat(vals, first)
+            rows, col = rows[first], col[first]
+        big = np.abs(vals) > SPARSE_DROP_TOL
+        yield rows[big], vals[big], np.bincount(col[big], minlength=side)
 
-    def columns(k1s, E1_pow):
-        """Row indices, values and per-column counts of the columns k1 in
-        k1s, in column order; E1_pow is W E1^{k1s[0]}, transposed."""
-        rows_b = [np.zeros(0, dtype=np.int32)]
-        vals_b = [np.zeros(0, dtype=complex)]
-        counts = []
-        for k1 in k1s:
-            cur = E1_pow * E2 ** (-N)
-            for k2 in range(-N, N + 1):
-                # Python ints keep the row indices int32, the CSC index type
-                c1 = int(A[0, 0] * k1 + A[1, 0] * k2)
-                c2 = int(A[0, 1] * k1 + A[1, 1] * k2)
-                r1, r2 = window[c1], window[c2]
-                if r1.size and r2.size:
-                    # fft2 transforms axis 0, then axis 1: axis 1 on the
-                    # window rows only, then the window columns, gives the
-                    # same bits; cur is transposed, so the block comes out
-                    # transposed too
-                    coeffs = sfft.fft(sfft.fft(cur, axis=1)[:, r1], axis=0)[r2].T / (Gs * Gs)
-                    keep = np.abs(coeffs) > SPARSE_DROP_TOL
-                    kp = (c1 + dvals[r1] + N)[:, None] * side + (c2 + dvals[r2] + N)
-                    rows_b.append(kp[keep])
-                    vals_b.append(coeffs[keep])
-                    counts.append(rows_b[-1].size)
-                else:
-                    counts.append(0)
-                cur = cur * E2
-            E1_pow = E1_pow * E1
-        return np.concatenate(rows_b), np.concatenate(vals_b), counts
 
-    # each block starts from W E1^{k1} of one running product, so its
-    # columns have the bits of a build in one piece
-    blocks = [range(k, min(k + BUILD_BLOCK_ROWS, N + 1))
-              for k in range(-N, N + 1, BUILD_BLOCK_ROWS)]
-    starts = []
-    E1_pow = W * E1 ** (-N)
-    for block in blocks:
-        starts.append(E1_pow)
-        for _ in block:
-            E1_pow = E1_pow * E1
-    rows, vals, counts = zip(*(pool.map if pool is not None else map)(columns, blocks, starts))
-    # columns come in order, so their counts give the CSC pointer directly
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    M = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
-                          shape=(dim, dim))
-    del rows, vals
-    return M.tocsr()
+def _window_columns(gh, J, cut, a, b, C, N, order):
+    """Rows, values and counts of the columns of each k1 for a weight with
+    many coefficients: the sum over m runs once per k2 on the whole array
+    g^ (H, shifted by m b), then each column sums J_n H shifted by n a on
+    its window of rows [-N, N]^2."""
+    side = 2 * N + 1
+    h = J.shape[1] // 2
+    G = gh.shape[0]
+    pad = h * np.abs(b)
+    H = np.zeros((side, G + 2 * pad[0], G + 2 * pad[1]), dtype=complex)
+    for i in range(side):
+        for m in range(-cut[i], cut[i] + 1):
+            s1, s2 = pad + m * b
+            H[i, s1:s1 + G, s2:s2 + G] += J[i, m + h] * gh
+    for i in order:
+        rows, vals, counts = [], [], []
+        for k2 in range(side):
+            F = np.zeros((side, side), dtype=complex)
+            for n in range(-cut[i], cut[i] + 1):
+                # window rows k' sit at k' - A^tr k - n a + G // 2 + pad in H
+                s1, s2 = G // 2 + pad - N - C[:, i, k2] - n * a
+                lo1, hi1 = max(s1, 0), min(s1 + side, H.shape[1])
+                lo2, hi2 = max(s2, 0), min(s2 + side, H.shape[2])
+                if lo1 < hi1 and lo2 < hi2:
+                    F[lo1 - s1:hi1 - s1, lo2 - s2:hi2 - s2] += (J[i, n + h]
+                                                               * H[k2, lo1:hi1, lo2:hi2])
+            F = F.ravel()
+            r = np.flatnonzero(np.abs(F) > SPARSE_DROP_TOL)
+            rows.append(r.astype(np.int32))
+            vals.append(F[r])
+            counts.append(r.size)
+        yield np.concatenate(rows), np.concatenate(vals), np.array(counts)
 
 
 # ---------------------------------------------------------------------------

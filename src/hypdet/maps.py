@@ -34,9 +34,9 @@ SPLIT_V0 = np.array([1.0, 0.0])
 class MapSystem:
     """A planar hyperbolic diffeomorphism model with weight.
 
-    forward, inverse, jacobian, weight and periodic_part take an (n, 2) batch
-    of points and return (n, 2), (n, 2, 2) or (n,) arrays.  Torus maps carry
-    linear_part and periodic_part; chart maps carry box.
+    forward, inverse, jacobian and weight take an (n, 2) batch of points and
+    return (n, 2), (n, 2, 2) or (n,) arrays.  Torus maps carry linear_part and
+    perturbation; chart maps carry box.
     """
 
     name: str
@@ -47,10 +47,11 @@ class MapSystem:
     params: dict = field(default_factory=dict)
     # chart models: isolating box V (weight support lives inside), (lo, hi) per axis
     box: Optional[tuple] = None
-    # torus maps: induced integer matrix on homology, and the periodic
-    # remainder T(x) - A x as an exact callable (used by fast pipelines)
+    # torus maps: induced integer matrix A on homology, and the periodic
+    # remainder T(x) - A x = eps (sin 2 pi a.x, sin 2 pi b.x) as (eps, a, b)
+    # with integer vectors a, b (read by collocation)
     linear_part: Optional[np.ndarray] = None
-    periodic_part: Optional[Callable] = None
+    perturbation: Optional[tuple] = None
 
     def with_weight(self, weight: Callable, tag: str = "custom"):
         """Same dynamics, different weight."""
@@ -189,9 +190,6 @@ def builtin_cat_map() -> MapSystem:
     def jacobian(x):
         return np.broadcast_to(A, (x.shape[0], 2, 2)).copy()
 
-    def periodic_part(x):
-        return np.zeros_like(x)
-
     return MapSystem(
         name="cat",
         forward=forward,
@@ -200,7 +198,7 @@ def builtin_cat_map() -> MapSystem:
         weight=_unit_weight,
         params={"eps": 0.0, "seed": 0},
         linear_part=CAT_A_INT.copy(),
-        periodic_part=periodic_part,
+        perturbation=(0.0, (0, 1), (1, 1)),
     )
 
 
@@ -226,17 +224,12 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
             f"|eps| = {abs(eps)} exceeds documented bound {PERTURBATION_BOUND}"
         )
     A = CAT_A
-    k1, k2 = _perturbation_vectors(seed)
-    k1 = k1.astype(float)
-    k2 = k2.astype(float)
-
-    def pert(x):
-        s1 = np.sin(TWO_PI * (x @ k1))
-        s2 = np.sin(TWO_PI * (x @ k2))
-        return eps * np.stack([s1, s2], axis=-1)
+    a, b = _perturbation_vectors(seed)
+    k1 = a.astype(float)
+    k2 = b.astype(float)
 
     def forward(x):
-        return np.mod(x @ A.T + pert(x), 1.0)
+        return np.mod(x @ A.T + eps * np.sin(TWO_PI * (x @ np.stack([k1, k2], axis=1))), 1.0)
 
     def jacobian(x):
         c1 = np.cos(TWO_PI * (x @ k1)) * eps * TWO_PI
@@ -268,7 +261,7 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
         weight=_unit_weight,
         params={"eps": float(eps), "seed": int(seed)},
         linear_part=CAT_A_INT.copy(),
-        periodic_part=pert,
+        perturbation=(float(eps), tuple(a.tolist()), tuple(b.tolist())),
     )
 
 

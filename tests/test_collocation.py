@@ -39,6 +39,15 @@ def direct_entry(sys_, kprime, k, n_freq, refine=2):
     return complex(np.sum(w * np.exp(1j * phase)) / (G * G))
 
 
+def closed_form_csr(sys_, N):
+    """The closed form's e_k-basis matrix as CSR."""
+    side = 2 * N + 1
+    rows, vals, counts = zip(*coll._closed_form_blocks(sys_, N, range(side)))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                         shape=(side * side, side * side)).tocsr()
+
+
 def spot_check(sys_, tm, n_entries, seed):
     """Max |entry - direct_entry| over random (k', k) pairs."""
     rng = np.random.default_rng(seed)
@@ -102,7 +111,7 @@ def test_character_weight_shifts_column(cat):
 def test_spot_check_both_methods(pcat):
     tm_fft = coll.TransferMatrix(n_freq=10, matrix=coll._build_fft(pcat, 10))
     assert spot_check(pcat, tm_fft, n_entries=6, seed=0) < 1e-10
-    tm_fac = coll.TransferMatrix(n_freq=10, matrix=coll._build_factored(pcat, 10))
+    tm_fac = coll.TransferMatrix(n_freq=10, matrix=closed_form_csr(pcat, 10).toarray())
     assert spot_check(pcat, tm_fac, n_entries=6, seed=0) < 1e-10
     assert np.max(np.abs(tm_fft.toarray() - tm_fac.toarray())) < 1e-12
 
@@ -110,9 +119,9 @@ def test_spot_check_both_methods(pcat):
 def test_large_truncation_needs_decomposition(pcat, chart):
     # 47^2 = 2209 modes are above FFT_MAX_DIM, 9^2 below: both sizes refuse a
     # map without the torus decomposition, and the chart model has none
-    bare = dataclasses.replace(pcat, periodic_part=None)
+    bare = dataclasses.replace(pcat, perturbation=None)
     for sys_, n_freq in ((bare, 23), (bare, 4), (chart[0], 4)):
-        with pytest.raises(ValueError, match="linear_part and periodic_part"):
+        with pytest.raises(ValueError, match="linear_part and perturbation"):
             coll.build_transfer_matrix(sys_, n_freq)
 
 
@@ -156,7 +165,7 @@ def test_eigen_dense_refused_at_large_dim():
 
 
 def test_subspace_matches_dense(pcat):
-    tm = coll.TransferMatrix(n_freq=10, matrix=coll._build_factored(pcat, 10))
+    tm = coll.TransferMatrix(n_freq=10, matrix=closed_form_csr(pcat, 10).toarray())
     wd, _ = coll.eigen_resonances(tm)
     wt, rt = coll.eigen_resonances(tm, top=8, seed=0)
     assert abs(wt[0] - wd[0]) < 1e-10
@@ -239,25 +248,31 @@ def test_sparse_representation_large():
 
 
 # ---------------------------------------------------------------------------
-# the windowed and pruned builds against the full-grid builds they replace
+# the builds against full-grid FFT references
 # ---------------------------------------------------------------------------
 
 
-def full_grid_factored(sys_, N):
-    """The factored build with every column transformed on the whole small
-    grid and masked to the truncation afterwards, in one piece; also
-    returns the grid size Gs and the frequency of each FFT index."""
+def full_grid_factored(sys_, N, refine=1):
+    """The FFT-based factored build: every column g e_k(s(x)), with
+    s(x) = T x - A x, transformed on the whole small grid (refine times the
+    size the closed form samples the weight on) and masked to the
+    truncation afterwards, in one piece, as CSR."""
     A = np.asarray(sys_.linear_part, dtype=np.int64)
+    eps, a, b = sys_.perturbation
+
+    def s_of(pts):
+        return eps * np.sin(2 * np.pi * (pts @ np.array([a, b], dtype=float).T))
+
     t = np.arange(64) / 64
     P1, P2 = np.meshgrid(t, t, indexing="ij")
-    s_vals = sys_.periodic_part(np.stack([P1.ravel(), P2.ravel()], axis=-1))
+    s_vals = s_of(np.stack([P1.ravel(), P2.ravel()], axis=-1))
     s_sup = float(np.max(np.abs(s_vals), axis=0).sum())
     d_cut = coll._bessel_cutoff(coll.TWO_PI * N * s_sup)
-    Gs = sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False)
+    Gs = refine * sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False)
     t = np.arange(Gs) / Gs
     X1, X2 = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    S = sys_.periodic_part(pts)
+    S = s_of(pts)
     W = np.asarray(sys_.weight(pts)).reshape(Gs, Gs).astype(complex)
     E1 = np.exp(coll.TWO_PI * 1j * S[:, 0]).reshape(Gs, Gs)
     E2 = np.exp(coll.TWO_PI * 1j * S[:, 1]).reshape(Gs, Gs)
@@ -280,9 +295,8 @@ def full_grid_factored(sys_, N):
             cur = cur * E2
         E1_pow = E1_pow * E1
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    M = sp.csc_matrix((np.concatenate(vals_b), np.concatenate(rows_b), indptr),
-                      shape=(side * side, side * side)).tocsr()
-    return (M.toarray() if side * side <= coll.DENSE_DIM_LIMIT else M), Gs, dvals
+    return sp.csc_matrix((np.concatenate(vals_b), np.concatenate(rows_b), indptr),
+                         shape=(side * side, side * side)).tocsr()
 
 
 def assert_same_bits(got, ref):
@@ -294,26 +308,63 @@ def assert_same_bits(got, ref):
         assert got.flags.c_contiguous and np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("N", [24, 40])
-@pytest.mark.parametrize("map_seed", [0, 3])
-def test_windowed_factored_build_is_the_full_grid_build(N, map_seed):
+def assert_same_entries(got, ref):
+    """Every entry both CSR matrices keep agrees to 1e-15; every entry only
+    one of them keeps lies within 1e-15 of SPARSE_DROP_TOL, where the two
+    roundoffs may fall on either side of the drop rule."""
+    both = (abs(got) > 0).multiply(abs(ref) > 0)
+    assert both.nnz > 0
+    assert abs((got - ref).multiply(both)).max() <= 1e-15
+    for one, other in ((got, ref), (ref, got)):
+        only = abs(one) - abs(one).multiply(abs(other) > 0)
+        if only.nnz:
+            assert np.abs(only.data - coll.SPARSE_DROP_TOL).max() <= 1e-15
 
+
+@pytest.mark.parametrize("N", [24, 40])
+@pytest.mark.parametrize("map_seed", [0, 3, 10])
+def test_closed_form_is_the_full_grid_build(N, map_seed):
     sys_ = maps.builtin_perturbed_cat(0.01, seed=map_seed)
-    ref, Gs, dvals = full_grid_factored(sys_, N)
-    assert_same_bits(coll._build_factored(sys_, N), ref)
-    if N == 40 and map_seed == 0:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert_same_bits(coll._build_factored(sys_, N, pool), ref)
-    if N == 40:
-        # columns whose first window is empty: no FFT index d has
-        # |(A^tr k)_1 + d| <= N, so the build skips their transforms
-        side = 2 * N + 1
-        A = maps.CAT_A_INT
-        empty = [(k1 + N) * side + (k2 + N)
-                 for k1 in range(-N, N + 1) for k2 in range(-N, N + 1)
-                 if np.all(np.abs(A[0, 0] * k1 + A[1, 0] * k2 + dvals) > N)]
-        assert len(empty) > 0
-        assert ref[:, empty].nnz == 0
+    if map_seed == 10:
+        # draws (1, -1) twice, so several (n, m) meet at one row
+        assert sys_.perturbation[1] == sys_.perturbation[2] == (1, -1)
+    assert_same_entries(closed_form_csr(sys_, N), full_grid_factored(sys_, N))
+
+
+def test_closed_form_of_the_cat_map_is_the_permutation(cat):
+    # eps = 0: column k holds a single 1 at A^tr k when that lies in [-N, N]^2
+    N = 23
+    M = closed_form_csr(cat, N).tocsc()
+    A_tr = maps.CAT_A_INT.T
+    for k1 in range(-N, N + 1):
+        for k2 in range(-N, N + 1):
+            col = M[:, mode_index((k1, k2), N)]
+            kp = A_tr @ np.array([k1, k2])
+            if np.max(np.abs(kp)) > N:
+                assert col.nnz == 0
+            else:
+                assert col.indices.tolist() == [mode_index(kp, N)]
+                assert col.data.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("weight_id", ["constant", "expression", "bump"])
+def test_closed_form_weights_above_fft_max_dim(weight_id):
+    N = 23
+    assert (2 * N + 1) ** 2 > coll.FFT_MAX_DIM
+    spec = {"constant": {"id": "constant", "value": 0.7},
+            "expression": {"id": "expression",
+                           "terms": {"one": 1.0, "sin1": 0.3, "sin2": 0.2}},
+            "bump": {"id": "bump"}}[weight_id]
+    sys_ = maps.builtin_perturbed_cat(0.01).with_weight(cli.build_weight(spec), tag=weight_id)
+    got = closed_form_csr(sys_, N)
+    if weight_id != "bump":
+        assert_same_entries(got, full_grid_factored(sys_, N))
+        return
+    # the FFT-based build aliases the product g e_k(s(x)) on its grid; the
+    # closed form convolves with the weight's coefficients, so it is at
+    # least as close to the same build on a grid twice as fine
+    fine = full_grid_factored(sys_, N, refine=2)
+    assert abs(got - fine).max() <= abs(full_grid_factored(sys_, N) - fine).max()
 
 
 def full_grid_fft(sys_, N):
@@ -376,12 +427,12 @@ def real_modes(dim):
 
 
 def test_split_sparse_products_same_bits_on_any_pool():
-    # above DENSE_DIM_LIMIT, where the factored build hands over CSR; the
-    # matrix is U R U^H for a random real R, so it has the symmetry of a
-    # real operator and the eigensolve runs on R
+    # above FFT_MAX_DIM, where the closed form hands over CSR; the matrix is
+    # U R U^H for a random real R, so it has the symmetry of a real operator
+    # and the eigensolve runs on R
     n_freq = 34
     dim = (2 * n_freq + 1) ** 2
-    assert dim > coll.DENSE_DIM_LIMIT
+    assert dim > coll.FFT_MAX_DIM
     rng = np.random.default_rng(11)
     R = sp.random(dim, dim, density=6.0 / dim, format="csr", random_state=rng,
                   data_rvs=rng.standard_normal)
@@ -465,18 +516,19 @@ def test_build_hands_over_the_real_form_of_its_columns(pcat):
     fft = coll.build_transfer_matrix(pcat, 8)
     ref = coll.real_form(coll.TransferMatrix(n_freq=8, matrix=coll._build_fft(pcat, 8)))
     assert fft.delta == ref.delta and np.array_equal(fft.matrix, ref.matrix)
-    # the factored build at 24 modes a side: its CSR rows, densified
+    # the closed form at 24 modes a side: its CSR rows, kept CSR
     fac = coll.build_transfer_matrix(pcat, 24)
-    ref = coll.real_form(coll.TransferMatrix(n_freq=24, matrix=coll._factored_csr(pcat, 24)))
-    assert isinstance(fac.matrix, np.ndarray) and fac.matrix.dtype == np.float64
-    assert fac.delta == ref.delta and np.array_equal(fac.matrix, ref.toarray())
+    ref = coll.real_form(coll.TransferMatrix(n_freq=24, matrix=closed_form_csr(pcat, 24)))
+    assert sp.isspmatrix_csr(fac.matrix) and fac.matrix.dtype == np.float64
+    assert fac.delta == ref.delta
+    assert_same_bits(fac.matrix, ref.matrix)
     assert 0 < fac.delta < 1e-12
 
 
 def test_real_form_delta_is_what_it_leaves_out(pcat):
     # the real form of a CSR matrix drops entries at SPARSE_DROP_TOL, and
     # delta counts them with the imaginary parts
-    M = coll._factored_csr(pcat, 10)
+    M = closed_form_csr(pcat, 10)
     rf = coll.real_form(coll.TransferMatrix(n_freq=10, matrix=M))
     U = real_modes(M.shape[0]).toarray()
     D = U.conj().T @ M.toarray() @ U

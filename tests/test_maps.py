@@ -375,8 +375,12 @@ def test_map_callables_take_and_return_batches(build, n, cat, cat_split, rng):
     assert sys_.inverse(x).shape == (n, 2)
     assert sys_.jacobian(x).shape == (n, 2, 2)
     assert np.asarray(sys_.weight(x)).shape == (n,)
-    if sys_.periodic_part is not None:
-        assert sys_.periodic_part(x).shape == (n, 2)
+    if sys_.perturbation is not None:
+        # T x = A x + eps (sin 2 pi a.x, sin 2 pi b.x) mod 1, as collocation reads it
+        eps, a, b = sys_.perturbation
+        s = eps * np.sin(2 * np.pi * (x @ np.array([a, b], dtype=float).T))
+        d = sys_.forward(x) - (x @ sys_.linear_part.T + s)
+        assert np.max(np.abs(d - np.round(d))) < 1e-12
 
 
 def _clipped_plateau_step(t, lo, hi):
