@@ -325,7 +325,7 @@ def _few_coefficient_columns(gh, J, cut, a, b, C, N, order):
                                                 np.arange(-h, h + 1), indexing="ij"))
     o1 = jj[tj, 0] + tn * a[0] + tm * b[0]
     o2 = jj[tj, 1] + tn * a[1] + tm * b[1]
-    span = int(np.abs(o2).max()) + 1
+    span = int(np.abs(o2).max(initial=0)) + 1
     perm = np.argsort(o1 * (2 * span + 1) + o2, kind="stable")
     tj, tn, tm, o1, o2 = tj[perm], tn[perm], tm[perm], o1[perm], o2[perm]
     merge = bool(np.any((np.diff(o1) == 0) & (np.diff(o2) == 0)))

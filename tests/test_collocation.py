@@ -367,6 +367,12 @@ def test_closed_form_weights_above_fft_max_dim(weight_id):
     assert abs(got - fine).max() <= abs(full_grid_factored(sys_, N) - fine).max()
 
 
+def test_closed_form_of_a_zero_weight_is_zero(pcat):
+    zero = pcat.with_weight(cli.build_weight({"id": "constant", "value": 0.0}), tag="zero")
+    tm = coll.build_transfer_matrix(zero, 22)
+    assert sp.issparse(tm.matrix) and tm.matrix.nnz == 0 and tm.delta == 0.0
+
+
 def full_grid_fft(sys_, N):
     """The FFT build with each column taken from the whole fft2."""
     G = coll.GRID_FACTOR * (2 * N + 1)
