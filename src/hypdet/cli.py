@@ -120,13 +120,17 @@ class RunConfig:
 def _typed(name: str, tp: type, v):
     """v as a value of field type tp; a JSON value of another kind (a string
     for a number, a bool for a number, 12.7 for an int) is a config error.
-    An int is accepted for a float field."""
+    An int is accepted for a float field.  json.load reads NaN and Infinity,
+    and a float must be finite, except r_smoothness, whose +inf (the default)
+    declares an analytic map."""
     if tp is float:
         ok = isinstance(v, (int, float)) and not isinstance(v, bool)
     else:
         ok = isinstance(v, tp) and not (tp is int and isinstance(v, bool))
     if not ok:
         raise ValueError(f"{name} must be {tp.__name__}, got {v!r}")
+    if tp is float and not (math.isfinite(v) or (name == "r_smoothness" and v == math.inf)):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
     return tp(v)
 
 
@@ -163,8 +167,9 @@ def build_weight(spec: dict):
         return w
     if wid == "expression":
         terms = spec.get("terms", {"one": 1.0})
-        if not isinstance(terms, dict):
-            raise ValueError(f"weight.terms must be an object, got {terms!r}")
+        if not isinstance(terms, dict) or not terms:
+            raise ValueError(f"weight.terms must be an object with at least one term, "
+                             f"got {terms!r}")
         unknown = set(terms) - set(WEIGHT_BASIS)
         if unknown:
             raise ValueError(f"unknown weight basis elements: {sorted(unknown)}")
@@ -218,8 +223,7 @@ def build_system(cfg: RunConfig, command: str):
 
 
 def cpu_count() -> int:
-    """CPUs this process may run on; cmd_resonances and cmd_aniso run one pool
-    worker on each."""
+    """CPUs this process may run on; cmd_aniso runs one pool worker on each."""
     return len(os.sched_getaffinity(0))
 
 
@@ -227,9 +231,10 @@ def cmd_resonances(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) ->
     """Orbits -> traces -> determinant, and collocation at n_freq and 2 n_freq,
     then the stability filter and the zero/eigen match.
 
-    The three routes share nothing until the filter, so they run at the same
-    time on a thread pool: their FFT, BLAS, LAPACK and sparse kernels release
-    the GIL.  The outputs do not depend on the number of workers.
+    The two truncations share nothing until the filter, so the determinant
+    route with the n_freq eigenvalues runs on a one-worker pool while this
+    thread computes the 2 n_freq eigenvalues: their FFT, BLAS, LAPACK and
+    sparse kernels release the GIL.
     """
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("resonances")
@@ -241,18 +246,15 @@ def cmd_resonances(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) ->
         tm1 = coll.build_transfer_matrix(sys_, cfg.n_freq)
         return ts, dp, zeros, coll.eigen_resonances(tm1, top=cfg.top_k, seed=cfg.seed)
 
-    # Only this thread waits on futures, so no task waits on another and a
-    # one-worker pool cannot deadlock.  The 2 n_freq matrix is built first,
-    # alone: built beside the orbit search of the other route, its transient
-    # arrays raise the peak memory.
-    with ThreadPoolExecutor(max_workers=cpu_count()) as pool:
+    # The 2 n_freq matrix is built first, alone: built beside the orbit
+    # search of the other route, its transient arrays raise the peak memory.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         tm2 = coll.build_transfer_matrix(sys_, 2 * cfg.n_freq)
         lo = pool.submit(determinant_and_lo)
         # the same seeded solver at both truncations, so both sides of the
-        # stability filter keep the same top_k eigenvalues; this thread and
-        # the pool share its sparse products
+        # stability filter keep the same top_k eigenvalues
         try:
-            w2, r2 = coll.eigen_resonances(tm2, top=cfg.top_k, seed=cfg.seed, pool=pool)
+            w2, r2 = coll.eigen_resonances(tm2, top=cfg.top_k, seed=cfg.seed)
         except Exception:
             # a serial run meets an error of the other route first
             lo.result()

@@ -18,7 +18,6 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 import scipy.sparse as sparse
 import scipy.special as special
-from scipy.sparse import _sparsetools
 
 from .determinant import BACKWARD_ERROR_THRESHOLD
 from .errors import EigenSolverFailure
@@ -387,8 +385,7 @@ def _window_columns(gh, J, cut, a, b, C, N, order):
 # ---------------------------------------------------------------------------
 
 
-def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
-                     pool: Executor | None = None):
+def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0):
     """Eigenvalues sorted by modulus, with residual bounds.
 
     Both routes solve the real form R of tm (real_form) in real arithmetic,
@@ -400,9 +397,7 @@ def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
     deterministic seeded subspace iteration (SUBSPACE_ITERS steps) and
     returns the K largest-modulus Ritz values, less the K-th when its
     conjugate is not among them; accuracy is certified by the residuals
-    (check_residuals) and by doubled-resolution filtering downstream.  With
-    a pool, each product of a CSR matrix runs as two row halves, one there
-    and one on this thread; the result is the same bit for bit.
+    (check_residuals) and by doubled-resolution filtering downstream.
     """
     dim = tm.dim
     if top is None and dim > DENSE_EIG_LIMIT:
@@ -416,23 +411,19 @@ def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0,
         return w[order], res[order] + tm.delta
 
     R = tm.matrix
-    if pool is not None and sparse.issparse(R):
-        product = _split_product(R, pool)
-    else:
-        product = R.__matmul__
     rng = np.random.default_rng(seed)
     b = min(dim, top + 16)
     Q = sla.qr(rng.standard_normal((dim, b)), mode="economic")[0]
     for _ in range(SUBSPACE_ITERS):
-        Z = product(Q)
+        Z = R @ Q
         # only the product is live while it is factored
         del Q
         Q = sla.qr(Z, mode="economic")[0]
         del Z
-    w, S = _real_eig(Q.T @ product(Q))
+    w, S = _real_eig(Q.T @ (R @ Q))
     W = Q @ S
     del Q
-    res = _residual_norms(w, W, product(W))
+    res = _residual_norms(w, W, R @ W)
     order = np.argsort(-np.abs(w), kind="stable")[:top]
     # a conjugate pair is kept whole or not at all
     partner = np.arange(w.size) + np.sign(w.imag).astype(int)
@@ -470,37 +461,6 @@ def _residual_norms(w, W, Y):
     for a in (num, den):
         a[j] = a[j + 1] = np.hypot(a[j], a[j + 1])
     return num / np.maximum(den, 1e-300)
-
-
-def _split_product(M, pool):
-    """X -> M @ X for real CSR M, its rows in two halves of about equal nnz:
-    the first on the pool, the second on this thread.
-
-    Both halves run scipy's CSR kernel on M's own arrays and write into one
-    output, as M @ X does for all rows; each row is summed in the same
-    order, so the result has the same bits.  (The halves as matrices of
-    their own, multiplied with @, would each allocate a result, and stacking
-    them a third array.)
-    """
-    n = M.shape[0]
-    h = int(np.searchsorted(M.indptr, M.nnz // 2))
-
-    def rows(start, stop, X, Z):
-        _sparsetools.csr_matvecs(stop - start, M.shape[1], X.shape[1],
-                                 M.indptr[start:stop + 1], M.indices, M.data,
-                                 X.ravel(), Z[start:stop].ravel())
-
-    def product(X):
-        X = np.ascontiguousarray(X, dtype=float)
-        Z = np.zeros((n, X.shape[1]))
-        head = pool.submit(rows, 0, h, X, Z)
-        try:
-            rows(h, n, X, Z)
-        finally:
-            head.result()
-        return Z
-
-    return product
 
 
 def stability_filter(eigs_n, eigs_2n):

@@ -87,3 +87,24 @@ def test_every_dataclass_field_is_read():
 def test_field_allowlist_entries_exist():
     fields, _ = _dataclass_fields_and_reads()
     assert ALLOWED_UNREAD_FIELDS <= set(fields)
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_private_module_of_another_package_is_imported():
+    # a private module (scipy.sparse._sparsetools) may change or vanish in
+    # any release of its package; relative imports stay inside hypdet
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC.parent)}:{node.lineno}: {name}" for name in names
+                      if any(_private(part) for part in name.split("."))]
+    assert not found, "private modules of other packages imported:\n" + "\n".join(found)

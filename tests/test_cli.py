@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -65,8 +66,8 @@ def test_resonances_rejects_large_ritz_residual(monkeypatch, tmp_path):
 
     solve = coll.eigen_resonances
 
-    def uncertified(tm, top=None, seed=0, pool=None):
-        w, res = solve(tm, top=top, seed=seed, pool=pool)
+    def uncertified(tm, top=None, seed=0):
+        w, res = solve(tm, top=top, seed=seed)
         return w, res + 1e-3
 
     monkeypatch.setattr(coll, "eigen_resonances", uncertified)
@@ -109,37 +110,16 @@ def test_resonances_computes_each_quantity_once(monkeypatch, tmp_path):
     assert calls["exponents"] == []
 
 
-def run_resonances_with_workers(monkeypatch, tmp_path, workers, cfg):
-    """Report bytes of one resonances run on a pool of `workers` threads."""
-    monkeypatch.setattr(cli, "cpu_count", lambda: workers)
-    out = tmp_path / f"w{workers}"
-    rc = cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"])
-    return rc, {name: (out / name).read_bytes()
-                for name in ("traces.csv", "determinant.json", "match.json")}
-
-
-def test_resonances_same_bytes_on_one_and_two_workers(monkeypatch, tmp_path):
-    # 2 n_freq = 24 takes the factored build, which runs in row blocks on the pool
-    cfg = write_config(tmp_path, "res5.json", {
-        "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
-        "N_det": 6, "n_freq": 12, "seed": 5,
-    })
-    rc1, one = run_resonances_with_workers(monkeypatch, tmp_path, 1, cfg)
-    rc2, two = run_resonances_with_workers(monkeypatch, tmp_path, 2, cfg)
-    assert rc1 == rc2 == 0
-    assert one == two
-
-
 def test_resonances_failure_on_the_pool_exits_4(monkeypatch, tmp_path):
     from hypdet import collocation as coll
     from hypdet.errors import EigenSolverFailure
 
     solve = coll.eigen_resonances
 
-    def failing_at_2n(tm, top=None, seed=0, pool=None):
+    def failing_at_2n(tm, top=None, seed=0):
         if tm.n_freq == 16:
             raise EigenSolverFailure("injected at 2 n_freq")
-        return solve(tm, top=top, seed=seed, pool=pool)
+        return solve(tm, top=top, seed=seed)
 
     monkeypatch.setattr(coll, "eigen_resonances", failing_at_2n)
     cfg = write_config(tmp_path, "res6.json", {
@@ -158,7 +138,7 @@ def test_resonances_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_
     from hypdet import determinant
     from hypdet.errors import EigenSolverFailure, NewtonDiverged
 
-    def failing_at_2n(tm, top=None, seed=0, pool=None):
+    def failing_at_2n(tm, top=None, seed=0):
         if tm.n_freq == 16:
             raise EigenSolverFailure("injected at 2 n_freq")
         raise AssertionError("a serial run stops before the n_freq eigensolve")
@@ -175,12 +155,10 @@ def test_resonances_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_
         "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
         "N_det": 6, "n_freq": 8, "seed": 5,
     })
-    for workers in (1, 2):
-        monkeypatch.setattr(cli, "cpu_count", lambda: workers)
-        out = tmp_path / f"o7_{workers}"
-        assert cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"]) == 4
-        err = capsys.readouterr().err
-        assert "injected in the orbits" in err and "2 n_freq" not in err
+    out = tmp_path / "o7"
+    assert cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "injected in the orbits" in err and "2 n_freq" not in err
 
 
 @pytest.fixture()
@@ -534,7 +512,12 @@ def test_weight_spec_the_command_does_not_run_is_a_config_error(command, weight,
     {"id": "bump", "center": 5},  # a center that is not a list of two
     {"id": "bump", "center": [0.5]},
     *({"id": "expression", "terms": {"one": v}} for v in (None, [], {})),
-    *({"id": "expression", "terms": v} for v in (None, [], 5)),  # terms not an object
+    *({"id": "expression", "terms": v} for v in (None, [], 5, {})),  # not an object of terms
+    # json.load reads NaN and Infinity
+    *({"id": "constant", "value": v} for v in (math.nan, math.inf)),
+    {"id": "bump", "width": math.inf},
+    {"id": "bump", "center": [math.nan, 0.5]},
+    {"id": "expression", "terms": {"one": 1.0, "cos1": -math.inf}},
 ])
 def test_weight_number_of_wrong_type_is_a_config_error(weight, tmp_path, capsys):
     bad = write_config(tmp_path, "weight.json", {"weight": weight})
@@ -555,6 +538,8 @@ def test_run_config_roundtrip():
     flat = {**{f"map.{k}": v for k, v in d.pop("map").items()}, **d}
     assert len(flat) == len(dataclasses.fields(cfg))
     assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
+    # the default r_smoothness, +inf, reads back
+    assert cli.RunConfig.from_dict(cli.RunConfig().to_dict()) == cli.RunConfig()
     # every field was read from the config: none kept its default
     default = cli.RunConfig()
     assert all(getattr(cfg, f.name) != getattr(default, f.name)
@@ -571,6 +556,13 @@ def test_run_config_roundtrip():
     {"map": {"id": "cat", "seed": 1.5}},
     [],  # a top level that is not an object
     {"map": 5},  # a map that is not an object
+    # json.load reads NaN and Infinity; r_smoothness alone may be +inf
+    {"map": {"id": "perturbed_cat", "eps": math.nan}},
+    {"det_radius": math.nan},
+    {"match_tol": math.inf},
+    {"p": math.inf},
+    {"r_smoothness": math.nan},
+    {"r_smoothness": -math.inf},
 ])
 def test_config_value_of_wrong_type_rejected(payload, tmp_path):
     with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -402,21 +401,6 @@ def test_pruned_fft_build_is_the_full_fft2_build(pcat, N):
     assert_same_bits(coll._build_fft(pcat, N), full_grid_fft(pcat, N))
 
 
-class CountingPool:
-    """A thread pool that counts the tasks it is given."""
-
-    def __init__(self, workers):
-        self.pool = ThreadPoolExecutor(max_workers=workers)
-        self.tasks = 0
-
-    def submit(self, fn, *args, **kwargs):
-        self.tasks += 1
-        return self.pool.submit(fn, *args, **kwargs)
-
-    def shutdown(self):
-        self.pool.shutdown()
-
-
 def real_modes(dim):
     """The unitary U of the real modes, as CSR: e_0 stays; for the index i
     of k > 0 and its partner q = dim - 1 - i of -k, column i is
@@ -432,10 +416,10 @@ def real_modes(dim):
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def test_split_sparse_products_same_bits_on_any_pool():
+def test_csr_real_form_round_trip():
     # above FFT_MAX_DIM, where the closed form hands over CSR; the matrix is
     # U R U^H for a random real R, so it has the symmetry of a real operator
-    # and the eigensolve runs on R
+    # and its real form is R
     n_freq = 34
     dim = (2 * n_freq + 1) ** 2
     assert dim > coll.FFT_MAX_DIM
@@ -447,15 +431,6 @@ def test_split_sparse_products_same_bits_on_any_pool():
     tm = coll.TransferMatrix(n_freq=n_freq, matrix=(U @ R @ U.conj().T).tocsr())
     rf = coll.real_form(tm)
     assert rf.delta < 1e-12 and abs(rf.matrix - R).max() < 1e-14
-    w0, r0 = coll.eigen_resonances(tm, top=8, seed=3)
-    for workers in (1, 2):
-        pool = CountingPool(workers)
-        try:
-            w, r = coll.eigen_resonances(tm, top=8, seed=3, pool=pool)
-        finally:
-            pool.shutdown()
-        assert pool.tasks == coll.SUBSPACE_ITERS + 2
-        assert np.array_equal(w, w0) and np.array_equal(r, r0)
 
 
 # ---------------------------------------------------------------------------
