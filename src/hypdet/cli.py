@@ -158,6 +158,8 @@ def build_weight(spec: dict):
             raise ValueError(f"weight.center must be a list of two numbers, got {center!r}")
         center = np.array([_typed("weight.center", float, c) for c in center])
         width = _typed("weight.width", float, spec.get("width", 0.25))
+        if width <= 0:
+            raise ValueError(f"weight.width must be positive, got {width!r}")
 
         def w(x):
             d = x - center
@@ -331,7 +333,7 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
         {
             "parameters": {"p": cfg.p, "q": cfg.q, "t_grid": list(bd.T_GRID),
                            "mc_samples": cfg.mc_samples,
-                           "split_ref_iterations": split.ref_iterations},
+                           "split_ref_iterations": maps.SPLIT_REF_ITERATIONS},
             "per_m": rows,
             "kitaev": cross,
             "appendixB": appB,

@@ -11,8 +11,7 @@ against direct quadrature.
 For a real map and weight, L commutes with complex conjugation: the
 truncation M satisfies M_{-k',-k} = conj M_{k',k} and is real on the basis of
 the real modes sqrt 2 cos 2 pi k.x, sqrt 2 sin 2 pi k.x.  Both builds hand
-over that real form (real_form), and the eigensolves run on it in real
-arithmetic.
+over only that real form R, and the eigensolves run on it in real arithmetic.
 """
 
 from __future__ import annotations
@@ -49,20 +48,20 @@ BESSEL_FLOOR = 1e-17
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Truncated collocation matrix over modes k in [-N, N]^2, k1-major.
+    """Real form R = Re(U^H M U) of the truncation M on modes k in [-N, N]^2,
+    k1-major, and delta = ||U^H M U - R||_F, what R leaves out.
 
-    With delta None, matrix holds the entries on the basis e_k.  Otherwise
-    it is the real form R = Re(U^H M U) of such a matrix M (real_form) and
-    delta = ||U^H M U - R||_F is what R leaves out.  matrix is dense
-    (ndarray) from the FFT build, up to FFT_MAX_DIM modes, and scipy CSR
-    from the closed form above; the closed form and the real form of a CSR
-    matrix drop entries of modulus at most SPARSE_DROP_TOL, the FFT build
-    keeps them.
+    For k > 0 at index j > dim // 2 (-k is at dim - 1 - j), U sends e_k, e_-k
+    to (e_k + e_-k) / sqrt 2 = sqrt 2 cos 2 pi k.x at j and to
+    (e_k - e_-k) / (i sqrt 2) = sqrt 2 sin 2 pi k.x at dim - 1 - j; e_0 stays.
+    matrix is dense from the FFT build, up to FFT_MAX_DIM modes, and CSR from
+    the closed form above, which drops the entries of modulus at most
+    SPARSE_DROP_TOL and counts them in delta.
     """
 
     n_freq: int
     matrix: object
-    delta: float | None = None
+    delta: float
 
     @property
     def dim(self) -> int:
@@ -98,33 +97,6 @@ def build_transfer_matrix(sys: MapSystem, n_freq: int) -> TransferMatrix:
     else:
         R, delta = _real_pairs(_closed_form_blocks(sys, n_freq, _pair_order(n_freq)), n_freq)
     return TransferMatrix(n_freq=n_freq, matrix=R, delta=delta)
-
-
-def real_form(tm: TransferMatrix) -> TransferMatrix:
-    """The truncation on the real modes, with the part it leaves out.
-
-    Mode 0 keeps its index.  For k > 0 (the indices above dim // 2, whose
-    partner -k is at dim - 1 - i) U sends e_k, e_-k to cos at the index of
-    k and sin at the index of -k:
-      (e_k + e_-k) / sqrt 2 = sqrt 2 cos 2 pi k.x,
-      (e_k - e_-k) / (i sqrt 2) = sqrt 2 sin 2 pi k.x.
-    R = Re(U^H M U) and delta = ||U^H M U - R||_F, which also counts the
-    entries of a CSR R dropped at SPARSE_DROP_TOL.  A matrix already in real
-    form is returned as it is.
-    """
-    if tm.delta is not None:
-        return tm
-    if sparse.issparse(tm.matrix):
-        M = tm.matrix.tocsc()
-        side = 2 * tm.n_freq + 1
-        blocks = ((M.indices[M.indptr[i * side]:M.indptr[(i + 1) * side]],
-                   M.data[M.indptr[i * side]:M.indptr[(i + 1) * side]],
-                   np.diff(M.indptr[i * side:(i + 1) * side + 1]))
-                  for i in _pair_order(tm.n_freq))
-        R, delta = _real_pairs(blocks, tm.n_freq)
-    else:
-        R, delta = _real_columns(np.asarray(tm.matrix).T, tm.dim)
-    return TransferMatrix(n_freq=tm.n_freq, matrix=R, delta=delta)
 
 
 def _uh_rows(X):
@@ -231,11 +203,6 @@ def _fft_columns(sys, N):
             yield sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
             cur = cur * E2
         E1_pow = E1_pow * E1
-
-
-def _build_fft(sys, N):
-    """The FFT build's e_k-basis matrix, dense."""
-    return np.stack(list(_fft_columns(sys, N)), axis=1)
 
 
 def _bessel_cutoff(z: float) -> int:
@@ -388,21 +355,20 @@ def _window_columns(gh, J, cut, a, b, C, N, order):
 def eigen_resonances(tm: TransferMatrix, top: int | None = None, seed: int = 0):
     """Eigenvalues sorted by modulus, with residual bounds.
 
-    Both routes solve the real form R of tm (real_form) in real arithmetic,
-    so each non-real eigenvalue comes with its conjugate bit for bit.  The
-    residual of mu is ||R v - mu v|| / ||v|| + delta, a bound on the residual
-    of U v against the e_k-basis matrix.  top = None runs the dense
-    nonsymmetric eigensolve (dgeev) and returns the whole spectrum (allowed
-    up to DENSE_EIG_LIMIT modes); it is the reference route.  top = K runs a
-    deterministic seeded subspace iteration (SUBSPACE_ITERS steps) and
-    returns the K largest-modulus Ritz values, less the K-th when its
-    conjugate is not among them; accuracy is certified by the residuals
-    (check_residuals) and by doubled-resolution filtering downstream.
+    Both routes solve tm's real form R in real arithmetic, so each non-real
+    eigenvalue comes with its conjugate bit for bit.  The residual of mu is
+    ||R v - mu v|| / ||v|| + delta, a bound on the residual of U v against
+    the e_k-basis matrix.  top = None runs the dense nonsymmetric eigensolve
+    (dgeev) and returns the whole spectrum (allowed up to DENSE_EIG_LIMIT
+    modes); it is the reference route.  top = K runs a deterministic seeded
+    subspace iteration (SUBSPACE_ITERS steps) and returns the K
+    largest-modulus Ritz values, less the K-th when its conjugate is not
+    among them; accuracy is certified by the residuals (check_residuals) and
+    by doubled-resolution filtering downstream.
     """
     dim = tm.dim
     if top is None and dim > DENSE_EIG_LIMIT:
         raise EigenSolverFailure(f"dense eigensolve refused at dim {dim}; pass top=K")
-    tm = real_form(tm)
     if top is None:
         R = tm.toarray()
         w, W = _real_eig(R)

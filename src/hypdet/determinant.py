@@ -90,14 +90,15 @@ def _eval_poly(coeffs, z):
     return np.sum(coeffs * powers), np.sum(np.abs(coeffs) * np.abs(powers))
 
 
-def _cluster_roots(roots, rtol=CLUSTER_RTOL):
-    """Greedy clustering at relative radius rtol; returns (center, count) list."""
+def _cluster_roots(roots):
+    """Greedy clustering at relative radius CLUSTER_RTOL; returns (center,
+    count) list."""
     roots = sorted(roots, key=lambda z: (abs(z), z.real, z.imag))
     clusters = []
     for z in roots:
         for cl in clusters:
             c = np.mean(cl)
-            if abs(z - c) <= rtol * max(1.0, abs(c)):
+            if abs(z - c) <= CLUSTER_RTOL * max(1.0, abs(c)):
                 cl.append(z)
                 break
         else:

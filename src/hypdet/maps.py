@@ -26,8 +26,10 @@ CAT_LAMBDA = (3.0 + math.sqrt(5.0)) / 2.0
 CAT_MU = (3.0 - math.sqrt(5.0)) / 2.0
 
 PERTURBATION_BOUND = 0.05
-# the vector that splitting_power_iteration pushes along orbits
+# the vector that splitting_power_iteration pushes along orbits, and how
+# many steps of the orbit it pushes it along
 SPLIT_V0 = np.array([1.0, 0.0])
+SPLIT_REF_ITERATIONS = 30
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,6 @@ class SplittingField:
 
     stable: Callable
     unstable: Callable
-    ref_iterations: int
 
 
 def _angle_of(v):
@@ -407,15 +408,13 @@ def weight_product(sys: MapSystem, x, m: int):
     return w
 
 
-def splitting_power_iteration(sys: MapSystem, n_ref: int = 30) -> SplittingField:
+def splitting_power_iteration(sys: MapSystem) -> SplittingField:
     """Stable/unstable line fields by forward/backward power iteration.
 
-    unstable(x) is the direction of DT^{n_ref}(T^{-n_ref} x) v0; stable(x)
-    the direction of [DT^{n_ref}(x)]^{-1} v0 (expansion under T^{-1}), with
-    v0 = SPLIT_V0.
+    With n = SPLIT_REF_ITERATIONS, unstable(x) is the direction of
+    DT^n(T^{-n} x) v0; stable(x) the direction of [DT^n(x)]^{-1} v0
+    (expansion under T^{-1}), with v0 = SPLIT_V0.
     """
-    if n_ref < 8:
-        raise ValueError("n_ref >= 8 required")
     angle_floor = 1e-6
 
     def unstable(x):
@@ -423,10 +422,10 @@ def splitting_power_iteration(sys: MapSystem, n_ref: int = 30) -> SplittingField
         # step; re-iterating forward instead would drift off the orbit at
         # rate lambda^n and evaluate the cocycle at wrong points
         orbit = [x]
-        for _ in range(n_ref):
+        for _ in range(SPLIT_REF_ITERATIONS):
             orbit.append(sys.inverse(orbit[-1]))
         v = np.broadcast_to(SPLIT_V0, x.shape).copy()
-        for k in range(n_ref, 0, -1):
+        for k in range(SPLIT_REF_ITERATIONS, 0, -1):
             v = (sys.jacobian(orbit[k]) @ v[..., None])[..., 0]
             norms = np.linalg.norm(v, axis=-1)
             if np.any(norms < angle_floor):
@@ -440,10 +439,10 @@ def splitting_power_iteration(sys: MapSystem, n_ref: int = 30) -> SplittingField
     def stable(x):
         # pull v0 back through the derivative along the forward orbit of x
         orbit = [x]
-        for _ in range(n_ref):
+        for _ in range(SPLIT_REF_ITERATIONS):
             orbit.append(sys.forward(orbit[-1]))
         v = np.broadcast_to(SPLIT_V0, x.shape).copy()
-        for k in range(n_ref - 1, -1, -1):
+        for k in range(SPLIT_REF_ITERATIONS - 1, -1, -1):
             v = np.linalg.solve(sys.jacobian(orbit[k]), v[..., None])[..., 0]
             norms = np.linalg.norm(v, axis=-1)
             if np.any(norms < angle_floor):
@@ -454,7 +453,7 @@ def splitting_power_iteration(sys: MapSystem, n_ref: int = 30) -> SplittingField
             raise DegenerateDirection("candidate stable direction does not contract")
         return v
 
-    return SplittingField(stable=stable, unstable=unstable, ref_iterations=n_ref)
+    return SplittingField(stable=stable, unstable=unstable)
 
 
 def hyperbolicity_exponents(sys: MapSystem, split: SplittingField, x, m: int):

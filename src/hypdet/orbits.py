@@ -19,7 +19,7 @@ from .errors import (
     NonHyperbolicMatrix,
     SingularLinearization,
 )
-from .maps import MapSystem, make_map, weight_product
+from .maps import MapSystem, builtin_perturbed_cat, weight_product
 
 DEDUPE_RADIUS = 1e-6
 UNIT_CIRCLE_MARGIN = 1e-6
@@ -232,7 +232,7 @@ def continue_periodic_points(
         orbit[k] = np.mod(orbit[k - 1] @ A.T, 1.0)
     derivs = None
     for eps_k in eps_path:
-        sys_k = make_map("perturbed_cat" if sys.name != "cat" else "cat", eps_k, seed)
+        sys_k = builtin_perturbed_cat(eps_k, seed)
         X, derivs, orbit = _newton_fixed_points(sys_k, orbit)
     # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0; fold it onto
     # 0.0 so stored points lie in [0, 1)

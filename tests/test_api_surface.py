@@ -1,5 +1,5 @@
-"""Every public function, class and method in src/hypdet has a caller there,
-and every dataclass field is read there.
+"""Every function, class and method in src/hypdet, private ones included, has
+a caller there, and every dataclass field is read there.
 
 A name counts as called when some ast.Name or ast.Attribute anywhere under
 src/hypdet refers to it; the strings of an __all__ list do not count.  A
@@ -21,7 +21,17 @@ ALLOWED_WITHOUT_CALLER = {"zeta_direct", "zeta_product"}
 ALLOWED_UNREAD_FIELDS: set = set()
 
 
-def _public_definitions_and_references():
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _private(name):
+    return name.startswith("_") and not _dunder(name)
+
+
+def _definitions_and_references():
+    """Module- and class-level functions and classes (no dunders) with their
+    files, and every name some ast.Name or ast.Attribute refers to."""
     defined, referenced = {}, set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -37,21 +47,33 @@ def _public_definitions_and_references():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    public = {k: p for k, p in defined.items() if not k.split(".")[-1].startswith("_")}
-    return public, referenced
+    defined = {k: p for k, p in defined.items() if not _dunder(k.split(".")[-1])}
+    return defined, referenced
+
+
+def _orphans(private):
+    defined, referenced = _definitions_and_references()
+    return sorted(f"{p.relative_to(SRC.parent)}: {name}" for name, p in defined.items()
+                  if _private(name.split(".")[-1]) == private
+                  and name.split(".")[-1] not in referenced
+                  and name not in ALLOWED_WITHOUT_CALLER)
 
 
 def test_every_public_name_has_a_caller():
-    public, referenced = _public_definitions_and_references()
-    orphans = sorted(f"{p.relative_to(SRC.parent)}: {name}" for name, p in public.items()
-                     if name.split(".")[-1] not in referenced
-                     and name not in ALLOWED_WITHOUT_CALLER)
+    orphans = _orphans(private=False)
     assert not orphans, "public names with no caller in src/hypdet:\n" + "\n".join(orphans)
 
 
+def test_every_private_name_has_a_caller():
+    # a private helper that only the tests call is a test oracle in the
+    # package: it belongs in the test files
+    orphans = _orphans(private=True)
+    assert not orphans, "private names with no caller in src/hypdet:\n" + "\n".join(orphans)
+
+
 def test_allowlist_entries_exist():
-    public, _ = _public_definitions_and_references()
-    assert ALLOWED_WITHOUT_CALLER <= set(public)
+    defined, _ = _definitions_and_references()
+    assert ALLOWED_WITHOUT_CALLER <= {k for k in defined if not _private(k.split(".")[-1])}
 
 
 def _is_dataclass(node):
@@ -87,10 +109,6 @@ def test_every_dataclass_field_is_read():
 def test_field_allowlist_entries_exist():
     fields, _ = _dataclass_fields_and_reads()
     assert ALLOWED_UNREAD_FIELDS <= set(fields)
-
-
-def _private(name):
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
 def test_no_private_module_of_another_package_is_imported():

@@ -518,6 +518,8 @@ def test_weight_spec_the_command_does_not_run_is_a_config_error(command, weight,
     {"id": "bump", "width": math.inf},
     {"id": "bump", "center": [math.nan, 0.5]},
     {"id": "expression", "terms": {"one": 1.0, "cos1": -math.inf}},
+    # a bump of no width divides 0 by 0 at its centre; a negative one is no bump
+    *({"id": "bump", "width": v} for v in (0, -0.25)),
 ])
 def test_weight_number_of_wrong_type_is_a_config_error(weight, tmp_path, capsys):
     bad = write_config(tmp_path, "weight.json", {"weight": weight})

@@ -20,8 +20,8 @@ def mode_index(k, N):
     return (k1 + N) * (2 * N + 1) + (k2 + N)
 
 
-def entry(tm, kprime, k):
-    return complex(tm.matrix[mode_index(kprime, tm.n_freq), mode_index(k, tm.n_freq)])
+def entry(M, N, kprime, k):
+    return complex(M[mode_index(kprime, N), mode_index(k, N)])
 
 
 def direct_entry(sys_, kprime, k, n_freq, refine=2):
@@ -38,6 +38,11 @@ def direct_entry(sys_, kprime, k, n_freq, refine=2):
     return complex(np.sum(w * np.exp(1j * phase)) / (G * G))
 
 
+def fft_matrix(sys_, N):
+    """The FFT build's e_k-basis matrix, dense."""
+    return np.stack(list(coll._fft_columns(sys_, N)), axis=1)
+
+
 def closed_form_csr(sys_, N):
     """The closed form's e_k-basis matrix as CSR."""
     side = 2 * N + 1
@@ -47,16 +52,36 @@ def closed_form_csr(sys_, N):
                          shape=(side * side, side * side)).tocsr()
 
 
-def spot_check(sys_, tm, n_entries, seed):
-    """Max |entry - direct_entry| over random (k', k) pairs."""
+def spot_check(sys_, M, N, n_entries, seed):
+    """Max |entry - direct_entry| over random (k', k) pairs of the e_k-basis
+    matrix M."""
     rng = np.random.default_rng(seed)
-    N = tm.n_freq
     worst = 0.0
     for _ in range(n_entries):
         k = rng.integers(-N, N + 1, size=2)
         kp = rng.integers(-N, N + 1, size=2)
-        worst = max(worst, abs(entry(tm, kp, k) - direct_entry(sys_, kp, k, N)))
+        worst = max(worst, abs(entry(M, N, kp, k) - direct_entry(sys_, kp, k, N)))
     return worst
+
+
+def real_tm(M):
+    """The real form of the dense e_k-basis matrix M, taken densely:
+    R = Re(U^H M U) with delta = ||Im(U^H M U)||_F."""
+    N = (math.isqrt(M.shape[0]) - 1) // 2
+    U = real_modes(M.shape[0]).toarray()
+    D = U.conj().T @ M @ U
+    return coll.TransferMatrix(n_freq=N, matrix=np.ascontiguousarray(D.real),
+                               delta=float(np.linalg.norm(D.imag)))
+
+
+def column_blocks(M, N):
+    """(rows, values, counts) of the columns of each k1 block of the sparse
+    e_k-basis matrix M, in _pair_order: the input of _real_pairs."""
+    M = M.tocsc()
+    side = 2 * N + 1
+    for i in coll._pair_order(N):
+        lo, hi = M.indptr[i * side], M.indptr[(i + 1) * side]
+        yield M.indices[lo:hi], M.data[lo:hi], np.diff(M.indptr[i * side:(i + 1) * side + 1])
 
 
 def test_cat_column_structure(cat):
@@ -99,7 +124,7 @@ def test_character_weight_shifts_column(cat):
     N = 6
     # a complex weight breaks the conjugation symmetry, so this reads the
     # e_k-basis matrix of the build, not its real form
-    M = coll._build_fft(e1, N)
+    M = fft_matrix(e1, N)
     k = np.array([1, 1])
     kp = maps.CAT_A_INT.T @ k + np.array([1, 0])
     col = M[:, mode_index(k, N)]
@@ -108,11 +133,11 @@ def test_character_weight_shifts_column(cat):
 
 
 def test_spot_check_both_methods(pcat):
-    tm_fft = coll.TransferMatrix(n_freq=10, matrix=coll._build_fft(pcat, 10))
-    assert spot_check(pcat, tm_fft, n_entries=6, seed=0) < 1e-10
-    tm_fac = coll.TransferMatrix(n_freq=10, matrix=closed_form_csr(pcat, 10).toarray())
-    assert spot_check(pcat, tm_fac, n_entries=6, seed=0) < 1e-10
-    assert np.max(np.abs(tm_fft.toarray() - tm_fac.toarray())) < 1e-12
+    fft = fft_matrix(pcat, 10)
+    assert spot_check(pcat, fft, 10, n_entries=6, seed=0) < 1e-10
+    fac = closed_form_csr(pcat, 10).toarray()
+    assert spot_check(pcat, fac, 10, n_entries=6, seed=0) < 1e-10
+    assert np.max(np.abs(fft - fac)) < 1e-12
 
 
 def test_large_truncation_needs_decomposition(pcat, chart):
@@ -140,7 +165,8 @@ def test_eigen_diag_matrix():
     # d_{-k} = conj d_k, the symmetry of a real operator: the real modes
     # turn each pair (k, -k) into a real 2 x 2 block
     d = np.array([0.5, 1j, 2.0, 3.0 + 1j, 4.0, 3.0 - 1j, 2.0, -1j, 0.5])
-    tm = coll.TransferMatrix(n_freq=1, matrix=np.diag(d))
+    tm = real_tm(np.diag(d))
+    assert tm.delta < 1e-15
     got, res = coll.eigen_resonances(tm)
     assert np.allclose(np.abs(got), np.sort(np.abs(d))[::-1])
     assert np.allclose(np.sort_complex(got), np.sort_complex(d))
@@ -158,13 +184,13 @@ def test_eigen_cat_stable_spectrum(cat):
 
 
 def test_eigen_dense_refused_at_large_dim():
-    big = coll.TransferMatrix(n_freq=40, matrix=None)
+    big = coll.TransferMatrix(n_freq=40, matrix=None, delta=0.0)
     with pytest.raises(EigenSolverFailure):
         coll.eigen_resonances(big)
 
 
 def test_subspace_matches_dense(pcat):
-    tm = coll.TransferMatrix(n_freq=10, matrix=closed_form_csr(pcat, 10).toarray())
+    tm = real_tm(closed_form_csr(pcat, 10).toarray())
     wd, _ = coll.eigen_resonances(tm)
     wt, rt = coll.eigen_resonances(tm, top=8, seed=0)
     assert abs(wt[0] - wd[0]) < 1e-10
@@ -243,7 +269,7 @@ def test_sparse_representation_large():
     assert mode_index(k, 36) > tm.dim // 2 and mode_index(kp, 36) > tm.dim // 2
     direct = sum(direct_entry(pc, a * kp, b * k, 36, refine=1)
                  for a in (1, -1) for b in (1, -1)).real / 2
-    assert abs(entry(tm, kp, k) - direct) < 1e-10
+    assert abs(entry(tm.matrix, 36, kp, k) - direct) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +424,7 @@ def full_grid_fft(sys_, N):
 
 @pytest.mark.parametrize("N", [6, 20])
 def test_pruned_fft_build_is_the_full_fft2_build(pcat, N):
-    assert_same_bits(coll._build_fft(pcat, N), full_grid_fft(pcat, N))
+    assert_same_bits(fft_matrix(pcat, N), full_grid_fft(pcat, N))
 
 
 def real_modes(dim):
@@ -428,9 +454,8 @@ def test_csr_real_form_round_trip():
                   data_rvs=rng.standard_normal)
     R = R + sp.identity(dim, format="csr")
     U = real_modes(dim)
-    tm = coll.TransferMatrix(n_freq=n_freq, matrix=(U @ R @ U.conj().T).tocsr())
-    rf = coll.real_form(tm)
-    assert rf.delta < 1e-12 and abs(rf.matrix - R).max() < 1e-14
+    got, delta = coll._real_pairs(column_blocks(U @ R @ U.conj().T, n_freq), n_freq)
+    assert delta < 1e-12 and abs(got - R).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +500,10 @@ RESOLVED_TOP = {"one": 1, "bump": 12, "expression": 3}
 @pytest.mark.parametrize("N", [6, 7, 8])
 def test_real_form_is_a_similarity(weight_id, N):
     sys_ = weighted_pcat(weight_id)
-    M = coll._build_fft(sys_, N)
+    M = fft_matrix(sys_, N)
     if weight_id == "expression":
         assert np.abs(M.imag).max() > 0.1
-    rf = coll.real_form(coll.TransferMatrix(n_freq=N, matrix=M))
+    rf = coll.build_transfer_matrix(sys_, N)
     assert rf.matrix.dtype == np.float64
     assert rf.delta < 1e-12
     U = real_modes(M.shape[0]).toarray()
@@ -494,48 +519,52 @@ def test_real_form_is_a_similarity(weight_id, N):
 
 
 def test_build_hands_over_the_real_form_of_its_columns(pcat):
+    # the FFT build pairs its columns as they come: U^H M U taken densely
+    # gives the same R and delta to roundoff
     fft = coll.build_transfer_matrix(pcat, 8)
-    ref = coll.real_form(coll.TransferMatrix(n_freq=8, matrix=coll._build_fft(pcat, 8)))
-    assert fft.delta == ref.delta and np.array_equal(fft.matrix, ref.matrix)
-    # the closed form at 24 modes a side: its CSR rows, kept CSR
+    ref = real_tm(fft_matrix(pcat, 8))
+    assert isinstance(fft.matrix, np.ndarray) and fft.matrix.dtype == np.float64
+    assert np.abs(fft.matrix - ref.matrix).max() < 1e-15
+    assert abs(fft.delta - ref.delta) < 1e-15
+    # the closed form at 24 modes a side: its k1 blocks in pair order give
+    # the bits of its whole CSR matrix cut into the same blocks, kept CSR
     fac = coll.build_transfer_matrix(pcat, 24)
-    ref = coll.real_form(coll.TransferMatrix(n_freq=24, matrix=closed_form_csr(pcat, 24)))
+    R, delta = coll._real_pairs(column_blocks(closed_form_csr(pcat, 24), 24), 24)
     assert sp.isspmatrix_csr(fac.matrix) and fac.matrix.dtype == np.float64
-    assert fac.delta == ref.delta
-    assert_same_bits(fac.matrix, ref.matrix)
+    assert fac.delta == delta
+    assert_same_bits(fac.matrix, R)
     assert 0 < fac.delta < 1e-12
 
 
 def test_real_form_delta_is_what_it_leaves_out(pcat):
-    # the real form of a CSR matrix drops entries at SPARSE_DROP_TOL, and
-    # delta counts them with the imaginary parts
+    # the CSR real form of the closed form drops entries at SPARSE_DROP_TOL,
+    # and delta counts them with the imaginary parts
     M = closed_form_csr(pcat, 10)
-    rf = coll.real_form(coll.TransferMatrix(n_freq=10, matrix=M))
+    R, delta = coll._real_pairs(coll._closed_form_blocks(pcat, 10, coll._pair_order(10)), 10)
     U = real_modes(M.shape[0]).toarray()
     D = U.conj().T @ M.toarray() @ U
-    R = rf.matrix.toarray()
+    R = R.toarray()
     dropped = (R == 0) & (D.real != 0)
     assert np.count_nonzero(dropped) > 0
     assert np.abs(D.real[dropped]).max() <= coll.SPARSE_DROP_TOL
-    assert np.linalg.norm(D.imag) < 0.1 * rf.delta
-    assert math.isclose(rf.delta, np.linalg.norm(D - R), rel_tol=1e-4)
+    assert np.linalg.norm(D.imag) < 0.1 * delta
+    assert math.isclose(delta, np.linalg.norm(D - R), rel_tol=1e-4)
 
 
 def test_matrix_without_the_symmetry_fails_the_residual_check(pcat):
-    N = 8
-    M = coll._build_fft(pcat, N)
-    k = np.array([1, 2])
-    i, j = mode_index(maps.CAT_A_INT.T @ k, N), mode_index(k, N)
-    assert abs(M[i, j]) > 0.5
-    M[i, j] *= 1 + 1e-6j
-    tm = coll.TransferMatrix(n_freq=N, matrix=M)
-    delta = coll.real_form(tm).delta
-    assert delta >= 1e-6 * abs(M[i, j]) / math.sqrt(2)
-    for top in (None, 8):
-        w, res = coll.eigen_resonances(tm, top=top, seed=0)
-        assert np.all(res >= delta)
-        with pytest.raises(EigenSolverFailure):
-            coll.check_residuals(w, res)
+    # the weight 1 + 1e-6 i cos 2 pi x1 is not real, so U^H M U has the
+    # imaginary part 1e-6 U^H C U, C the matrix of the weight cos 2 pi x1;
+    # both builds: the FFT build at 8, the closed form (CSR) at 22
+    asym = pcat.with_weight(lambda x: 1.0 + 1e-6j * np.cos(2 * np.pi * x[:, 0]), tag="asym")
+    for N in (8, 22):
+        tm = coll.build_transfer_matrix(asym, N)
+        assert sp.issparse(tm.matrix) == ((2 * N + 1) ** 2 > coll.FFT_MAX_DIM)
+        assert tm.delta >= 1e-6
+        for top in (None, 8):
+            w, res = coll.eigen_resonances(tm, top=top, seed=0)
+            assert np.all(res >= tm.delta)
+            with pytest.raises(EigenSolverFailure):
+                coll.check_residuals(w, res)
 
 
 def assert_conjugate_pairs(w, res=None):

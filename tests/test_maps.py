@@ -226,7 +226,7 @@ def test_splitting_invariance_residual(pcat, pcat_split, rng):
 def test_splitting_degenerate_direction(chart):
     sys_, _, _ = chart
     # (1,0) is exactly the contracting eigendirection of the linear chart map
-    split = maps.splitting_power_iteration(sys_, 10)
+    split = maps.splitting_power_iteration(sys_)
     with pytest.raises(DegenerateDirection):
         split.unstable(np.zeros((1, 2)))
 
