@@ -31,7 +31,6 @@ from .maps import (
     weight_floor,
     weight_product,
 )
-from .orbits import periodic_points
 
 EXTRAPOLATION_POINTS = 4
 POOR_FIT_RESIDUAL = 0.1
@@ -336,8 +335,8 @@ def pressure_periodic(sys: MapSystem, pts_by_m: dict, phi) -> dict:
     return out
 
 
-def periodic_exponents(sys: MapSystem, m_range) -> dict:
-    """m -> (lambda, nu) at the points of Fix(T^m).
+def periodic_exponents(pts_by_m: dict, m_range) -> dict:
+    """m -> (lambda, nu) at the points of Fix(T^m), for each m of m_range.
 
     At x in Fix(T^m), DT^m(x) maps E^u(x) and E^s(x) to themselves, so nu is
     the modulus of the larger eigenvalue of the stored DT^m,
@@ -346,7 +345,7 @@ def periodic_exponents(sys: MapSystem, m_range) -> dict:
     """
     out = {}
     for m in m_range:
-        D = periodic_points(sys, m).derivatives
+        D = pts_by_m[m].derivatives
         tr = np.trace(D, axis1=1, axis2=2)
         det = np.linalg.det(D)
         disc = tr**2 - 4.0 * det
@@ -357,21 +356,21 @@ def periodic_exponents(sys: MapSystem, m_range) -> dict:
     return out
 
 
-def q_variational(sys: MapSystem, p: float, q: float, m_range) -> dict:
+def q_variational(sys: MapSystem, pts_by_m: dict, exponents: dict, p: float,
+                  q: float) -> dict:
     """Pressure-route estimate of Q^{p,q} from periodic sums of the
-    potential |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}|.
+    potential |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}| over the periods
+    of exponents (from periodic_exponents on pts_by_m).
 
     If the weight vanishes somewhere on the sampled orbits the positive
     floor sqrt(g^2 + 1/n^2), n = WEIGHT_FLOOR_N, is substituted and n reported.
     """
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
-    exponents = periodic_exponents(sys, m_range)
     ms, sums = [], []
     floor_used = None
-    for m in m_range:
-        pts = periodic_points(sys, m)
-        lam, nu = exponents[m]
+    for m, (lam, nu) in exponents.items():
+        pts = pts_by_m[m]
         lam_pq = np.maximum(lam**p, nu**q)
         g_m = np.abs(pts.weights)
         if np.min(g_m) < 1e-12:
@@ -410,8 +409,8 @@ def compare_routes(rho_report: dict, q_report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def bound_table(sys: MapSystem, split: SplittingField, p: float, q: float, m_range,
-                n_samples: int = 4096, seed: int = 0) -> list:
+def bound_table(sys: MapSystem, pts_by_m: dict, split: SplittingField, p: float, q: float,
+                m_range, n_samples: int = 4096, seed: int = 0) -> list:
     """Per-m rows: rho(m) with its standard error, R(m, t) for each t in T_GRID
     under the key R_t<t>, and the periodic pressure of the zero potential.
 
@@ -420,8 +419,8 @@ def bound_table(sys: MapSystem, split: SplittingField, p: float, q: float, m_ran
     on which other m are in the table; kitaev_crosscheck and appendixB_check
     read these rows instead of sampling again.
     """
-    pts_by_m = {m: periodic_points(sys, m) for m in m_range}
-    pressure = pressure_periodic(sys, pts_by_m, lambda x: np.zeros(x.shape[0]))
+    pressure = pressure_periodic(sys, {m: pts_by_m[m] for m in m_range},
+                                 lambda x: np.zeros(x.shape[0]))
     cover = make_grid_cover(4)
     phis = make_torus_partition(3)
     rows = []
@@ -456,7 +455,7 @@ def appendixB_check(rows, p: float, q: float) -> dict:
     return report
 
 
-def kitaev_crosscheck(sys: MapSystem, p: float, q: float, rows) -> dict:
+def kitaev_crosscheck(sys: MapSystem, pts_by_m: dict, p: float, q: float, rows) -> dict:
     """Assert the integral route (rho of the rows, each with the keys m, rho
     and rho_stderr of a bound_table row) and the variational route over the
     same m agree in log scale, to DEFAULT_CROSS_TOL."""
@@ -464,5 +463,5 @@ def kitaev_crosscheck(sys: MapSystem, p: float, q: float, rows) -> dict:
     rho_report = log_linear_fit(list(per_m), np.log(list(per_m.values())))
     rho_report["per_m"] = per_m
     rho_report["stderr"] = {r["m"]: r["rho_stderr"] for r in rows}
-    q_report = q_variational(sys, p, q, list(per_m))
+    q_report = q_variational(sys, pts_by_m, periodic_exponents(pts_by_m, per_m), p, q)
     return compare_routes(rho_report, q_report)

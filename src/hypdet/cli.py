@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bd
 from . import collocation as coll
 from . import determinant as det
-from . import maps, reports
+from . import maps, orbits, reports
 from .aniso import blocks as ablocks
 from .aniso import partition as apart
 from .errors import CrossCheckFailed, HypdetError, InequalityViolated, MissingArtifacts
@@ -194,12 +194,20 @@ def aniso_weight(spec: dict):
     raise ValueError(f"aniso runs the weight ids 'one' and 'zero', not {wid!r}")
 
 
+def orbit_periods(cfg: RunConfig, command: str) -> range:
+    """m = 1.. the largest period resonances (traces, validity radius) or
+    bounds sums over."""
+    top = max(cfg.N_det, det.VALIDITY_M_RANGE[-1]) if command == "resonances" else cfg.m_max
+    return range(1, top + 1)
+
+
 def build_system(cfg: RunConfig, command: str):
     """The map with its weight that `command` runs, built once from cfg.
 
     resonances and bounds get a torus MapSystem; aniso gets the chart model
     as (MapSystem, theta, theta_prime).  A map id, seed, eps or weight spec
-    the command does not run raises ValueError.
+    the command does not run raises ValueError, and so does a largest period
+    whose orbits, m |det(A^m - I)| points, exceed orbits.ORBIT_SIZE_MAX.
     """
     allowed = COMMAND_MAPS[command]
     map_id = cfg.map_id or allowed[0]
@@ -213,6 +221,10 @@ def build_system(cfg: RunConfig, command: str):
         w = aniso_weight(cfg.weight)
     else:
         sys_ = maps.make_map(map_id, cfg.eps, cfg.map_seed)
+        m = orbit_periods(cfg, command)[-1]
+        if m * orbits.fixed_point_count(sys_.linear_part, m) > orbits.ORBIT_SIZE_MAX:
+            raise ValueError(f"period {m} needs more than orbits.ORBIT_SIZE_MAX = "
+                             f"{orbits.ORBIT_SIZE_MAX} orbit points (m |det(A^m - I)|)")
         w = build_weight(cfg.weight)
     if w is not None:
         sys_ = sys_.with_weight(w, tag=json.dumps(cfg.weight, sort_keys=True))
@@ -242,8 +254,9 @@ def cmd_resonances(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) ->
     meta = cfg.meta("resonances")
 
     def determinant_and_lo():
-        ts = det.trace_series(sys_, cfg.N_det)
-        dp = det.det_coeffs_from_traces(ts, det.validity_radius(sys_, cfg.p, cfg.q))
+        pts = {m: orbits.periodic_points(sys_, m) for m in orbit_periods(cfg, "resonances")}
+        ts = det.trace_series(sys_, pts, cfg.N_det)
+        dp = det.det_coeffs_from_traces(ts, det.validity_radius(sys_, pts, cfg.p, cfg.q))
         zeros = det.det_zeros(dp, cfg.det_radius)
         tm1 = coll.build_transfer_matrix(sys_, cfg.n_freq)
         return ts, dp, zeros, coll.eigen_resonances(tm1, top=cfg.top_k, seed=cfg.seed)
@@ -297,8 +310,10 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
     """Per-m bound table, Kitaev equality and the Appendix-B inequality."""
     out = reports.ensure_dir(cfg.output_dir)
     meta = cfg.meta("bounds")
+    periods = orbit_periods(cfg, "bounds")
+    pts = {m: orbits.periodic_points(sys_, m) for m in periods}
     split = maps.splitting_power_iteration(sys_)
-    rows = bd.bound_table(sys_, split, cfg.p, cfg.q, range(1, cfg.m_max + 1),
+    rows = bd.bound_table(sys_, pts, split, cfg.p, cfg.q, periods,
                           n_samples=cfg.mc_samples, seed=cfg.seed)
 
     # both routes fit the largest EXTRAPOLATION_POINTS m values; validate
@@ -315,7 +330,7 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
         fit_rows = [r for r in rows if r["m"] in m_fit]
     failures = []
     try:
-        cross = bd.kitaev_crosscheck(sys_, cfg.p, cfg.q, fit_rows)
+        cross = bd.kitaev_crosscheck(sys_, pts, cfg.p, cfg.q, fit_rows)
     except CrossCheckFailed as exc:
         cross = exc.data
         failures.append("kitaev")

@@ -4,6 +4,9 @@ The determinant d(z) = exp(-sum_m z^m/m tr_m) is expanded into polynomial
 coefficients through the Newton recursion from power sums.  The zeta
 functions (zeta_direct, zeta_product) are two routes to the same series;
 commands do not run them yet, the tests compare them.
+
+Every sum runs over Fix(T^m), passed in as the {m: PeriodicPointSet} mapping
+a run computes once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from . import bounds
 from .errors import IllConditionedRoot, OrientationNotTrivial
 from .maps import MapSystem
-from .orbits import PeriodicPointSet, periodic_points
+from .orbits import PeriodicPointSet
 
 BACKWARD_ERROR_THRESHOLD = 1e-6
 CLUSTER_RTOL = 1e-6
@@ -50,11 +53,11 @@ def dynamical_trace(pts: PeriodicPointSet) -> float:
     return math.fsum(pts.weights / dets)
 
 
-def trace_series(sys: MapSystem, N: int) -> TraceSeries:
-    """tr_m for m = 1..N via the periodic-orbits module."""
+def trace_series(sys: MapSystem, pts_by_m: dict, N: int) -> TraceSeries:
+    """tr_m for m = 1..N from the sets of pts_by_m, the fixed points of sys."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    traces = np.array([dynamical_trace(periodic_points(sys, m)) for m in range(1, N + 1)])
+    traces = np.array([dynamical_trace(pts_by_m[m]) for m in range(1, N + 1)])
     prov = f"{sys.name}|eps={sys.params.get('eps', 0.0)}|weight={sys.params.get('weight', 'one')}"
     return TraceSeries(traces=traces, order=N, provenance=prov)
 
@@ -156,14 +159,11 @@ def det_zeros(dp: DeterminantPoly, radius: float):
     return out
 
 
-def periodic_sums(sys: MapSystem, N: int) -> np.ndarray:
-    """Plain weighted periodic sums S_m = sum over Fix(T^m) of g^(m)."""
-    return np.array([math.fsum(periodic_points(sys, m).weights) for m in range(1, N + 1)])
-
-
-def zeta_direct(sys: MapSystem, N: int) -> np.ndarray:
-    """Coefficients of the zeta truncation exp(+ sum z^m/m S_m)."""
-    return coeffs_from_power_sums(periodic_sums(sys, N), sign=+1.0)
+def zeta_direct(pts_by_m: dict, N: int) -> np.ndarray:
+    """Coefficients of the zeta truncation exp(+ sum z^m/m S_m), with the
+    periodic sums S_m = sum over Fix(T^m) of g^(m)."""
+    sums = [math.fsum(pts_by_m[m].weights) for m in range(1, N + 1)]
+    return coeffs_from_power_sums(sums, sign=+1.0)
 
 
 def _series_mul(a, b, N):
@@ -195,7 +195,7 @@ def _check_orientation(pts: PeriodicPointSet):
         )
 
 
-def zeta_product(sys: MapSystem, N: int) -> np.ndarray:
+def zeta_product(pts_by_m: dict, N: int) -> np.ndarray:
     """Zeta truncation from the product of exterior-power determinants (d=2).
 
     Builds, for k = 0, 1, 2, the trace series with Lambda^k weights, forms
@@ -204,7 +204,7 @@ def zeta_product(sys: MapSystem, N: int) -> np.ndarray:
     """
     tr_k = np.zeros((3, N))
     for m in range(1, N + 1):
-        pts = periodic_points(sys, m)
+        pts = pts_by_m[m]
         _check_orientation(pts)
         dets = np.abs(np.linalg.det(np.eye(2) - pts.derivatives))
         lam0 = np.ones(len(pts))
@@ -219,10 +219,12 @@ def zeta_product(sys: MapSystem, N: int) -> np.ndarray:
     return _series_mul(num, _series_inv(d1, N), N)
 
 
-def validity_radius(sys: MapSystem, p: float, q: float):
-    """(1/Q^{p,q}, 1/Q^{0,0}) from the variational pressure route."""
-    qpq = bounds.q_variational(sys, p, q, VALIDITY_M_RANGE)["estimate"]
-    q00 = bounds.q_variational(sys, 0.0, 0.0, VALIDITY_M_RANGE)["estimate"]
+def validity_radius(sys: MapSystem, pts_by_m: dict, p: float, q: float):
+    """(1/Q^{p,q}, 1/Q^{0,0}) from the variational pressure route over the
+    periods VALIDITY_M_RANGE; both read one set of exponents."""
+    exponents = bounds.periodic_exponents(pts_by_m, VALIDITY_M_RANGE)
+    qpq = bounds.q_variational(sys, pts_by_m, exponents, p, q)["estimate"]
+    q00 = bounds.q_variational(sys, pts_by_m, exponents, 0.0, 0.0)["estimate"]
     return 1.0 / qpq, 1.0 / q00
 
 

@@ -15,11 +15,7 @@ class DegenerateDirection(HypdetError):
 
 
 class ConeViolation(HypdetError):
-    """A cone condition failed; carries the witnessing point or pair."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A cone condition failed."""
 
 
 class NonHyperbolicMatrix(HypdetError):
@@ -28,11 +24,6 @@ class NonHyperbolicMatrix(HypdetError):
 
 class NewtonDiverged(HypdetError):
     """Newton continuation failed to converge for some periodic point."""
-
-    def __init__(self, message, point=None, step=None):
-        super().__init__(message)
-        self.point = point
-        self.step = step
 
 
 class SingularLinearization(HypdetError):

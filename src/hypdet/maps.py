@@ -77,10 +77,7 @@ class Polarization:
     def __post_init__(self):
         gap = _sector_gap(self.axis_plus, self.half_plus, self.axis_minus, self.half_minus)
         if gap <= 0.0:
-            raise ConeViolation(
-                "cone_plus and cone_minus overlap (gap %.4f rad)" % gap,
-                witness=(self.axis_plus, self.axis_minus),
-            )
+            raise ConeViolation("cone_plus and cone_minus overlap (gap %.4f rad)" % gap)
 
     def in_cone_plus(self, v) -> np.ndarray:
         return _angdist(_angle_of(v), self.axis_plus) <= self.half_plus + 1e-15
@@ -172,8 +169,6 @@ def _smooth_bump_deriv(t):
 
 
 def _unit_weight(x):
-    # one function for every builtin torus map, so rebuilt maps share the
-    # periodic-point cache, which is keyed by the weight callable
     return np.ones(x.shape[0])
 
 

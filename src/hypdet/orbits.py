@@ -3,7 +3,8 @@
 For a hyperbolic integer matrix A the fixed points of x -> A^m x mod 1 are
 the residues of (A^m - I)^{-1} Z^2 in [0,1)^2, enumerated exactly through the
 Smith normal form.  Perturbed maps are handled by continuing each lattice
-point along an eps homotopy with a (vectorized) Newton iteration.
+point along an eps homotopy with a (vectorized) Newton iteration.  Nothing
+is cached: a run computes each period it needs once and passes the sets on.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ DEDUPE_RADIUS = 1e-6
 UNIT_CIRCLE_MARGIN = 1e-6
 # Newton stops once the composed T^m residual is below this
 NEWTON_TOL = 1e-12
+# largest orbit array, m |det(A^m - I)| points, a run may ask for: the cat
+# map's m = 14 (9.9e6, 1.2 GB peak at eps 0.05) fits, m = 15 (2.8e7) does not
+ORBIT_SIZE_MAX = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,12 @@ def _int_matrix_power(A, m):
     return P
 
 
+def fixed_point_count(A, m: int) -> int:
+    """|det(A^m - I)|, the number of fixed points of x -> A^m x mod 1, exactly."""
+    B = _int_matrix_power(A, m) - np.eye(2, dtype=object)
+    return abs(int(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]))
+
+
 def fixed_points_linear_toral(A, m: int) -> PeriodicPointSet:
     """All solutions of (A^m - I) x in Z^2 inside [0,1)^2, exactly.
 
@@ -134,20 +144,17 @@ def fixed_points_linear_toral(A, m: int) -> PeriodicPointSet:
     if np.any(np.abs(np.abs(eig) - 1.0) < 1e-9):
         raise NonHyperbolicMatrix("matrix has an eigenvalue of modulus 1")
     Am = _int_matrix_power(A, m)
-    B = Am - np.eye(2, dtype=object)
-    detB = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    if detB == 0:
-        raise NonHyperbolicMatrix("det(A^m - I) = 0")
-    _, D, V = smith_normal_form_2x2(B)
+    count = fixed_point_count(A, m)
+    _, D, V = smith_normal_form_2x2(Am - np.eye(2, dtype=object))
     d1, d2 = int(D[0, 0]), int(D[1, 1])
-    # solutions: x = V z mod 1 with z = (i/d1, j/d2); D = U B V here acts on
+    # solutions: x = V z mod 1 with z = (i/d1, j/d2); D = U (A^m - I) V acts on
     # z = V^{-1} x, so enumerate z and push forward by V
     Vf = np.array(V, dtype=float)
     i = np.arange(d1, dtype=float) / d1
     j = np.arange(d2, dtype=float) / d2
     Z = np.stack(np.meshgrid(i, j, indexing="ij"), axis=-1).reshape(-1, 2)
     X = np.mod(Z @ Vf.T, 1.0)
-    assert X.shape[0] == abs(int(detB))
+    assert X.shape[0] == count
 
     Amf = np.array([[float(Am[0, 0]), float(Am[0, 1])], [float(Am[1, 0]), float(Am[1, 1])]])
     derivs = np.broadcast_to(Amf, (X.shape[0], 2, 2)).copy()
@@ -193,11 +200,7 @@ def _newton_fixed_points(sys: MapSystem, orbit):
             if k < m - 1:
                 delta = (P[k] @ delta[..., None])[..., 0] - F[k]
     else:
-        raise NewtonDiverged(
-            "orbit Newton exceeded 50 iterations",
-            point=orbit[0][0],
-            step=float(sys.params.get("eps", 0.0)),
-        )
+        raise NewtonDiverged("orbit Newton exceeded 50 iterations")
     return orbit[0], M, orbit
 
 
@@ -258,26 +261,16 @@ def continue_periodic_points(
     return PeriodicPointSet(m, X[order], derivs[order], weights[order])
 
 
-_POINT_CACHE: dict = {}
-
-
 def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
-    """Fixed points of T^m for a builtin torus map, cached per process.
+    """Fixed points of T^m for a builtin torus map.
 
     Linear maps are enumerated exactly; perturbed maps are continued from the
-    eps = 0 lattice points.  The cache is keyed by the weight callable itself,
-    not by its tag, so two weights under one tag never share g^(m).
+    eps = 0 lattice points.
     """
     if sys.linear_part is None:
         raise ValueError("periodic_points requires a builtin torus map")
-    key = (sys.name, float(sys.params.get("eps", 0.0)), int(sys.params.get("seed", 0)),
-           sys.weight, m)
-    if key in _POINT_CACHE:
-        return _POINT_CACHE[key]
     ref = fixed_points_linear_toral(sys.linear_part, m)
     if float(sys.params.get("eps", 0.0)) == 0.0:
-        out = PeriodicPointSet(m, ref.points, ref.derivatives, weight_product(sys, ref.points, m))
-    else:
-        out = continue_periodic_points(sys, ref)
-    _POINT_CACHE[key] = out
-    return out
+        return PeriodicPointSet(m, ref.points, ref.derivatives,
+                                weight_product(sys, ref.points, m))
+    return continue_periodic_points(sys, ref)

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
 Each test prints a single pass/fail line (visible with pytest -s); timing
-budgets are asserted with a monotonic clock and caches are cleared where a
-warm cache would make the measurement dishonest.
+budgets are asserted with a monotonic clock, and each test computes the
+periodic points it sums over inside the timed region, as a command run does.
 """
 
 import json
@@ -29,11 +29,14 @@ def _line(num, desc, ok):
     assert ok, f"criterion {num} ({desc}) failed"
 
 
+def points(sys_, periods):
+    return {m: orbits.periodic_points(sys_, m) for m in periods}
+
+
 def test_criterion_1_cat_determinant_exactness():
-    orbits._POINT_CACHE.clear()
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
-    ts = det.trace_series(cat, 12)
+    ts = det.trace_series(cat, points(cat, range(1, 13)), 12)
     dp = det.det_coeffs_from_traces(ts, (LAM, 1.0))
     zeros = det.det_zeros(dp, 2.0)
     elapsed = time.monotonic() - t0
@@ -51,12 +54,12 @@ def test_criterion_1_cat_determinant_exactness():
 
 
 def test_criterion_2_kitaev_equality():
-    orbits._POINT_CACHE.clear()
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
     split = maps.splitting_power_iteration(cat)
-    rows = bd.bound_table(cat, split, 1.0, -1.0, range(4, 11), n_samples=4096, seed=1)
-    rep = bd.kitaev_crosscheck(cat, 1.0, -1.0, rows)
+    pts = points(cat, range(4, 11))
+    rows = bd.bound_table(cat, pts, split, 1.0, -1.0, range(4, 11), n_samples=4096, seed=1)
+    rep = bd.kitaev_crosscheck(cat, pts, 1.0, -1.0, rows)
     elapsed = time.monotonic() - t0
     ok = (
         abs(rep["rho_estimate"] - GOLD_RATE) <= 0.02 * GOLD_RATE
@@ -70,10 +73,11 @@ def test_criterion_2_kitaev_equality():
 def test_criterion_3_pressure_route():
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
-    q00 = bd.q_variational(cat, 0.0, 0.0, range(4, 11))["estimate"]
-    pts = {10: orbits.periodic_points(cat, 10)}
+    pts = points(cat, range(4, 11))
+    q00 = bd.q_variational(cat, pts, bd.periodic_exponents(pts, range(4, 11)),
+                           0.0, 0.0)["estimate"]
     zero_phi = lambda x: np.zeros(x.shape[0])  # noqa: E731
-    p10 = bd.pressure_periodic(cat, pts, zero_phi)[10]
+    p10 = bd.pressure_periodic(cat, {10: pts[10]}, zero_phi)[10]
     elapsed = time.monotonic() - t0
     ok = (
         abs(q00 - 1.0) <= 0.02
@@ -84,11 +88,11 @@ def test_criterion_3_pressure_route():
 
 
 def test_criterion_4_cross_method_match():
-    orbits._POINT_CACHE.clear()
     t0 = time.monotonic()
     pc = maps.builtin_perturbed_cat(0.01)
-    ts = det.trace_series(pc, 12)
-    dp = det.det_coeffs_from_traces(ts, det.validity_radius(pc, 1.0, -1.0))
+    pts = points(pc, range(1, 13))
+    ts = det.trace_series(pc, pts, 12)
+    dp = det.det_coeffs_from_traces(ts, det.validity_radius(pc, pts, 1.0, -1.0))
     zeros = det.det_zeros(dp, 1.5)
 
     tm32 = coll.build_transfer_matrix(pc, 32)
@@ -111,8 +115,9 @@ def test_criterion_5_zeta_product_identity():
     ok = True
     for eps in (0.0, 0.01):
         sys_ = maps.make_map("cat" if eps == 0.0 else "perturbed_cat", eps)
-        zd = det.zeta_direct(sys_, 8)
-        zp = det.zeta_product(sys_, 8)
+        pts = points(sys_, range(1, 9))
+        zd = det.zeta_direct(pts, 8)
+        zp = det.zeta_product(pts, 8)
         ok = ok and np.max(np.abs(zd[:8] - zp[:8])) <= 1e-8
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 20.0
@@ -125,7 +130,8 @@ def test_criterion_6_appendix_b_inequality():
     for eps in (0.0, 0.01):
         sys_ = maps.make_map("cat" if eps == 0.0 else "perturbed_cat", eps)
         split = maps.splitting_power_iteration(sys_)
-        rows = bd.bound_table(sys_, split, 1.0, -1.0, range(1, 7), n_samples=2048, seed=4)
+        rows = bd.bound_table(sys_, points(sys_, range(1, 7)), split, 1.0, -1.0, range(1, 7),
+                              n_samples=2048, seed=4)
         rep = bd.appendixB_check(rows, 1.0, -1.0)
         ok = ok and rep["pass"]
     elapsed = time.monotonic() - t0

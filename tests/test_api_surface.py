@@ -1,5 +1,6 @@
 """Every function, class and method in src/hypdet, private ones included, has
-a caller there, and every dataclass field is read there.
+a caller there, and every dataclass field is read there.  No function there
+writes module-level state.
 
 A name counts as called when some ast.Name or ast.Attribute anywhere under
 src/hypdet refers to it; the strings of an __all__ list do not count.  A
@@ -13,7 +14,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypdet"
 
 # Criterion 5's two routes to the zeta series, compared by the tests only.
-# With the periodic points cached, zeta_product takes 0.09 s at N_det 12
+# Given the periodic points, zeta_product takes 0.09 s at N_det 12
 # (2-core x86-64, one BLAS thread); they wait until `resonances` compares
 # per-m traces.
 ALLOWED_WITHOUT_CALLER = {"zeta_direct", "zeta_product"}
@@ -126,3 +127,55 @@ def test_no_private_module_of_another_package_is_imported():
             found += [f"{path.relative_to(SRC.parent)}:{node.lineno}: {name}" for name in names
                       if any(_private(part) for part in name.split("."))]
     assert not found, "private modules of other packages imported:\n" + "\n".join(found)
+
+
+def _module_names(tree):
+    """Names bound at the top level of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        else:
+            names |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+def _base_name(node):
+    """The name at the root of a chain of subscripts and attributes."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_function_writes_module_state():
+    # a process-wide cache (a module-level dict filled by a function) hides
+    # repeated work and outlives the run; a run computes each quantity once
+    # and passes it on
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = _module_names(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            # parameters and names assigned anywhere inside shadow the module's
+            local = set()
+            for n in ast.walk(fn):
+                if isinstance(n, (ast.FunctionDef, ast.Lambda)):
+                    local |= {a.arg for a in ast.walk(n.args) if isinstance(a, ast.arg)}
+                elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    local.add(n.id)
+            where = f"{path.relative_to(SRC.parent)}:{{}}: {getattr(fn, 'name', 'lambda')}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    found.append(where.format(node.lineno) + f" global {', '.join(node.names)}")
+                elif (isinstance(node, (ast.Subscript, ast.Attribute))
+                      and isinstance(node.ctx, (ast.Store, ast.Del))):
+                    base = _base_name(node)
+                    if base in module and base not in local:
+                        found.append(where.format(node.lineno) + f" stores into {base}")
+    assert not found, ("functions that write module-level state:\n"
+                       + "\n".join(sorted(set(found))))

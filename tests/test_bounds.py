@@ -26,6 +26,11 @@ def test_rho_pq_m_cat(cat, cat_split):
     assert valz == 0.0
 
 
+def q_estimate(sys_, pts, p, q, periods):
+    """q_variational over periods, with their exponents from pts."""
+    return bd.q_variational(sys_, pts, bd.periodic_exponents(pts, periods), p, q)
+
+
 def _fit(per_m):
     return bd.log_linear_fit(list(per_m), np.log(list(per_m.values())))
 
@@ -76,11 +81,13 @@ def test_R_pqt_equals_one_t_at_a_time(pcat, pcat_split):
         bd.R_pqt_m(pcat, pcat_split, 1, -1, (0.5,), 3, n_samples=16)
 
 
-def test_bound_table_rows_independent_of_range(pcat, pcat_split):
+def test_bound_table_rows_independent_of_range(pcat, pcat_pts, pcat_split):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        full = bd.bound_table(pcat, pcat_split, 1, -1, range(1, 6), n_samples=256, seed=2)
-        tail = bd.bound_table(pcat, pcat_split, 1, -1, range(3, 6), n_samples=256, seed=2)
+        full = bd.bound_table(pcat, pcat_pts, pcat_split, 1, -1, range(1, 6), n_samples=256,
+                              seed=2)
+        tail = bd.bound_table(pcat, pcat_pts, pcat_split, 1, -1, range(3, 6), n_samples=256,
+                              seed=2)
     assert [r["m"] for r in full] == [1, 2, 3, 4, 5]
     assert tail == full[2:]  # each row draws from seed + m
     assert {"q_star_greedy", "rho_star"} <= set(full[3]) and "rho_star" not in full[4]
@@ -90,25 +97,26 @@ def test_bound_table_rows_independent_of_range(pcat, pcat_split):
     assert [full[2][k] for k in ("R_t1", "R_t2", "R_tinf")] == R
 
 
-def test_appendixB_cat_and_perturbed(cat, cat_split):
-    rows = bd.bound_table(cat, cat_split, 1, -1, range(1, 5), n_samples=512, seed=3)
+def test_appendixB_cat_and_perturbed(cat, cat_pts, cat_split, point_sets):
+    rows = bd.bound_table(cat, cat_pts, cat_split, 1, -1, range(1, 5), n_samples=512, seed=3)
     rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]
     pc = maps.builtin_perturbed_cat(0.02)
     sp = maps.splitting_power_iteration(pc)
-    rows2 = bd.bound_table(pc, sp, 1, -1, range(1, 4), n_samples=1024, seed=3)
+    rows2 = bd.bound_table(pc, point_sets(pc), sp, 1, -1, range(1, 4), n_samples=1024, seed=3)
     rep2 = bd.appendixB_check(rows2, 1, -1)
     assert rep2["pass"]
 
 
-def test_appendixB_zero_weight(cat, cat_split):
-    rows = bd.bound_table(zero_weight(cat), cat_split, 1, -1, range(1, 3), n_samples=128)
+def test_appendixB_zero_weight(cat, cat_split, point_sets):
+    zero = zero_weight(cat)
+    rows = bd.bound_table(zero, point_sets(zero), cat_split, 1, -1, range(1, 3), n_samples=128)
     rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]  # 0 <= 0
 
 
-def test_appendixB_violation_raises(cat, cat_split):
-    rows = bd.bound_table(cat, cat_split, 1, -1, range(1, 3), n_samples=64)
+def test_appendixB_violation_raises(cat, cat_pts, cat_split):
+    rows = bd.bound_table(cat, cat_pts, cat_split, 1, -1, range(1, 3), n_samples=64)
     for row in rows:
         row.update({"R_t1": 0.0, "R_t2": 0.0, "R_tinf": 0.0})
     with pytest.raises(InequalityViolated):
@@ -225,8 +233,8 @@ def test_partition_sums_to_one():
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
-def test_pressure_periodic(cat, cat_split):
-    pts = {m: orbits.periodic_points(cat, m) for m in (8, 10)}
+def test_pressure_periodic(cat, cat_pts):
+    pts = {m: cat_pts[m] for m in (8, 10)}
     zero_phi = lambda x: np.zeros(x.shape[0])  # noqa: E731
     P = bd.pressure_periodic(cat, pts, zero_phi)
     assert abs(P[10] - math.log(LAM)) / math.log(LAM) < 0.02
@@ -243,51 +251,53 @@ def test_pressure_periodic(cat, cat_split):
     assert bd.pressure_periodic(cat, {2: empty}, zero_phi)[2] == -math.inf
 
 
-def test_q_variational_examples(cat):
-    rep = bd.q_variational(cat, 1, -1, range(4, 11))
+def test_q_variational_examples(cat, cat_pts, point_sets):
+    rep = q_estimate(cat, cat_pts, 1, -1, range(4, 11))
     assert abs(rep["estimate"] - MU) / MU < 0.02
-    rep0 = bd.q_variational(cat, 0, 0, range(4, 11))
+    rep0 = q_estimate(cat, cat_pts, 0, 0, range(4, 11))
     assert abs(rep0["estimate"] - 1.0) < 0.02
     inv = cat.with_weight(
         lambda x: np.full(x.shape[0], 1.0 / LAM), tag="invlam")
-    rep2 = bd.q_variational(inv, 1, -1, range(4, 11))
+    rep2 = q_estimate(inv, point_sets(inv), 1, -1, range(4, 11))
     assert rep2["estimate"] == pytest.approx(rep["estimate"] / LAM, rel=1e-9)
 
 
-def test_periodic_exponents_match_splitting_route():
+def test_periodic_exponents_match_splitting_route(point_sets):
     # lambda, nu from the eigenvalues of the stored DT^m against the
     # 30-step splitting iteration at every point of Fix(T^m)
     pc = maps.builtin_perturbed_cat(0.05)
     split = maps.splitting_power_iteration(pc)
-    exps = bd.periodic_exponents(pc, range(1, 9))
+    pts = point_sets(pc)
+    exps = bd.periodic_exponents(pts, range(1, 9))
     for m in range(1, 9):
-        lam, nu = maps.hyperbolicity_exponents(pc, split, orbits.periodic_points(pc, m).points, m)
+        lam, nu = maps.hyperbolicity_exponents(pc, split, pts[m].points, m)
         assert np.allclose(exps[m][0], lam, rtol=1e-7, atol=0.0)
         assert np.allclose(exps[m][1], nu, rtol=1e-12, atol=0.0)
 
 
-def test_q_pq_bounded_by_scaled_q00(cat):
+def test_q_pq_bounded_by_scaled_q00(cat, cat_pts):
     # closed-form remark: Q^{p,q} <= lambda^{min(p,-q)} Q^{0,0} on linear maps
-    q_pq = bd.q_variational(cat, 2, -1, range(4, 11))["estimate"]
-    q_00 = bd.q_variational(cat, 0, 0, range(4, 11))["estimate"]
+    q_pq = q_estimate(cat, cat_pts, 2, -1, range(4, 11))["estimate"]
+    q_00 = q_estimate(cat, cat_pts, 0, 0, range(4, 11))["estimate"]
     assert q_pq <= LAM ** -min(2.0, 1.0) * q_00 * 1.01
 
 
-def test_kitaev_crosscheck(cat, cat_split, pcat, pcat_split):
-    rows = bd.bound_table(cat, cat_split, 1, -1, range(4, 11), n_samples=1024, seed=2)
-    rep = bd.kitaev_crosscheck(cat, 1, -1, rows)
+def test_kitaev_crosscheck(cat, cat_pts, cat_split, pcat, pcat_pts, pcat_split):
+    rows = bd.bound_table(cat, cat_pts, cat_split, 1, -1, range(4, 11), n_samples=1024, seed=2)
+    rep = bd.kitaev_crosscheck(cat, cat_pts, 1, -1, rows)
     assert rep["pass"] and rep["log_gap"] <= 0.05
     assert abs(rep["rho_estimate"] - 0.381966) < 0.02 * 0.381966
-    rows2 = bd.bound_table(pcat, pcat_split, 1, -1, range(4, 9), n_samples=2048, seed=2)
-    rep2 = bd.kitaev_crosscheck(pcat, 1, -1, rows2)
+    rows2 = bd.bound_table(pcat, pcat_pts, pcat_split, 1, -1, range(4, 9), n_samples=2048,
+                           seed=2)
+    rep2 = bd.kitaev_crosscheck(pcat, pcat_pts, 1, -1, rows2)
     assert rep2["pass"]
 
 
-def test_crosscheck_negative_control(cat, cat_split):
+def test_crosscheck_negative_control(cat, cat_pts, cat_split):
     # q = 0 on the integral route only: the rates genuinely differ
     per_m = {m: bd.rho_pq_m(cat, cat_split, 1, 0, m, n_samples=256, seed=m)[0]
              for m in range(4, 9)}
     rho_mismatched = _fit(per_m)
-    q1 = bd.q_variational(cat, 1, -1, range(4, 9))
+    q1 = q_estimate(cat, cat_pts, 1, -1, range(4, 9))
     with pytest.raises(CrossCheckFailed):
         bd.compare_routes(rho_mismatched, q1)

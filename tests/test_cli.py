@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -80,10 +81,37 @@ def test_resonances_rejects_large_ritz_residual(monkeypatch, tmp_path):
     assert rc == 4
 
 
+def patch_periodic_points(monkeypatch, make):
+    """Replace every module binding of orbits.periodic_points by
+    make(orbits.periodic_points)."""
+    from hypdet import orbits
+
+    points = orbits.periodic_points
+    new = make(points)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hypdet" and getattr(mod, "periodic_points", None) is points:
+            monkeypatch.setattr(mod, "periodic_points", new)
+
+
+def count_periodic_points(monkeypatch):
+    """{m: number of periodic_points calls for period m} over the test."""
+    counts = {}
+
+    def make(points):
+        def counted(sys_, m):
+            counts[m] = counts.get(m, 0) + 1
+            return points(sys_, m)
+        return counted
+
+    patch_periodic_points(monkeypatch, make)
+    return counts
+
+
 def test_resonances_computes_each_quantity_once(monkeypatch, tmp_path):
     from hypdet import bounds, determinant, maps
 
     calls = {"validity_radius": 0, "exponents": []}
+    points = count_periodic_points(monkeypatch)
     radius, exponents = determinant.validity_radius, maps.hyperbolicity_exponents
 
     def counted_radius(*a, **k):
@@ -108,6 +136,8 @@ def test_resonances_computes_each_quantity_once(monkeypatch, tmp_path):
     assert calls["validity_radius"] == 1
     # the validity radius reads the exponents from the stored DT^m
     assert calls["exponents"] == []
+    # the traces to N_det 6 and the validity radius's m = 4..10 share one set each
+    assert points == {m: 1 for m in range(1, 11)}
 
 
 def test_resonances_failure_on_the_pool_exits_4(monkeypatch, tmp_path):
@@ -132,8 +162,6 @@ def test_resonances_failure_on_the_pool_exits_4(monkeypatch, tmp_path):
 
 
 def test_resonances_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_path, capsys):
-    import time
-
     from hypdet import collocation as coll
     from hypdet import determinant
     from hypdet.errors import EigenSolverFailure, NewtonDiverged
@@ -185,6 +213,7 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
 
     calls = {"rho": 0, "R": 0, "exponents": 0}
     rho, R, exponents = bounds.rho_pq_m, bounds.R_pqt_m, maps.hyperbolicity_exponents
+    points = count_periodic_points(monkeypatch)
 
     def counted(key, fn):
         def wrapper(*a, **k):
@@ -205,6 +234,43 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
     # m = 1..6: rho and R once each per m, and the cover and partition routes
     # for m <= 4; the variational route reads the stored DT^m
     assert calls == {"rho": 6, "R": 6, "exponents": 6 + 6 + 4 + 4}
+    # the table's pressure and the Kitaev fit over m = 3..6 share one set each
+    assert points == {m: 1 for m in range(1, 7)}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("resonances", {"N_det": 16}),
+    ("resonances", {"map": {"id": "perturbed_cat", "eps": 0.05}, "N_det": 16}),
+    ("bounds", {"m_max": 16}),
+    ("bounds", {"map": {"id": "perturbed_cat", "eps": 0.01}, "m_max": 16}),
+])
+def test_orbits_too_large_to_fit_are_a_config_error(command, payload, monkeypatch, tmp_path,
+                                                      capsys):
+    # period 16: 16 |det(A^16 - I)| = 7.8e7 orbit points, about 9 GB; refused
+    # before any orbit work, which would fail this test at once instead of
+    # running
+    def refused(points):
+        def no_orbits(sys_, m):
+            raise AssertionError(f"the period-{m} points were computed")
+        return no_orbits
+
+    patch_periodic_points(monkeypatch, refused)
+    bad = write_config(tmp_path, "big.json", payload)
+    t0 = time.monotonic()
+    assert cli.main([command, "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "ORBIT_SIZE_MAX" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_orbit_size_limit_admits_period_14():
+    cfg = cli.RunConfig.from_dict({"map": {"id": "perturbed_cat", "eps": 0.01}})
+    assert cfg.N_det == 14
+    cli.build_system(cfg, "resonances")
+    for n in (15, 16):
+        with pytest.raises(ValueError, match="ORBIT_SIZE_MAX"):
+            cli.build_system(dataclasses.replace(cfg, N_det=n), "resonances")
 
 
 def test_bounds_zero_weight_fails_kitaev_and_reports(tmp_path):

@@ -24,11 +24,9 @@ def traces_from_coeffs(coeffs):
     return t
 
 
-def test_dynamical_trace_cat(cat):
-    pts1 = orbits.periodic_points(cat, 1)
-    assert abs(det.dynamical_trace(pts1) - 1.0) < 1e-14
-    pts2 = orbits.periodic_points(cat, 2)
-    assert abs(det.dynamical_trace(pts2) - 1.0) < 1e-14
+def test_dynamical_trace_cat(cat_pts):
+    assert abs(det.dynamical_trace(cat_pts[1]) - 1.0) < 1e-14
+    assert abs(det.dynamical_trace(cat_pts[2]) - 1.0) < 1e-14
 
 
 def test_dynamical_trace_constant_weight(cat):
@@ -39,15 +37,15 @@ def test_dynamical_trace_constant_weight(cat):
         assert abs(det.dynamical_trace(pts) - c**m) < 1e-12
 
 
-def test_trace_series_examples(cat):
-    ts = det.trace_series(cat, 6)
+def test_trace_series_examples(cat, cat_pts, point_sets):
+    ts = det.trace_series(cat, cat_pts, 6)
     assert np.max(np.abs(ts.traces - 1.0)) < 1e-12
     inv_lam = cat.with_weight(
         lambda x: np.full(x.shape[0], 1.0 / LAM), tag="invlam")
-    ts2 = det.trace_series(inv_lam, 3)
+    ts2 = det.trace_series(inv_lam, point_sets(inv_lam), 3)
     assert np.allclose(ts2.traces, [LAM**-1, LAM**-2, LAM**-3], rtol=1e-12)
     zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
-    assert np.all(det.trace_series(zero, 3).traces == 0.0)
+    assert np.all(det.trace_series(zero, point_sets(zero), 3).traces == 0.0)
 
 
 def test_coeff_recursion_examples():
@@ -68,8 +66,8 @@ def test_coeff_trace_roundtrip(traces):
     assert np.max(np.abs(back - np.asarray(traces))) < 1e-12
 
 
-def test_cat_determinant_exactness(cat):
-    ts = det.trace_series(cat, 12)
+def test_cat_determinant_exactness(cat, cat_pts):
+    ts = det.trace_series(cat, cat_pts, 12)
     dp = det.det_coeffs_from_traces(ts, (LAM, 1.0))
     assert abs(dp.coeffs[1] + 1.0) <= 1e-10
     assert np.max(np.abs(dp.coeffs[2:])) <= 1e-10
@@ -113,11 +111,11 @@ def test_det_zeros_backward_error_on_the_trimmed_polynomial():
     assert all(z["backward_error"] <= 1e-15 for z in zeros)
 
 
-def test_zero_stability_under_truncation_doubling(cat, pcat):
-    for sys_ in (cat, pcat):
-        z1 = det.det_zeros(det.det_coeffs_from_traces(det.trace_series(sys_, 6),
+def test_zero_stability_under_truncation_doubling(cat, cat_pts, pcat, pcat_pts):
+    for sys_, pts in ((cat, cat_pts), (pcat, pcat_pts)):
+        z1 = det.det_zeros(det.det_coeffs_from_traces(det.trace_series(sys_, pts, 6),
                                                       (2.6, 1.0)), 1.5)
-        z2 = det.det_zeros(det.det_coeffs_from_traces(det.trace_series(sys_, 12),
+        z2 = det.det_zeros(det.det_coeffs_from_traces(det.trace_series(sys_, pts, 12),
                                                       (2.6, 1.0)), 1.5)
         keep1 = [z for z in z1 if z["backward_error"] <= 1e-6]
         keep2 = [z for z in z2 if z["backward_error"] <= 1e-6]
@@ -125,22 +123,22 @@ def test_zero_stability_under_truncation_doubling(cat, pcat):
         assert abs(keep1[0]["zero"] - keep2[0]["zero"]) <= 1e-6
 
 
-def test_zeta_direct_examples(cat):
-    zd = det.zeta_direct(cat, 2)
+def test_zeta_direct_examples(cat, cat_pts, point_sets):
+    zd = det.zeta_direct(cat_pts, 2)
     assert abs(zd[1] - 1.0) < 1e-12
     assert abs(zd[2] - 3.0) < 1e-12
     zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
-    zz = det.zeta_direct(zero, 4)
+    zz = det.zeta_direct(point_sets(zero), 4)
     assert np.allclose(zz, [1, 0, 0, 0, 0])
 
 
-def test_zeta_product_identities(cat, pcat):
-    for sys_, N in ((cat, 8), (pcat, 6)):
-        zd = det.zeta_direct(sys_, N)
-        zp = det.zeta_product(sys_, N)
+def test_zeta_product_identities(cat, cat_pts, pcat_pts, point_sets):
+    for pts, N in ((cat_pts, 8), (pcat_pts, 6)):
+        zd = det.zeta_direct(pts, N)
+        zp = det.zeta_product(pts, N)
         assert np.max(np.abs(zd - zp)) < 1e-8
     zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
-    zp0 = det.zeta_product(zero, 4)
+    zp0 = det.zeta_product(point_sets(zero), 4)
     assert np.allclose(zp0, [1, 0, 0, 0, 0])
 
 
@@ -148,14 +146,15 @@ def test_zeta_product_identities(cat, pcat):
 @given(seed=st.integers(0, 7), eps=st.floats(-0.05, 0.05), N=st.integers(1, 6))
 def test_zeta_direct_equals_product(seed, eps, N):
     sys_ = maps.make_map("perturbed_cat", eps, seed)
-    zd = det.zeta_direct(sys_, N)
-    zp = det.zeta_product(sys_, N)
+    pts = {m: orbits.periodic_points(sys_, m) for m in range(1, N + 1)}
+    zd = det.zeta_direct(pts, N)
+    zp = det.zeta_product(pts, N)
     assert np.max(np.abs(zd - zp)) < 1e-8
 
 
-def test_zeta_product_orientation_guard(cat):
+def test_zeta_product_orientation_guard(cat_pts):
     # flip the derivative sign at every point: det(DT|E^u) < 0
-    pts = orbits.periodic_points(cat, 1)
+    pts = cat_pts[1]
     flipped = orbits.PeriodicPointSet(
         period=1, points=pts.points, derivatives=-pts.derivatives, weights=pts.weights,
     )
@@ -179,23 +178,24 @@ def test_orientation_sign_matches_splitting(eps, seed):
         assert np.array_equal(by_split, by_trace)
 
 
-def test_validity_radius(cat):
-    vr, cr = det.validity_radius(cat, 1.0, -1.0)
+def test_validity_radius(cat, cat_pts):
+    vr, cr = det.validity_radius(cat, cat_pts, 1.0, -1.0)
     assert abs(vr - LAM) / LAM < 0.02
     assert abs(cr - 1.0) < 0.02
 
 
-def test_validity_radius_shares_exponents(pcat):
+def test_validity_radius_shares_exponents(pcat, pcat_pts):
     from hypdet import bounds
 
-    vr, cr = det.validity_radius(pcat, 1.0, -1.0)
-    qpq = bounds.q_variational(pcat, 1.0, -1.0, range(4, 11))["estimate"]
-    q00 = bounds.q_variational(pcat, 0.0, 0.0, range(4, 11))["estimate"]
+    vr, cr = det.validity_radius(pcat, pcat_pts, 1.0, -1.0)
+    exps = bounds.periodic_exponents(pcat_pts, range(4, 11))
+    qpq = bounds.q_variational(pcat, pcat_pts, exps, 1.0, -1.0)["estimate"]
+    q00 = bounds.q_variational(pcat, pcat_pts, exps, 0.0, 0.0)["estimate"]
     assert (vr, cr) == (1.0 / qpq, 1.0 / q00)
 
 
-def test_determinant_report_from_inputs(pcat):
-    ts = det.trace_series(pcat, 6)
+def test_determinant_report_from_inputs(pcat, pcat_pts):
+    ts = det.trace_series(pcat, pcat_pts, 6)
     dp = det.det_coeffs_from_traces(ts, (2.5, 1.0))
     zeros = det.det_zeros(dp, 1.5)
     rep = det.determinant_report(ts, dp, zeros, 1.5)
@@ -205,10 +205,12 @@ def test_determinant_report_from_inputs(pcat):
     assert [complex(z["re"], z["im"]) for z in rep["zeros"]] == [z["zero"] for z in zeros]
 
 
-def test_validity_radius_weight_floor(cat):
+def test_validity_radius_weight_floor(cat, point_sets):
     from hypdet import bounds
 
     zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
-    rep = bounds.q_variational(zero, 1.0, -1.0, range(2, 6))
+    pts = point_sets(zero)
+    rep = bounds.q_variational(zero, pts, bounds.periodic_exponents(pts, range(2, 6)),
+                               1.0, -1.0)
     assert rep["weight_floor_n"] == 100
     assert np.isfinite(rep["estimate"])

@@ -118,9 +118,9 @@ def test_periodic_points_count_and_range(seed, eps, m):
     assert pts.points.min() >= 0.0 and pts.points.max() < 1.0
 
 
-def test_point_cache_keyed_by_weight_not_tag():
-    # two weights under the same (default) tag: the second must not be
-    # served the first one's cached g^(m)
+def test_two_weights_under_one_tag_get_their_own_weight_product():
+    # two weights under the same (default) tag: each set carries the g^(m)
+    # of its own weight
     cat = maps.builtin_cat_map()
     for c in (2.0, 3.0):
         sys_ = cat.with_weight(lambda x, c=c: np.full(x.shape[0], c))
