@@ -163,7 +163,7 @@ def test_resonances_failure_on_the_pool_exits_4(monkeypatch, tmp_path):
 
 def test_resonances_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_path, capsys):
     from hypdet import collocation as coll
-    from hypdet import determinant
+    from hypdet import orbits
     from hypdet.errors import EigenSolverFailure, NewtonDiverged
 
     def failing_at_2n(tm, top=None, seed=0):
@@ -178,7 +178,7 @@ def test_resonances_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_
 
     # a serial run computes the determinant before the 2 n_freq eigenvalues
     monkeypatch.setattr(coll, "eigen_resonances", failing_at_2n)
-    monkeypatch.setattr(determinant, "trace_series", late_orbit_failure)
+    monkeypatch.setattr(orbits, "periodic_points", late_orbit_failure)
     cfg = write_config(tmp_path, "res7.json", {
         "map": {"id": "perturbed_cat", "eps": 0.01, "seed": 0},
         "N_det": 6, "n_freq": 8, "seed": 5,
