@@ -319,20 +319,10 @@ def rho_star_partition(sys: MapSystem, split: SplittingField, p: float, q: float
 # ---------------------------------------------------------------------------
 
 
-def pressure_periodic(sys: MapSystem, pts_by_m: dict, phi) -> dict:
-    """P_m = (1/m) log sum_{T^m x = x} exp(S_m phi(x)); -inf marker if empty."""
-    out = {}
-    for m, pts in sorted(pts_by_m.items()):
-        if len(pts) == 0:
-            out[m] = -math.inf
-            continue
-        S = np.zeros(len(pts))
-        Y = pts.points.copy()
-        for _ in range(m):
-            S += np.asarray(phi(Y))
-            Y = sys.forward(Y)
-        out[m] = float(np.log(math.fsum(np.exp(S))) / m)
-    return out
+def pressure_periodic(pts_by_m: dict) -> dict:
+    """Topological pressure P_m = (1/m) log |Fix(T^m)|; -inf marker if empty."""
+    return {m: float(np.log(len(pts)) / m) if len(pts) else -math.inf
+            for m, pts in sorted(pts_by_m.items())}
 
 
 def periodic_exponents(pts_by_m: dict, m_range) -> dict:
@@ -412,15 +402,14 @@ def compare_routes(rho_report: dict, q_report: dict) -> dict:
 def bound_table(sys: MapSystem, pts_by_m: dict, split: SplittingField, p: float, q: float,
                 m_range, n_samples: int = 4096, seed: int = 0) -> list:
     """Per-m rows: rho(m) with its standard error, R(m, t) for each t in T_GRID
-    under the key R_t<t>, and the periodic pressure of the zero potential.
+    under the key R_t<t>, and the topological pressure from |Fix(T^m)|.
 
     Rows with m <= STAR_M_MAX also carry the cover value Q_* (greedy) and the
     partition value rho_*.  Row m samples from seed + m, so it does not depend
     on which other m are in the table; kitaev_crosscheck and appendixB_check
     read these rows instead of sampling again.
     """
-    pressure = pressure_periodic(sys, {m: pts_by_m[m] for m in m_range},
-                                 lambda x: np.zeros(x.shape[0]))
+    pressure = pressure_periodic({m: pts_by_m[m] for m in m_range})
     cover = make_grid_cover(4)
     phis = make_torus_partition(3)
     rows = []

@@ -475,7 +475,9 @@ def match_resonances_to_zeros(stable_eigs, zeros, radius: float, tol: float = 1e
     Every zero z with |z| < radius and a backward error det_zeros does not
     flag (at most BACKWARD_ERROR_THRESHOLD) needs a stable eigenvalue mu
     with |mu - 1/z| <= tol, and every stable eigenvalue with |1/mu| < radius
-    needs a zero.  Multiplicities are compared through cluster sizes.
+    needs a zero.  Multiplicities are compared through cluster sizes: a
+    pair whose zero multiplicity differs from its eigenvalue cluster size
+    fails the match.
     """
     zs = [z for z in zeros
           if abs(z["zero"]) < radius and z["backward_error"] <= BACKWARD_ERROR_THRESHOLD]
@@ -512,7 +514,8 @@ def match_resonances_to_zeros(stable_eigs, zeros, radius: float, tol: float = 1e
         "pairs": pairs,
         "unmatched_zeros": unmatched_zeros,
         "unmatched_eigenvalues": unmatched_eigs,
-        "pass": not unmatched_zeros and not unmatched_eigs,
+        "pass": (not unmatched_zeros and not unmatched_eigs
+                 and all(p["multiplicity_zero"] == p["multiplicity_eig"] for p in pairs)),
         "radius": radius,
         "tol": tol,
     }

@@ -23,7 +23,7 @@ class NonHyperbolicMatrix(HypdetError):
 
 
 class NewtonDiverged(HypdetError):
-    """Newton continuation failed to converge for some periodic point."""
+    """The orbit Newton solve failed to converge for some periodic point."""
 
 
 class SingularLinearization(HypdetError):
@@ -31,7 +31,7 @@ class SingularLinearization(HypdetError):
 
 
 class CollisionDetected(HypdetError):
-    """Two continued periodic points merged within the dedupe radius."""
+    """Two periodic points from the Newton solve merged within the dedupe radius."""
 
 
 class OrientationNotTrivial(HypdetError):

@@ -497,7 +497,7 @@ def weight_floor(g: Callable, n: int) -> Callable:
 
 
 def make_map(map_id: str, eps: float = 0.0, seed: int = 0) -> MapSystem:
-    """Builtin torus map registry used by continuation and the CLI."""
+    """Builtin torus map registry used by the CLI."""
     if map_id == "cat":
         return builtin_cat_map() if eps == 0.0 else builtin_perturbed_cat(eps, seed)
     if map_id == "perturbed_cat":

@@ -1,10 +1,12 @@
-"""Periodic points of T^m: exact lattice enumeration and Newton continuation.
+"""Periodic points of T^m: exact lattice orbits and one Newton jump.
 
-For a hyperbolic integer matrix A the fixed points of x -> A^m x mod 1 are
-the residues of (A^m - I)^{-1} Z^2 in [0,1)^2, enumerated exactly through the
-Smith normal form.  Perturbed maps are handled by continuing each lattice
-point along an eps homotopy with a (vectorized) Newton iteration.  Nothing
-is cached: a run computes each period it needs once and passes the sets on.
+For a torus map T x = A x + (periodic part) mod 1 with a hyperbolic integer
+matrix A, the fixed points of x -> A^m x mod 1 are the points n / D, D =
+|det(A^m - I)|, enumerated exactly through the Smith normal form; their
+orbits n_{k+1} = A n_k mod D are exact in integers.  These lattice orbits
+seed one vectorized Newton solve of the orbit equations of T itself, which
+gives Fix(T^m) for every torus map, the linear one included.  Nothing is
+cached: a run computes each period it needs once and passes the sets on.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from .errors import (
     NonHyperbolicMatrix,
     SingularLinearization,
 )
-from .maps import MapSystem, builtin_perturbed_cat, weight_product
+from .maps import MapSystem
 
 DEDUPE_RADIUS = 1e-6
 UNIT_CIRCLE_MARGIN = 1e-6
 # Newton stops once the composed T^m residual is below this
 NEWTON_TOL = 1e-12
 # largest orbit array, m |det(A^m - I)| points, a run may ask for: the cat
-# map's m = 14 (9.9e6, 1.2 GB peak at eps 0.05) fits, m = 15 (2.8e7) does not
+# map's m = 14 (9.9e6, 0.91 GB peak and 20 s at eps 0.05, one BLAS thread on
+# a 2-core x86-64 box) fits, m = 15 (2.8e7) does not
 ORBIT_SIZE_MAX = 20_000_000
 
 
@@ -131,11 +134,14 @@ def fixed_point_count(A, m: int) -> int:
     return abs(int(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]))
 
 
-def fixed_points_linear_toral(A, m: int) -> PeriodicPointSet:
-    """All solutions of (A^m - I) x in Z^2 inside [0,1)^2, exactly.
+def fixed_points_linear_toral(A, m: int) -> np.ndarray:
+    """The orbits of Fix(A^m) for x -> A x mod 1, exactly, as (m, K, 2) floats.
 
-    Count equals |det(A^m - I)|; the weights are 1 (periodic_points puts
-    g^(m) on them).
+    With the Smith form D = U (A^m - I) V = diag(d1, d2) and D = d1 d2 =
+    |det(A^m - I)| = K, every fixed point is n_0 / D with the integer
+    n_0 = V (i d2, j d1) mod D; row k holds n_k / D with n_{k+1} = A n_k mod
+    D, exact in int64 while 2 D^2 < 2^63, far past any orbit array that fits
+    in memory.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -143,25 +149,21 @@ def fixed_points_linear_toral(A, m: int) -> PeriodicPointSet:
     eig = np.linalg.eigvals(A.astype(float))
     if np.any(np.abs(np.abs(eig) - 1.0) < 1e-9):
         raise NonHyperbolicMatrix("matrix has an eigenvalue of modulus 1")
-    Am = _int_matrix_power(A, m)
     count = fixed_point_count(A, m)
-    _, D, V = smith_normal_form_2x2(Am - np.eye(2, dtype=object))
-    d1, d2 = int(D[0, 0]), int(D[1, 1])
-    # solutions: x = V z mod 1 with z = (i/d1, j/d2); D = U (A^m - I) V acts on
-    # z = V^{-1} x, so enumerate z and push forward by V
-    Vf = np.array(V, dtype=float)
-    i = np.arange(d1, dtype=float) / d1
-    j = np.arange(d2, dtype=float) / d2
-    Z = np.stack(np.meshgrid(i, j, indexing="ij"), axis=-1).reshape(-1, 2)
-    X = np.mod(Z @ Vf.T, 1.0)
-    assert X.shape[0] == count
-
-    Amf = np.array([[float(Am[0, 0]), float(Am[0, 1])], [float(Am[1, 0]), float(Am[1, 1])]])
-    derivs = np.broadcast_to(Amf, (X.shape[0], 2, 2)).copy()
-    _check_hyperbolic_fixed(derivs[:1])  # constant derivative: one check suffices
-    order = np.lexsort((X[:, 1], X[:, 0]))
-    return PeriodicPointSet(period=m, points=X[order], derivatives=derivs[order],
-                            weights=np.ones(X.shape[0]))
+    _, Dm, V = smith_normal_form_2x2(_int_matrix_power(A, m) - np.eye(2, dtype=object))
+    d1, d2 = int(Dm[0, 0]), int(Dm[1, 1])
+    D = d1 * d2
+    assert D == count
+    Vd = np.array([[int(v) % D for v in row] for row in V], dtype=np.int64)
+    Ai = np.array(A, dtype=np.int64)
+    i, j = np.meshgrid(np.arange(d1, dtype=np.int64) * d2,
+                       np.arange(d2, dtype=np.int64) * d1, indexing="ij")
+    n = np.stack([i.ravel(), j.ravel()], axis=1) @ Vd.T % D
+    orbit = np.empty((m, D, 2))
+    for k in range(m):
+        orbit[k] = n / D
+        n = n @ Ai.T % D
+    return orbit
 
 
 def _newton_fixed_points(sys: MapSystem, orbit):
@@ -170,10 +172,9 @@ def _newton_fixed_points(sys: MapSystem, orbit):
     Solves x_{k+1} = T(x_k) (indices mod m) for whole orbit sequences
     starting from the seed orbits (m, K, 2); a pseudo-orbit seed keeps the
     Newton basin uniform in m, unlike Newton on T^m(x) - x whose basins
-    shrink like the fixed-point spacing.  Returns (x_0 points, DT^m at x_0,
-    converged orbits).
+    shrink like the fixed-point spacing.  Updates orbit in place and returns
+    (x_0 points, DT^m at x_0, converged orbits).
     """
-    orbit = orbit.copy()
     m, K = orbit.shape[0], orbit.shape[1]
     eye = np.broadcast_to(np.eye(2), (K, 2, 2))
     M = None
@@ -204,39 +205,17 @@ def _newton_fixed_points(sys: MapSystem, orbit):
     return orbit[0], M, orbit
 
 
-def continue_periodic_points(
-    sys: MapSystem,
-    ref: PeriodicPointSet,
-    eps_path=None,
-) -> PeriodicPointSet:
-    """Continue lattice-exact fixed points of T^m along an eps homotopy.
+def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
+    """Fixed points of T^m for a torus map T x = A x + (periodic part) mod 1.
 
-    sys must be a builtin torus map carrying ``eps``/``seed`` params; maps at
-    intermediate eps values are rebuilt from the registry.  The default path
-    jumps directly for |eps| <= 0.02 and uses steps of 0.01 otherwise.
+    Every orbit of Fix(T^m) is seeded with the exact lattice orbit of the
+    linear part A and solved by one Newton jump on sys itself; the points
+    are folded onto [0, 1), checked and sorted, with g^(m) taken from the
+    converged orbit.
     """
-    m = ref.period
-    eps_target = float(sys.params.get("eps", 0.0))
-    seed = int(sys.params.get("seed", 0))
-    if eps_path is None:
-        if abs(eps_target) <= 0.02:
-            eps_path = [eps_target]
-        else:
-            n_steps = int(np.ceil(abs(eps_target) / 0.01))
-            eps_path = list(np.linspace(eps_target / n_steps, eps_target, n_steps))
-    if eps_path and abs(eps_path[-1] - eps_target) > 1e-15:
-        raise ValueError("eps_path must end at the target eps")
-
-    # seed with the exact lattice orbits of the linear reference map
-    A = np.asarray(sys.linear_part, dtype=float)
-    orbit = np.empty((m, len(ref), 2))
-    orbit[0] = ref.points
-    for k in range(1, m):
-        orbit[k] = np.mod(orbit[k - 1] @ A.T, 1.0)
-    derivs = None
-    for eps_k in eps_path:
-        sys_k = builtin_perturbed_cat(eps_k, seed)
-        X, derivs, orbit = _newton_fixed_points(sys_k, orbit)
+    if sys.linear_part is None:
+        raise ValueError("periodic_points requires a builtin torus map")
+    X, derivs, orbit = _newton_fixed_points(sys, fixed_points_linear_toral(sys.linear_part, m))
     # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0; fold it onto
     # 0.0 so stored points lie in [0, 1)
     X = np.where(X < 1.0, X, 0.0)
@@ -259,18 +238,3 @@ def continue_periodic_points(
         weights *= np.asarray(sys.weight(orbit[k]))
     order = np.lexsort((X[:, 1], X[:, 0]))
     return PeriodicPointSet(m, X[order], derivs[order], weights[order])
-
-
-def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
-    """Fixed points of T^m for a builtin torus map.
-
-    Linear maps are enumerated exactly; perturbed maps are continued from the
-    eps = 0 lattice points.
-    """
-    if sys.linear_part is None:
-        raise ValueError("periodic_points requires a builtin torus map")
-    ref = fixed_points_linear_toral(sys.linear_part, m)
-    if float(sys.params.get("eps", 0.0)) == 0.0:
-        return PeriodicPointSet(m, ref.points, ref.derivatives,
-                                weight_product(sys, ref.points, m))
-    return continue_periodic_points(sys, ref)

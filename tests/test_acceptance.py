@@ -76,8 +76,7 @@ def test_criterion_3_pressure_route():
     pts = points(cat, range(4, 11))
     q00 = bd.q_variational(cat, pts, bd.periodic_exponents(pts, range(4, 11)),
                            0.0, 0.0)["estimate"]
-    zero_phi = lambda x: np.zeros(x.shape[0])  # noqa: E731
-    p10 = bd.pressure_periodic(cat, {10: pts[10]}, zero_phi)[10]
+    p10 = bd.pressure_periodic({10: pts[10]})[10]
     elapsed = time.monotonic() - t0
     ok = (
         abs(q00 - 1.0) <= 0.02

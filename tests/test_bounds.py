@@ -234,21 +234,12 @@ def test_partition_sums_to_one():
 
 
 def test_pressure_periodic(cat, cat_pts):
-    pts = {m: cat_pts[m] for m in (8, 10)}
-    zero_phi = lambda x: np.zeros(x.shape[0])  # noqa: E731
-    P = bd.pressure_periodic(cat, pts, zero_phi)
+    P = bd.pressure_periodic({m: cat_pts[m] for m in (8, 10)})
     assert abs(P[10] - math.log(LAM)) / math.log(LAM) < 0.02
-    neg = lambda x: np.full(x.shape[0], -math.log(LAM))  # noqa: E731
-    Pn = bd.pressure_periodic(cat, pts, neg)
-    assert abs(Pn[10]) <= 0.02
-    c = 0.3
-    shifted = lambda x: np.full(x.shape[0], -math.log(LAM) + c)  # noqa: E731
-    Ps = bd.pressure_periodic(cat, pts, shifted)
-    assert Ps[10] == pytest.approx(Pn[10] + c, abs=1e-12)
     empty = orbits.PeriodicPointSet(period=2, points=np.zeros((0, 2)),
                                     derivatives=np.zeros((0, 2, 2)),
                                     weights=np.zeros(0))
-    assert bd.pressure_periodic(cat, {2: empty}, zero_phi)[2] == -math.inf
+    assert bd.pressure_periodic({2: empty})[2] == -math.inf
 
 
 def test_q_variational_examples(cat, cat_pts, point_sets):

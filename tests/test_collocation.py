@@ -256,6 +256,18 @@ def test_match_unmatched_zero_detected():
     assert len(rep["unmatched_zeros"]) == 1
 
 
+@pytest.mark.parametrize("eigs", [[0.5], [0.5, 0.5 + 1e-6], [0.5, 0.5 + 1e-6, 0.5 - 1e-6]])
+def test_match_compares_multiplicity(eigs):
+    # a double zero at 2 passes against a cluster of two eigenvalues and fails
+    # against one eigenvalue and against a cluster of three
+    zeros = [{"zero": 2.0 + 0j, "multiplicity": 2, "backward_error": 0.0}]
+    rep = coll.match_resonances_to_zeros(np.array(eigs, dtype=complex), zeros,
+                                         radius=3.0, tol=1e-4)
+    assert len(rep["pairs"]) == 1 and not rep["unmatched_eigenvalues"]
+    assert rep["pairs"][0]["multiplicity_eig"] == len(eigs)
+    assert rep["pass"] == (len(eigs) == 2)
+
+
 def test_sparse_representation_large():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from hypdet import maps, orbits
+from hypdet import cli, maps, orbits
 from hypdet.errors import NonHyperbolicMatrix
 
 A = maps.CAT_A_INT
@@ -18,37 +21,34 @@ def exact_count(m):
 
 @pytest.mark.parametrize("m,count", [(1, 1), (2, 5), (3, 16), (4, 45)])
 def test_lattice_counts_small(m, count):
-    pts = orbits.fixed_points_linear_toral(A, m)
-    assert len(pts) == count
+    orbit = orbits.fixed_points_linear_toral(A, m)
+    assert orbit.shape == (m, count, 2)
 
 
 def test_lattice_counts_exact_to_12():
     for m in range(1, 13):
-        pts = orbits.fixed_points_linear_toral(A, m)
-        assert len(pts) == exact_count(m)
+        assert orbits.fixed_points_linear_toral(A, m).shape[1] == exact_count(m)
 
 
 def test_lattice_points_are_fixed():
+    # row k + 1 is the cat map's image of row k, and row 0 that of row m - 1
     cat = maps.builtin_cat_map()
     for m in (3, 6, 9):
-        pts = orbits.fixed_points_linear_toral(A, m)
-        z = pts.points
-        for _ in range(m):
-            z = cat.forward(z)
-        d = z - pts.points
+        orbit = orbits.fixed_points_linear_toral(A, m)
+        d = cat.forward(orbit) - np.roll(orbit, -1, axis=0)
         d -= np.round(d)
         assert np.max(np.abs(d)) < 1e-10
+        assert orbit.min() >= 0.0 and orbit.max() < 1.0
 
 
 def test_hyperbolic_fixed_invariant():
-    pts = orbits.fixed_points_linear_toral(A, 5)
+    pts = orbits.periodic_points(maps.builtin_cat_map(), 5)
     eigs = np.linalg.eigvals(pts.derivatives)
     assert np.all(np.abs(np.abs(eigs) - 1.0) > 1e-6)
 
 
 def test_pairwise_separation():
-    pts = orbits.fixed_points_linear_toral(A, 8)
-    tree = cKDTree(pts.points, boxsize=1.0)
+    tree = cKDTree(orbits.fixed_points_linear_toral(A, 8)[0], boxsize=1.0)
     assert not tree.query_pairs(orbits.DEDUPE_RADIUS)
 
 
@@ -58,15 +58,14 @@ def test_nonhyperbolic_rejected():
 
 
 def test_continue_identity_homotopy():
-    ref = orbits.fixed_points_linear_toral(A, 3)
-    pc0 = maps.builtin_perturbed_cat(0.0)
-    out = orbits.continue_periodic_points(pc0, ref)
-    assert np.allclose(out.points, ref.points)
+    # at eps = 0 the Newton jump leaves the lattice seeds where they are
+    X = orbits.fixed_points_linear_toral(A, 3)[0]
+    out = orbits.periodic_points(maps.builtin_perturbed_cat(0.0), 3)
+    assert np.array_equal(out.points, X[np.lexsort((X[:, 1], X[:, 0]))])
 
 
 def test_continue_m2(pcat):
-    ref = orbits.fixed_points_linear_toral(A, 2)
-    out = orbits.continue_periodic_points(pcat, ref)
+    out = orbits.periodic_points(pcat, 2)
     assert len(out) == 5
     z = out.points
     for _ in range(2):
@@ -77,8 +76,7 @@ def test_continue_m2(pcat):
 
 
 def test_origin_stays_fixed(pcat):
-    ref = orbits.fixed_points_linear_toral(A, 1)
-    out = orbits.continue_periodic_points(pcat, ref)
+    out = orbits.periodic_points(pcat, 1)
     assert len(out) == 1
     assert np.max(np.abs(out.points)) < 1e-12
 
@@ -113,9 +111,15 @@ def test_continued_points_stored_in_unit_square():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 7), eps=st.floats(-0.05, 0.05), m=st.integers(1, 8))
 def test_periodic_points_count_and_range(seed, eps, m):
-    pts = orbits.periodic_points(maps.make_map("perturbed_cat", eps, seed), m)
+    sys_ = maps.make_map("perturbed_cat", eps, seed)
+    pts = orbits.periodic_points(sys_, m)
     assert len(pts) == exact_count(m)
     assert pts.points.min() >= 0.0 and pts.points.max() < 1.0
+    z = pts.points
+    for _ in range(m):
+        z = sys_.forward(z)
+    d = z - pts.points
+    assert np.max(np.abs(d - np.round(d))) <= 1e-11
 
 
 def test_two_weights_under_one_tag_get_their_own_weight_product():
@@ -127,18 +131,62 @@ def test_two_weights_under_one_tag_get_their_own_weight_product():
         assert np.all(orbits.periodic_points(sys_, 2).weights == c**2)
 
 
-def test_refined_path_consistency(pcat):
-    ref = orbits.fixed_points_linear_toral(A, 4)
-    one = orbits.continue_periodic_points(pcat, ref, eps_path=[0.01])
-    two = orbits.continue_periodic_points(pcat, ref, eps_path=[0.005, 0.01])
-    assert np.max(np.abs(one.points - two.points)) < 1e-9
+def _stepped_homotopy_points(eps, seed, m):
+    """Fix(T^m) of the perturbed cat map at eps, continued from the lattice
+    orbits in steps of 0.01 in eps, a Newton solve per step; sorted as
+    periodic_points sorts."""
+    n_steps = math.ceil(abs(eps) / 0.01)
+    orbit = orbits.fixed_points_linear_toral(A, m)
+    for eps_k in np.linspace(eps / n_steps, eps, n_steps):
+        X, _, orbit = orbits._newton_fixed_points(maps.builtin_perturbed_cat(eps_k, seed), orbit)
+    X = np.where(X < 1.0, X, 0.0)
+    return X[np.lexsort((X[:, 1], X[:, 0]))]
+
+
+@pytest.mark.parametrize("eps", [0.05, -0.05])
+@pytest.mark.parametrize("seed", range(8))
+def test_one_jump_matches_stepped_homotopy(eps, seed):
+    for m in range(1, 9):
+        pts = orbits.periodic_points(maps.make_map("perturbed_cat", eps, seed), m)
+        d = pts.points - _stepped_homotopy_points(eps, seed, m)
+        assert np.max(np.abs(d - np.round(d))) <= 1e-12
+
+
+def test_hand_built_map_is_solved_as_given():
+    # params that disagree with the dynamics are not read: the points are
+    # fixed under the map's own forward (eps 0.02), not the registry's eps 0.01
+    sys_ = dataclasses.replace(maps.builtin_perturbed_cat(0.02), params={"eps": 0.01, "seed": 0})
+    for m in (2, 3):
+        pts = orbits.periodic_points(sys_, m)
+        z = pts.points
+        for _ in range(m):
+            z = sys_.forward(z)
+        d = z - pts.points
+        assert np.max(np.abs(d - np.round(d))) <= 1e-11
+
+
+def test_cat_weight_product_is_exact():
+    # g^(m) on the cat map against the product along the integer orbits
+    # n_{k+1} = A n_k mod D, D = |det(A^m - I)|, in Python ints
+    m = 12
+    w = cli.build_weight({"id": "expression", "terms": {"one": 1.0, "cos1": 0.6, "sin2": 0.4}})
+    pts = orbits.periodic_points(maps.builtin_cat_map().with_weight(w), m)
+    D = exact_count(m)
+    n = np.rint(pts.points * D).astype(np.int64).astype(object)
+    B = orbits._int_matrix_power(A, m) - np.eye(2, dtype=object)
+    assert np.all((n @ B.T) % D == 0)
+    assert len({tuple(r) for r in n.tolist()}) == D
+    g = np.ones(D)
+    for _ in range(m):
+        g *= w(n.astype(np.int64) / D)  # n / D correctly rounded
+        n = (n @ A.astype(object).T) % D
+    assert np.max(np.abs(pts.weights - g)) <= 1e-13
 
 
 def test_weighted_lattice_points():
     w = lambda x: 2.0 * np.ones(x.shape[0])  # noqa: E731
-    pts = orbits.fixed_points_linear_toral(A, 3)
-    g3 = maps.weight_product(maps.builtin_cat_map().with_weight(w), pts.points, 3)
-    assert np.allclose(g3, 8.0)
+    pts = orbits.periodic_points(maps.builtin_cat_map().with_weight(w), 3)
+    assert np.allclose(pts.weights, 8.0)
 
 
 def test_snf_unimodular_decomposition():
