@@ -22,6 +22,9 @@ from .partition import (
     annulus,
     chi_n,
     dyadic_partition_eval,
+    lattice_norms,
+    lattice_points,
+    point_blocks,
     psi_tilde_eval,
 )
 
@@ -35,9 +38,9 @@ QUAD_PAD = 1.3
 # flat traces: room added to the largest displacement |T(x) - x| when the
 # frequency-lattice spacing is chosen
 Y_SAFE = 6.0
-# points per block of the x-sum that builds the flat-trace kernel W; a gemm
-# over at most 512 points gets the same bits from one and two OpenBLAS
-# threads (over 600 or 744 points it does not)
+# points per block of the x-sums that build the flat-trace kernel W and the
+# compressed matrices; a gemm over at most 512 points gets the same bits
+# from one and two OpenBLAS threads (over 600 or 744 points it does not)
 W_BLOCK = 512
 # e^{i k phi} tables of the flat-trace kernel are products of a coarse table
 # in steps of POWER_SPLIT and a fine one of POWER_SPLIT entries
@@ -153,9 +156,13 @@ class BlockOperator:
 
     def __post_init__(self):
         CHART_GRID.require_band(self.n_max)
-        pts = CHART_GRID.points()
         # grid points in supp G; they bound the quadrature grid of the entries
-        self._support = pts[np.asarray(self.weight(pts)) > 1e-15]
+        c = CHART_GRID.coords_1d()
+        inside = np.empty(c.size**2, dtype=bool)
+        for blk in point_blocks(inside.size):
+            pts = lattice_points(c, np.arange(blk.start, blk.stop))
+            inside[blk] = np.asarray(self.weight(pts)) > 1e-15
+        self._support = lattice_points(c, np.flatnonzero(inside))
 
     # -- compressed dense matrices -------------------------------------------
 
@@ -173,19 +180,7 @@ class BlockOperator:
         eta = np.vstack(modes_out)
         xi = np.vstack(modes_in)
 
-        # local quadrature grid over supp G, resolving the largest phase rate;
-        # the raw coefficient is (1/|box|) int G(x) e^{i xi.T(x)} e^{-i eta.x} dx
-        # (the phases are the largest arrays of aniso: each exp and the
-        # weighting run in place, with the arithmetic of the plain expressions)
-        X, w = self._quad_grid()
-        phase_in_T = 1j * (self.sys.forward(X) @ xi.T)
-        np.exp(phase_in_T, out=phase_in_T)
-        phase_out_x = -1j * (X @ eta.T)
-        np.exp(phase_out_x, out=phase_out_x)
-        phase_out_x *= w[:, None]
-        area = (2.0 * CHART_GRID.box_half) ** 2
-        C = phase_out_x.T @ phase_in_T / area
-        del phase_in_T, phase_out_x
+        C = self._coefficients(eta, xi)
 
         # multiplier scalings and block masks
         n_b = len(bands)
@@ -211,21 +206,36 @@ class BlockOperator:
         Mc = np.where(~linked, M, 0.0)
         return M, Mb, Mc, idx
 
+    def _coefficients(self, eta, xi):
+        """C[a, b] = (1/|box|) int G(x) e^{i xi_b.T(x)} e^{-i eta_a.x} dx on a
+        local quadrature grid over supp G that resolves the largest phase
+        rate, summed over blocks of W_BLOCK points x, so no phase table spans
+        every x."""
+        X, w = self._quad_grid()
+        C = np.zeros((eta.shape[0], xi.shape[0]), dtype=complex)
+        for b in range(0, w.size, W_BLOCK):
+            blk = slice(b, b + W_BLOCK)
+            phase_in_T = np.exp(1j * (self.sys.forward(X[blk]) @ xi.T))
+            phase_out_x = np.exp(-1j * (X[blk] @ eta.T)) * w[blk, None]
+            C += phase_out_x.T @ phase_in_T
+        C /= (2.0 * CHART_GRID.box_half) ** 2
+        return C
+
     def _band_mode_lists(self, bands):
         """(modes_out, modes_in): the band_modes of each band on the
         CHART_GRID lattice, for theta_prime and theta.
 
         Each band sees only the lattice points of its annulus: it is +0.0
         outside, and its modes are the points at or above half its maximum,
-        so the modes are those of the whole lattice.  The lattice and its
-        norm are freed on return, before the phase matrices are allocated.
+        so the modes are those of the whole lattice.  Only the lattice's
+        norms are held; each annulus's points are made from their indices.
         """
-        lattice = CHART_GRID.xi_points()
-        norm = np.sqrt(np.sum(lattice**2, axis=-1))
+        axis = CHART_GRID.xi_1d()
+        norm = lattice_norms(axis)
         same_theta = self.theta == self.theta_prime
         modes_out, modes_in = [], []
         for n, s in bands:
-            ring = lattice[annulus(norm, n)]
+            ring = lattice_points(axis, np.flatnonzero(annulus(norm, n)))
             mo = band_modes(ring, self.theta_prime, n, s)
             modes_out.append(mo)
             modes_in.append(mo if same_theta else band_modes(ring, self.theta, n, s))
@@ -273,7 +283,9 @@ class FlatTraceQuadrature:
     W(xi) = int e^{i (T(x)-x) . xi} G(x) dx computed once; partial sums over
     bands then telescope exactly against the chi_{n0} version.  _W holds
     Re W only: the partition functions are real and the traces are real, so
-    the imaginary part of W never reaches a trace.
+    the imaginary part of W never reaches a trace.  The lattice points xi_j
+    are not held: only their norms, and the points of one band's annulus
+    are made from their indices, a block at a time.
     """
 
     sys: MapSystem
@@ -303,9 +315,8 @@ class FlatTraceQuadrature:
         X, wq = X[keep], wq[keep]
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n_side**2
         self._W = _phase_kernel(self.dxi * (self.sys.forward(X) - X), wq * cell, j)
-        XI1, XI2 = np.meshgrid(j * self.dxi, j * self.dxi, indexing="ij")
-        self._xi = np.stack([XI1.ravel(), XI2.ravel()], axis=-1)
-        self._norm = np.linalg.norm(self._xi, axis=1)
+        self._axis = j * self.dxi
+        self._norm = lattice_norms(self._axis)
 
     def _lip_t_minus_i(self, pts):
         J = self.sys.jacobian(pts) - np.eye(2)
@@ -314,10 +325,14 @@ class FlatTraceQuadrature:
     def band_trace(self, n: int, sigma: str) -> float:
         """Flat trace of one diagonal block, summed over its band's annulus
         2^{n-1} < |xi| < 2^{n+1} (|xi| < 2 for n = 0), where it is nonzero."""
-        inside = annulus(self._norm, n)
-        vals = dyadic_partition_eval(self.theta, n, sigma, self._xi[inside])
-        s = np.sum(vals * self._W.ravel()[inside]) * self.dxi**2 / TWO_PI**2
-        return float(s)
+        inside = np.flatnonzero(annulus(self._norm, n))
+        W = self._W.ravel()
+        terms = np.empty(inside.size)
+        for blk in point_blocks(inside.size):
+            k = inside[blk]
+            xi = lattice_points(self._axis, k)
+            terms[blk] = dyadic_partition_eval(self.theta, n, sigma, xi) * W[k]
+        return float(np.sum(terms) * self.dxi**2 / TWO_PI**2)
 
     def partial_sum(self, n0: int) -> float:
         """sum of band traces over n <= n0, both sigma."""
@@ -325,20 +340,25 @@ class FlatTraceQuadrature:
 
     def chi_trace(self, n0: int) -> float:
         """int chi_hat_{n0}(T(x)-x) G(x) dx on the same lattice (telescoped form)."""
-        vals = chi_n(self._norm, n0)
-        s = np.sum(vals * self._W.ravel()) * self.dxi**2 / TWO_PI**2
-        return float(s)
+        W = self._W.ravel()
+        terms = np.empty(W.size)
+        for blk in point_blocks(W.size):
+            terms[blk] = chi_n(self._norm[blk], n0) * W[blk]
+        return float(np.sum(terms) * self.dxi**2 / TWO_PI**2)
 
     def fixed_point_value(self) -> float:
         """Oracle limit: sum over fixed points in supp G of G/|det(Id-DT)|."""
         from scipy.optimize import fsolve
 
         pts = _weight_support_points(self.sys, self.weight, n_side=16)
+        # fsolve leaves its callable in a reference cycle: a closure over
+        # self would keep the quadrature's lattice arrays alive until the
+        # cyclic collector runs
+        forward = self.sys.forward
         roots = []
         for x0 in pts[:: max(1, len(pts) // 25)]:
             # fsolve iterates on one point, which the map takes as a batch of one
-            r = fsolve(lambda x: self.sys.forward(x.reshape(1, 2))[0] - x, x0,
-                       full_output=True)
+            r = fsolve(lambda x: forward(x.reshape(1, 2))[0] - x, x0, full_output=True)
             if r[2] == 1:
                 roots.append(r[0])
         roots = np.array(roots).reshape(-1, 2)

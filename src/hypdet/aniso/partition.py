@@ -29,6 +29,9 @@ YOUNG_REL_SLACK = 1e-6
 YOUNG_QUAD_SLACK = 2e-3
 # partition_sum_error samples a PARTITION_SIDE^2 lattice of frequencies
 PARTITION_SIDE = 512
+# points per block of the elementwise band formulas: every temporary of an
+# evaluation spans at most this many points, whatever the input size
+EVAL_BLOCK = 1 << 15
 
 
 def mollifier_chi(s):
@@ -61,6 +64,26 @@ def annulus(norm, n: int):
     return inside
 
 
+def point_blocks(n_points: int) -> list:
+    """Slices of at most EVAL_BLOCK consecutive points covering range(n_points)."""
+    return [slice(b, min(b + EVAL_BLOCK, n_points)) for b in range(0, n_points, EVAL_BLOCK)]
+
+
+def _over_blocks(values, xi) -> np.ndarray:
+    """values(x) on each point_blocks block x of the points xi (..., 2),
+    written into one output of shape xi.shape[:-1]."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.empty(xi.shape[:-1])
+    pts, flat = xi.reshape(-1, 2), out.reshape(-1)
+    for blk in point_blocks(flat.size):
+        flat[blk] = values(pts[blk])
+    return out
+
+
+def _norm(xi):
+    return np.sqrt(np.sum(xi**2, axis=-1))
+
+
 def dyadic_partition_eval(theta: Polarization, n: int, sigma: str, xi):
     """psi_{Theta,n,sigma}(xi): radial dyadic band times the angular cutoff.
 
@@ -68,8 +91,11 @@ def dyadic_partition_eval(theta: Polarization, n: int, sigma: str, xi):
     exactly 0.0 outside its annulus, so the formula runs only on the points
     inside it.
     """
-    xi = np.asarray(xi, dtype=float)
-    norm = np.sqrt(np.sum(xi**2, axis=-1))
+    return _over_blocks(functools.partial(_band_on_annulus, theta, n, sigma), xi)
+
+
+def _band_on_annulus(theta, n, sigma, xi):
+    norm = _norm(xi)
     inside = annulus(norm, n)
     out = np.zeros(norm.shape)
     out[inside] = _band_values(theta, n, sigma, xi[inside], norm[inside])
@@ -120,8 +146,11 @@ def psi_tilde_eval(theta: Polarization, ell: int, tau: str, xi):
     Radial part chi(2^{-ell-1}|xi|) - chi(2^{-ell+2}|xi|) for ell >= 1, and
     chi(|xi|/2) for ell = 0.
     """
-    xi = np.asarray(xi, dtype=float)
-    norm = np.sqrt(np.sum(xi**2, axis=-1))
+    return _over_blocks(functools.partial(_psi_tilde_values, theta, ell, tau), xi)
+
+
+def _psi_tilde_values(theta, ell, tau, xi):
+    norm = _norm(xi)
     if ell == 0:
         return mollifier_chi(0.5 * norm)
     rad = mollifier_chi(norm * 2.0 ** (-ell - 1)) - mollifier_chi(norm * 2.0 ** (-ell + 2))
@@ -135,8 +164,11 @@ def dyadic_partition_sum(theta: Polarization, xi, n_max: int):
     Each band is added only on its annulus: elsewhere it is +0.0, which
     changes no bit of the running total.
     """
-    xi = np.asarray(xi, dtype=float)
-    norm = np.sqrt(np.sum(xi**2, axis=-1))
+    return _over_blocks(functools.partial(_partition_sum_values, theta, n_max), xi)
+
+
+def _partition_sum_values(theta, n_max, xi):
+    norm = _norm(xi)
     total = np.zeros(norm.shape)
     for n in range(n_max + 1):
         inside = annulus(norm, n)
@@ -173,11 +205,6 @@ class BoxGrid:
     def xi_1d(self) -> np.ndarray:
         return 2.0 * math.pi * sfft.fftfreq(self.n_pix, d=self.h)
 
-    def xi_points(self) -> np.ndarray:
-        f = self.xi_1d()
-        XI1, XI2 = np.meshgrid(f, f, indexing="ij")
-        return np.stack([XI1.ravel(), XI2.ravel()], axis=-1)
-
     @property
     def xi_max(self) -> float:
         return math.pi / self.h
@@ -195,6 +222,22 @@ class BoxGrid:
         coords = np.stack([ij[:, 0], ij[:, 1]])
         return map_coordinates(coeffs, coords, order=SPLINE_ORDER, mode="grid-wrap",
                                prefilter=False)
+
+
+def lattice_points(axis: np.ndarray, k) -> np.ndarray:
+    """Points with flat indices k of the square lattice axis x axis, in the
+    row-major order of BoxGrid.points."""
+    m = axis.size
+    return np.stack([axis[k // m], axis[k % m]], axis=-1)
+
+
+def lattice_norms(axis: np.ndarray) -> np.ndarray:
+    """|xi| at every point of the square lattice axis x axis, in the order of
+    lattice_points: the bits of the norms of the points themselves, with one
+    array of the lattice's size."""
+    sq = axis**2
+    norm = np.add.outer(sq, sq).ravel()
+    return np.sqrt(norm, out=norm)
 
 
 def spline_coefficients(u: np.ndarray) -> np.ndarray:

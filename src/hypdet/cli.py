@@ -432,11 +432,11 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
         return {"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]}
 
     def flat_trace_then_kneading():
-        # The compressed matrices, the largest working set, are built last,
-        # beside the last Young trials.  Built first, beside the partition
-        # error and the first Young trials, they raised the peak of the
-        # benchmark aniso command from 269-276 MB to 285 MB (2-core x86-64,
-        # one BLAS thread).
+        # The flat trace and the compressed build each evaluate in blocks of
+        # points, so their working sets are bounded (about 34 and 26 MB
+        # traced by tracemalloc) and the order barely moves the peak: 137 MB
+        # for the benchmark aniso command in this order, 138 MB the other
+        # way round (2-core x86-64, one BLAS thread).
         return flat_trace(), kneading()
 
     # Only this thread waits on futures, so no task waits on another and a

@@ -1,14 +1,18 @@
+import gc
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from hypdet import maps
 from hypdet.aniso import blocks as ab
+from hypdet.aniso import partition as ap
 from hypdet.aniso.partition import dyadic_partition_eval
 from hypdet.errors import EmptyConstraintSet, SingularResolvent
 
@@ -205,11 +209,94 @@ def test_band_trace_is_full_lattice_sum(chart0):
     # band's partition function times W is the same trace
     sys_, theta, theta_p = chart0
     quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=8)
+    n_half = quad._W.shape[0] // 2
+    t = np.arange(-n_half, n_half + 1) * quad.dxi
+    lattice = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
     for n in range(9):
         for s in "+-":
-            vals = dyadic_partition_eval(theta_p, n, s, quad._xi)
+            vals = dyadic_partition_eval(theta_p, n, s, lattice)
             full = np.sum(vals * quad._W.ravel()) * quad.dxi**2 / ab.TWO_PI**2
             assert quad.band_trace(n, s) == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+def test_flat_traces_same_bits_in_one_block(chart0, monkeypatch):
+    # band and chi traces over lattices of several EVAL_BLOCK blocks keep
+    # every bit when the whole lattice is one block
+    sys_, theta, theta_p = chart0
+    quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=6)
+    assert quad._W.size > 2 * ap.EVAL_BLOCK
+
+    def traces():
+        return [quad.band_trace(n, s) for n in range(7) for s in "+-"] + [quad.chi_trace(6)]
+
+    blocked = traces()
+    monkeypatch.setattr(ap, "EVAL_BLOCK", quad._W.size)
+    assert np.array_equal(np.array(blocked).view(np.uint64),
+                          np.array(traces()).view(np.uint64))
+
+
+def test_quadrature_freed_at_del_after_fixed_point_value(chart0):
+    # nothing the oracle leaves behind refers to the quadrature, so its
+    # lattice arrays go at del, not when the cyclic collector next runs
+    sys_, theta, theta_p = chart0
+    quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=2)
+    gc.disable()
+    try:
+        assert quad.fixed_point_value() == pytest.approx(2.0, abs=1e-9)
+        ref = weakref.ref(quad)
+        del quad
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _traced_peak_mb(run):
+    """Peak of the memory tracemalloc traces (numpy's arrays included) while
+    run() runs, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_flat_trace_working_set(chart0):
+    sys_, theta, theta_p = chart0
+
+    def run():
+        quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=8)
+        quad.partial_sum(8)
+        quad.chi_trace(8)
+
+    assert _traced_peak_mb(run) < 80.0
+
+
+def test_compressed_build_working_set(chart0, iter10):
+    sys_, theta, theta_p = chart0
+    it10, hp10, hm10 = iter10
+
+    def run():
+        ab.BlockOperator(sys=it10, weight=maps.chart_weight, theta=theta,
+                         theta_prime=theta_p, n_max=6, h_plus=hp10,
+                         h_minus=hm10).compressed_matrices()
+
+    assert _traced_peak_mb(run) < 60.0
+
+
+def test_compressed_coefficients_match_one_gemm(block):
+    # the blocked x-sum of the raw coefficients against both phase tables
+    # over every quadrature point and one gemm
+    bands = ab.band_indices(block.n_max)
+    modes_out, modes_in = block._band_mode_lists(bands)
+    eta, xi = np.vstack(modes_out), np.vstack(modes_in)
+    X, w = block._quad_grid()
+    assert w.size > 2 * ab.W_BLOCK
+    phase_in = np.exp(1j * (block.sys.forward(X) @ xi.T))
+    phase_out = np.exp(-1j * (X @ eta.T)) * w[:, None]
+    ref = phase_out.T @ phase_in / (2.0 * ab.CHART_GRID.box_half) ** 2
+    C = block._coefficients(eta, xi)
+    assert np.max(np.abs(C - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_flat_trace_kernel_same_bits_on_one_and_two_blas_threads():
@@ -248,7 +335,8 @@ def test_band_modes_on_the_annulus_are_those_of_the_lattice(chart0):
     other = maps.Polarization(math.radians(10.0), math.radians(30.0),
                               math.radians(95.0), math.radians(30.0))
     assert theta_p == theta and other != theta
-    lattice = ab.CHART_GRID.xi_points()
+    f = ab.CHART_GRID.xi_1d()
+    lattice = np.stack(np.meshgrid(f, f, indexing="ij"), axis=-1).reshape(-1, 2)
     bands = ab.band_indices(6)
     want = {(t, n, s): ab.band_modes(lattice, t, n, s)
             for t in (theta, other) for n, s in bands}

@@ -83,6 +83,35 @@ def test_partition_eval_annulus_is_exact(theta, rng):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, s)
 
 
+def test_blocked_evaluations_are_one_block_bits(theta, rng, monkeypatch):
+    # inputs of several EVAL_BLOCK blocks, through xi = 0, against the same
+    # calls with all of them in one block
+    XI = rng.uniform(-600, 600, size=(3 * ap.EVAL_BLOCK + 123, 2))
+    XI[:7] = 0.0
+    assert len(ap.point_blocks(XI.shape[0])) == 4
+
+    def evals():
+        out = [ap.dyadic_partition_eval(theta, n, s, XI) for n in (0, 1, 5, 8) for s in "+-"]
+        out += [ap.psi_tilde_eval(theta, ell, t, XI) for ell in (0, 1, 5, 8) for t in "+-"]
+        return out + [ap.dyadic_partition_sum(theta, XI, 10)]
+
+    blocked = evals()
+    monkeypatch.setattr(ap, "EVAL_BLOCK", XI.shape[0])
+    assert len(ap.point_blocks(XI.shape[0])) == 1
+    for got, want in zip(blocked, evals()):
+        assert got.shape == want.shape == XI.shape[:1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_lattice_points_and_norms_are_those_of_the_stacked_lattice():
+    axis = ap.BoxGrid(8.0, 96).xi_1d()
+    XI = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    k = np.arange(XI.shape[0])
+    assert np.array_equal(ap.lattice_points(axis, k), XI)
+    norm = np.sqrt(np.sum(XI**2, axis=-1))
+    assert np.array_equal(ap.lattice_norms(axis).view(np.uint64), norm.view(np.uint64))
+
+
 def test_interp_prefiltered_once_is_exact(rng):
     grid = ap.BoxGrid(6.0, 96)
     u = rng.standard_normal((96, 96))
