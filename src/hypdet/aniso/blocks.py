@@ -39,8 +39,9 @@ QUAD_PAD = 1.3
 # frequency-lattice spacing is chosen
 Y_SAFE = 6.0
 # points per block of the x-sums that build the flat-trace kernel W and the
-# compressed matrices; a gemm over at most 512 points gets the same bits
-# from one and two OpenBLAS threads (over 600 or 744 points it does not)
+# compressed matrices; a real gemm of W over at most 512 points gets the
+# same bits from one and two OpenBLAS threads (over 600 or 744 points it
+# does not), while the compressed matrices still differ between the two
 W_BLOCK = 512
 # e^{i k phi} tables of the flat-trace kernel are products of a coarse table
 # in steps of POWER_SPLIT and a fine one of POWER_SPLIT entries
