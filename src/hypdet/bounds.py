@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     CrossCheckFailed,
-    DegenerateDirection,
     EmptyWitness,
     InequalityViolated,
 )
@@ -325,32 +324,10 @@ def pressure_periodic(pts_by_m: dict) -> dict:
             for m, pts in sorted(pts_by_m.items())}
 
 
-def periodic_exponents(pts_by_m: dict, m_range) -> dict:
-    """m -> (lambda, nu) at the points of Fix(T^m), for each m of m_range.
-
-    At x in Fix(T^m), DT^m(x) maps E^u(x) and E^s(x) to themselves, so nu is
-    the modulus of the larger eigenvalue of the stored DT^m,
-    (|tr| + sqrt(tr^2 - 4 det)) / 2, and lambda = |det| / nu that of the
-    smaller one.
-    """
-    out = {}
-    for m in m_range:
-        D = pts_by_m[m].derivatives
-        tr = np.trace(D, axis1=1, axis2=2)
-        det = np.linalg.det(D)
-        disc = tr**2 - 4.0 * det
-        if np.any(disc <= 0.0):
-            raise DegenerateDirection(f"DT^{m} has no real eigenvalue pair at a periodic point")
-        nu = (np.abs(tr) + np.sqrt(disc)) / 2.0
-        out[m] = (np.abs(det) / nu, nu)
-    return out
-
-
-def q_variational(sys: MapSystem, pts_by_m: dict, exponents: dict, p: float,
-                  q: float) -> dict:
+def q_variational(sys: MapSystem, pts_by_m: dict, m_range, p: float, q: float) -> dict:
     """Pressure-route estimate of Q^{p,q} from periodic sums of the
     potential |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}| over the periods
-    of exponents (from periodic_exponents on pts_by_m).
+    m_range, with the exponents (lambda, nu) the sets of pts_by_m carry.
 
     If the weight vanishes somewhere on the sampled orbits the positive
     floor sqrt(g^2 + 1/n^2), n = WEIGHT_FLOOR_N, is substituted and n reported.
@@ -359,16 +336,16 @@ def q_variational(sys: MapSystem, pts_by_m: dict, exponents: dict, p: float,
         raise ValueError("q <= 0 <= p required")
     ms, sums = [], []
     floor_used = None
-    for m, (lam, nu) in exponents.items():
+    for m in m_range:
         pts = pts_by_m[m]
-        lam_pq = np.maximum(lam**p, nu**q)
+        lam_pq = np.maximum(pts.lam**p, pts.nu**q)
         g_m = np.abs(pts.weights)
         if np.min(g_m) < 1e-12:
             floor_used = WEIGHT_FLOOR_N
             g_n = weight_floor(sys.weight, WEIGHT_FLOOR_N)
             g_m = weight_product(sys.with_weight(g_n, tag=f"floor{WEIGHT_FLOOR_N}"),
                                  pts.points, m)
-        S = math.fsum(g_m * lam_pq / nu)
+        S = math.fsum(g_m * lam_pq / pts.nu)
         ms.append(m)
         sums.append(math.log(S))
     return {
@@ -452,5 +429,5 @@ def kitaev_crosscheck(sys: MapSystem, pts_by_m: dict, p: float, q: float, rows) 
     rho_report = log_linear_fit(list(per_m), np.log(list(per_m.values())))
     rho_report["per_m"] = per_m
     rho_report["stderr"] = {r["m"]: r["rho_stderr"] for r in rows}
-    q_report = q_variational(sys, pts_by_m, periodic_exponents(pts_by_m, per_m), p, q)
+    q_report = q_variational(sys, pts_by_m, per_m, p, q)
     return compare_routes(rho_report, q_report)

@@ -49,8 +49,7 @@ class DeterminantPoly:
 
 def dynamical_trace(pts: PeriodicPointSet) -> float:
     """sum over T^m x = x of g^(m)(x) / |det(Id - DT^m(x))|."""
-    dets = np.abs(np.linalg.det(np.eye(2) - pts.derivatives))
-    return math.fsum(pts.weights / dets)
+    return math.fsum(pts.weights / pts.fix_det)
 
 
 def trace_series(sys: MapSystem, pts_by_m: dict, N: int) -> TraceSeries:
@@ -206,12 +205,10 @@ def zeta_product(pts_by_m: dict, N: int) -> np.ndarray:
     for m in range(1, N + 1):
         pts = pts_by_m[m]
         _check_orientation(pts)
-        dets = np.abs(np.linalg.det(np.eye(2) - pts.derivatives))
         lam0 = np.ones(len(pts))
         lam1 = np.trace(pts.derivatives, axis1=1, axis2=2)
-        lam2 = np.linalg.det(pts.derivatives)
-        for k, lam in enumerate((lam0, lam1, lam2)):
-            tr_k[k, m - 1] = math.fsum(pts.weights * lam / dets)
+        for k, lam in enumerate((lam0, lam1, pts.jac_det)):
+            tr_k[k, m - 1] = math.fsum(pts.weights * lam / pts.fix_det)
     d0 = coeffs_from_power_sums(tr_k[0], sign=-1.0)
     d1 = coeffs_from_power_sums(tr_k[1], sign=-1.0)
     d2 = coeffs_from_power_sums(tr_k[2], sign=-1.0)
@@ -221,10 +218,9 @@ def zeta_product(pts_by_m: dict, N: int) -> np.ndarray:
 
 def validity_radius(sys: MapSystem, pts_by_m: dict, p: float, q: float):
     """(1/Q^{p,q}, 1/Q^{0,0}) from the variational pressure route over the
-    periods VALIDITY_M_RANGE; both read one set of exponents."""
-    exponents = bounds.periodic_exponents(pts_by_m, VALIDITY_M_RANGE)
-    qpq = bounds.q_variational(sys, pts_by_m, exponents, p, q)["estimate"]
-    q00 = bounds.q_variational(sys, pts_by_m, exponents, 0.0, 0.0)["estimate"]
+    periods VALIDITY_M_RANGE."""
+    qpq = bounds.q_variational(sys, pts_by_m, VALIDITY_M_RANGE, p, q)["estimate"]
+    q00 = bounds.q_variational(sys, pts_by_m, VALIDITY_M_RANGE, 0.0, 0.0)["estimate"]
     return 1.0 / qpq, 1.0 / q00
 
 

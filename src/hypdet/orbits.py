@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     CollisionDetected,
+    DegenerateDirection,
     NewtonDiverged,
     NonHyperbolicMatrix,
     SingularLinearization,
@@ -36,12 +37,16 @@ ORBIT_SIZE_MAX = 20_000_000
 
 @dataclass(frozen=True)
 class PeriodicPointSet:
-    """Fixed points of T^m with DT^m and g^(m) at each point."""
+    """Fixed points of T^m with DT^m, its invariants and g^(m) at each point."""
 
     period: int
     points: np.ndarray  # (k, 2)
     derivatives: np.ndarray  # (k, 2, 2)
     weights: np.ndarray  # (k,)
+    jac_det: np.ndarray  # (k,) det DT^m
+    lam: np.ndarray  # (k,) modulus of the contracting eigenvalue of DT^m
+    nu: np.ndarray  # (k,) modulus of the expanding eigenvalue of DT^m
+    fix_det: np.ndarray  # (k,) |det(Id - DT^m)|
 
     def __len__(self):
         return self.points.shape[0]
@@ -52,12 +57,29 @@ def _torus_diff(a, b):
     return d - np.round(d)
 
 
-def _check_hyperbolic_fixed(derivs):
-    eigs = np.linalg.eigvals(derivs)
-    if np.any(np.abs(np.abs(eigs) - 1.0) < UNIT_CIRCLE_MARGIN):
+def linear_invariants(derivs, jac_det):
+    """(lam, nu, |det(Id - D)|) of 2x2 matrices D with det D = jac_det, from
+    tr D and det D alone, which do not cancel as LU on a large D does.
+
+    Raises DegenerateDirection for a complex pair, SingularLinearization for
+    an eigenvalue within UNIT_CIRCLE_MARGIN of the unit circle or for
+    ||(Id - D)^{-1}||_F = ||Id - D||_F / |det(Id - D)| above 1e10.
+    """
+    tr = np.trace(derivs, axis1=1, axis2=2)
+    fix_det = np.abs(1.0 - tr + jac_det)
+    inv_norm = np.linalg.norm(np.eye(2) - derivs, axis=(1, 2)) / fix_det
+    if np.any(inv_norm > 1e10):
+        raise SingularLinearization("(Id - DT^m)^{-1} norm exceeds 1e10")
+    disc = tr**2 - 4.0 * jac_det
+    if np.any(disc <= 0.0):
+        raise DegenerateDirection("DT^m has no real eigenvalue pair at a periodic point")
+    nu = (np.abs(tr) + np.sqrt(disc)) / 2.0
+    lam = np.abs(jac_det) / nu
+    if np.any(np.minimum(np.abs(lam - 1.0), np.abs(nu - 1.0)) < UNIT_CIRCLE_MARGIN):
         raise SingularLinearization(
             "DT^m has an eigenvalue within 1e-6 of the unit circle"
         )
+    return lam, nu, fix_det
 
 
 def smith_normal_form_2x2(B):
@@ -173,7 +195,8 @@ def _newton_fixed_points(sys: MapSystem, orbit):
     starting from the seed orbits (m, K, 2); a pseudo-orbit seed keeps the
     Newton basin uniform in m, unlike Newton on T^m(x) - x whose basins
     shrink like the fixed-point spacing.  Updates orbit in place and returns
-    (x_0 points, DT^m at x_0, converged orbits).
+    (x_0 points, DT^m at x_0, converged orbits, det DT^m at x_0 as the
+    product of the per-step Jacobian determinants).
     """
     m, K = orbit.shape[0], orbit.shape[1]
     eye = np.broadcast_to(np.eye(2), (K, 2, 2))
@@ -202,7 +225,10 @@ def _newton_fixed_points(sys: MapSystem, orbit):
                 delta = (P[k] @ delta[..., None])[..., 0] - F[k]
     else:
         raise NewtonDiverged("orbit Newton exceeded 50 iterations")
-    return orbit[0], M, orbit
+    jac_det = np.ones(K)
+    for Pk in P:
+        jac_det *= Pk[:, 0, 0] * Pk[:, 1, 1] - Pk[:, 0, 1] * Pk[:, 1, 0]
+    return orbit[0], M, orbit, jac_det
 
 
 def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
@@ -210,20 +236,18 @@ def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
 
     Every orbit of Fix(T^m) is seeded with the exact lattice orbit of the
     linear part A and solved by one Newton jump on sys itself; the points
-    are folded onto [0, 1), checked and sorted, with g^(m) taken from the
-    converged orbit.
+    are folded onto [0, 1), checked and sorted, with g^(m) and the
+    invariants of DT^m (linear_invariants) taken from the converged orbit.
     """
     if sys.linear_part is None:
         raise ValueError("periodic_points requires a builtin torus map")
-    X, derivs, orbit = _newton_fixed_points(sys, fixed_points_linear_toral(sys.linear_part, m))
+    X, derivs, orbit, jac_det = _newton_fixed_points(
+        sys, fixed_points_linear_toral(sys.linear_part, m))
     # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0; fold it onto
     # 0.0 so stored points lie in [0, 1)
     X = np.where(X < 1.0, X, 0.0)
 
-    inv_norm = np.linalg.norm(np.linalg.inv(np.eye(2) - derivs), axis=(1, 2))
-    if np.any(inv_norm > 1e10):
-        raise SingularLinearization("(Id - DT^m)^{-1} norm exceeds 1e10")
-    _check_hyperbolic_fixed(derivs)
+    lam, nu, fix_det = linear_invariants(derivs, jac_det)
 
     if len(X) > 1:
         tree = cKDTree(X, boxsize=1.0)
@@ -237,4 +261,5 @@ def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
     for k in range(m):
         weights *= np.asarray(sys.weight(orbit[k]))
     order = np.lexsort((X[:, 1], X[:, 0]))
-    return PeriodicPointSet(m, X[order], derivs[order], weights[order])
+    return PeriodicPointSet(m, X[order], derivs[order], weights[order], jac_det[order],
+                            lam[order], nu[order], fix_det[order])

@@ -74,8 +74,7 @@ def test_criterion_3_pressure_route():
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
     pts = points(cat, range(4, 11))
-    q00 = bd.q_variational(cat, pts, bd.periodic_exponents(pts, range(4, 11)),
-                           0.0, 0.0)["estimate"]
+    q00 = bd.q_variational(cat, pts, range(4, 11), 0.0, 0.0)["estimate"]
     p10 = bd.pressure_periodic({10: pts[10]})[10]
     elapsed = time.monotonic() - t0
     ok = (

@@ -28,7 +28,7 @@ def test_rho_pq_m_cat(cat, cat_split):
 
 def q_estimate(sys_, pts, p, q, periods):
     """q_variational over periods, with their exponents from pts."""
-    return bd.q_variational(sys_, pts, bd.periodic_exponents(pts, periods), p, q)
+    return bd.q_variational(sys_, pts, periods, p, q)
 
 
 def _fit(per_m):
@@ -237,8 +237,9 @@ def test_pressure_periodic(cat, cat_pts):
     P = bd.pressure_periodic({m: cat_pts[m] for m in (8, 10)})
     assert abs(P[10] - math.log(LAM)) / math.log(LAM) < 0.02
     empty = orbits.PeriodicPointSet(period=2, points=np.zeros((0, 2)),
-                                    derivatives=np.zeros((0, 2, 2)),
-                                    weights=np.zeros(0))
+                                    derivatives=np.zeros((0, 2, 2)), weights=np.zeros(0),
+                                    jac_det=np.zeros(0), lam=np.zeros(0), nu=np.zeros(0),
+                                    fix_det=np.zeros(0))
     assert bd.pressure_periodic({2: empty})[2] == -math.inf
 
 
@@ -254,16 +255,16 @@ def test_q_variational_examples(cat, cat_pts, point_sets):
 
 
 def test_periodic_exponents_match_splitting_route(point_sets):
-    # lambda, nu from the eigenvalues of the stored DT^m against the
-    # 30-step splitting iteration at every point of Fix(T^m)
+    # the lambda, nu each set carries, from the trace of DT^m and the
+    # product of the per-step determinants, against the 30-step splitting
+    # iteration at every point of Fix(T^m)
     pc = maps.builtin_perturbed_cat(0.05)
     split = maps.splitting_power_iteration(pc)
     pts = point_sets(pc)
-    exps = bd.periodic_exponents(pts, range(1, 9))
     for m in range(1, 9):
         lam, nu = maps.hyperbolicity_exponents(pc, split, pts[m].points, m)
-        assert np.allclose(exps[m][0], lam, rtol=1e-7, atol=0.0)
-        assert np.allclose(exps[m][1], nu, rtol=1e-12, atol=0.0)
+        assert np.allclose(pts[m].lam, lam, rtol=1e-12, atol=0.0)
+        assert np.allclose(pts[m].nu, nu, rtol=1e-12, atol=0.0)
 
 
 def test_q_pq_bounded_by_scaled_q00(cat, cat_pts):

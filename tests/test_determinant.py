@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypdet import bounds as bd
 from hypdet import determinant as det
 from hypdet import maps, orbits
 from hypdet.errors import IllConditionedRoot, OrientationNotTrivial
@@ -25,8 +26,10 @@ def traces_from_coeffs(coeffs):
 
 
 def test_dynamical_trace_cat(cat_pts):
-    assert abs(det.dynamical_trace(cat_pts[1]) - 1.0) < 1e-14
-    assert abs(det.dynamical_trace(cat_pts[2]) - 1.0) < 1e-14
+    # |det(Id - DT^m)| = |1 - tr + det| is an exact integer on the cat map,
+    # so only the rounding of the sum of its reciprocals is left
+    for m in range(1, 13):
+        assert abs(det.dynamical_trace(cat_pts[m]) - 1.0) <= 2.2e-16
 
 
 def test_dynamical_trace_constant_weight(cat):
@@ -155,8 +158,10 @@ def test_zeta_direct_equals_product(seed, eps, N):
 def test_zeta_product_orientation_guard(cat_pts):
     # flip the derivative sign at every point: det(DT|E^u) < 0
     pts = cat_pts[1]
+    tr = np.trace(pts.derivatives, axis1=1, axis2=2)
     flipped = orbits.PeriodicPointSet(
         period=1, points=pts.points, derivatives=-pts.derivatives, weights=pts.weights,
+        jac_det=pts.jac_det, lam=pts.lam, nu=pts.nu, fix_det=np.abs(1.0 + tr + pts.jac_det),
     )
     det._check_orientation(pts)
     with pytest.raises(OrientationNotTrivial):
@@ -184,13 +189,27 @@ def test_validity_radius(cat, cat_pts):
     assert abs(cr - 1.0) < 0.02
 
 
+def test_validity_radius_cat_exact_exponents(cat, cat_pts):
+    # the radii from the exact exponents (mu^m, lambda^m) of the cat map
+    p, q = 1.0, -1.0
+    radii = []
+    for pp, qq in ((p, q), (0.0, 0.0)):
+        logs = [math.log(math.fsum(cat_pts[m].weights
+                                   * max(maps.CAT_MU ** (m * pp), LAM ** (m * qq)) / LAM**m))
+                for m in det.VALIDITY_M_RANGE]
+        fit = bd.log_linear_fit(list(det.VALIDITY_M_RANGE), logs)
+        radii.append(1.0 / fit["estimate"])
+    vr, cr = det.validity_radius(cat, cat_pts, p, q)
+    assert vr == pytest.approx(radii[0], rel=1e-14, abs=0.0)
+    assert cr == pytest.approx(radii[1], rel=1e-14, abs=0.0)
+
+
 def test_validity_radius_shares_exponents(pcat, pcat_pts):
     from hypdet import bounds
 
     vr, cr = det.validity_radius(pcat, pcat_pts, 1.0, -1.0)
-    exps = bounds.periodic_exponents(pcat_pts, range(4, 11))
-    qpq = bounds.q_variational(pcat, pcat_pts, exps, 1.0, -1.0)["estimate"]
-    q00 = bounds.q_variational(pcat, pcat_pts, exps, 0.0, 0.0)["estimate"]
+    qpq = bounds.q_variational(pcat, pcat_pts, range(4, 11), 1.0, -1.0)["estimate"]
+    q00 = bounds.q_variational(pcat, pcat_pts, range(4, 11), 0.0, 0.0)["estimate"]
     assert (vr, cr) == (1.0 / qpq, 1.0 / q00)
 
 
@@ -210,7 +229,6 @@ def test_validity_radius_weight_floor(cat, point_sets):
 
     zero = cat.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
     pts = point_sets(zero)
-    rep = bounds.q_variational(zero, pts, bounds.periodic_exponents(pts, range(2, 6)),
-                               1.0, -1.0)
+    rep = bounds.q_variational(zero, pts, range(2, 6), 1.0, -1.0)
     assert rep["weight_floor_n"] == 100
     assert np.isfinite(rep["estimate"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hypdet import cli, maps, orbits
-from hypdet.errors import NonHyperbolicMatrix
+from hypdet.errors import DegenerateDirection, NonHyperbolicMatrix, SingularLinearization
 
 A = maps.CAT_A_INT
 
@@ -43,8 +43,35 @@ def test_lattice_points_are_fixed():
 
 def test_hyperbolic_fixed_invariant():
     pts = orbits.periodic_points(maps.builtin_cat_map(), 5)
-    eigs = np.linalg.eigvals(pts.derivatives)
-    assert np.all(np.abs(np.abs(eigs) - 1.0) > 1e-6)
+    eigs = np.sort(np.abs(np.linalg.eigvals(pts.derivatives)), axis=1)
+    assert np.all(np.abs(eigs - 1.0) > 1e-6)
+    assert np.allclose(eigs, np.stack([pts.lam, pts.nu], axis=1), rtol=1e-12, atol=0.0)
+    assert np.all(pts.jac_det == 1.0)
+
+
+def test_exponents_exact_on_cat(cat_pts):
+    # det DT^10 is the product of ten unit determinants, so lambda = 1 / nu
+    # keeps every digit; LU on DT^10, whose entries reach 1.1e4, loses about four
+    pts = cat_pts[10]
+    assert np.allclose(pts.lam, maps.CAT_MU**10, rtol=1e-14, atol=0.0)
+    assert np.allclose(pts.nu, maps.CAT_LAMBDA**10, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("D,error,match", [
+    # an eigenvalue within UNIT_CIRCLE_MARGIN of the unit circle
+    ([[1.0 + 5e-7, 0.0], [0.0, 3.0]], SingularLinearization, "unit circle"),
+    ([[0.3, 0.0], [0.0, 1.0 - 5e-7]], SingularLinearization, "unit circle"),
+    ([[-1.0 - 5e-7, 0.0], [0.0, 3.0]], SingularLinearization, "unit circle"),
+    # eigenvalues 2 and 0.5, but ||(Id - D)^{-1}|| is about 2e12
+    ([[2.0, 1e12], [0.0, 0.5]], SingularLinearization, "norm"),
+    # eigenvalues +-2i: no real pair
+    ([[0.0, -2.0], [2.0, 0.0]], DegenerateDirection, "real eigenvalue pair"),
+])
+def test_invariants_checks(D, error, match):
+    D = np.array([D])
+    jac_det = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
+    with pytest.raises(error, match=match):
+        orbits.linear_invariants(D, jac_det)
 
 
 def test_pairwise_separation():
@@ -138,7 +165,7 @@ def _stepped_homotopy_points(eps, seed, m):
     n_steps = math.ceil(abs(eps) / 0.01)
     orbit = orbits.fixed_points_linear_toral(A, m)
     for eps_k in np.linspace(eps / n_steps, eps, n_steps):
-        X, _, orbit = orbits._newton_fixed_points(maps.builtin_perturbed_cat(eps_k, seed), orbit)
+        X, _, orbit, _ = orbits._newton_fixed_points(maps.builtin_perturbed_cat(eps_k, seed), orbit)
     X = np.where(X < 1.0, X, 0.0)
     return X[np.lexsort((X[:, 1], X[:, 0]))]
 
