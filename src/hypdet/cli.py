@@ -1,8 +1,8 @@
 """Command line driver: resonances | bounds | aniso | report.
 
 Exit codes: 0 pass, 2 check failed, 3 config error, 4 numerical failure.
-Config is a JSON file (see configs/ for annotated examples); --seed and
---out override the config values.
+Config is a JSON file (configs/ holds examples, README.md the schema);
+--seed and --out override the config values.
 """
 
 from __future__ import annotations
@@ -134,24 +134,29 @@ def _typed(name: str, tp: type, v):
     return tp(v)
 
 
+# each basis element of the expression weight as its callable and its
+# Fourier coefficients {j: c}, the weight being sum_j c e_j
 WEIGHT_BASIS = {
-    "one": lambda x: np.ones(x.shape[0]),
-    "cos1": lambda x: np.cos(2 * np.pi * x[:, 0]),
-    "cos2": lambda x: np.cos(2 * np.pi * x[:, 1]),
-    "sin1": lambda x: np.sin(2 * np.pi * x[:, 0]),
-    "sin2": lambda x: np.sin(2 * np.pi * x[:, 1]),
+    "one": (lambda x: np.ones(x.shape[0]), {(0, 0): 1.0}),
+    "cos1": (lambda x: np.cos(2 * np.pi * x[:, 0]), {(1, 0): 0.5, (-1, 0): 0.5}),
+    "cos2": (lambda x: np.cos(2 * np.pi * x[:, 1]), {(0, 1): 0.5, (0, -1): 0.5}),
+    "sin1": (lambda x: np.sin(2 * np.pi * x[:, 0]), {(1, 0): -0.5j, (-1, 0): 0.5j}),
+    "sin2": (lambda x: np.sin(2 * np.pi * x[:, 1]), {(0, 1): -0.5j, (0, -1): 0.5j}),
 }
 
 
 def build_weight(spec: dict):
-    """Torus-map weight callable from its config spec; see configs/ for the
-    schema."""
+    """Torus-map weight from its config spec (the schema is in README.md,
+    "Configuration schema"): None for "one", which keeps the map's builtin
+    weight, else the pair (callable, weight_hat) of maps.MapSystem:
+    weight_hat is (j, c) with the frequencies j sorted, or None for the bump,
+    which is no trigonometric polynomial."""
     wid = spec.get("id", "one")
     if wid == "one":
         return None  # builtin default weight
     if wid == "constant":
         c = _typed("weight.value", float, spec.get("value", 1.0))
-        return lambda x, c=c: np.full(x.shape[0], c)
+        return (lambda x, c=c: np.full(x.shape[0], c)), (((0, 0),), (c,))
     if wid == "bump":
         center = spec.get("center", [0.5, 0.5])
         if not (isinstance(center, list) and len(center) == 2):
@@ -166,7 +171,7 @@ def build_weight(spec: dict):
             d = d - np.round(d)
             return maps.smooth_bump(np.linalg.norm(d, axis=1) / width)
 
-        return w
+        return w, None
     if wid == "expression":
         terms = spec.get("terms", {"one": 1.0})
         if not isinstance(terms, dict) or not terms:
@@ -178,19 +183,24 @@ def build_weight(spec: dict):
         terms = {k: _typed(f"weight.terms.{k}", float, c) for k, c in terms.items()}
 
         def w(x):
-            return sum(c * WEIGHT_BASIS[k](x) for k, c in terms.items())
+            return sum(c * WEIGHT_BASIS[k][0](x) for k, c in terms.items())
 
-        return w
+        hat = {}
+        for k, c in terms.items():
+            for j, v in WEIGHT_BASIS[k][1].items():
+                hat[j] = hat.get(j, 0.0) + c * v
+        return w, (tuple(sorted(hat)), tuple(hat[j] for j in sorted(hat)))
     raise ValueError(f"unknown weight id {wid!r}")
 
 
 def aniso_weight(spec: dict):
-    """Chart-model weight callable: the builtin bump ("one") or zero."""
+    """Chart-model weight: None for the builtin bump ("one"), or the pair
+    (callable, weight_hat) of the zero weight, with no coefficients."""
     wid = spec.get("id", "one")
     if wid == "one":
         return None  # builtin chart_weight
     if wid == "zero":
-        return lambda x: np.zeros(x.shape[0])
+        return (lambda x: np.zeros(x.shape[0])), None
     raise ValueError(f"aniso runs the weight ids 'one' and 'zero', not {wid!r}")
 
 
@@ -206,8 +216,9 @@ def build_system(cfg: RunConfig, command: str):
 
     resonances and bounds get a torus MapSystem; aniso gets the chart model
     as (MapSystem, theta, theta_prime).  A map id, seed, eps or weight spec
-    the command does not run raises ValueError, and so does a largest period
-    whose orbits, m |det(A^m - I)| points, exceed orbits.ORBIT_SIZE_MAX.
+    the command does not run raises ValueError (resonances runs only weights
+    with declared Fourier coefficients), and so does a largest period whose
+    orbits, m |det(A^m - I)| points, exceed orbits.ORBIT_SIZE_MAX.
     """
     allowed = COMMAND_MAPS[command]
     map_id = cfg.map_id or allowed[0]
@@ -227,7 +238,13 @@ def build_system(cfg: RunConfig, command: str):
                              f"{orbits.ORBIT_SIZE_MAX} orbit points (m |det(A^m - I)|)")
         w = build_weight(cfg.weight)
     if w is not None:
-        sys_ = sys_.with_weight(w, tag=json.dumps(cfg.weight, sort_keys=True))
+        sys_ = sys_.with_weight(*w, tag=json.dumps(cfg.weight, sort_keys=True))
+    # the closed form of the collocation matrix reads the coefficients, and a
+    # Fourier truncation cannot certify a weight that is not analytic
+    if command == "resonances" and sys_.weight_hat is None:
+        raise ValueError(f"resonances needs a weight with declared Fourier coefficients; "
+                         f"{cfg.weight.get('id')!r} is not a trigonometric polynomial "
+                         "(bounds runs it)")
     return (sys_, theta, theta_prime) if command == "aniso" else sys_
 
 

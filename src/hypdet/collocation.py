@@ -4,9 +4,11 @@ The operator L u = g (u o T) is discretized on the modes k in [-N, N]^2.
 The mode count picks one of two builds: up to FFT_MAX_DIM modes, the
 per-column FFT of g e_k(T x) sampled on an oversampled grid; above it, the
 closed form that the Jacobi-Anger expansion gives for maps
-T x = A x + eps (sin 2 pi a.x, sin 2 pi b.x), with the weight entering as a
-convolution with its Fourier coefficients.  The tests check entries of both
-against direct quadrature.
+T x = A x + eps (sin 2 pi a.x, sin 2 pi b.x), where the weight enters as a
+convolution with the Fourier coefficients the map declares
+(MapSystem.weight_hat).  A weight without declared coefficients is refused
+at every size.  The tests check entries of both builds against direct
+quadrature.
 
 For a real map and weight, L commutes with complex conjugation: the
 truncation M satisfies M_{-k',-k} = conj M_{k',k} and is real on the basis of
@@ -73,24 +75,20 @@ class TransferMatrix:
         return self.matrix.toarray()
 
 
-def _grid(G):
-    t = np.arange(G) / G
-    return np.meshgrid(t, t, indexing="ij")
-
-
 def build_transfer_matrix(sys: MapSystem, n_freq: int) -> TransferMatrix:
     """Real form of the collocation matrix of u -> g (u o T) on modes [-N, N]^2.
 
     Up to FFT_MAX_DIM modes g e_k(Tx) is sampled on the (GRID_FACTOR (2N+1))^2
     grid and each column FFT-projected, and R is dense; above it the
     Jacobi-Anger closed form of T = A x + eps (sin 2 pi a.x, sin 2 pi b.x)
-    gives the same coefficients, and R is CSR.  The complex matrix never
-    exists whole: both builds hand their columns over in pairs (k, -k), the
-    closed form as pairs of k1 blocks.
+    with the declared coefficients of g gives the same coefficients, and R
+    is CSR.  The complex matrix never exists whole: both builds hand their
+    columns over in pairs (k, -k), the closed form as pairs of k1 blocks.
     """
-    if sys.linear_part is None or sys.perturbation is None:
-        raise ValueError("collocation requires a torus map with "
-                         "linear_part and perturbation")
+    if sys.linear_part is None or sys.perturbation is None or sys.weight_hat is None:
+        raise ValueError("collocation requires a torus map with linear_part and "
+                         "perturbation, and a weight with declared Fourier "
+                         "coefficients (weight_hat)")
     dim = (2 * n_freq + 1) ** 2
     if dim <= FFT_MAX_DIM:
         R, delta = _real_columns(_fft_columns(sys, n_freq), dim)
@@ -186,7 +184,8 @@ def _fft_columns(sys, N):
     """Columns of the e_k-basis matrix, in index order: per-column FFT of
     g e_k(Tx) on the oversampled grid."""
     G = GRID_FACTOR * (2 * N + 1)
-    X1, X2 = _grid(G)
+    t = np.arange(G) / G
+    X1, X2 = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
     T = sys.forward(pts)
     W = np.asarray(sys.weight(pts)).reshape(G, G).astype(complex)
@@ -203,11 +202,6 @@ def _fft_columns(sys, N):
             yield sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
             cur = cur * E2
         E1_pow = E1_pow * E1
-
-
-def _bessel_cutoff(z: float) -> int:
-    # J_n(z) < 1e-15 beyond roughly z + 8 z^{1/3} + 12
-    return int(math.ceil(z + 8.0 * z ** (1.0 / 3.0) + 12.0))
 
 
 def _bessel_table(z):
@@ -227,66 +221,29 @@ def _bessel_table(z):
     return J, cut
 
 
-def _weight_coefficients(sys, G):
-    """Fourier coefficients g^_j of the weight, at index j + G // 2, from one
-    FFT of its samples on the (G, G) grid.  The computed FFT has normwise
-    error about log2(G^2) eps ||g^||_2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 24.1), so coefficients below that are its
-    roundoff and are set to zero.  For even G the FFT's -G/2 row and column
-    stand for +-G/2 together and are split in halves over both, so a real
-    weight keeps g^_-j = conj g^_j, the symmetry the real form needs."""
-    X1, X2 = _grid(G)
-    w = np.asarray(sys.weight(np.stack([X1.ravel(), X2.ravel()], axis=-1))).reshape(G, G)
-    gh = sfft.fft2(w)
-    # divided as reals: complex division by G^2 turns the exact sum of a
-    # unit weight into 1 - 2^-53
-    gh.view(float)[...] /= G * G
-    gh[np.abs(gh) <= math.log2(G * G) * np.finfo(float).eps * np.linalg.norm(gh)] = 0.0
-    gh = sfft.fftshift(gh)
-    if G % 2 == 0:
-        gh = np.pad(gh, ((0, 1), (0, 1)))
-        gh[-1], gh[:, -1] = gh[0], gh[:, 0]
-        for edge in (gh[0], gh[-1], gh[:, 0], gh[:, -1]):
-            edge /= 2
-    return gh
-
-
 def _closed_form_blocks(sys, N, order):
     """Rows, values and per-column counts of the e_k-basis columns of each
     k1 block (index k1 + N) in order, from the Jacobi-Anger expansion: for
     T x = A x + eps (sin 2 pi a.x, sin 2 pi b.x),
       e_k(T x) = sum_{n, m} J_n(2 pi eps k1) J_m(2 pi eps k2) e_{A^tr k + n a + m b}(x),
-    and the weight multiplies by g = sum_j g^_j e_j, so column k holds
-    g^_j J_n J_m at the rows A^tr k + j + n a + m b.  Terms that meet at one
-    row (a = b, or several g^_j) are summed in a fixed order.  Each column
-    comes in row order, without entries of modulus at most SPARSE_DROP_TOL.
+    and the weight g = sum_j g^_j e_j of sys.weight_hat multiplies by
+    g^_j e_j term by term, so column k holds g^_j J_n J_m at the rows
+    A^tr k + j + n a + m b.  Sorted by their offset j + n a + m b once, the
+    terms (j, n, m) give every column's rows in order; terms that meet at one
+    row (a = b, or several g^_j) are adjacent and summed in the sorted order.
+    Each column comes without entries of modulus at most SPARSE_DROP_TOL.
     """
     eps, a, b = sys.perturbation
+    a, b = np.array(a), np.array(b)
+    side = 2 * N + 1
     ks = np.arange(-N, N + 1)
     J, cut = _bessel_table(TWO_PI * eps * ks)
-    # the weight is sampled on the grid that resolves e_k(s(x)) for every
-    # column, sized by the Bessel tail at the largest phase 2 pi |k.s|
-    d_cut = _bessel_cutoff(TWO_PI * N * 2.0 * abs(eps))
-    gh = _weight_coefficients(sys, sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False))
+    h = J.shape[1] // 2
     # A^tr k of every column, as C[:, k1 + N, k2 + N]
     C = np.einsum("ji,jkl->ikl", sys.linear_part, np.meshgrid(ks, ks, indexing="ij"))
-    # a column has count(g^) (2h + 1)^2 terms (j, n, m), against 2h + 1
-    # window sums of (2N + 1)^2 entries: the cheaper way builds the columns
-    columns = (_few_coefficient_columns if np.count_nonzero(gh) * J.shape[1] <= ks.size ** 2
-               else _window_columns)
-    return columns(gh, J, cut, np.array(a), np.array(b), C, N, order)
-
-
-def _few_coefficient_columns(gh, J, cut, a, b, C, N, order):
-    """Rows, values and counts of the columns of each k1, vectorised over
-    the terms (j, n, m): sorted by their offset j + n a + m b once, the
-    terms give every column's rows in order, and equal offsets are adjacent
-    and summed there in the sorted order."""
-    side = 2 * N + 1
-    h = J.shape[1] // 2
-    nz = np.flatnonzero(gh)
-    jj = np.stack(np.unravel_index(nz, gh.shape), axis=1) - gh.shape[0] // 2
-    tj, tn, tm = (t.ravel() for t in np.meshgrid(np.arange(nz.size), np.arange(-h, h + 1),
+    jj = np.array(sys.weight_hat[0], dtype=np.int64).reshape(-1, 2)
+    gv = np.array(sys.weight_hat[1], dtype=complex)
+    tj, tn, tm = (t.ravel() for t in np.meshgrid(np.arange(gv.size), np.arange(-h, h + 1),
                                                 np.arange(-h, h + 1), indexing="ij"))
     o1 = jj[tj, 0] + tn * a[0] + tm * b[0]
     o2 = jj[tj, 1] + tn * a[1] + tm * b[1]
@@ -294,7 +251,6 @@ def _few_coefficient_columns(gh, J, cut, a, b, C, N, order):
     perm = np.argsort(o1 * (2 * span + 1) + o2, kind="stable")
     tj, tn, tm, o1, o2 = tj[perm], tn[perm], tm[perm], o1[perm], o2[perm]
     merge = bool(np.any((np.diff(o1) == 0) & (np.diff(o2) == 0)))
-    gv = gh.ravel()[nz]
     for i in order:
         t = np.abs(tn) <= cut[i]
         Jm = J[:, tm[t] + h]
@@ -311,40 +267,6 @@ def _few_coefficient_columns(gh, J, cut, a, b, C, N, order):
             rows, col = rows[first], col[first]
         big = np.abs(vals) > SPARSE_DROP_TOL
         yield rows[big], vals[big], np.bincount(col[big], minlength=side)
-
-
-def _window_columns(gh, J, cut, a, b, C, N, order):
-    """Rows, values and counts of the columns of each k1 for a weight with
-    many coefficients: the sum over m runs once per k2 on the whole array
-    g^ (H, shifted by m b), then each column sums J_n H shifted by n a on
-    its window of rows [-N, N]^2."""
-    side = 2 * N + 1
-    h = J.shape[1] // 2
-    G = gh.shape[0]
-    pad = h * np.abs(b)
-    H = np.zeros((side, G + 2 * pad[0], G + 2 * pad[1]), dtype=complex)
-    for i in range(side):
-        for m in range(-cut[i], cut[i] + 1):
-            s1, s2 = pad + m * b
-            H[i, s1:s1 + G, s2:s2 + G] += J[i, m + h] * gh
-    for i in order:
-        rows, vals, counts = [], [], []
-        for k2 in range(side):
-            F = np.zeros((side, side), dtype=complex)
-            for n in range(-cut[i], cut[i] + 1):
-                # window rows k' sit at k' - A^tr k - n a + G // 2 + pad in H
-                s1, s2 = G // 2 + pad - N - C[:, i, k2] - n * a
-                lo1, hi1 = max(s1, 0), min(s1 + side, H.shape[1])
-                lo2, hi2 = max(s2, 0), min(s2 + side, H.shape[2])
-                if lo1 < hi1 and lo2 < hi2:
-                    F[lo1 - s1:hi1 - s1, lo2 - s2:hi2 - s2] += (J[i, n + h]
-                                                               * H[k2, lo1:hi1, lo2:hi2])
-            F = F.ravel()
-            r = np.flatnonzero(np.abs(F) > SPARSE_DROP_TOL)
-            rows.append(r.astype(np.int32))
-            vals.append(F[r])
-            counts.append(r.size)
-        yield np.concatenate(rows), np.concatenate(vals), np.array(counts)
 
 
 # ---------------------------------------------------------------------------

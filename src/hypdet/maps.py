@@ -38,7 +38,8 @@ class MapSystem:
 
     forward, inverse, jacobian and weight take an (n, 2) batch of points and
     return (n, 2), (n, 2, 2) or (n,) arrays.  Torus maps carry linear_part and
-    perturbation; chart maps carry box.
+    perturbation, and weight_hat when the weight is a trigonometric
+    polynomial; chart maps carry box.
     """
 
     name: str
@@ -54,10 +55,17 @@ class MapSystem:
     # with integer vectors a, b (read by collocation)
     linear_part: Optional[np.ndarray] = None
     perturbation: Optional[tuple] = None
+    # torus maps: the weight's Fourier coefficients as (j, c), integer
+    # frequencies j and complex c with weight = sum_i c_i e_{j_i}, or None
+    # for a weight that is no trigonometric polynomial (read by collocation)
+    weight_hat: Optional[tuple] = None
 
-    def with_weight(self, weight: Callable, tag: str = "custom"):
-        """Same dynamics, different weight."""
-        return replace(self, weight=weight, params={**self.params, "weight": tag})
+    def with_weight(self, weight: Callable, weight_hat: Optional[tuple] = None,
+                    tag: str = "custom"):
+        """Same dynamics, different weight, with its coefficients (j, c) or
+        None."""
+        return replace(self, weight=weight, weight_hat=weight_hat,
+                       params={**self.params, "weight": tag})
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,9 @@ def _unit_weight(x):
     return np.ones(x.shape[0])
 
 
+UNIT_WEIGHT_HAT = (((0, 0),), (1.0,))
+
+
 def builtin_cat_map() -> MapSystem:
     """Arnold cat map x -> Ax mod 1 with A = [[2,1],[1,1]], weight 1."""
     A = CAT_A
@@ -195,6 +206,7 @@ def builtin_cat_map() -> MapSystem:
         params={"eps": 0.0, "seed": 0},
         linear_part=CAT_A_INT.copy(),
         perturbation=(0.0, (0, 1), (1, 1)),
+        weight_hat=UNIT_WEIGHT_HAT,
     )
 
 
@@ -258,6 +270,7 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
         params={"eps": float(eps), "seed": int(seed)},
         linear_part=CAT_A_INT.copy(),
         perturbation=(float(eps), tuple(a.tolist()), tuple(b.tolist())),
+        weight_hat=UNIT_WEIGHT_HAT,
     )
 
 

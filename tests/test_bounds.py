@@ -66,6 +66,15 @@ def test_R_pqt_cat(cat, cat_split):
     assert abs(val0 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("m", [6, 8])
+def test_R_pqt_det_factor_of_the_cat_map_is_exactly_one(cat, cat_split, m):
+    # |det DT^m| = 1 is the product of m unit per-step determinants; LU on
+    # the entries of A^m, which grow like lambda^m, left it 9.1e-12 off at
+    # m = 8 (the shipped bounds m_max) and so R_t1 != R_tinf
+    R_t1, R_t2, R_tinf = bd.R_pqt_m(cat, cat_split, 1, -1, bd.T_GRID, m, seed=7 + m)
+    assert R_t1 == R_t2 == R_tinf
+
+
 def test_R_monotone_in_t_reported(pcat, pcat_split):
     vals = bd.R_pqt_m(pcat, pcat_split, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=512)
     assert all(v > 0 for v in vals)  # reported, not asserted

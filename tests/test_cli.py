@@ -670,14 +670,52 @@ def test_finite_r_warning(tmp_path):
 
 
 def test_weight_expressions():
-    w = cli.build_weight({"id": "expression", "terms": {"one": 0.5, "cos1": 0.25}})
+    w, hat = cli.build_weight({"id": "expression", "terms": {"one": 0.5, "cos1": 0.25}})
     x = np.array([[0.0, 0.3]])
     assert abs(w(x)[0] - 0.75) < 1e-15
+    assert hat == (((-1, 0), (0, 0), (1, 0)), (0.125, 0.5, 0.125))
     with pytest.raises(ValueError):
         cli.build_weight({"id": "expression", "terms": {"nope": 1.0}})
-    wb = cli.build_weight({"id": "bump", "center": [0.5, 0.5], "width": 0.2})
+    wb, hat = cli.build_weight({"id": "bump", "center": [0.5, 0.5], "width": 0.2})
+    assert hat is None  # no trigonometric polynomial
     assert wb(np.array([[0.5, 0.5]]))[0] == pytest.approx(1.0)
     assert wb(np.array([[0.9, 0.1]]))[0] == 0.0
+
+
+def random_expression(seed):
+    rng = np.random.default_rng(seed)
+    return {"id": "expression",
+            "terms": {k: float(rng.uniform(-2, 2)) for k in cli.WEIGHT_BASIS}}
+
+
+@pytest.mark.parametrize("spec", [
+    *({"id": "expression", "terms": {k: 1.0}} for k in cli.WEIGHT_BASIS),
+    {"id": "constant", "value": -0.7},
+    random_expression(3),
+], ids=lambda spec: "-".join(spec.get("terms", {"constant": 0})))
+def test_weight_callable_is_its_declared_fourier_sum(spec):
+    w, (js, cs) = cli.build_weight(spec)
+    assert list(js) == sorted(set(js))
+    x = np.random.default_rng(5).uniform(0.0, 1.0, size=(1000, 2))
+    series = sum(c * np.exp(2j * np.pi * (x @ np.array(j))) for j, c in zip(js, cs))
+    assert np.max(np.abs(w(x) - series)) <= 1e-15
+
+
+def test_resonances_refuses_the_bump_and_bounds_runs_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, "bump.json", {
+        "map": {"id": "cat"}, "weight": {"id": "bump"}, "N_det": 6, "n_freq": 6,
+        "m_max": 5, "mc_samples": 64,
+    })
+    out = tmp_path / "o"
+    assert cli.main(["resonances", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Fourier coefficients" in err
+    assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["bounds", "--config", cfg, "--out", str(out), "--quiet"])
+    # it runs to its reports; whether its checks pass is not at issue here
+    assert code in (0, 2) and (out / "bounds.json").exists()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -142,9 +142,12 @@ def test_spot_check_both_methods(pcat):
 
 def test_large_truncation_needs_decomposition(pcat, chart):
     # 47^2 = 2209 modes are above FFT_MAX_DIM, 9^2 below: both sizes refuse a
-    # map without the torus decomposition, and the chart model has none
+    # map without the torus decomposition or the weight's coefficients, and
+    # the chart model has neither
     bare = dataclasses.replace(pcat, perturbation=None)
-    for sys_, n_freq in ((bare, 23), (bare, 4), (chart[0], 4)):
+    undeclared = pcat.with_weight(pcat.weight)
+    for sys_, n_freq in ((bare, 23), (bare, 4), (undeclared, 23), (undeclared, 4),
+                         (chart[0], 4)):
         with pytest.raises(ValueError, match="linear_part and perturbation"):
             coll.build_transfer_matrix(sys_, n_freq)
 
@@ -152,7 +155,7 @@ def test_large_truncation_needs_decomposition(pcat, chart):
 def test_weight_scaling_scales_spectrum(pcat):
     c = 0.5
     scaled = pcat.with_weight(
-        lambda x: np.full(x.shape[0], c), tag="half")
+        lambda x: np.full(x.shape[0], c), (((0, 0),), (c,)), tag="half")
     tm1 = coll.build_transfer_matrix(pcat, 8)
     tm2 = coll.build_transfer_matrix(scaled, 8)
     assert np.max(np.abs(tm2.toarray() - c * tm1.toarray())) < 1e-12
@@ -289,11 +292,11 @@ def test_sparse_representation_large():
 # ---------------------------------------------------------------------------
 
 
-def full_grid_factored(sys_, N, refine=1):
+def full_grid_factored(sys_, N):
     """The FFT-based factored build: every column g e_k(s(x)), with
-    s(x) = T x - A x, transformed on the whole small grid (refine times the
-    size the closed form samples the weight on) and masked to the
-    truncation afterwards, in one piece, as CSR."""
+    s(x) = T x - A x, transformed on a small grid that resolves e_k(s(x))
+    for every column, and masked to the truncation afterwards, in one piece,
+    as CSR."""
     A = np.asarray(sys_.linear_part, dtype=np.int64)
     eps, a, b = sys_.perturbation
 
@@ -304,8 +307,10 @@ def full_grid_factored(sys_, N, refine=1):
     P1, P2 = np.meshgrid(t, t, indexing="ij")
     s_vals = s_of(np.stack([P1.ravel(), P2.ravel()], axis=-1))
     s_sup = float(np.max(np.abs(s_vals), axis=0).sum())
-    d_cut = coll._bessel_cutoff(coll.TWO_PI * N * s_sup)
-    Gs = refine * sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False)
+    # J_n(z) < 1e-15 beyond roughly z + 8 z^{1/3} + 12
+    z = coll.TWO_PI * N * s_sup
+    d_cut = math.ceil(z + 8.0 * z ** (1.0 / 3.0) + 12.0)
+    Gs = sfft.next_fast_len(max(4 * d_cut + 4, 32), real=False)
     t = np.arange(Gs) / Gs
     X1, X2 = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
@@ -384,28 +389,43 @@ def test_closed_form_of_the_cat_map_is_the_permutation(cat):
                 assert col.data.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("weight_id", ["constant", "expression", "bump"])
+@pytest.mark.parametrize("weight_id", ["constant", "expression"])
 def test_closed_form_weights_above_fft_max_dim(weight_id):
     N = 23
     assert (2 * N + 1) ** 2 > coll.FFT_MAX_DIM
     spec = {"constant": {"id": "constant", "value": 0.7},
             "expression": {"id": "expression",
-                           "terms": {"one": 1.0, "sin1": 0.3, "sin2": 0.2}},
-            "bump": {"id": "bump"}}[weight_id]
-    sys_ = maps.builtin_perturbed_cat(0.01).with_weight(cli.build_weight(spec), tag=weight_id)
-    got = closed_form_csr(sys_, N)
-    if weight_id != "bump":
-        assert_same_entries(got, full_grid_factored(sys_, N))
-        return
-    # the FFT-based build aliases the product g e_k(s(x)) on its grid; the
-    # closed form convolves with the weight's coefficients, so it is at
-    # least as close to the same build on a grid twice as fine
-    fine = full_grid_factored(sys_, N, refine=2)
-    assert abs(got - fine).max() <= abs(full_grid_factored(sys_, N) - fine).max()
+                           "terms": {"one": 1.0, "sin1": 0.3, "sin2": 0.2}}}[weight_id]
+    sys_ = maps.builtin_perturbed_cat(0.01).with_weight(*cli.build_weight(spec), tag=weight_id)
+    assert_same_entries(closed_form_csr(sys_, N), full_grid_factored(sys_, N))
+
+
+def test_closed_form_of_the_cat_map_holds_the_declared_coefficients(cat):
+    # eps = 0: column k holds exactly g^_j at the row A^tr k + j for each
+    # declared coefficient whose row lies in [-N, N]^2, and nothing else
+    N = 23
+    spec = {"id": "expression", "terms": {"one": 1.0, "cos1": 0.6, "sin2": 0.4}}
+    sys_ = cat.with_weight(*cli.build_weight(spec), tag="trig")
+    js, cs = sys_.weight_hat
+    assert len(js) == 5 and 0.3 in cs and -0.2j in cs
+    side = 2 * N + 1
+    k1, k2 = (k.ravel() for k in np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1),
+                                            indexing="ij"))
+    rows, cols, vals = [], [], []
+    for j, c in zip(js, cs):
+        r1 = 2 * k1 + k2 + j[0]
+        r2 = k1 + k2 + j[1]
+        inside = (np.abs(r1) <= N) & (np.abs(r2) <= N)
+        rows.append((r1[inside] + N) * side + r2[inside] + N)
+        cols.append(np.flatnonzero(inside))
+        vals.append(np.full(np.count_nonzero(inside), c, dtype=complex))
+    want = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(side * side, side * side)).tocsr()
+    assert_same_bits(closed_form_csr(sys_, N), want)
 
 
 def test_closed_form_of_a_zero_weight_is_zero(pcat):
-    zero = pcat.with_weight(cli.build_weight({"id": "constant", "value": 0.0}), tag="zero")
+    zero = pcat.with_weight(*cli.build_weight({"id": "constant", "value": 0.0}), tag="zero")
     tm = coll.build_transfer_matrix(zero, 22)
     assert sp.issparse(tm.matrix) and tm.matrix.nnz == 0 and tm.delta == 0.0
 
@@ -477,7 +497,6 @@ def test_csr_real_form_round_trip():
 
 SIMILARITY_WEIGHTS = {
     "one": {"id": "one"},
-    "bump": {"id": "bump"},
     # sin terms make the e_k-basis matrix complex; its real form stays real
     "expression": {"id": "expression", "terms": {"one": 1.0, "sin1": 0.3, "sin2": 0.2}},
 }
@@ -486,7 +505,7 @@ SIMILARITY_WEIGHTS = {
 def weighted_pcat(weight_id):
     weight = cli.build_weight(SIMILARITY_WEIGHTS[weight_id])
     pc = maps.builtin_perturbed_cat(0.01)
-    return pc if weight is None else pc.with_weight(weight, tag=weight_id)
+    return pc if weight is None else pc.with_weight(*weight, tag=weight_id)
 
 
 def matched_rel_gaps(a, b, k):
@@ -505,7 +524,7 @@ def matched_rel_gaps(a, b, k):
 # condition numbers from 7e10 for -0.0316 up to 1e17, ROADMAP item 4): past
 # these, the dense spectra of M and R differ by 3e-11 to 1e-2 relative, the
 # error of the eigensolves and not of the real form, whose traces agree
-RESOLVED_TOP = {"one": 1, "bump": 12, "expression": 3}
+RESOLVED_TOP = {"one": 1, "expression": 3}
 
 
 @pytest.mark.parametrize("weight_id", sorted(SIMILARITY_WEIGHTS))
@@ -567,7 +586,8 @@ def test_matrix_without_the_symmetry_fails_the_residual_check(pcat):
     # the weight 1 + 1e-6 i cos 2 pi x1 is not real, so U^H M U has the
     # imaginary part 1e-6 U^H C U, C the matrix of the weight cos 2 pi x1;
     # both builds: the FFT build at 8, the closed form (CSR) at 22
-    asym = pcat.with_weight(lambda x: 1.0 + 1e-6j * np.cos(2 * np.pi * x[:, 0]), tag="asym")
+    asym = pcat.with_weight(lambda x: 1.0 + 1e-6j * np.cos(2 * np.pi * x[:, 0]),
+                            (((-1, 0), (0, 0), (1, 0)), (5e-7j, 1.0, 5e-7j)), tag="asym")
     for N in (8, 22):
         tm = coll.build_transfer_matrix(asym, N)
         assert sp.issparse(tm.matrix) == ((2 * N + 1) ** 2 > coll.FFT_MAX_DIM)

@@ -196,7 +196,8 @@ def test_cat_weight_product_is_exact():
     # g^(m) on the cat map against the product along the integer orbits
     # n_{k+1} = A n_k mod D, D = |det(A^m - I)|, in Python ints
     m = 12
-    w = cli.build_weight({"id": "expression", "terms": {"one": 1.0, "cos1": 0.6, "sin2": 0.4}})
+    w, _ = cli.build_weight({"id": "expression",
+                             "terms": {"one": 1.0, "cos1": 0.6, "sin2": 0.4}})
     pts = orbits.periodic_points(maps.builtin_cat_map().with_weight(w), m)
     D = exact_count(m)
     n = np.rint(pts.points * D).astype(np.int64).astype(object)
