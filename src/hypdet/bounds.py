@@ -431,10 +431,26 @@ def appendixB_check(rows, p: float, q: float) -> dict:
 def kitaev_crosscheck(sys: MapSystem, pts_by_m: dict, p: float, q: float, rows) -> dict:
     """Assert the integral route (rho of the rows, each with the keys m, rho
     and rho_stderr of a bound_table row) and the variational route over the
-    same m agree in log scale, to DEFAULT_CROSS_TOL."""
+    same m agree in log scale, to DEFAULT_CROSS_TOL.
+
+    A rho that vanishes (the weight's iterates vanish on the samples) has no
+    log: the check fails with a reason that names the m, and the report
+    holds the variational route but no estimate, gap or fit of the integral
+    route.
+    """
     per_m = {r["m"]: r["rho"] for r in rows}
+    stderr = {r["m"]: r["rho_stderr"] for r in rows}
+    vanish = [m for m, rho in per_m.items() if not rho > 0.0]
+    if vanish:
+        q_report = q_variational(sys, pts_by_m, per_m, p, q)
+        reason = f"rho vanishes at m = {vanish}: the weight's iterates vanish on the samples"
+        raise CrossCheckFailed(reason, data={
+            "rho_estimate": None, "q_estimate": q_report["estimate"], "log_gap": None,
+            "tol": DEFAULT_CROSS_TOL, "pass": False, "reason": reason,
+            "rho_route": {"per_m": per_m, "stderr": stderr}, "q_route": q_report,
+        })
     rho_report = log_linear_fit(list(per_m), np.log(list(per_m.values())))
     rho_report["per_m"] = per_m
-    rho_report["stderr"] = {r["m"]: r["rho_stderr"] for r in rows}
+    rho_report["stderr"] = stderr
     q_report = q_variational(sys, pts_by_m, per_m, p, q)
     return compare_routes(rho_report, q_report)

@@ -91,7 +91,7 @@ def build_transfer_matrix(sys: MapSystem, n_freq: int) -> TransferMatrix:
                          "coefficients (weight_hat)")
     dim = (2 * n_freq + 1) ** 2
     if dim <= FFT_MAX_DIM:
-        R, delta = _real_columns(_fft_columns(sys, n_freq), dim)
+        R, delta = _real_columns(_fft_blocks(sys, n_freq), n_freq)
     else:
         R, delta = _real_pairs(_closed_form_blocks(sys, n_freq, _pair_order(n_freq)), n_freq)
     return TransferMatrix(n_freq=n_freq, matrix=R, delta=delta)
@@ -108,28 +108,36 @@ def _uh_rows(X):
     return Y
 
 
-def _real_columns(columns, dim):
+def _real_columns(blocks, N):
     """Dense R (Fortran order) and delta from the columns of M on the e_k
-    basis, given in index order: each k < 0 column is held until its k > 0
-    partner arrives, and then both become real columns."""
+    basis, given as (2N + 1, dim) k1 blocks in _pair_order: the columns k and
+    -k lie in the blocks of k1 and -k1, so only the block of -k1 is held
+    while the block of k1 arrives.  delta sums the columns in index order."""
+    side = 2 * N + 1
+    dim = side * side
     c = dim // 2
     R = np.empty((dim, dim), order="F")
-    held = np.empty((c, dim), dtype=complex)
+    blocks = iter(blocks)
     sq = 0.0
-    for i, col in enumerate(columns):
-        if i < c:
-            held[i] = col
-            continue
-        if i == c:
-            Y = _uh_rows(col[:, None])
-            R[:, c] = Y[:, 0].real
-        else:
-            low = held[dim - 1 - i]
-            Y = _uh_rows(np.stack([(col + low) * SQRT_HALF,
-                                   (col - low) * (-1j * SQRT_HALF)], axis=1))
-            R[:, i] = Y[:, 0].real
-            R[:, dim - 1 - i] = Y[:, 1].real
-        sq += float(np.sum(Y.imag ** 2))
+    for k1 in range(N + 1):
+        low = next(blocks)
+        high = next(blocks) if k1 else low
+        for j in range(side):
+            i = (N + k1) * side + j
+            if i < c:
+                continue
+            col = high[j]
+            if i == c:
+                Y = _uh_rows(col[:, None])
+                R[:, c] = Y[:, 0].real
+            else:
+                # the column of -k: index dim - 1 - i, row side - 1 - j of low
+                lo = low[side - 1 - j]
+                Y = _uh_rows(np.stack([(col + lo) * SQRT_HALF,
+                                       (col - lo) * (-1j * SQRT_HALF)], axis=1))
+                R[:, i] = Y[:, 0].real
+                R[:, dim - 1 - i] = Y[:, 1].real
+            sq += float(np.sum(Y.imag ** 2))
     return R, math.sqrt(sq)
 
 
@@ -141,11 +149,13 @@ def _pair_order(N):
 
 def _real_pairs(blocks, N):
     """R = Re(U^H M U) as CSR and delta, from the columns of M as (rows,
-    values, counts) of each k1 block in _pair_order.  U mixes the columns k
-    and -k only, so with S the indices of the blocks of k1 and -k1,
+    values, counts, dropped) of each k1 block in _pair_order, dropped the sum
+    of the squared moduli of the entries the block left out.  U mixes the
+    columns k and -k only, so with S the indices of the blocks of k1 and -k1,
     R[:, S]^tr = Re(U[S, S]^tr M[:, S]^tr conj U).  Entries of modulus at
-    most SPARSE_DROP_TOL are left out; delta counts them and the imaginary
-    parts."""
+    most SPARSE_DROP_TOL are left out; delta counts them, the imaginary parts
+    and the dropped entries of M, which U, unitary, carries over unchanged
+    in the Frobenius norm."""
     side = 2 * N + 1
     dim = side * side
     c = dim // 2
@@ -164,14 +174,15 @@ def _real_pairs(blocks, N):
     sq = 0.0
     for k1 in range(N + 1):
         ks = [N] if k1 == 0 else [N - k1, N + k1]
-        rows, vals, counts = (np.concatenate(x) for x in zip(*(next(blocks) for _ in ks)))
+        rows, vals, counts, dropped = zip(*(next(blocks) for _ in ks))
+        rows, vals, counts = (np.concatenate(x) for x in (rows, vals, counts))
         S = np.concatenate([np.arange(i * side, (i + 1) * side) for i in ks])
         MSt = sparse.csc_matrix((vals, rows, np.concatenate([[0], np.cumsum(counts)])),
                                 shape=(dim, S.size)).T
         D = (U[S][:, S].T @ MSt @ Ubar).tocsr()
         re = D.data.real
         drop = np.abs(re) <= SPARSE_DROP_TOL
-        sq += float(np.sum(D.data.imag ** 2)) + float(np.sum(re[drop] ** 2))
+        sq += float(np.sum(D.data.imag ** 2)) + float(np.sum(re[drop] ** 2)) + sum(dropped)
         kept = np.concatenate([[0], np.cumsum(~drop)])
         D = sparse.csr_matrix((re[~drop], D.indices[~drop], kept[D.indptr]), shape=D.shape)
         for j, i in enumerate(ks):
@@ -180,9 +191,12 @@ def _real_pairs(blocks, N):
     return Rt.T.tocsr(), math.sqrt(sq)
 
 
-def _fft_columns(sys, N):
-    """Columns of the e_k-basis matrix, in index order: per-column FFT of
-    g e_k(Tx) on the oversampled grid."""
+def _fft_blocks(sys, N):
+    """The e_k-basis columns of each k1 block (index k1 + N) in _pair_order,
+    as (2N + 1, dim) arrays: per-column FFT of g e_k(Tx) on the oversampled
+    grid.  The grid W E1^k1 runs on from k1 = 0; the grid of -k1 is taken
+    again from W E1^-N by the same chain of products, so every column has the
+    bits of the index-order build."""
     G = GRID_FACTOR * (2 * N + 1)
     t = np.arange(G) / G
     X1, X2 = np.meshgrid(t, t, indexing="ij")
@@ -193,15 +207,29 @@ def _fft_columns(sys, N):
     E2 = np.exp(TWO_PI * 1j * T[:, 1]).reshape(G, G)
     # rows/cols of the [-N, N] block in fft2 output
     idx = np.arange(-N, N + 1) % G
-    E1_pow = W * E1 ** (-N)
-    for k1 in range(-N, N + 1):
+
+    def block(E1_pow):
+        out = np.empty((2 * N + 1, (2 * N + 1) ** 2), dtype=complex)
         cur = E1_pow * E2 ** (-N)
-        for k2 in range(-N, N + 1):
+        for k2 in range(2 * N + 1):
             # fft2 transforms axis 0, then axis 1: axis 1 on the kept rows
             # only gives the same bits
-            yield sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
+            out[k2] = sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
             cur = cur * E2
+        return out
+
+    first = W * E1 ** (-N)
+    E1_pow = first
+    for _ in range(N):
         E1_pow = E1_pow * E1
+    yield block(E1_pow)
+    for k1 in range(1, N + 1):
+        neg = first
+        for _ in range(N - k1):
+            neg = neg * E1
+        yield block(neg)
+        E1_pow = E1_pow * E1
+        yield block(E1_pow)
 
 
 def _bessel_table(z):
@@ -231,7 +259,8 @@ def _closed_form_blocks(sys, N, order):
     A^tr k + j + n a + m b.  Sorted by their offset j + n a + m b once, the
     terms (j, n, m) give every column's rows in order; terms that meet at one
     row (a = b, or several g^_j) are adjacent and summed in the sorted order.
-    Each column comes without entries of modulus at most SPARSE_DROP_TOL.
+    Each column comes without entries of modulus at most SPARSE_DROP_TOL;
+    each block also gives the sum of their squared moduli.
     """
     eps, a, b = sys.perturbation
     a, b = np.array(a), np.array(b)
@@ -266,7 +295,9 @@ def _closed_form_blocks(sys, N, order):
             vals = np.add.reduceat(vals, first)
             rows, col = rows[first], col[first]
         big = np.abs(vals) > SPARSE_DROP_TOL
-        yield rows[big], vals[big], np.bincount(col[big], minlength=side)
+        small = vals[~big]
+        yield (rows[big], vals[big], np.bincount(col[big], minlength=side),
+               float(np.sum(small.real ** 2 + small.imag ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,10 @@ def _check_orientation(pts: PeriodicPointSet):
     """Raise unless sign det(DT^m|E^u) = +1 at every periodic point.
 
     At x in Fix(T^m), DT^m(x) maps E^u(x) to itself, so det(DT^m|E^u) is the
-    eigenvalue of larger modulus of the stored DT^m.  The other eigenvalue
-    has modulus below 1 and the trace their sum, so the trace has its sign.
+    eigenvalue of larger modulus of DT^m.  The other eigenvalue has modulus
+    below 1 and the stored trace is their sum, so the trace has its sign.
     """
-    if np.any(np.trace(pts.derivatives, axis1=1, axis2=2) < 0):
+    if np.any(pts.trace < 0):
         raise OrientationNotTrivial(
             f"sign det(DT^{pts.period}|E^u) = -1 at a periodic point"
         )
@@ -206,8 +206,7 @@ def zeta_product(pts_by_m: dict, N: int) -> np.ndarray:
         pts = pts_by_m[m]
         _check_orientation(pts)
         lam0 = np.ones(len(pts))
-        lam1 = np.trace(pts.derivatives, axis1=1, axis2=2)
-        for k, lam in enumerate((lam0, lam1, pts.jac_det)):
+        for k, lam in enumerate((lam0, pts.trace, pts.jac_det)):
             tr_k[k, m - 1] = math.fsum(pts.weights * lam / pts.fix_det)
     d0 = coeffs_from_power_sums(tr_k[0], sign=-1.0)
     d1 = coeffs_from_power_sums(tr_k[1], sign=-1.0)
@@ -225,9 +224,10 @@ def validity_radius(sys: MapSystem, pts_by_m: dict, p: float, q: float):
 
 
 def determinant_report(ts: TraceSeries, dp: DeterminantPoly, zeros: list,
-                       radius: float) -> dict:
+                       radius: float, pts_by_m: dict) -> dict:
     """Traces, coefficients, zeros (from det_zeros(dp, radius)) and radii,
-    as one JSON-ready dict."""
+    with the size and Newton convergence of each set of pts_by_m, as one
+    JSON-ready dict."""
     return {
         "provenance": ts.provenance,
         "order": ts.order,
@@ -246,4 +246,16 @@ def determinant_report(ts: TraceSeries, dp: DeterminantPoly, zeros: list,
             }
             for z in zeros
         ],
+        "diagnostics": {
+            "orbits": [
+                {
+                    "m": m,
+                    "points": len(pts),
+                    "prime_cycles": pts.cycles,
+                    "newton_steps": pts.newton_steps,
+                    "newton_residual": pts.newton_residual,
+                }
+                for m, pts in sorted(pts_by_m.items())
+            ],
+        },
     }

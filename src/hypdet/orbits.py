@@ -1,11 +1,15 @@
-"""Periodic points of T^m: exact lattice orbits and one Newton jump.
+"""Periodic points of T^m: exact lattice cycles and one Newton jump per cycle.
 
 For a torus map T x = A x + (periodic part) mod 1 with a hyperbolic integer
 matrix A, the fixed points of x -> A^m x mod 1 are the points n / D, D =
 |det(A^m - I)|, enumerated exactly through the Smith normal form; their
-orbits n_{k+1} = A n_k mod D are exact in integers.  These lattice orbits
-seed one vectorized Newton solve of the orbit equations of T itself, which
-gives Fix(T^m) for every torus map, the linear one included.  Nothing is
+orbits n_{k+1} = A n_k mod D are exact in integers, and so is their split
+into cycles.  One representative orbit per cycle seeds a vectorized Newton
+solve of the orbit equations of T itself, which gives Fix(T^m) for every
+torus map, the linear one included.  Trace, determinant and g^(m) are
+invariant under a cyclic shift, so each cycle's are computed once and shared
+by its points (the cycle expansion of Artuso, Aurell and Cvitanovic, 1990);
+the working set scales with |Fix(T^m)|, not with m |Fix(T^m)|.  Nothing is
 cached: a run computes each period it needs once and passes the sets on.
 """
 
@@ -29,24 +33,28 @@ DEDUPE_RADIUS = 1e-6
 UNIT_CIRCLE_MARGIN = 1e-6
 # Newton stops once the composed T^m residual is below this
 NEWTON_TOL = 1e-12
-# largest orbit array, m |det(A^m - I)| points, a run may ask for: the cat
-# map's m = 14 (9.9e6, 0.91 GB peak and 20 s at eps 0.05, one BLAS thread on
-# a 2-core x86-64 box) fits, m = 15 (2.8e7) does not
-ORBIT_SIZE_MAX = 20_000_000
+# most points, |det(A^m - I)|, a run may ask for in one period: the cat map's
+# m = 16 (4.9e6 points, 0.58 GB peak and 19 s at eps 0.05, one BLAS thread on
+# a 2-core x86-64 box) fits, m = 17 (1.3e7) does not
+ORBIT_SIZE_MAX = 5_000_000
 
 
 @dataclass(frozen=True)
 class PeriodicPointSet:
-    """Fixed points of T^m with DT^m, its invariants and g^(m) at each point."""
+    """Fixed points of T^m with the invariants of DT^m and g^(m) at each
+    point, and how the Newton solve of its cycles went."""
 
     period: int
     points: np.ndarray  # (k, 2)
-    derivatives: np.ndarray  # (k, 2, 2)
+    trace: np.ndarray  # (k,) tr DT^m
     weights: np.ndarray  # (k,)
     jac_det: np.ndarray  # (k,) det DT^m
     lam: np.ndarray  # (k,) modulus of the contracting eigenvalue of DT^m
     nu: np.ndarray  # (k,) modulus of the expanding eigenvalue of DT^m
     fix_det: np.ndarray  # (k,) |det(Id - DT^m)|
+    cycles: int  # cycles of exact period d | m, each solved once
+    newton_steps: int
+    newton_residual: float  # largest final per-step residual |x_{k+1} - T x_k|
 
     def __len__(self):
         return self.points.shape[0]
@@ -156,14 +164,18 @@ def fixed_point_count(A, m: int) -> int:
     return abs(int(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]))
 
 
-def fixed_points_linear_toral(A, m: int) -> np.ndarray:
-    """The orbits of Fix(A^m) for x -> A x mod 1, exactly, as (m, K, 2) floats.
+def lattice_cycles(A, m: int):
+    """The cycles of x -> A x mod 1 in Fix(A^m), one representative each,
+    exactly: (orbit, period), orbit (m, r, 2) floats whose row k holds n_k / D
+    with n_{k+1} = A n_k mod D, and period (r,) the exact periods d | m.
 
     With the Smith form D = U (A^m - I) V = diag(d1, d2) and D = d1 d2 =
-    |det(A^m - I)| = K, every fixed point is n_0 / D with the integer
-    n_0 = V (i d2, j d1) mod D; row k holds n_k / D with n_{k+1} = A n_k mod
-    D, exact in int64 while 2 D^2 < 2^63, far past any orbit array that fits
-    in memory.
+    |det(A^m - I)|, every fixed point is n_0 / D with the integer n_0 = V (i
+    d2, j d1) mod D.  m steps of n -> A n mod D in int64 (exact while 2 D^2 <
+    2^63) give each point's key n_1 D + n_2 along its orbit: the point whose
+    key is the least on its orbit represents the cycle, and the first return
+    of its key is the exact period.  A cycle of period d appears d times in
+    Fix(A^m), so the periods sum to D.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -176,46 +188,67 @@ def fixed_points_linear_toral(A, m: int) -> np.ndarray:
     d1, d2 = int(Dm[0, 0]), int(Dm[1, 1])
     D = d1 * d2
     assert D == count
-    Vd = np.array([[int(v) % D for v in row] for row in V], dtype=np.int64)
+    Vd = [[int(v) % D for v in row] for row in V]
+    (a, b), (c, d) = (int(A[0, 0]), int(A[0, 1])), (int(A[1, 0]), int(A[1, 1]))
+    i = np.arange(d1, dtype=np.int64)[:, None] * d2
+    j = np.arange(d2, dtype=np.int64)[None, :] * d1
+    n1 = ((i * Vd[0][0] + j * Vd[0][1]) % D).ravel()
+    n2 = ((i * Vd[1][0] + j * Vd[1][1]) % D).ravel()
+    key0 = n1 * D + n2
+    rep = np.ones(D, dtype=bool)
+    period = np.full(D, m, dtype=np.int16)
+    for k in range(1, m):
+        # (n1, n2) <- A (n1, n2) mod D, in place where the old value is spent
+        t = n1 * a
+        t += n2 * b
+        t %= D
+        n2 *= d
+        n2 += n1 * c
+        n2 %= D
+        n1 = t
+        key = n1 * D
+        key += n2
+        rep &= key0 <= key
+        if m % k == 0:
+            period[(key == key0) & (period == m)] = k
+    key0, period = key0[rep], period[rep]
+    assert int(period.sum()) == count
+    n = np.stack([key0 // D, key0 % D], axis=1)
     Ai = np.array(A, dtype=np.int64)
-    i, j = np.meshgrid(np.arange(d1, dtype=np.int64) * d2,
-                       np.arange(d2, dtype=np.int64) * d1, indexing="ij")
-    n = np.stack([i.ravel(), j.ravel()], axis=1) @ Vd.T % D
-    orbit = np.empty((m, D, 2))
+    orbit = np.empty((m, n.shape[0], 2))
     for k in range(m):
         orbit[k] = n / D
         n = n @ Ai.T % D
-    return orbit
+    return orbit, period
 
 
 def _newton_fixed_points(sys: MapSystem, orbit):
-    """Newton in orbit space for all period-m points at once.
+    """Newton in orbit space for the seed orbits (m, r, 2) at once.
 
-    Solves x_{k+1} = T(x_k) (indices mod m) for whole orbit sequences
-    starting from the seed orbits (m, K, 2); a pseudo-orbit seed keeps the
-    Newton basin uniform in m, unlike Newton on T^m(x) - x whose basins
-    shrink like the fixed-point spacing.  Updates orbit in place and returns
-    (x_0 points, DT^m at x_0, converged orbits, det DT^m at x_0 as the
-    product of the per-step Jacobian determinants).
+    Solves x_{k+1} = T(x_k) (indices mod m) for whole orbit sequences; a
+    pseudo-orbit seed keeps the Newton basin uniform in m, unlike Newton on
+    T^m(x) - x whose basins shrink like the fixed-point spacing.  Updates
+    orbit in place and returns (DT^m at x_0, det DT^m at x_0 as the product
+    of the per-step Jacobian determinants, the Newton steps taken, the
+    largest final per-step residual).
     """
-    m, K = orbit.shape[0], orbit.shape[1]
-    eye = np.broadcast_to(np.eye(2), (K, 2, 2))
-    M = None
-    for _ in range(50):
-        F = np.empty_like(orbit)
-        P = np.empty((m, K, 2, 2))
+    m, r = orbit.shape[0], orbit.shape[1]
+    eye = np.broadcast_to(np.eye(2), (r, 2, 2))
+    F = np.empty_like(orbit)
+    P = np.empty((m, r, 2, 2))
+    for steps in range(50):
         for k in range(m):
             F[k] = _torus_diff(orbit[(k + 1) % m], sys.forward(orbit[k]))
             P[k] = sys.jacobian(orbit[k])
         # suffix products;  S ends as DT^m(x_0)
         S = eye.copy()
-        w = np.zeros((K, 2))
+        w = np.zeros((r, 2))
         for k in range(m - 1, -1, -1):
             w = w + (S @ F[k][..., None])[..., 0]
             S = S @ P[k]
         # per-step residual margin keeps the composed T^m residual under NEWTON_TOL
-        if np.max(np.abs(F)) <= 0.05 * NEWTON_TOL:
-            M = S
+        residual = float(np.max(np.abs(F), initial=0.0))
+        if residual <= 0.05 * NEWTON_TOL:
             break
         # Newton step: delta_{k+1} = P_k delta_k - F_k, cyclic closure at m
         delta = -np.linalg.solve(eye - S, w[..., None])[..., 0]
@@ -225,41 +258,52 @@ def _newton_fixed_points(sys: MapSystem, orbit):
                 delta = (P[k] @ delta[..., None])[..., 0] - F[k]
     else:
         raise NewtonDiverged("orbit Newton exceeded 50 iterations")
-    jac_det = np.ones(K)
+    jac_det = np.ones(r)
     for Pk in P:
         jac_det *= Pk[:, 0, 0] * Pk[:, 1, 1] - Pk[:, 0, 1] * Pk[:, 1, 0]
-    return orbit[0], M, orbit, jac_det
+    return S, jac_det, steps, residual
 
 
 def periodic_points(sys: MapSystem, m: int) -> PeriodicPointSet:
     """Fixed points of T^m for a torus map T x = A x + (periodic part) mod 1.
 
-    Every orbit of Fix(T^m) is seeded with the exact lattice orbit of the
-    linear part A and solved by one Newton jump on sys itself; the points
-    are folded onto [0, 1), checked and sorted, with g^(m) and the
-    invariants of DT^m (linear_invariants) taken from the converged orbit.
+    Each cycle of Fix(T^m) is seeded with the exact lattice orbit of its
+    representative under the linear part A (lattice_cycles) and solved by
+    one Newton jump on sys itself; a cycle of exact period d < m is solved
+    inside its m-step seed.  g^(m) and the invariants of DT^m
+    (linear_invariants) are taken once per cycle and shared by its d
+    points, which are folded onto [0, 1), checked for collisions all
+    together and sorted.
     """
     if sys.linear_part is None:
         raise ValueError("periodic_points requires a builtin torus map")
-    X, derivs, orbit, jac_det = _newton_fixed_points(
-        sys, fixed_points_linear_toral(sys.linear_part, m))
+    orbit, period = lattice_cycles(sys.linear_part, m)
+    derivs, jac_det, steps, residual = _newton_fixed_points(sys, orbit)
+    lam, nu, fix_det = linear_invariants(derivs, jac_det)
+    trace = np.trace(derivs, axis1=1, axis2=2)
+    # g^(m) from the converged orbit values
+    weights = np.ones(orbit.shape[1])
+    for k in range(m):
+        weights *= np.asarray(sys.weight(orbit[k]))
+
+    # point k of each cycle, k below its period
+    k, c = np.nonzero(np.arange(m)[:, None] < period)
+    X = orbit[k, c]
+    del orbit, k
     # np.mod(x, 1.0) of a tiny negative x rounds to exactly 1.0; fold it onto
     # 0.0 so stored points lie in [0, 1)
     X = np.where(X < 1.0, X, 0.0)
-
-    lam, nu, fix_det = linear_invariants(derivs, jac_det)
-
+    # every point, so two cycles that converged to one are caught too
     if len(X) > 1:
         tree = cKDTree(X, boxsize=1.0)
         pairs = tree.query_pairs(DEDUPE_RADIUS)
+        del tree
         if pairs:
             i, j = next(iter(pairs))
             raise CollisionDetected(f"points {X[i]} and {X[j]} merged")
 
-    # g^(m) from the converged orbit values
-    weights = np.ones(X.shape[0])
-    for k in range(m):
-        weights *= np.asarray(sys.weight(orbit[k]))
     order = np.lexsort((X[:, 1], X[:, 0]))
-    return PeriodicPointSet(m, X[order], derivs[order], weights[order], jac_det[order],
-                            lam[order], nu[order], fix_det[order])
+    c = c[order]
+    return PeriodicPointSet(m, X[order], trace[c], weights[c], jac_det[c], lam[c], nu[c],
+                            fix_det[c], cycles=period.size, newton_steps=steps,
+                            newton_residual=residual)

@@ -245,10 +245,10 @@ def test_partition_sums_to_one():
 def test_pressure_periodic(cat, cat_pts):
     P = bd.pressure_periodic({m: cat_pts[m] for m in (8, 10)})
     assert abs(P[10] - math.log(LAM)) / math.log(LAM) < 0.02
-    empty = orbits.PeriodicPointSet(period=2, points=np.zeros((0, 2)),
-                                    derivatives=np.zeros((0, 2, 2)), weights=np.zeros(0),
-                                    jac_det=np.zeros(0), lam=np.zeros(0), nu=np.zeros(0),
-                                    fix_det=np.zeros(0))
+    empty = orbits.PeriodicPointSet(period=2, points=np.zeros((0, 2)), trace=np.zeros(0),
+                                    weights=np.zeros(0), jac_det=np.zeros(0),
+                                    lam=np.zeros(0), nu=np.zeros(0), fix_det=np.zeros(0),
+                                    cycles=0, newton_steps=0, newton_residual=0.0)
     assert bd.pressure_periodic({2: empty})[2] == -math.inf
 
 

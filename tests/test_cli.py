@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hypdet import cli, reports
+from hypdet import cli, maps, orbits, reports
 from hypdet.errors import MissingArtifacts
 
 
@@ -38,6 +38,14 @@ def test_resonances_cat(quick_resonances_cfg, tmp_path):
     d = reports.read_json(out + "/determinant.json")
     coeffs = np.array(d["coeffs"])
     assert abs(coeffs[1] + 1.0) < 1e-10 and np.max(np.abs(coeffs[2:])) < 1e-10
+    # periods 1..10 (the validity radius reads up to 10); the lattice seeds of
+    # the cat map are its points, so no Newton step is taken
+    orb = d["diagnostics"]["orbits"]
+    assert [o["m"] for o in orb] == list(range(1, 11))
+    assert [o["points"] for o in orb] == [orbits.fixed_point_count(maps.CAT_A_INT, m)
+                                          for m in range(1, 11)]
+    # Fix(A^10) holds 1, 2, 24 and 1500 cycles of exact period 1, 2, 5 and 10
+    assert orb[9]["prime_cycles"] == 1527 and all(o["newton_steps"] == 0 for o in orb)
     m = reports.read_json(out + "/match.json")
     assert m["match"]["pass"]
     lines = open(out + "/traces.csv").read().splitlines()
@@ -239,14 +247,14 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
 
 
 @pytest.mark.parametrize("command,payload", [
-    ("resonances", {"N_det": 16}),
-    ("resonances", {"map": {"id": "perturbed_cat", "eps": 0.05}, "N_det": 16}),
-    ("bounds", {"m_max": 16}),
-    ("bounds", {"map": {"id": "perturbed_cat", "eps": 0.01}, "m_max": 16}),
+    ("resonances", {"N_det": 17}),
+    ("resonances", {"map": {"id": "perturbed_cat", "eps": 0.05}, "N_det": 17}),
+    ("bounds", {"m_max": 17}),
+    ("bounds", {"map": {"id": "perturbed_cat", "eps": 0.01}, "m_max": 17}),
 ])
 def test_orbits_too_large_to_fit_are_a_config_error(command, payload, monkeypatch, tmp_path,
                                                       capsys):
-    # period 16: 16 |det(A^16 - I)| = 7.8e7 orbit points, about 9 GB; refused
+    # period 17: |det(A^17 - I)| = 1.3e7 points, about 1.5 GB; refused
     # before any orbit work, which would fail this test at once instead of
     # running
     def refused(points):
@@ -264,18 +272,19 @@ def test_orbits_too_large_to_fit_are_a_config_error(command, payload, monkeypatc
     assert not (tmp_path / "o").exists()
 
 
-def test_orbit_size_limit_admits_period_14():
+def test_orbit_size_limit_admits_period_16():
     cfg = cli.RunConfig.from_dict({"map": {"id": "perturbed_cat", "eps": 0.01}})
     assert cfg.N_det == 14
-    cli.build_system(cfg, "resonances")
-    for n in (15, 16):
+    for n in (14, 15, 16):
+        cli.build_system(dataclasses.replace(cfg, N_det=n), "resonances")
+    for n in (17, 18):
         with pytest.raises(ValueError, match="ORBIT_SIZE_MAX"):
             cli.build_system(dataclasses.replace(cfg, N_det=n), "resonances")
 
 
 def test_bounds_zero_weight_fails_kitaev_and_reports(tmp_path):
-    # rho vanishes at every m, so its log-linear fit is NaN; the Q route
-    # floors the weight and is finite, and a NaN gap must fail the check
+    # rho vanishes at every m, so it has no log-linear fit; the Q route
+    # floors the weight and is finite, and the vanishing rho fails the check
     cfg = write_config(tmp_path, "zero.json", {
         "map": {"id": "cat"}, "weight": {"id": "constant", "value": 0.0},
         "m_max": 5, "mc_samples": 64,
@@ -287,12 +296,45 @@ def test_bounds_zero_weight_fails_kitaev_and_reports(tmp_path):
     assert rc == 2
     b = reports.read_json(out + "/bounds.json")
     assert b["failures"] == ["kitaev"]
-    assert not b["kitaev"]["pass"] and np.isnan(b["kitaev"]["log_gap"])
+    assert not b["kitaev"]["pass"] and b["kitaev"]["log_gap"] is None
+    assert "rho vanishes" in b["kitaev"]["reason"]
     assert all(r["rho"] == 0.0 for r in b["per_m"])
     # the log of a zero rho is written as the -inf marker
     assert cli.main(["report", "--out", out, "--quiet"]) == 0
     rows = [ln.split() for ln in open(out + "/bounds_curves.dat") if not ln.startswith("#")]
     assert [r[1] for r in rows] == ["-inf"] * 5
+
+
+def _no_nan(constant):
+    """parse_constant for json.loads: NaN is refused; the t grid's Infinity
+    (t = inf) is a value of the report."""
+    if constant == "NaN":
+        raise ValueError("NaN in a report")
+    return float(constant)
+
+
+def test_bounds_vanishing_weight_iterates_fail_kitaev_without_nan(tmp_path, capsys):
+    # on the cat map g(x) g(A x) vanishes everywhere for the default bump, so
+    # rho is 0 for every m >= 2: the check fails with a reason, and no log
+    # of 0 is taken or written
+    cfg = write_config(tmp_path, "bump.json", {
+        "map": {"id": "cat"}, "weight": {"id": "bump"}, "m_max": 5, "mc_samples": 1024,
+    })
+    out = str(tmp_path / "outb")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["bounds", "--config", cfg, "--out", out])
+    assert rc == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    with open(out + "/bounds.json") as fh:
+        b = json.loads(fh.read(), parse_constant=_no_nan)
+    k = b["kitaev"]
+    assert b["failures"] == ["kitaev"] and not k["pass"]
+    assert k["reason"].startswith("rho vanishes at m = [2, 3, 4, 5]")
+    assert k["log_gap"] is None and k["rho_estimate"] is None
+    assert "slope" not in k["rho_route"] and "residual" not in k["rho_route"]
+    assert 0.0 < k["q_estimate"] < 1.0
+    assert "rho vanishes" in capsys.readouterr().out
 
 
 def test_report_error_is_not_a_config_error(quick_bounds_cfg, tmp_path, monkeypatch):

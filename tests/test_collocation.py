@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,13 +41,17 @@ def direct_entry(sys_, kprime, k, n_freq, refine=2):
 
 def fft_matrix(sys_, N):
     """The FFT build's e_k-basis matrix, dense."""
-    return np.stack(list(coll._fft_columns(sys_, N)), axis=1)
+    side = 2 * N + 1
+    M = np.empty((side * side, side * side), dtype=complex)
+    for i, block in zip(coll._pair_order(N), coll._fft_blocks(sys_, N)):
+        M[:, i * side:(i + 1) * side] = block.T
+    return M
 
 
 def closed_form_csr(sys_, N):
     """The closed form's e_k-basis matrix as CSR."""
     side = 2 * N + 1
-    rows, vals, counts = zip(*coll._closed_form_blocks(sys_, N, range(side)))
+    rows, vals, counts, _ = zip(*coll._closed_form_blocks(sys_, N, range(side)))
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
                          shape=(side * side, side * side)).tocsr()
@@ -74,14 +79,17 @@ def real_tm(M):
                                delta=float(np.linalg.norm(D.imag)))
 
 
-def column_blocks(M, N):
-    """(rows, values, counts) of the columns of each k1 block of the sparse
-    e_k-basis matrix M, in _pair_order: the input of _real_pairs."""
+def column_blocks(M, N, dropped=None):
+    """(rows, values, counts, dropped) of the columns of each k1 block of the
+    sparse e_k-basis matrix M, in _pair_order: the input of _real_pairs.
+    dropped, in the same order, defaults to nothing left out of M."""
     M = M.tocsc()
     side = 2 * N + 1
-    for i in coll._pair_order(N):
+    dropped = [0.0] * side if dropped is None else dropped
+    for i, d in zip(coll._pair_order(N), dropped):
         lo, hi = M.indptr[i * side], M.indptr[(i + 1) * side]
-        yield M.indices[lo:hi], M.data[lo:hi], np.diff(M.indptr[i * side:(i + 1) * side + 1])
+        yield (M.indices[lo:hi], M.data[lo:hi],
+               np.diff(M.indptr[i * side:(i + 1) * side + 1]), d)
 
 
 def test_cat_column_structure(cat):
@@ -459,6 +467,72 @@ def test_pruned_fft_build_is_the_full_fft2_build(pcat, N):
     assert_same_bits(fft_matrix(pcat, N), full_grid_fft(pcat, N))
 
 
+def index_order_build(sys_, N):
+    """R and delta of the FFT build with its columns made in index order,
+    each k < 0 column held until its partner arrives: the build the pair
+    order replaced, kept as the oracle of its bits."""
+    G = coll.GRID_FACTOR * (2 * N + 1)
+    t = np.arange(G) / G
+    X1, X2 = np.meshgrid(t, t, indexing="ij")
+    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
+    T = sys_.forward(pts)
+    W = np.asarray(sys_.weight(pts)).reshape(G, G).astype(complex)
+    E1 = np.exp(coll.TWO_PI * 1j * T[:, 0]).reshape(G, G)
+    E2 = np.exp(coll.TWO_PI * 1j * T[:, 1]).reshape(G, G)
+    idx = np.arange(-N, N + 1) % G
+
+    def columns():
+        E1_pow = W * E1 ** (-N)
+        for k1 in range(-N, N + 1):
+            cur = E1_pow * E2 ** (-N)
+            for k2 in range(-N, N + 1):
+                yield sfft.fft(sfft.fft(cur, axis=0)[idx], axis=1)[:, idx].ravel() / (G * G)
+                cur = cur * E2
+            E1_pow = E1_pow * E1
+
+    dim = (2 * N + 1) ** 2
+    c = dim // 2
+    R = np.empty((dim, dim), order="F")
+    held = np.empty((c, dim), dtype=complex)
+    sq = 0.0
+    for i, col in enumerate(columns()):
+        if i < c:
+            held[i] = col
+            continue
+        if i == c:
+            Y = coll._uh_rows(col[:, None])
+            R[:, c] = Y[:, 0].real
+        else:
+            low = held[dim - 1 - i]
+            Y = coll._uh_rows(np.stack([(col + low) * coll.SQRT_HALF,
+                                        (col - low) * (-1j * coll.SQRT_HALF)], axis=1))
+            R[:, i] = Y[:, 0].real
+            R[:, dim - 1 - i] = Y[:, 1].real
+        sq += float(np.sum(Y.imag ** 2))
+    return R, math.sqrt(sq)
+
+
+@pytest.mark.parametrize("N", [6, 20])
+def test_pair_order_build_is_the_index_order_build(pcat, N):
+    tm = coll.build_transfer_matrix(pcat, N)
+    R, delta = index_order_build(pcat, N)
+    assert tm.matrix.flags.f_contiguous
+    assert np.array_equal(tm.matrix.view(np.uint64), R.view(np.uint64))
+    assert tm.delta == delta
+
+
+def test_fft_build_working_set(pcat):
+    # one pair of k1 blocks is held at a time, not every k < 0 column (22.6
+    # MB of complex at n_freq 20); the dense R itself is 22.6 MB
+    tracemalloc.start()
+    try:
+        coll.build_transfer_matrix(pcat, 20)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 35.0
+
+
 def real_modes(dim):
     """The unitary U of the real modes, as CSR: e_0 stays; for the index i
     of k > 0 and its partner q = dim - 1 - i of -k, column i is
@@ -560,16 +634,18 @@ def test_build_hands_over_the_real_form_of_its_columns(pcat):
     # the closed form at 24 modes a side: its k1 blocks in pair order give
     # the bits of its whole CSR matrix cut into the same blocks, kept CSR
     fac = coll.build_transfer_matrix(pcat, 24)
-    R, delta = coll._real_pairs(column_blocks(closed_form_csr(pcat, 24), 24), 24)
+    dropped = [b[3] for b in coll._closed_form_blocks(pcat, 24, coll._pair_order(24))]
+    R, delta = coll._real_pairs(column_blocks(closed_form_csr(pcat, 24), 24, dropped), 24)
     assert sp.isspmatrix_csr(fac.matrix) and fac.matrix.dtype == np.float64
     assert fac.delta == delta
     assert_same_bits(fac.matrix, R)
-    assert 0 < fac.delta < 1e-12
+    # 8.9e-12, most of it the entries the closed form drops
+    assert 0 < fac.delta < 1e-11
 
 
-def test_real_form_delta_is_what_it_leaves_out(pcat):
-    # the CSR real form of the closed form drops entries at SPARSE_DROP_TOL,
-    # and delta counts them with the imaginary parts
+def test_real_form_delta_is_what_it_leaves_out(pcat, monkeypatch):
+    # the closed form drops its entries at SPARSE_DROP_TOL and the CSR real
+    # form drops its own; delta counts both with the imaginary parts
     M = closed_form_csr(pcat, 10)
     R, delta = coll._real_pairs(coll._closed_form_blocks(pcat, 10, coll._pair_order(10)), 10)
     U = real_modes(M.shape[0]).toarray()
@@ -579,7 +655,25 @@ def test_real_form_delta_is_what_it_leaves_out(pcat):
     assert np.count_nonzero(dropped) > 0
     assert np.abs(D.real[dropped]).max() <= coll.SPARSE_DROP_TOL
     assert np.linalg.norm(D.imag) < 0.1 * delta
+    # against the closed form that drops nothing
+    monkeypatch.setattr(coll, "SPARSE_DROP_TOL", 0.0)
+    D = U.conj().T @ closed_form_csr(pcat, 10).toarray() @ U
     assert math.isclose(delta, np.linalg.norm(D - R), rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("N", [23, 40])
+def test_delta_counts_the_entries_the_closed_form_drops(pcat, monkeypatch, N):
+    # the entries of modulus at most SPARSE_DROP_TOL, taken from the closed
+    # form that drops nothing: Frobenius norm 8.4e-12 at 23 and 1.7e-11 at
+    # 40, 30-65 times the rest of delta
+    tm = coll.build_transfer_matrix(pcat, N)
+    monkeypatch.setattr(coll, "SPARSE_DROP_TOL", 0.0)
+    sq = 0.0
+    for _, vals, _, _ in coll._closed_form_blocks(pcat, N, range(2 * N + 1)):
+        small = vals[np.abs(vals) <= 1e-13]
+        sq += float(np.sum(np.abs(small) ** 2))
+    assert sq > 0.0
+    assert tm.delta >= math.sqrt(sq)
 
 
 def test_matrix_without_the_symmetry_fails_the_residual_check(pcat):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -158,11 +159,8 @@ def test_zeta_direct_equals_product(seed, eps, N):
 def test_zeta_product_orientation_guard(cat_pts):
     # flip the derivative sign at every point: det(DT|E^u) < 0
     pts = cat_pts[1]
-    tr = np.trace(pts.derivatives, axis1=1, axis2=2)
-    flipped = orbits.PeriodicPointSet(
-        period=1, points=pts.points, derivatives=-pts.derivatives, weights=pts.weights,
-        jac_det=pts.jac_det, lam=pts.lam, nu=pts.nu, fix_det=np.abs(1.0 + tr + pts.jac_det),
-    )
+    flipped = dataclasses.replace(pts, trace=-pts.trace,
+                                  fix_det=np.abs(1.0 + pts.trace + pts.jac_det))
     det._check_orientation(pts)
     with pytest.raises(OrientationNotTrivial):
         det._check_orientation(flipped)
@@ -170,16 +168,16 @@ def test_zeta_product_orientation_guard(cat_pts):
 
 @pytest.mark.parametrize("eps,seed", [(0.0, 0), (0.05, 0), (-0.05, 7)])
 def test_orientation_sign_matches_splitting(eps, seed):
-    # the trace of the stored DT^m against sign <DT^m u, u> for the power
+    # the stored trace of DT^m against sign <DT^m u, u> for the power
     # iteration's unstable direction u at each periodic point
     sys_ = maps.make_map("perturbed_cat", eps, seed)
     split = maps.splitting_power_iteration(sys_)
     for m in range(1, 7):
         pts = orbits.periodic_points(sys_, m)
         u = split.unstable(pts.points)
-        dtu = (pts.derivatives @ u[..., None])[..., 0]
+        dtu = (maps.jacobian_cocycle(sys_, pts.points, m) @ u[..., None])[..., 0]
         by_split = np.sign(np.einsum("ij,ij->i", dtu, u))
-        by_trace = np.sign(np.trace(pts.derivatives, axis1=1, axis2=2))
+        by_trace = np.sign(pts.trace)
         assert np.array_equal(by_split, by_trace)
 
 
@@ -217,8 +215,13 @@ def test_determinant_report_from_inputs(pcat, pcat_pts):
     ts = det.trace_series(pcat, pcat_pts, 6)
     dp = det.det_coeffs_from_traces(ts, (2.5, 1.0))
     zeros = det.det_zeros(dp, 1.5)
-    rep = det.determinant_report(ts, dp, zeros, 1.5)
+    pts = {m: pcat_pts[m] for m in range(1, 7)}
+    rep = det.determinant_report(ts, dp, zeros, 1.5, pts)
     assert rep["order"] == 6 and rep["traces"] == ts.traces.tolist()
+    assert [(o["m"], o["points"], o["prime_cycles"]) for o in rep["diagnostics"]["orbits"]] \
+        == [(m, len(p), p.cycles) for m, p in pts.items()]
+    assert all(o["newton_residual"] <= 0.05 * orbits.NEWTON_TOL
+               for o in rep["diagnostics"]["orbits"])
     assert rep["coeffs"] == dp.coeffs.tolist()
     assert (rep["validity_radius"], rep["coarse_radius"], rep["radius"]) == (2.5, 1.0, 1.5)
     assert [complex(z["re"], z["im"]) for z in rep["zeros"]] == [z["zero"] for z in zeros]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,31 +20,134 @@ def exact_count(m):
     return abs(int(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]))
 
 
+def lattice_orbits(A, m):
+    """The orbits of Fix(A^m) for x -> A x mod 1 as (m, K, 2) floats, one
+    per point: row k holds n_k / D with n_{k+1} = A n_k mod D from the Smith
+    form seeds n_0 = V (i d2, j d1) mod D.  The seeds of the full-orbit
+    solve, one orbit per point, that the cycle solve replaced."""
+    _, Dm, V = orbits.smith_normal_form_2x2(
+        orbits._int_matrix_power(A, m) - np.eye(2, dtype=object))
+    d1, d2 = int(Dm[0, 0]), int(Dm[1, 1])
+    D = d1 * d2
+    Vd = np.array([[int(v) % D for v in row] for row in V], dtype=np.int64)
+    Ai = np.array(A, dtype=np.int64)
+    i, j = np.meshgrid(np.arange(d1, dtype=np.int64) * d2,
+                       np.arange(d2, dtype=np.int64) * d1, indexing="ij")
+    n = np.stack([i.ravel(), j.ravel()], axis=1) @ Vd.T % D
+    orbit = np.empty((m, D, 2))
+    for k in range(m):
+        orbit[k] = n / D
+        n = n @ Ai.T % D
+    return orbit
+
+
+def full_orbit_points(sys_, m):
+    """Fix(T^m) by the full-orbit solve: every point of Fix(A^m) seeds its
+    own orbit, all m per-step Jacobians of every point are kept, and DT^m,
+    det DT^m and g^(m) are taken at each point from its own orbit.  Returns
+    (points, DT^m, weights, det DT^m), sorted as periodic_points sorts: the
+    oracle of the cycle solve."""
+    orbit = lattice_orbits(sys_.linear_part, m)
+    K = orbit.shape[1]
+    eye = np.broadcast_to(np.eye(2), (K, 2, 2))
+    for _ in range(50):
+        F = np.empty_like(orbit)
+        P = np.empty((m, K, 2, 2))
+        for k in range(m):
+            d = orbit[(k + 1) % m] - sys_.forward(orbit[k])
+            F[k] = d - np.round(d)
+            P[k] = sys_.jacobian(orbit[k])
+        S = eye.copy()
+        w = np.zeros((K, 2))
+        for k in range(m - 1, -1, -1):
+            w = w + (S @ F[k][..., None])[..., 0]
+            S = S @ P[k]
+        if np.max(np.abs(F)) <= 0.05 * orbits.NEWTON_TOL:
+            break
+        delta = -np.linalg.solve(eye - S, w[..., None])[..., 0]
+        for k in range(m):
+            orbit[k] = np.mod(orbit[k] + delta, 1.0)
+            if k < m - 1:
+                delta = (P[k] @ delta[..., None])[..., 0] - F[k]
+    else:
+        raise AssertionError("full-orbit Newton exceeded 50 iterations")
+    jac_det = np.ones(K)
+    weights = np.ones(K)
+    for k in range(m):
+        jac_det *= P[k][:, 0, 0] * P[k][:, 1, 1] - P[k][:, 0, 1] * P[k][:, 1, 0]
+        weights *= sys_.weight(orbit[k])
+    X = np.where(orbit[0] < 1.0, orbit[0], 0.0)
+    order = np.lexsort((X[:, 1], X[:, 0]))
+    return X[order], S[order], weights[order], jac_det[order]
+
+
+def lattice_points(A, m):
+    """Every point of Fix(A^m), from the cycles of lattice_cycles."""
+    orbit, period = orbits.lattice_cycles(A, m)
+    k, c = np.nonzero(np.arange(m)[:, None] < period)
+    return orbit[k, c]
+
+
 @pytest.mark.parametrize("m,count", [(1, 1), (2, 5), (3, 16), (4, 45)])
 def test_lattice_counts_small(m, count):
-    orbit = orbits.fixed_points_linear_toral(A, m)
-    assert orbit.shape == (m, count, 2)
+    assert lattice_points(A, m).shape == (count, 2)
 
 
 def test_lattice_counts_exact_to_12():
     for m in range(1, 13):
-        assert orbits.fixed_points_linear_toral(A, m).shape[1] == exact_count(m)
+        assert lattice_points(A, m).shape[0] == exact_count(m)
 
 
 def test_lattice_points_are_fixed():
     # row k + 1 is the cat map's image of row k, and row 0 that of row m - 1
     cat = maps.builtin_cat_map()
     for m in (3, 6, 9):
-        orbit = orbits.fixed_points_linear_toral(A, m)
+        orbit, _ = orbits.lattice_cycles(A, m)
         d = cat.forward(orbit) - np.roll(orbit, -1, axis=0)
         d -= np.round(d)
         assert np.max(np.abs(d)) < 1e-10
         assert orbit.min() >= 0.0 and orbit.max() < 1.0
 
 
+def mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def test_cycle_counts_are_the_prime_orbit_counts():
+    # in exact integers: the cycles of exact period d number
+    # (1/d) sum_{e | d} mu(d / e) |det(A^e - I)|, and each cycle of Fix(A^m)
+    # has d points, so sum_{d | m} d #cycles(d) = |det(A^m - I)|; the torus
+    # maps share one linear part, taken once
+    parts = {s.linear_part.tobytes(): s.linear_part
+             for s in (maps.builtin_cat_map(), maps.builtin_perturbed_cat(0.01))}
+    for A_ in parts.values():
+        for m in range(1, 17):
+            _, period = orbits.lattice_cycles(A_, m)
+            divisors = [d for d in range(1, m + 1) if m % d == 0]
+            assert set(period.tolist()) <= set(divisors)
+            for d in divisors:
+                prime = sum(mobius(d // e) * orbits.fixed_point_count(A_, e)
+                            for e in range(1, d + 1) if d % e == 0)
+                assert prime % d == 0
+                assert int(np.count_nonzero(period == d)) == prime // d
+            assert sum(d * int(np.count_nonzero(period == d)) for d in divisors) \
+                == orbits.fixed_point_count(A_, m)
+
+
 def test_hyperbolic_fixed_invariant():
-    pts = orbits.periodic_points(maps.builtin_cat_map(), 5)
-    eigs = np.sort(np.abs(np.linalg.eigvals(pts.derivatives)), axis=1)
+    cat = maps.builtin_cat_map()
+    pts = orbits.periodic_points(cat, 5)
+    DT = maps.jacobian_cocycle(cat, pts.points, 5)
+    assert np.array_equal(pts.trace, np.trace(DT, axis1=1, axis2=2))
+    eigs = np.sort(np.abs(np.linalg.eigvals(DT)), axis=1)
     assert np.all(np.abs(eigs - 1.0) > 1e-6)
     assert np.allclose(eigs, np.stack([pts.lam, pts.nu], axis=1), rtol=1e-12, atol=0.0)
     assert np.all(pts.jac_det == 1.0)
@@ -75,18 +179,18 @@ def test_invariants_checks(D, error, match):
 
 
 def test_pairwise_separation():
-    tree = cKDTree(orbits.fixed_points_linear_toral(A, 8)[0], boxsize=1.0)
+    tree = cKDTree(lattice_points(A, 8), boxsize=1.0)
     assert not tree.query_pairs(orbits.DEDUPE_RADIUS)
 
 
 def test_nonhyperbolic_rejected():
     with pytest.raises(NonHyperbolicMatrix):
-        orbits.fixed_points_linear_toral(np.array([[1, 1], [0, 1]]), 2)
+        orbits.lattice_cycles(np.array([[1, 1], [0, 1]]), 2)
 
 
 def test_continue_identity_homotopy():
     # at eps = 0 the Newton jump leaves the lattice seeds where they are
-    X = orbits.fixed_points_linear_toral(A, 3)[0]
+    X = lattice_orbits(A, 3)[0]
     out = orbits.periodic_points(maps.builtin_perturbed_cat(0.0), 3)
     assert np.array_equal(out.points, X[np.lexsort((X[:, 1], X[:, 0]))])
 
@@ -163,10 +267,10 @@ def _stepped_homotopy_points(eps, seed, m):
     orbits in steps of 0.01 in eps, a Newton solve per step; sorted as
     periodic_points sorts."""
     n_steps = math.ceil(abs(eps) / 0.01)
-    orbit = orbits.fixed_points_linear_toral(A, m)
+    orbit = lattice_orbits(A, m)
     for eps_k in np.linspace(eps / n_steps, eps, n_steps):
-        X, _, orbit, _ = orbits._newton_fixed_points(maps.builtin_perturbed_cat(eps_k, seed), orbit)
-    X = np.where(X < 1.0, X, 0.0)
+        orbits._newton_fixed_points(maps.builtin_perturbed_cat(eps_k, seed), orbit)
+    X = np.where(orbit[0] < 1.0, orbit[0], 0.0)
     return X[np.lexsort((X[:, 1], X[:, 0]))]
 
 
@@ -229,3 +333,59 @@ def test_snf_unimodular_decomposition():
         assert abs(abs(np.linalg.det(Vf.astype(float))) - 1) < 1e-9
         assert Df[0, 1] == Df[1, 0] == 0
         assert np.array_equal(Uf @ np.asarray(B, dtype=np.int64) @ Vf, Df)
+
+
+def assert_close(got, want):
+    """Agreement to 1e-12, relative above 1 and absolute below."""
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("eps", [0.05, -0.05, 0.03, -0.035])
+def test_cycle_solve_matches_full_orbit_solve(eps):
+    # lambda is compared in absolute terms: at eps 0.05 det DT crosses 0, and
+    # a cycle through a point near the crossing has det DT^m near 1e-5,
+    # whose relative error is the point error over |det DT|
+    for seed in range(8):
+        sys_ = maps.make_map("perturbed_cat", eps, seed)
+        for m in range(1, 9):
+            pts = orbits.periodic_points(sys_, m)
+            X, DT, weights, jac_det = full_orbit_points(sys_, m)
+            d = pts.points - X
+            assert np.max(np.abs(d - np.round(d))) <= 1e-12
+            trace = np.trace(DT, axis1=1, axis2=2)
+            lam, nu, fix_det = orbits.linear_invariants(DT, jac_det)
+            for got, want in ((pts.trace, trace), (pts.lam, lam), (pts.nu, nu),
+                              (pts.fix_det, fix_det), (pts.weights, weights)):
+                assert_close(got, want)
+
+
+def _traced_peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_cycle_solve_working_set():
+    # one seed orbit per cycle, not per point: 10.7 MB traced at eps 0.05,
+    # m = 12, where the full-orbit solve held all m Jacobians of every
+    # point (126 MB)
+    sys_ = maps.builtin_perturbed_cat(0.05)
+    assert _traced_peak_mb(lambda: orbits.periodic_points(sys_, 12)) < 63.0
+
+
+def test_cycle_diagnostics():
+    sys_ = maps.builtin_perturbed_cat(0.05)
+    for m in (6, 8):
+        pts = orbits.periodic_points(sys_, m)
+        _, period = orbits.lattice_cycles(sys_.linear_part, m)
+        assert pts.cycles == period.size and len(pts) == exact_count(m)
+        assert 1 <= pts.newton_steps < 50
+        assert 0.0 <= pts.newton_residual <= 0.05 * orbits.NEWTON_TOL
+    # the origin is fixed, and the lattice seeds of the cat map are its
+    # points: no Newton step
+    for sys_, m in ((sys_, 1), (maps.builtin_cat_map(), 6)):
+        pts = orbits.periodic_points(sys_, m)
+        assert pts.newton_steps == 0 and pts.newton_residual <= 1e-15
