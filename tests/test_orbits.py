@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -241,6 +241,10 @@ def test_continued_points_stored_in_unit_square():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 7), eps=st.floats(-0.05, 0.05), m=st.integers(1, 8))
+# closure errors of 1.1e-11 and 4.3e-11 when Newton stopped on the per-step
+# residual without applying its last correction
+@example(seed=0, eps=0.0390625, m=7)
+@example(seed=0, eps=0.040625, m=8)
 def test_periodic_points_count_and_range(seed, eps, m):
     sys_ = maps.make_map("perturbed_cat", eps, seed)
     pts = orbits.periodic_points(sys_, m)
