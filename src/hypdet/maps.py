@@ -26,6 +26,9 @@ CAT_LAMBDA = (3.0 + math.sqrt(5.0)) / 2.0
 CAT_MU = (3.0 - math.sqrt(5.0)) / 2.0
 
 PERTURBATION_BOUND = 0.05
+# the least det DT a perturbed cat map may reach on the torus: T stays a local
+# diffeomorphism, and 1 / det DT stays at most 10
+JACOBIAN_DET_MARGIN = 0.1
 # the vector that splitting_power_iteration pushes along orbits, and how
 # many steps of the orbit it pushes it along
 SPLIT_V0 = np.array([1.0, 0.0])
@@ -221,11 +224,33 @@ def _perturbation_vectors(seed: int):
     return k1, k2
 
 
+def min_jacobian_det(A, eps: float, a, b) -> float:
+    """The least det DT over the torus of x -> A x + eps (sin 2 pi a.x,
+    sin 2 pi b.x), exactly.
+
+    With s = 2 pi eps and c1, c2 the cosines of 2 pi a.x and 2 pi b.x,
+    det DT = det A + s c1 (a0 A11 - a1 A10) + s c2 (A00 b1 - A01 b0)
+    + s^2 c1 c2 (a0 b1 - a1 b0) is bilinear in (c1, c2), so its least value
+    lies at a corner c = +-1.  Independent a, b reach all four corners; for
+    a = +-b, c2 = c1.
+    """
+    s = TWO_PI * eps
+    p = s * (a[0] * A[1][1] - a[1] * A[1][0])
+    q = s * (A[0][0] * b[1] - A[0][1] * b[0])
+    r = s * s * (a[0] * b[1] - a[1] * b[0])
+    corners = ((1, 1), (1, -1), (-1, 1), (-1, -1)) if r else ((1, 1), (-1, -1))
+    det_a = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    return min(det_a + p * c1 + q * c2 + r * c1 * c2 for c1, c2 in corners)
+
+
 def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
     """Analytic perturbation x -> Ax + eps*(sin 2pi k1.x, sin 2pi k2.x) mod 1.
 
     Default seed gives k1 = (0,1), k2 = (1,1); other seeds pick a different
-    pair of unit harmonics.  The origin stays fixed for every seed.
+    pair of unit harmonics.  The origin stays fixed for every seed.  An eps
+    above PERTURBATION_BOUND, or one whose det DT falls below
+    JACOBIAN_DET_MARGIN somewhere on the torus (seeds 2-5 near 0.05), is
+    refused.
     """
     if abs(eps) > PERTURBATION_BOUND:
         raise PerturbationTooLarge(
@@ -233,6 +258,12 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
         )
     A = CAT_A
     a, b = _perturbation_vectors(seed)
+    low = min_jacobian_det(A, eps, a, b)
+    if not low >= JACOBIAN_DET_MARGIN:  # a NaN eps too
+        raise PerturbationTooLarge(
+            f"eps = {eps} at seed {seed} brings det DT down to {low:.3g}, below "
+            f"{JACOBIAN_DET_MARGIN}"
+        )
     k1 = a.astype(float)
     k2 = b.astype(float)
 

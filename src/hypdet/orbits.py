@@ -2,7 +2,7 @@
 
 For a torus map T x = A x + (periodic part) mod 1 with a hyperbolic integer
 matrix A, the fixed points of x -> A^m x mod 1 are the points n / D, D =
-|det(A^m - I)|, enumerated exactly through the Smith normal form; their
+|det(A^m - I)|, enumerated exactly from the adjugate of A^m - I; their
 orbits n_{k+1} = A n_k mod D are exact in integers, and so is their split
 into cycles.  One representative orbit per cycle seeds a vectorized Newton
 solve of the orbit equations of T itself, which gives Fix(T^m) for every
@@ -15,6 +15,7 @@ cached: a run computes each period it needs once and passes the sets on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from scipy.spatial import cKDTree
 from .errors import (
     CollisionDetected,
     DegenerateDirection,
+    HypdetError,
     NewtonDiverged,
     NonHyperbolicMatrix,
     SingularLinearization,
@@ -90,66 +92,6 @@ def linear_invariants(derivs, jac_det):
     return lam, nu, fix_det
 
 
-def smith_normal_form_2x2(B):
-    """U, D, V with D = U B V diagonal, U, V unimodular (2x2 integers).
-
-    Plain Euclidean reduction; exact in Python ints.
-    """
-    B = [[int(B[0][0]), int(B[0][1])], [int(B[1][0]), int(B[1][1])]]
-    U = [[1, 0], [0, 1]]
-    V = [[1, 0], [0, 1]]
-
-    def row_op(k, l, q):  # row k -= q * row l
-        for j in range(2):
-            B[k][j] -= q * B[l][j]
-            U[k][j] -= q * U[l][j]
-
-    def col_op(k, l, q):  # col k -= q * col l
-        for i in range(2):
-            B[i][k] -= q * B[i][l]
-            V[i][k] -= q * V[i][l]
-
-    def swap_rows():
-        B[0], B[1] = B[1], B[0]
-        U[0], U[1] = U[1], U[0]
-
-    def swap_cols():
-        for M in (B, V):
-            M[0][0], M[0][1] = M[0][1], M[0][0]
-            M[1][0], M[1][1] = M[1][1], M[1][0]
-
-    # clear off-diagonal by alternating row/column reductions
-    for _ in range(200):
-        if B[1][0] == 0 and B[0][1] == 0:
-            break
-        if B[0][0] == 0:
-            if B[1][0] != 0:
-                swap_rows()
-            else:
-                swap_cols()
-            continue
-        if B[1][0] != 0:
-            row_op(1, 0, B[1][0] // B[0][0])
-            if B[1][0] != 0:
-                swap_rows()
-            continue
-        if B[0][1] != 0:
-            col_op(1, 0, B[0][1] // B[0][0])
-            if B[0][1] != 0:
-                swap_cols()
-            continue
-    else:  # pragma: no cover
-        raise RuntimeError("SNF reduction did not terminate")
-
-    # normalize signs
-    for i in range(2):
-        if B[i][i] < 0:
-            for j in range(2):
-                B[i][j] = -B[i][j]
-                U[i][j] = -U[i][j]
-    return np.array(U, dtype=object), np.array(B, dtype=object), np.array(V, dtype=object)
-
-
 def _int_matrix_power(A, m):
     P = np.eye(2, dtype=object)
     A = np.array([[int(A[0][0]), int(A[0][1])], [int(A[1][0]), int(A[1][1])]], dtype=object)
@@ -169,13 +111,17 @@ def lattice_cycles(A, m: int):
     exactly: (orbit, period), orbit (m, r, 2) floats whose row k holds n_k / D
     with n_{k+1} = A n_k mod D, and period (r,) the exact periods d | m.
 
-    With the Smith form D = U (A^m - I) V = diag(d1, d2) and D = d1 d2 =
-    |det(A^m - I)|, every fixed point is n_0 / D with the integer n_0 = V (i
-    d2, j d1) mod D.  m steps of n -> A n mod D in int64 (exact while 2 D^2 <
-    2^63) give each point's key n_1 D + n_2 along its orbit: the point whose
-    key is the least on its orbit represents the cycle, and the first return
-    of its key is the exact period.  A cycle of period d appears d times in
-    Fix(A^m), so the periods sum to D.
+    With B = A^m - I and D = |det B|, x -> D x maps Fix(A^m) onto the
+    subgroup {n : B n = 0 mod D} of (Z/D)^2, of order D, which the columns
+    c1 = (b22, -b21) and c2 = (-b12, b11) of adj B generate (B adj B =
+    det B I).  With o1 = D / gcd(D, c1) the order of c1, the quotient by
+    <c1> is cyclic of order D / o1 with generator c2, so n_0 = i c1 + j c2 mod
+    D, 0 <= i < o1, 0 <= j < D / o1, lists every point once.  m steps of n ->
+    A n mod D in int64 (exact while 2 D^2 < 2^63) give each point's key n_1 D
+    + n_2 along its orbit: the point whose key is the least on its orbit
+    represents the cycle, and the first return of its key is the exact
+    period.  A cycle of period d appears d times in Fix(A^m), so the periods
+    sum to D.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -183,17 +129,15 @@ def lattice_cycles(A, m: int):
     eig = np.linalg.eigvals(A.astype(float))
     if np.any(np.abs(np.abs(eig) - 1.0) < 1e-9):
         raise NonHyperbolicMatrix("matrix has an eigenvalue of modulus 1")
-    count = fixed_point_count(A, m)
-    _, Dm, V = smith_normal_form_2x2(_int_matrix_power(A, m) - np.eye(2, dtype=object))
-    d1, d2 = int(Dm[0, 0]), int(Dm[1, 1])
-    D = d1 * d2
-    assert D == count
-    Vd = [[int(v) % D for v in row] for row in V]
+    (b11, b12), (b21, b22) = (_int_matrix_power(A, m) - np.eye(2, dtype=object)).tolist()
+    D = abs(b11 * b22 - b12 * b21)
+    c1, c2 = (b22 % D, -b21 % D), (-b12 % D, b11 % D)
+    o1 = D // math.gcd(D, *c1)
+    i = np.arange(o1, dtype=np.int64)[:, None]
+    j = np.arange(D // o1, dtype=np.int64)[None, :]
+    n1 = ((i * c1[0] + j * c2[0]) % D).ravel()
+    n2 = ((i * c1[1] + j * c2[1]) % D).ravel()
     (a, b), (c, d) = (int(A[0, 0]), int(A[0, 1])), (int(A[1, 0]), int(A[1, 1]))
-    i = np.arange(d1, dtype=np.int64)[:, None] * d2
-    j = np.arange(d2, dtype=np.int64)[None, :] * d1
-    n1 = ((i * Vd[0][0] + j * Vd[0][1]) % D).ravel()
-    n2 = ((i * Vd[1][0] + j * Vd[1][1]) % D).ravel()
     key0 = n1 * D + n2
     rep = np.ones(D, dtype=bool)
     period = np.full(D, m, dtype=np.int16)
@@ -212,7 +156,8 @@ def lattice_cycles(A, m: int):
         if m % k == 0:
             period[(key == key0) & (period == m)] = k
     key0, period = key0[rep], period[rep]
-    assert int(period.sum()) == count
+    if int(period.sum()) != D:
+        raise HypdetError(f"the cycles of Fix(A^{m}) hold {int(period.sum())} points, not {D}")
     n = np.stack([key0 // D, key0 % D], axis=1)
     Ai = np.array(A, dtype=np.int64)
     orbit = np.empty((m, n.shape[0], 2))

@@ -179,3 +179,13 @@ def test_no_function_writes_module_state():
                         found.append(where.format(node.lineno) + f" stores into {base}")
     assert not found, ("functions that write module-level state:\n"
                        + "\n".join(sorted(set(found))))
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so a check the package relies on
+    # raises an error of its own
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/hypdet:\n" + "\n".join(found)

@@ -70,6 +70,54 @@ def test_resonances_perturbed_small(tmp_path):
     assert max(res_n + res_2n) < 1e-12
 
 
+EXACT_CASE = {
+    "map": {"id": "cat"},
+    "weight": {"id": "expression", "terms": {"one": 1.0, "cos1": 0.6, "sin2": 0.4}},
+    "p": 2.0, "q": -2.0, "det_radius": 6.0, "N_det": 12, "n_freq": 6,
+}
+
+
+def test_resonances_exact_cat_case(tmp_path):
+    # on the cat map a trigonometric-polynomial weight gives a transfer
+    # operator whose nonzero spectrum is finite: for this weight {1, 0.3,
+    # 0.3, 0.2i, -0.2i}, so the zeros inside radius 6 are 1, 10/3 (double)
+    # and +-5i
+    cfg = write_config(tmp_path, "exact.json", EXACT_CASE)
+    out = tmp_path / "exact"
+    assert cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    match = reports.read_json(str(out / "match.json"))["match"]
+    assert match["pass"] and not match["unmatched_zeros"] and not match["unmatched_eigenvalues"]
+    def by_value(t):
+        return round(t[0].real, 6), round(t[0].imag, 6)
+
+    got = sorted(((complex(p["eigenvalue"]["re"], p["eigenvalue"]["im"]),
+                   complex(p["zero"]["re"], p["zero"]["im"]),
+                   p["multiplicity_eig"], p["multiplicity_zero"]) for p in match["pairs"]),
+                 key=by_value)
+    want = sorted([(0.2j, -5j, 1), (-0.2j, 5j, 1), (0.3 + 0j, 10 / 3 + 0j, 2),
+                   (1 + 0j, 1 + 0j, 1)], key=by_value)
+    assert len(got) == len(want)
+    for (mu, z, m_eig, m_zero), (mu0, z0, mult) in zip(got, want):
+        assert abs(mu - mu0) <= 1e-12 and abs(z - z0) <= 1e-12
+        assert m_eig == m_zero == mult
+
+
+def test_resonances_exact_cat_case_fails_with_one_route_scaled(monkeypatch, tmp_path):
+    # the weight x 1.01 on the collocation route alone scales every
+    # eigenvalue by 1.01, and the determinant zeros stay where they are
+    from hypdet import collocation as coll
+
+    build = coll.build_transfer_matrix
+
+    def scaled(sys_, n_freq):
+        tm = build(sys_, n_freq)
+        return dataclasses.replace(tm, matrix=1.01 * tm.matrix)
+
+    monkeypatch.setattr(coll, "build_transfer_matrix", scaled)
+    cfg = write_config(tmp_path, "exact.json", EXACT_CASE)
+    assert cli.main(["resonances", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
 def test_resonances_rejects_large_ritz_residual(monkeypatch, tmp_path):
     from hypdet import collocation as coll
 
@@ -558,6 +606,8 @@ def test_each_command_runs_only_its_own_maps(command, map_id, monkeypatch, tmp_p
     ("aniso", {"map": {"eps": 0.06}}),
     ("aniso", {"map": {"id": "chart", "seed": 3}}),  # the chart model has no seed
     ("bounds", {"m_max": 4}),  # the growth-rate fit needs m = 2..5
+    # within PERTURBATION_BOUND, but det DT reaches -0.158 on the torus
+    ("resonances", {"map": {"id": "perturbed_cat", "eps": 0.05, "seed": 3}}),
 ])
 def test_map_the_command_cannot_build_is_a_config_error(command, payload, tmp_path, capsys):
     bad = write_config(tmp_path, "bad_map.json", payload)

@@ -4,13 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hypdet import bounds as bd
 from hypdet import determinant as det
 from hypdet import maps, orbits
-from hypdet.errors import IllConditionedRoot, OrientationNotTrivial
+from hypdet.errors import IllConditionedRoot, OrientationNotTrivial, PerturbationTooLarge
 
 LAM = maps.CAT_LAMBDA
 
@@ -149,7 +149,10 @@ def test_zeta_product_identities(cat, cat_pts, pcat_pts, point_sets):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 7), eps=st.floats(-0.05, 0.05), N=st.integers(1, 6))
 def test_zeta_direct_equals_product(seed, eps, N):
-    sys_ = maps.make_map("perturbed_cat", eps, seed)
+    try:
+        sys_ = maps.make_map("perturbed_cat", eps, seed)
+    except PerturbationTooLarge:
+        reject()  # det DT falls below JACOBIAN_DET_MARGIN somewhere
     pts = {m: orbits.periodic_points(sys_, m) for m in range(1, N + 1)}
     zd = det.zeta_direct(pts, N)
     zp = det.zeta_product(pts, N)

@@ -139,6 +139,53 @@ def test_perturbed_cat_examples():
     assert np.allclose(pc.jacobian(np.zeros((1, 2))), expected, atol=1e-14)
     with pytest.raises(PerturbationTooLarge):
         maps.builtin_perturbed_cat(0.06)
+    with pytest.raises(PerturbationTooLarge):
+        maps.builtin_perturbed_cat(math.nan)
+
+
+def _corner_points(a, b):
+    """Points where a.x and b.x lie in {0, 1/2} mod 1: there the cosines of
+    2 pi a.x and 2 pi b.x are +-1, every pair of signs for independent a, b."""
+    t = np.array([(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)])
+    M = np.array([a, b], dtype=float)
+    if a[0] * b[1] - a[1] * b[0]:
+        return np.linalg.solve(M, t.T).T
+    return t[:, :1] * M[0] / (M[0] @ M[0])
+
+
+def _jacobian_det(a, b, eps, x):
+    """det DT of x -> A x + eps (sin 2 pi a.x, sin 2 pi b.x), by 2x2 LU."""
+    s = 2 * math.pi * eps
+    rows = np.stack([np.cos(2 * math.pi * x @ np.array(a, float))[:, None] * a,
+                     np.cos(2 * math.pi * x @ np.array(b, float))[:, None] * b], axis=1)
+    return np.linalg.det(maps.CAT_A + s * rows)
+
+
+@pytest.mark.parametrize("eps", [0.05, -0.05, 0.03])
+@pytest.mark.parametrize("ab", [*(maps._perturbation_vectors(s) for s in range(8)),
+                                ((1, 1), (1, 1)), ((0, 1), (0, -1))])
+def test_min_jacobian_det_on_the_four_corners(ab, eps, rng):
+    # det DT is bilinear in the two cosines, so its least value over the
+    # torus is the least over the corners; a = +-b has c2 = c1
+    a, b = (np.array(v) for v in ab)
+    low = maps.min_jacobian_det(maps.CAT_A, eps, a, b)
+    assert abs(np.min(_jacobian_det(a, b, eps, _corner_points(a, b))) - low) <= 1e-14
+    assert np.min(_jacobian_det(a, b, eps, rng.uniform(0, 1, (20000, 2)))) >= low - 1e-14
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("eps", [0.05, -0.05, 0.04, 0.035])
+def test_admitted_perturbed_cat_keeps_det_above_margin(seed, eps):
+    # a map that passes the check has det DT >= JACOBIAN_DET_MARGIN at its
+    # four corners, where det DT is least; every other pair is refused
+    a, b = maps._perturbation_vectors(seed)
+    low = np.min(_jacobian_det(a, b, eps, _corner_points(a, b)))
+    if low < maps.JACOBIAN_DET_MARGIN:
+        with pytest.raises(PerturbationTooLarge, match="det DT"):
+            maps.builtin_perturbed_cat(eps, seed)
+        return
+    sys_ = maps.builtin_perturbed_cat(eps, seed)
+    assert np.min(np.linalg.det(sys_.jacobian(_corner_points(a, b)))) >= maps.JACOBIAN_DET_MARGIN
 
 
 def test_chart_model_examples():
@@ -366,7 +413,7 @@ def test_map_callables_take_and_return_batches(build, n, cat, cat_split, rng):
         return
     sys_ = {
         "cat": lambda: cat,
-        "pcat": lambda: maps.builtin_perturbed_cat(0.05, seed=3),
+        "pcat": lambda: maps.builtin_perturbed_cat(0.035, seed=3),
         "chart": lambda: maps.builtin_chart_model(0.05)[0],
         "chart_iterate": lambda: maps.iterate_map(maps.builtin_chart_model(0.05)[0], 3),
         "reweighted": lambda: cat.with_weight(lambda y: np.cos(2 * np.pi * y[:, 0])),

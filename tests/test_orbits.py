@@ -4,14 +4,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hypdet import cli, maps, orbits
-from hypdet.errors import DegenerateDirection, NonHyperbolicMatrix, SingularLinearization
+from hypdet.errors import (
+    DegenerateDirection,
+    NonHyperbolicMatrix,
+    PerturbationTooLarge,
+    SingularLinearization,
+)
 
 A = maps.CAT_A_INT
+# per seed, the largest |eps| on the 0.005 grid up to PERTURBATION_BOUND that
+# builtin_perturbed_cat admits (det DT >= JACOBIAN_DET_MARGIN on the torus);
+# the sweeps below run each seed at this edge
+EDGE_EPS = {0: 0.05, 1: 0.05, 2: 0.04, 3: 0.035, 4: 0.04, 5: 0.04, 6: 0.05, 7: 0.05}
+
+
+def edge_eps(seed, eps):
+    """eps with its modulus clipped to the seed's admissible edge."""
+    return math.copysign(min(abs(eps), EDGE_EPS[seed]), eps)
 
 
 def exact_count(m):
@@ -22,23 +36,12 @@ def exact_count(m):
 
 def lattice_orbits(A, m):
     """The orbits of Fix(A^m) for x -> A x mod 1 as (m, K, 2) floats, one
-    per point: row k holds n_k / D with n_{k+1} = A n_k mod D from the Smith
-    form seeds n_0 = V (i d2, j d1) mod D.  The seeds of the full-orbit
-    solve, one orbit per point, that the cycle solve replaced."""
-    _, Dm, V = orbits.smith_normal_form_2x2(
-        orbits._int_matrix_power(A, m) - np.eye(2, dtype=object))
-    d1, d2 = int(Dm[0, 0]), int(Dm[1, 1])
-    D = d1 * d2
-    Vd = np.array([[int(v) % D for v in row] for row in V], dtype=np.int64)
-    Ai = np.array(A, dtype=np.int64)
-    i, j = np.meshgrid(np.arange(d1, dtype=np.int64) * d2,
-                       np.arange(d2, dtype=np.int64) * d1, indexing="ij")
-    n = np.stack([i.ravel(), j.ravel()], axis=1) @ Vd.T % D
-    orbit = np.empty((m, D, 2))
-    for k in range(m):
-        orbit[k] = n / D
-        n = n @ Ai.T % D
-    return orbit
+    per point: point k of each cycle of lattice_cycles, k below its period,
+    with the cycle's orbit shifted by k.  The seeds of the full-orbit solve,
+    one orbit per point, that the cycle solve replaced."""
+    orbit, period = orbits.lattice_cycles(A, m)
+    k, c = np.nonzero(np.arange(m)[:, None] < period)
+    return np.stack([orbit[(k + t) % m, c] for t in range(m)])
 
 
 def full_orbit_points(sys_, m):
@@ -246,7 +249,10 @@ def test_continued_points_stored_in_unit_square():
 @example(seed=0, eps=0.0390625, m=7)
 @example(seed=0, eps=0.040625, m=8)
 def test_periodic_points_count_and_range(seed, eps, m):
-    sys_ = maps.make_map("perturbed_cat", eps, seed)
+    try:
+        sys_ = maps.make_map("perturbed_cat", eps, seed)
+    except PerturbationTooLarge:
+        reject()  # det DT falls below JACOBIAN_DET_MARGIN somewhere
     pts = orbits.periodic_points(sys_, m)
     assert len(pts) == exact_count(m)
     assert pts.points.min() >= 0.0 and pts.points.max() < 1.0
@@ -281,6 +287,8 @@ def _stepped_homotopy_points(eps, seed, m):
 @pytest.mark.parametrize("eps", [0.05, -0.05])
 @pytest.mark.parametrize("seed", range(8))
 def test_one_jump_matches_stepped_homotopy(eps, seed):
+    # at the sign of eps and the seed's admissible edge: 0.035-0.05
+    eps = edge_eps(seed, eps)
     for m in range(1, 9):
         pts = orbits.periodic_points(maps.make_map("perturbed_cat", eps, seed), m)
         d = pts.points - _stepped_homotopy_points(eps, seed, m)
@@ -325,18 +333,31 @@ def test_weighted_lattice_points():
     assert np.allclose(pts.weights, 8.0)
 
 
-def test_snf_unimodular_decomposition():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        B = rng.integers(-9, 10, size=(2, 2))
-        if B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0] == 0:
-            continue
-        U, D, V = orbits.smith_normal_form_2x2(B)
-        Uf, Df, Vf = (np.array(M, dtype=np.int64) for M in (U, D, V))
-        assert abs(abs(np.linalg.det(Uf.astype(float))) - 1) < 1e-9
-        assert abs(abs(np.linalg.det(Vf.astype(float))) - 1) < 1e-9
-        assert Df[0, 1] == Df[1, 0] == 0
-        assert np.array_equal(Uf @ np.asarray(B, dtype=np.int64) @ Vf, Df)
+@pytest.mark.parametrize("A_,m", [
+    (A, 1), (A, 2), (A, 3), (A, 4), (A, 5), (A, 6),
+    ([[3, 1], [2, 1]], 2), ([[3, 1], [2, 1]], 3), ([[0, 1], [1, 1]], 5),
+    ([[-2, 1], [1, -1]], 4), ([[2, 3], [1, 2]], 3), ([[4, 1], [3, 1]], 2),
+    ([[5, 2], [2, 1]], 2), ([[0, 1], [1, 3]], 3),
+])
+def test_lattice_cycles_against_brute_force(A_, m):
+    # the points n / D of lattice_cycles are every k in (Z/D)^2 with
+    # B k = 0 mod D, B = A^m - I, each once
+    A_ = np.array(A_, dtype=np.int64)
+    D = orbits.fixed_point_count(A_, m)
+    B = orbits._int_matrix_power(A_, m).astype(np.int64) - np.eye(2, dtype=np.int64)
+    k = np.stack(np.meshgrid(np.arange(D), np.arange(D), indexing="ij"), axis=-1).reshape(-1, 2)
+    want = {tuple(r) for r in k[np.all(k @ B.T % D == 0, axis=1)].tolist()}
+    n = np.rint(lattice_points(A_, m) * D).astype(np.int64)
+    assert len(want) == D == n.shape[0]
+    assert {tuple(r) for r in n.tolist()} == want
+
+
+def test_cat_m4_lattice_is_not_cyclic():
+    # Fix(A^4) is Z/3 + Z/15: 45 points, none of order 45, so no single
+    # generator lists them
+    n = np.rint(lattice_points(A, 4) * 45).astype(np.int64)
+    assert n.shape == (45, 2) and np.all(15 * n % 45 == 0)
+    assert np.any(5 * n % 45 != 0) and np.any(3 * n % 45 != 0)
 
 
 def assert_close(got, want):
@@ -346,11 +367,9 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("eps", [0.05, -0.05, 0.03, -0.035])
 def test_cycle_solve_matches_full_orbit_solve(eps):
-    # lambda is compared in absolute terms: at eps 0.05 det DT crosses 0, and
-    # a cycle through a point near the crossing has det DT^m near 1e-5,
-    # whose relative error is the point error over |det DT|
+    # each seed at eps, or at its admissible edge where |eps| is beyond it
     for seed in range(8):
-        sys_ = maps.make_map("perturbed_cat", eps, seed)
+        sys_ = maps.make_map("perturbed_cat", edge_eps(seed, eps), seed)
         for m in range(1, 9):
             pts = orbits.periodic_points(sys_, m)
             X, DT, weights, jac_det = full_orbit_points(sys_, m)
@@ -393,3 +412,14 @@ def test_cycle_diagnostics():
     for sys_, m in ((sys_, 1), (maps.builtin_cat_map(), 6)):
         pts = orbits.periodic_points(sys_, m)
         assert pts.newton_steps == 0 and pts.newton_residual <= 1e-15
+
+
+def test_edge_eps_is_the_admissible_edge():
+    # seeds 2-5 are refused at |eps| 0.05 (det DT reaches -0.041 to -0.158);
+    # one grid step past each edge below PERTURBATION_BOUND is refused too
+    for seed, edge in EDGE_EPS.items():
+        for eps in (edge, -edge):
+            maps.make_map("perturbed_cat", eps, seed)
+            if edge < maps.PERTURBATION_BOUND:
+                with pytest.raises(PerturbationTooLarge, match="det DT"):
+                    maps.make_map("perturbed_cat", eps + math.copysign(0.005, eps), seed)
