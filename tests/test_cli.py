@@ -87,6 +87,7 @@ def test_resonances_exact_cat_case(tmp_path):
     assert cli.main(["resonances", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     match = reports.read_json(str(out / "match.json"))["match"]
     assert match["pass"] and not match["unmatched_zeros"] and not match["unmatched_eigenvalues"]
+
     def by_value(t):
         return round(t[0].real, 6), round(t[0].imag, 6)
 
