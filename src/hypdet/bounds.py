@@ -23,7 +23,6 @@ from .errors import (
 )
 from .maps import (
     MapSystem,
-    SplittingField,
     hyperbolicity_exponents,
     smooth_bump,
     weight_floor,
@@ -49,25 +48,23 @@ def _torus_grid(side: int) -> np.ndarray:
     return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _integrand(sys, split, p, q, m, X, det_unstable=False):
-    """|g^(m)| * lambda^{(p,q,m)} at X, optionally over |det DT^m|_{E^u}|."""
-    lam, nu = hyperbolicity_exponents(sys, split, X, m)
-    lam_pq = np.maximum(lam**p, nu**q)
-    g_m = np.abs(weight_product(sys, X, m))
-    val = g_m * lam_pq
+def _integrand(sys, p, q, m, X, det_unstable=False):
+    """|g^(m)| * lambda^{(p,q,m)} at X, optionally over |det DT^m|_{E^u}|,
+    and det DT^m at X."""
+    lam, nu, weights, jac_det = hyperbolicity_exponents(sys, X, m)
+    val = np.abs(weights) * np.maximum(lam**p, nu**q)
     if det_unstable:
         val = val / nu  # d_u = 1: |det DT^m|_{E^u}| = nu exactly
-    return val
+    return val, jac_det
 
 
-def rho_pq_m(sys: MapSystem, split: SplittingField, p: float, q: float, m: int,
-             n_samples: int = 4096, seed: int = 0):
+def rho_pq_m(sys: MapSystem, p: float, q: float, m: int, n_samples: int = 4096, seed: int = 0):
     """Monte Carlo estimate of int |g^(m)| lambda^{(p,q,m)} dx, with std error."""
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    vals = _integrand(sys, split, p, q, m, X)
+    vals, _ = _integrand(sys, p, q, m, X)
     mean = float(np.mean(vals))
     se = float(np.std(vals) / math.sqrt(n_samples))
     return mean, se
@@ -97,26 +94,19 @@ def log_linear_fit(ms, logs) -> dict:
     }
 
 
-def R_pqt_m(sys: MapSystem, split: SplittingField, p: float, q: float, t_grid,
-            m: int, n_samples: int = 2048, seed: int = 0) -> list:
+def R_pqt_m(sys: MapSystem, p: float, q: float, t_grid, m: int,
+            n_samples: int = 2048, seed: int = 0) -> list:
     """Sampled sup of |det DT^m|^{-1/t} |g^(m)| lambda^{(p,q,m)}, one per t in t_grid.
 
-    The integrand and |det DT^m| are evaluated once; t = inf drops the det
-    factor.  det DT^m is the product of the per-step Jacobian determinants
-    along the orbit: LU on DT^m, whose entries grow like lambda^m, cancels.
+    The integrand and |det DT^m| come from one orbit walk; t = inf drops the
+    det factor.
     """
     if any(t < 1.0 for t in t_grid):
         raise ValueError("t in [1, inf] required")
     rng = np.random.default_rng(seed)
     side = max(2, math.ceil(math.sqrt(n_samples)))
     X = np.vstack([_torus_grid(side), rng.uniform(0.0, 1.0, size=(n_samples, 2))])
-    vals = _integrand(sys, split, p, q, m, X)
-    dets = np.ones(X.shape[0])
-    y = X
-    for _ in range(m):
-        J = sys.jacobian(y)
-        dets *= J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        y = sys.forward(y)
+    vals, dets = _integrand(sys, p, q, m, X)
     dets = np.abs(dets)
     return [float(np.max(vals if math.isinf(t) else vals * dets ** (-1.0 / t)))
             for t in t_grid]
@@ -170,9 +160,8 @@ def _element_witnesses(cover: CoverSpec, per_element: int) -> np.ndarray:
     return pts.reshape(-1, 2)
 
 
-def q_star_cover(sys: MapSystem, split: SplittingField, p: float, q: float,
-                 cover: CoverSpec, m: int, n_samples: int = 64,
-                 budget: int = 200000) -> dict:
+def q_star_cover(sys: MapSystem, p: float, q: float, cover: CoverSpec, m: int,
+                 n_samples: int = 64, budget: int = 200000) -> dict:
     """Subcover-minimized itinerary sum Q_*(T, g, W, m), greedy approximation.
 
     Enumerates itineraries with nonempty witnessed intersections, evaluates
@@ -191,7 +180,7 @@ def q_star_cover(sys: MapSystem, split: SplittingField, p: float, q: float,
     for _ in range(m):
         members.append(cover.member_matrix(Y))
         Y = sys.forward(Y)
-    H = _integrand(sys, split, p, q, m, W, det_unstable=True)
+    H, _ = _integrand(sys, p, q, m, W, det_unstable=True)
 
     n_elem = cover.centers.shape[0]
     # tree expansion over itineraries, pruned by witness emptiness
@@ -277,8 +266,8 @@ def make_torus_partition(k: int, width_factor: float = 0.75):
     return phis
 
 
-def rho_star_partition(sys: MapSystem, split: SplittingField, p: float, q: float,
-                       phis, m: int, n_grid: int = 48, budget: int = 200000) -> dict:
+def rho_star_partition(sys: MapSystem, p: float, q: float, phis, m: int,
+                       n_grid: int = 48, budget: int = 200000) -> dict:
     """Partition-of-unity sum rho_*(T, g, Phi, m) with sampled sup norms.
 
     Products along itineraries are pruned once their sampled sup drops below
@@ -295,7 +284,7 @@ def rho_star_partition(sys: MapSystem, split: SplittingField, p: float, q: float
     for _ in range(m):
         tables.append(np.stack([np.asarray(phi(Y)) for phi in phis]))
         Y = sys.forward(Y)
-    F = _integrand(sys, split, p, q, m, X, det_unstable=True)
+    F, _ = _integrand(sys, p, q, m, X, det_unstable=True)
 
     n_phi = len(phis)
     nodes = []
@@ -383,8 +372,8 @@ def compare_routes(rho_report: dict, q_report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def bound_table(sys: MapSystem, pts_by_m: dict, split: SplittingField, p: float, q: float,
-                m_range, n_samples: int = 4096, seed: int = 0) -> list:
+def bound_table(sys: MapSystem, pts_by_m: dict, p: float, q: float, m_range,
+                n_samples: int = 4096, seed: int = 0) -> list:
     """Per-m rows: rho(m) with its standard error, R(m, t) for each t in T_GRID
     under the key R_t<t>, and the topological pressure from |Fix(T^m)|.
 
@@ -398,13 +387,13 @@ def bound_table(sys: MapSystem, pts_by_m: dict, split: SplittingField, p: float,
     phis = make_torus_partition(3)
     rows = []
     for m in m_range:
-        rho, se = rho_pq_m(sys, split, p, q, m, n_samples=n_samples, seed=seed + m)
-        R = R_pqt_m(sys, split, p, q, T_GRID, m, seed=seed + m)
+        rho, se = rho_pq_m(sys, p, q, m, n_samples=n_samples, seed=seed + m)
+        R = R_pqt_m(sys, p, q, T_GRID, m, seed=seed + m)
         row = {"m": m, "rho": rho, "rho_stderr": se,
                **{f"R_t{t:g}": r for t, r in zip(T_GRID, R)}, "pressure": pressure[m]}
         if m <= STAR_M_MAX:
-            row["q_star_greedy"] = q_star_cover(sys, split, p, q, cover, m)["greedy"]
-            row["rho_star"] = rho_star_partition(sys, split, p, q, phis, m)["value"]
+            row["q_star_greedy"] = q_star_cover(sys, p, q, cover, m)["greedy"]
+            row["rho_star"] = rho_star_partition(sys, p, q, phis, m)["value"]
         rows.append(row)
     return rows
 

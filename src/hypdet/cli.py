@@ -333,8 +333,7 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
     meta = cfg.meta("bounds")
     periods = orbit_periods(cfg, "bounds")
     pts = {m: orbits.periodic_points(sys_, m) for m in periods}
-    split = maps.splitting_power_iteration(sys_)
-    rows = bd.bound_table(sys_, pts, split, cfg.p, cfg.q, periods,
+    rows = bd.bound_table(sys_, pts, cfg.p, cfg.q, periods,
                           n_samples=cfg.mc_samples, seed=cfg.seed)
 
     # both routes fit the largest EXTRAPOLATION_POINTS m values; validate
@@ -344,7 +343,7 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
         # deliberately mismatched exponents: the integral route at q = 0
         fit_rows = []
         for m in m_fit:
-            rho, se = bd.rho_pq_m(sys_, split, cfg.p, 0.0, m, n_samples=cfg.mc_samples,
+            rho, se = bd.rho_pq_m(sys_, cfg.p, 0.0, m, n_samples=cfg.mc_samples,
                                   seed=cfg.seed + m)
             fit_rows.append({"m": m, "rho": rho, "rho_stderr": se})
     else:

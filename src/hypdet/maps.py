@@ -29,10 +29,12 @@ PERTURBATION_BOUND = 0.05
 # the least det DT a perturbed cat map may reach on the torus: T stays a local
 # diffeomorphism, and 1 / det DT stays at most 10
 JACOBIAN_DET_MARGIN = 0.1
-# the vector that splitting_power_iteration pushes along orbits, and how
-# many steps of the orbit it pushes it along
+# the vector that stable_direction and unstable_direction push along orbits,
+# and how many steps of the orbit they push it along
 SPLIT_V0 = np.array([1.0, 0.0])
 SPLIT_REF_ITERATIONS = 30
+# a pushed vector shorter than this before renormalizing has collapsed
+SPLIT_ANGLE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,6 @@ class Polarization:
 
     def phi_minus(self, v) -> np.ndarray:
         return 1.0 - self.phi_plus(v)
-
-
-@dataclass(frozen=True)
-class SplittingField:
-    """Approximate stable/unstable line fields: (n, 2) points to (n, 2) unit
-    vectors."""
-
-    stable: Callable
-    unstable: Callable
 
 
 def _angle_of(v):
@@ -280,8 +273,9 @@ def builtin_perturbed_cat(eps: float, seed: int = 0) -> MapSystem:
         J[:, 1, 1] = A[1, 1] + c2 * k2[1]
         return J
 
+    Ainv = np.linalg.inv(A)
+
     def inverse(y):
-        Ainv = np.linalg.inv(A)
         x = np.mod(y @ Ainv.T, 1.0)
         for _ in range(60):
             r = forward(x) - y
@@ -327,7 +321,7 @@ def builtin_chart_model(eps: float):
     about the unstable-conormal axis (xi_1) for C_+ and about the
     stable-conormal axis (xi_2) for C_-.
     """
-    if abs(eps) > PERTURBATION_BOUND:
+    if not abs(eps) <= PERTURBATION_BOUND:  # a NaN eps too
         raise PerturbationTooLarge(
             f"|eps| = {abs(eps)} exceeds documented bound {PERTURBATION_BOUND}"
         )
@@ -447,86 +441,92 @@ def weight_product(sys: MapSystem, x, m: int):
     return w
 
 
-def splitting_power_iteration(sys: MapSystem) -> SplittingField:
-    """Stable/unstable line fields by forward/backward power iteration.
-
-    With n = SPLIT_REF_ITERATIONS, unstable(x) is the direction of
-    DT^n(T^{-n} x) v0; stable(x) the direction of [DT^n(x)]^{-1} v0
-    (expansion under T^{-1}), with v0 = SPLIT_V0.
-    """
-    angle_floor = 1e-6
-
-    def unstable(x):
-        # push v0 forward along the stored backward orbit, renormalizing each
-        # step; re-iterating forward instead would drift off the orbit at
-        # rate lambda^n and evaluate the cocycle at wrong points
-        orbit = [x]
-        for _ in range(SPLIT_REF_ITERATIONS):
-            orbit.append(sys.inverse(orbit[-1]))
-        v = np.broadcast_to(SPLIT_V0, x.shape).copy()
-        for k in range(SPLIT_REF_ITERATIONS, 0, -1):
-            v = (sys.jacobian(orbit[k]) @ v[..., None])[..., 0]
-            norms = np.linalg.norm(v, axis=-1)
-            if np.any(norms < angle_floor):
-                raise DegenerateDirection("unstable iterate collapsed")
-            v = v / norms[:, None]
-        growth = np.linalg.norm((sys.jacobian(x) @ v[..., None])[..., 0], axis=-1)
-        if np.any(growth <= 1.0):
-            raise DegenerateDirection("candidate unstable direction does not expand")
-        return v
-
-    def stable(x):
-        # pull v0 back through the derivative along the forward orbit of x
-        orbit = [x]
-        for _ in range(SPLIT_REF_ITERATIONS):
-            orbit.append(sys.forward(orbit[-1]))
-        v = np.broadcast_to(SPLIT_V0, x.shape).copy()
-        for k in range(SPLIT_REF_ITERATIONS - 1, -1, -1):
-            v = np.linalg.solve(sys.jacobian(orbit[k]), v[..., None])[..., 0]
-            norms = np.linalg.norm(v, axis=-1)
-            if np.any(norms < angle_floor):
-                raise DegenerateDirection("stable iterate collapsed")
-            v = v / norms[:, None]
-        shrink = np.linalg.norm((sys.jacobian(x) @ v[..., None])[..., 0], axis=-1)
-        if np.any(shrink >= 1.0):
-            raise DegenerateDirection("candidate stable direction does not contract")
-        return v
-
-    return SplittingField(stable=stable, unstable=unstable)
+def unstable_direction(sys: MapSystem, x):
+    """Unstable line field at the (n, 2) points x, (n, 2) unit vectors: the
+    direction of DT^n(T^{-n} x) v0 with n = SPLIT_REF_ITERATIONS and
+    v0 = SPLIT_V0."""
+    # push v0 forward along the stored backward orbit, renormalizing each
+    # step; re-iterating forward instead would drift off the orbit at rate
+    # lambda^n and evaluate the cocycle at wrong points
+    orbit = [x]
+    for _ in range(SPLIT_REF_ITERATIONS):
+        orbit.append(sys.inverse(orbit[-1]))
+    v = np.broadcast_to(SPLIT_V0, x.shape).copy()
+    for k in range(SPLIT_REF_ITERATIONS, 0, -1):
+        v = (sys.jacobian(orbit[k]) @ v[..., None])[..., 0]
+        norms = np.linalg.norm(v, axis=-1)
+        if np.any(norms < SPLIT_ANGLE_FLOOR):
+            raise DegenerateDirection("unstable iterate collapsed")
+        v = v / norms[:, None]
+    growth = np.linalg.norm((sys.jacobian(x) @ v[..., None])[..., 0], axis=-1)
+    if np.any(growth <= 1.0):
+        raise DegenerateDirection("candidate unstable direction does not expand")
+    return v
 
 
-def hyperbolicity_exponents(sys: MapSystem, split: SplittingField, x, m: int):
-    """Local exponents (lambda_x(T^m), nu_x(T^m)) for d_s = d_u = 1, two (n,)
-    arrays at the (n, 2) points x.
+def stable_direction(sys: MapSystem, x):
+    """Stable line field at the (n, 2) points x, (n, 2) unit vectors: the
+    direction of [DT^n(x)]^{-1} v0 (expansion under T^{-1}) with
+    n = SPLIT_REF_ITERATIONS and v0 = SPLIT_V0."""
+    # pull v0 back through the derivative along the forward orbit of x
+    orbit = [x]
+    for _ in range(SPLIT_REF_ITERATIONS - 1):
+        orbit.append(sys.forward(orbit[-1]))
+    v = np.broadcast_to(SPLIT_V0, x.shape).copy()
+    for k in range(SPLIT_REF_ITERATIONS - 1, -1, -1):
+        v = np.linalg.solve(sys.jacobian(orbit[k]), v[..., None])[..., 0]
+        norms = np.linalg.norm(v, axis=-1)
+        if np.any(norms < SPLIT_ANGLE_FLOOR):
+            raise DegenerateDirection("stable iterate collapsed")
+        v = v / norms[:, None]
+    shrink = np.linalg.norm((sys.jacobian(x) @ v[..., None])[..., 0], axis=-1)
+    if np.any(shrink >= 1.0):
+        raise DegenerateDirection("candidate stable direction does not contract")
+    return v
 
-    lambda is computed exactly in d_s = 1 by pulling the stable line at T^m x
-    back through DT^m; nu is the expansion of the unstable direction at x.
+
+def hyperbolicity_exponents(sys: MapSystem, x, m: int):
+    """Local exponents lambda_x(T^m) and nu_x(T^m) for d_s = d_u = 1, the
+    weight g^(m) and det DT^m, four (n,) arrays at the (n, 2) points x.
+
+    One walk along the orbit evaluates DT once per point: lambda pulls the
+    stable line at T^m x back through DT^m, exactly in d_s = 1; nu is the
+    expansion of the unstable direction at x; g^(m) and det DT^m are the
+    products of g and of det DT along the orbit (LU on DT^m, whose entries
+    grow like lambda^m, would cancel).
     """
     if m < 1:
         raise ValueError("m >= 1 required")
-    orbit = [x]
+    jacs = []
+    weights = np.ones(x.shape[0])
+    jac_det = np.ones(x.shape[0])
+    y = x
     for _ in range(m):
-        orbit.append(sys.forward(orbit[-1]))
+        J = sys.jacobian(y)
+        jacs.append(J)
+        weights = weights * np.asarray(sys.weight(y))
+        jac_det *= J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        y = sys.forward(y)
     # v with DT^m v in E^s(T^m x): pull the stable line back step by step,
     # renormalizing; lambda = 1 / prod |DT^{-1}-step growth|
-    v = split.stable(orbit[-1])
+    v = stable_direction(sys, y)
     log_lam = np.zeros(x.shape[0])
     for k in range(m - 1, -1, -1):
-        v = np.linalg.solve(sys.jacobian(orbit[k]), v[..., None])[..., 0]
+        v = np.linalg.solve(jacs[k], v[..., None])[..., 0]
         norms = np.linalg.norm(v, axis=-1)
         log_lam -= np.log(norms)
         v = v / norms[:, None]
     lam = np.exp(log_lam)
     # nu: forward expansion of the unstable direction, renormalized stepwise
-    u = split.unstable(x)
+    u = unstable_direction(sys, x)
     log_nu = np.zeros(x.shape[0])
     for k in range(m):
-        u = (sys.jacobian(orbit[k]) @ u[..., None])[..., 0]
+        u = (jacs[k] @ u[..., None])[..., 0]
         norms = np.linalg.norm(u, axis=-1)
         log_nu += np.log(norms)
         u = u / norms[:, None]
     nu = np.exp(log_nu)
-    return lam, nu
+    return lam, nu, weights, jac_det
 
 
 def weight_floor(g: Callable, n: int) -> Callable:

@@ -29,11 +29,6 @@ def cat_pts(cat):
 
 
 @pytest.fixture(scope="session")
-def cat_split(cat):
-    return maps.splitting_power_iteration(cat)
-
-
-@pytest.fixture(scope="session")
 def pcat():
     return maps.builtin_perturbed_cat(0.01)
 
@@ -47,11 +42,6 @@ def pcat_pts(pcat):
 def point_sets():
     """PointSets, for the maps a test builds itself."""
     return PointSets
-
-
-@pytest.fixture(scope="session")
-def pcat_split(pcat):
-    return maps.splitting_power_iteration(pcat)
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,13 @@ def zero_weight(sys_):
     return sys_.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
 
 
-def test_rho_pq_m_cat(cat, cat_split):
-    val, se = bd.rho_pq_m(cat, cat_split, 1, -1, 3, n_samples=512, seed=1)
+def test_rho_pq_m_cat(cat):
+    val, se = bd.rho_pq_m(cat, 1, -1, 3, n_samples=512, seed=1)
     assert abs(val - LAM**-3) < 1e-10  # constant integrand: MC is exact
     assert se < 1e-12
-    val0, _ = bd.rho_pq_m(cat, cat_split, 0, 0, 2, n_samples=256, seed=1)
+    val0, _ = bd.rho_pq_m(cat, 0, 0, 2, n_samples=256, seed=1)
     assert val0 == pytest.approx(1.0, abs=1e-14)
-    valz, _ = bd.rho_pq_m(zero_weight(cat), cat_split, 1, -1, 2, n_samples=256)
+    valz, _ = bd.rho_pq_m(zero_weight(cat), 1, -1, 2, n_samples=256)
     assert valz == 0.0
 
 
@@ -59,73 +59,72 @@ def test_log_linear_fit_poor_fit_flag(rng):
     assert rep["poor_fit"]
 
 
-def test_R_pqt_cat(cat, cat_split):
-    for val in bd.R_pqt_m(cat, cat_split, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=128):
+def test_R_pqt_cat(cat):
+    for val in bd.R_pqt_m(cat, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=128):
         assert abs(val - LAM**-3) < 1e-10  # area preserving: det factor is 1
-    [val0] = bd.R_pqt_m(cat, cat_split, 0, 0, (math.inf,), 2, n_samples=128)
+    [val0] = bd.R_pqt_m(cat, 0, 0, (math.inf,), 2, n_samples=128)
     assert abs(val0 - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("m", [6, 8])
-def test_R_pqt_det_factor_of_the_cat_map_is_exactly_one(cat, cat_split, m):
+def test_R_pqt_det_factor_of_the_cat_map_is_exactly_one(cat, m):
     # |det DT^m| = 1 is the product of m unit per-step determinants; LU on
     # the entries of A^m, which grow like lambda^m, left it 9.1e-12 off at
     # m = 8 (the shipped bounds m_max) and so R_t1 != R_tinf
-    R_t1, R_t2, R_tinf = bd.R_pqt_m(cat, cat_split, 1, -1, bd.T_GRID, m, seed=7 + m)
+    R_t1, R_t2, R_tinf = bd.R_pqt_m(cat, 1, -1, bd.T_GRID, m, seed=7 + m)
     assert R_t1 == R_t2 == R_tinf
 
 
-def test_R_monotone_in_t_reported(pcat, pcat_split):
-    vals = bd.R_pqt_m(pcat, pcat_split, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=512)
+def test_R_monotone_in_t_reported(pcat):
+    vals = bd.R_pqt_m(pcat, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=512)
     assert all(v > 0 for v in vals)  # reported, not asserted
 
 
-def test_R_pqt_equals_one_t_at_a_time(pcat, pcat_split):
+def test_R_pqt_equals_one_t_at_a_time(pcat):
     grid = (1.0, 2.0, math.inf)
-    together = bd.R_pqt_m(pcat, pcat_split, 1, -1, grid, 3, n_samples=256, seed=5)
-    alone = [bd.R_pqt_m(pcat, pcat_split, 1, -1, (t,), 3, n_samples=256, seed=5)[0]
+    together = bd.R_pqt_m(pcat, 1, -1, grid, 3, n_samples=256, seed=5)
+    alone = [bd.R_pqt_m(pcat, 1, -1, (t,), 3, n_samples=256, seed=5)[0]
              for t in grid]
     assert together == alone
     with pytest.raises(ValueError):
-        bd.R_pqt_m(pcat, pcat_split, 1, -1, (0.5,), 3, n_samples=16)
+        bd.R_pqt_m(pcat, 1, -1, (0.5,), 3, n_samples=16)
 
 
-def test_bound_table_rows_independent_of_range(pcat, pcat_pts, pcat_split):
+def test_bound_table_rows_independent_of_range(pcat, pcat_pts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        full = bd.bound_table(pcat, pcat_pts, pcat_split, 1, -1, range(1, 6), n_samples=256,
+        full = bd.bound_table(pcat, pcat_pts, 1, -1, range(1, 6), n_samples=256,
                               seed=2)
-        tail = bd.bound_table(pcat, pcat_pts, pcat_split, 1, -1, range(3, 6), n_samples=256,
+        tail = bd.bound_table(pcat, pcat_pts, 1, -1, range(3, 6), n_samples=256,
                               seed=2)
     assert [r["m"] for r in full] == [1, 2, 3, 4, 5]
     assert tail == full[2:]  # each row draws from seed + m
     assert {"q_star_greedy", "rho_star"} <= set(full[3]) and "rho_star" not in full[4]
-    rho, se = bd.rho_pq_m(pcat, pcat_split, 1, -1, 3, n_samples=256, seed=5)
+    rho, se = bd.rho_pq_m(pcat, 1, -1, 3, n_samples=256, seed=5)
     assert (full[2]["rho"], full[2]["rho_stderr"]) == (rho, se)
-    R = bd.R_pqt_m(pcat, pcat_split, 1, -1, bd.T_GRID, 3, seed=5)
+    R = bd.R_pqt_m(pcat, 1, -1, bd.T_GRID, 3, seed=5)
     assert [full[2][k] for k in ("R_t1", "R_t2", "R_tinf")] == R
 
 
-def test_appendixB_cat_and_perturbed(cat, cat_pts, cat_split, point_sets):
-    rows = bd.bound_table(cat, cat_pts, cat_split, 1, -1, range(1, 5), n_samples=512, seed=3)
+def test_appendixB_cat_and_perturbed(cat, cat_pts, point_sets):
+    rows = bd.bound_table(cat, cat_pts, 1, -1, range(1, 5), n_samples=512, seed=3)
     rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]
     pc = maps.builtin_perturbed_cat(0.02)
-    sp = maps.splitting_power_iteration(pc)
-    rows2 = bd.bound_table(pc, point_sets(pc), sp, 1, -1, range(1, 4), n_samples=1024, seed=3)
+    rows2 = bd.bound_table(pc, point_sets(pc), 1, -1, range(1, 4), n_samples=1024, seed=3)
     rep2 = bd.appendixB_check(rows2, 1, -1)
     assert rep2["pass"]
 
 
-def test_appendixB_zero_weight(cat, cat_split, point_sets):
+def test_appendixB_zero_weight(cat, point_sets):
     zero = zero_weight(cat)
-    rows = bd.bound_table(zero, point_sets(zero), cat_split, 1, -1, range(1, 3), n_samples=128)
+    rows = bd.bound_table(zero, point_sets(zero), 1, -1, range(1, 3), n_samples=128)
     rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]  # 0 <= 0
 
 
-def test_appendixB_violation_raises(cat, cat_pts, cat_split):
-    rows = bd.bound_table(cat, cat_pts, cat_split, 1, -1, range(1, 3), n_samples=64)
+def test_appendixB_violation_raises(cat, cat_pts):
+    rows = bd.bound_table(cat, cat_pts, 1, -1, range(1, 3), n_samples=64)
     for row in rows:
         row.update({"R_t1": 0.0, "R_t2": 0.0, "R_tinf": 0.0})
     with pytest.raises(InequalityViolated):
@@ -139,26 +138,26 @@ def test_cover_spec_validation():
     assert cover.centers.shape == (16, 2)
 
 
-def test_q_star_m1_exact(cat, cat_split):
+def test_q_star_m1_exact(cat):
     cover = bd.make_grid_cover(4)
-    rep = bd.q_star_cover(cat, cat_split, 0, 0, cover, 1, n_samples=64)
+    rep = bd.q_star_cover(cat, 0, 0, cover, 1, n_samples=64)
     assert abs(rep["greedy"] - 16.0 * MU) < 1e-9
     assert rep["n_itineraries"] == 16
 
 
-def test_q_star_trend_to_pressure(cat, cat_split):
+def test_q_star_trend_to_pressure(cat):
     cover = bd.make_grid_cover(4)
     roots = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for m in range(2, 9):
-            rep = bd.q_star_cover(cat, cat_split, 0, 0, cover, m, n_samples=128)
+            rep = bd.q_star_cover(cat, 0, 0, cover, m, n_samples=128)
             roots.append(rep["greedy"] ** (1.0 / m))
     assert all(a >= b for a, b in zip(roots, roots[1:]))
     assert abs(roots[-1] - 1.0) <= 0.10  # Q^{0,0} = exp(P_top) = 1
 
 
-def test_q_star_weight_floor_scaling(cat, cat_split):
+def test_q_star_weight_floor_scaling(cat):
     cover = bd.make_grid_cover(4)
     m = 2
     with warnings.catch_warnings():
@@ -167,13 +166,13 @@ def test_q_star_weight_floor_scaling(cat, cat_split):
         for n in (4, 8):
             gn = maps.weight_floor(lambda x: np.zeros(x.shape[0]), n)
             sys_n = cat.with_weight(gn, tag=f"floor{n}")
-            vals[n] = bd.q_star_cover(sys_n, cat_split, 0, 0, cover, m,
+            vals[n] = bd.q_star_cover(sys_n, 0, 0, cover, m,
                                       n_samples=64)["full_sum"]
     # constant weight (1/n)^m factors out of the itinerary sums exactly
     assert vals[4] / vals[8] == pytest.approx((8.0 / 4.0) ** m, rel=1e-9)
 
 
-def test_q_star_floor_monotone_in_n(cat, cat_split):
+def test_q_star_floor_monotone_in_n(cat):
     cover = bd.make_grid_cover(4)
     g = lambda x: 0.2 * np.abs(np.sin(2 * np.pi * x[:, 0]))  # noqa: E731
     with warnings.catch_warnings():
@@ -181,56 +180,55 @@ def test_q_star_floor_monotone_in_n(cat, cat_split):
         vals = []
         for n in (3, 4, 6):
             sys_n = cat.with_weight(maps.weight_floor(g, n), tag=f"floor{n}")
-            vals.append(bd.q_star_cover(sys_n, cat_split, 0, 0, cover, 2,
+            vals.append(bd.q_star_cover(sys_n, 0, 0, cover, 2,
                                         n_samples=64)["full_sum"])
     assert vals[0] >= vals[1] >= vals[2]
 
 
-def test_q_star_full_sum_submultiplicative(cat, cat_split):
+def test_q_star_full_sum_submultiplicative(cat):
     cover = bd.make_grid_cover(4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        f = {m: bd.q_star_cover(cat, cat_split, 1, -1, cover, m,
+        f = {m: bd.q_star_cover(cat, 1, -1, cover, m,
                                 n_samples=64)["full_sum"] for m in (2, 3, 5)}
     assert f[5] <= f[2] * f[3] * 1.05
 
 
 def test_q_star_budget():
     cat = maps.builtin_cat_map()
-    split = maps.splitting_power_iteration(cat)
     cover = bd.make_grid_cover(4)
     with pytest.raises(BudgetExceeded):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bd.q_star_cover(cat, split, 0, 0, cover, 8, n_samples=64, budget=100)
+            bd.q_star_cover(cat, 0, 0, cover, 8, n_samples=64, budget=100)
 
 
-def test_rho_leq_qstar_rate(cat, cat_split):
+def test_rho_leq_qstar_rate(cat):
     # Lemma-level comparison at the level of extrapolated m-th roots.  The
     # window stops before the greedy subcover saturates its witness cloud
     # (which biases the cover route down, as documented).
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        per_m = {m: bd.rho_pq_m(cat, cat_split, 1, -1, m, n_samples=512,
+        per_m = {m: bd.rho_pq_m(cat, 1, -1, m, n_samples=512,
                                 seed=m)[0] for m in range(2, 6)}
         rho_rate = _fit(per_m)["estimate"]
         cover = bd.make_grid_cover(4)
-        q_roots = {m: bd.q_star_cover(cat, cat_split, 1, -1, cover, m,
+        q_roots = {m: bd.q_star_cover(cat, 1, -1, cover, m,
                                       n_samples=256)["greedy"] for m in range(2, 6)}
         q_rate = _fit(q_roots)["estimate"]
     assert rho_rate <= q_rate * 1.05
 
 
-def test_rho_star_single_element(cat, cat_split):
+def test_rho_star_single_element(cat):
     one = [lambda x: np.ones(x.shape[0])]
-    rep = bd.rho_star_partition(cat, cat_split, 1, -1, one, 3)
+    rep = bd.rho_star_partition(cat, 1, -1, one, 3)
     assert rep["value"] == pytest.approx(MU**6, rel=1e-10)
     assert rep["n_terms"] == 1
 
 
-def test_rho_star_trend(cat, cat_split):
+def test_rho_star_trend(cat):
     phis = bd.make_torus_partition(4, width_factor=0.55)
-    rep = bd.rho_star_partition(cat, cat_split, 1, -1, phis, 8, n_grid=64)
+    rep = bd.rho_star_partition(cat, 1, -1, phis, 8, n_grid=64)
     root = rep["value"] ** (1.0 / 8.0)
     assert abs(root - MU) / MU <= 0.15
 
@@ -268,10 +266,9 @@ def test_periodic_exponents_match_splitting_route(point_sets):
     # product of the per-step determinants, against the 30-step splitting
     # iteration at every point of Fix(T^m)
     pc = maps.builtin_perturbed_cat(0.05)
-    split = maps.splitting_power_iteration(pc)
     pts = point_sets(pc)
     for m in range(1, 9):
-        lam, nu = maps.hyperbolicity_exponents(pc, split, pts[m].points, m)
+        lam, nu, _, _ = maps.hyperbolicity_exponents(pc, pts[m].points, m)
         assert np.allclose(pts[m].lam, lam, rtol=1e-12, atol=0.0)
         assert np.allclose(pts[m].nu, nu, rtol=1e-12, atol=0.0)
 
@@ -283,20 +280,20 @@ def test_q_pq_bounded_by_scaled_q00(cat, cat_pts):
     assert q_pq <= LAM ** -min(2.0, 1.0) * q_00 * 1.01
 
 
-def test_kitaev_crosscheck(cat, cat_pts, cat_split, pcat, pcat_pts, pcat_split):
-    rows = bd.bound_table(cat, cat_pts, cat_split, 1, -1, range(4, 11), n_samples=1024, seed=2)
+def test_kitaev_crosscheck(cat, cat_pts, pcat, pcat_pts):
+    rows = bd.bound_table(cat, cat_pts, 1, -1, range(4, 11), n_samples=1024, seed=2)
     rep = bd.kitaev_crosscheck(cat, cat_pts, 1, -1, rows)
     assert rep["pass"] and rep["log_gap"] <= 0.05
     assert abs(rep["rho_estimate"] - 0.381966) < 0.02 * 0.381966
-    rows2 = bd.bound_table(pcat, pcat_pts, pcat_split, 1, -1, range(4, 9), n_samples=2048,
+    rows2 = bd.bound_table(pcat, pcat_pts, 1, -1, range(4, 9), n_samples=2048,
                            seed=2)
     rep2 = bd.kitaev_crosscheck(pcat, pcat_pts, 1, -1, rows2)
     assert rep2["pass"]
 
 
-def test_crosscheck_negative_control(cat, cat_pts, cat_split):
+def test_crosscheck_negative_control(cat, cat_pts):
     # q = 0 on the integral route only: the rates genuinely differ
-    per_m = {m: bd.rho_pq_m(cat, cat_split, 1, 0, m, n_samples=256, seed=m)[0]
+    per_m = {m: bd.rho_pq_m(cat, 1, 0, m, n_samples=256, seed=m)[0]
              for m in range(4, 9)}
     rho_mismatched = _fit(per_m)
     q1 = q_estimate(cat, cat_pts, 1, -1, range(4, 9))

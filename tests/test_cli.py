@@ -175,9 +175,9 @@ def test_resonances_computes_each_quantity_once(monkeypatch, tmp_path):
         calls["validity_radius"] += 1
         return radius(*a, **k)
 
-    def counted_exponents(sys, split, x, m):
+    def counted_exponents(sys, x, m):
         calls["exponents"].append(m)
-        return exponents(sys, split, x, m)
+        return exponents(sys, x, m)
 
     monkeypatch.setattr(determinant, "validity_radius", counted_radius)
     # bounds imports the function by name, so patch both bindings
@@ -407,9 +407,9 @@ def test_bounds_negative_control(monkeypatch, tmp_path):
     calls = []
     rho = bounds.rho_pq_m
 
-    def counted(sys, split, p, q, m, **k):
+    def counted(sys, p, q, m, **k):
         calls.append(m)
-        return rho(sys, split, p, q, m, **k)
+        return rho(sys, p, q, m, **k)
 
     monkeypatch.setattr(bounds, "rho_pq_m", counted)
     cfg = write_config(tmp_path, "neg.json", {
@@ -839,6 +839,28 @@ def test_aniso_rerun_byte_identical(tmp_path):
         out = str(tmp_path / name)
         assert cli.main(["aniso", "--config", cfg, "--out", out, "--quiet"]) == 0
         reps.append(open(out + "/aniso.json", "rb").read())
+    assert reps[0] == reps[1]
+
+
+@pytest.mark.parametrize("payload", [
+    None,  # the shipped configs/bounds.json
+    {"map": {"id": "perturbed_cat", "eps": 0.03, "seed": 1},
+     "weight": {"id": "expression", "terms": {"one": 1.0, "cos1": 0.5, "sin2": 0.25}},
+     "m_max": 6, "mc_samples": 1024},
+])
+def test_bounds_same_bytes_on_one_and_two_blas_threads(payload, tmp_path):
+    # every bounds report byte is the same with one and two OpenBLAS threads
+    cfg = (str(pathlib.Path(__file__).parents[1] / "configs" / "bounds.json")
+           if payload is None else write_config(tmp_path, "bounds_b.json", payload))
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    run = "import sys; from hypdet import cli; sys.exit(cli.main(sys.argv[1:]))"
+    reps = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-W", "ignore", "-c", run, "bounds", "--config", cfg,
+                        "--out", str(out), "--quiet"], env=env, check=True)
+        reps.append([(out / f).read_bytes() for f in ("bounds.json", "bounds.csv")])
     assert reps[0] == reps[1]
 
 

@@ -174,10 +174,9 @@ def test_orientation_sign_matches_splitting(eps, seed):
     # the stored trace of DT^m against sign <DT^m u, u> for the power
     # iteration's unstable direction u at each periodic point
     sys_ = maps.make_map("perturbed_cat", eps, seed)
-    split = maps.splitting_power_iteration(sys_)
     for m in range(1, 7):
         pts = orbits.periodic_points(sys_, m)
-        u = split.unstable(pts.points)
+        u = maps.unstable_direction(sys_, pts.points)
         dtu = (maps.jacobian_cocycle(sys_, pts.points, m) @ u[..., None])[..., 0]
         by_split = np.sign(np.einsum("ij,ij->i", dtu, u))
         by_trace = np.sign(pts.trace)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hypdet import maps
+from hypdet import cli, maps
 from hypdet.errors import ConeViolation, DegenerateDirection, PerturbationTooLarge
 
 LAM = maps.CAT_LAMBDA
@@ -68,15 +69,15 @@ def check_cone_hyperbolic(sys_, theta, theta_prime, n_samples, seed):
             "max_secant_residual": max(residuals)}
 
 
-def lambda_pqm(sys_, split, x, p, q, m):
+def lambda_pqm(sys_, x, p, q, m):
     """max{ lambda_x(T^m)^p, nu_x(T^m)^q } at the (n, 2) points x."""
-    lam, nu = maps.hyperbolicity_exponents(sys_, split, x, m)
+    lam, nu, _, _ = maps.hyperbolicity_exponents(sys_, x, m)
     return np.maximum(lam**p, nu**q)
 
 
-def unstable_jacobian(sys_, split, x, m):
+def unstable_jacobian(sys_, x, m):
     """|det(DT^m|_{E^u})|(x), the nu of hyperbolicity_exponents."""
-    return maps.hyperbolicity_exponents(sys_, split, x, m)[1]
+    return maps.hyperbolicity_exponents(sys_, x, m)[1]
 
 
 def test_cat_basics(cat):
@@ -196,6 +197,8 @@ def test_chart_model_examples():
     assert np.allclose(L, np.diag([0.5, 2.0]), atol=1e-12)
     with pytest.raises(PerturbationTooLarge):
         maps.builtin_chart_model(0.06)
+    with pytest.raises(PerturbationTooLarge):
+        maps.builtin_chart_model(math.nan)
     with pytest.raises(ConeViolation):
         maps.Polarization(0.0, 0.3, 0.0, 0.3)  # cone_plus = cone_minus
 
@@ -249,21 +252,21 @@ def test_cocycle_identity(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def test_splitting_cat(cat, cat_split, rng):
+def test_splitting_cat(cat, rng):
     evec_u = np.array([0.85065080835204, 0.5257311121191336])
     evec_s = np.array([0.5257311121191336, -0.85065080835204])
     pts = rng.uniform(0, 1, (20, 2))
-    u = cat_split.unstable(pts)
-    s = cat_split.stable(pts)
+    u = maps.unstable_direction(cat, pts)
+    s = maps.stable_direction(cat, pts)
     assert np.max(np.abs(np.abs(u @ evec_u) - 1.0)) < 1e-8
     assert np.max(np.abs(np.abs(s @ evec_s) - 1.0)) < 1e-8
 
 
-def test_splitting_invariance_residual(pcat, pcat_split, rng):
+def test_splitting_invariance_residual(pcat, rng):
     xs = rng.uniform(0, 1, (50, 2))
-    u = pcat_split.unstable(xs)
+    u = maps.unstable_direction(pcat, xs)
     Ju = (pcat.jacobian(xs) @ u[..., None])[..., 0]
-    Tu = pcat_split.unstable(pcat.forward(xs))
+    Tu = maps.unstable_direction(pcat, pcat.forward(xs))
     mu = np.linalg.norm(Ju, axis=1)
     sign = np.sign(np.einsum("ij,ij->i", Ju, Tu))
     resid = np.linalg.norm(Ju - mu[:, None] * sign[:, None] * Tu, axis=1)
@@ -273,37 +276,64 @@ def test_splitting_invariance_residual(pcat, pcat_split, rng):
 def test_splitting_degenerate_direction(chart):
     sys_, _, _ = chart
     # (1,0) is exactly the contracting eigendirection of the linear chart map
-    split = maps.splitting_power_iteration(sys_)
     with pytest.raises(DegenerateDirection):
-        split.unstable(np.zeros((1, 2)))
+        maps.unstable_direction(sys_, np.zeros((1, 2)))
 
 
-def test_hyperbolicity_exponents(cat, cat_split):
+def test_hyperbolicity_exponents(cat):
     x = np.array([[0.1, 0.2]])
-    (lam,), (nu,) = maps.hyperbolicity_exponents(cat, cat_split, x, 1)
+    (lam,), (nu,), _, _ = maps.hyperbolicity_exponents(cat, x, 1)
     assert abs(lam - 0.3819660113) < 1e-9
     assert abs(nu - 2.6180339887) < 1e-9
-    (lam3,), (nu3,) = maps.hyperbolicity_exponents(cat, cat_split, x, 3)
+    (lam3,), (nu3,), _, _ = maps.hyperbolicity_exponents(cat, x, 3)
     assert abs(lam3 - MU**3) < 1e-9
     assert abs(nu3 - LAM**3) < 1e-9
 
 
-def test_exponents_x_independent_on_linear(cat, cat_split, rng):
+@pytest.mark.parametrize("eps,seed", [(0.0, 0), (0.03, 1)])
+def test_exponent_walk_reads_each_jacobian_once(eps, seed, rng):
+    # the walk's g^(m) and det DT^m are the per-step products, bit for bit,
+    # and DT is evaluated once per orbit point plus the two direction fields
+    weight = cli.build_weight({"id": "expression",
+                               "terms": {"one": 1.0, "cos1": 0.5, "sin2": 0.25}})
+    sys_ = maps.make_map("cat", eps, seed).with_weight(*weight, tag="expression")
+    calls = []
+
+    def jacobian(x):
+        calls.append(len(x))
+        return sys_.jacobian(x)
+
+    x, m = rng.uniform(0, 1, (16, 2)), 5
+    lam, nu, weights, jac_det = maps.hyperbolicity_exponents(
+        dataclasses.replace(sys_, jacobian=jacobian), x, m)
+    assert len(calls) == m + 2 * (maps.SPLIT_REF_ITERATIONS + 1)
+    assert np.array_equal(weights, maps.weight_product(sys_, x, m))
+    dets, y = np.ones(len(x)), x
+    for _ in range(m):
+        J = sys_.jacobian(y)
+        dets *= J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        y = sys_.forward(y)
+    assert np.array_equal(jac_det, dets)
+    assert np.allclose(jac_det, np.linalg.det(maps.jacobian_cocycle(sys_, x, m)),
+                       rtol=1e-9, atol=0.0)
+
+
+def test_exponents_x_independent_on_linear(cat, rng):
     pts = rng.uniform(0, 1, (100, 2))
-    lam, nu = maps.hyperbolicity_exponents(cat, cat_split, pts, 2)
+    lam, nu, _, _ = maps.hyperbolicity_exponents(cat, pts, 2)
     assert lam.max() - lam.min() <= 1e-10
     assert nu.max() - nu.min() <= 1e-10
 
 
-def test_exponent_multiplicativity_linear(cat, cat_split):
+def test_exponent_multiplicativity_linear(cat):
     x = np.array([[0.3, 0.9]])
-    (lam2,), _ = maps.hyperbolicity_exponents(cat, cat_split, x, 2)
-    (lam3,), _ = maps.hyperbolicity_exponents(cat, cat_split, x, 3)
-    (lam5,), _ = maps.hyperbolicity_exponents(cat, cat_split, x, 5)
+    (lam2,), *_ = maps.hyperbolicity_exponents(cat, x, 2)
+    (lam3,), *_ = maps.hyperbolicity_exponents(cat, x, 3)
+    (lam5,), *_ = maps.hyperbolicity_exponents(cat, x, 5)
     assert lam5 <= lam2 * lam3 + 1e-8
 
 
-def test_exponent_submultiplicativity(pcat, pcat_split, rng):
+def test_exponent_submultiplicativity(pcat, rng):
     p, q = 1.0, -1.0
     for _ in range(10):
         x = rng.uniform(0, 1, (1, 2))
@@ -311,23 +341,22 @@ def test_exponent_submultiplicativity(pcat, pcat_split, rng):
         y = x.copy()
         for _ in range(m):
             y = pcat.forward(y)
-        whole = lambda_pqm(pcat, pcat_split, x, p, q, m + k)
-        parts = (lambda_pqm(pcat, pcat_split, x, p, q, m)
-                 * lambda_pqm(pcat, pcat_split, y, p, q, k))
+        whole = lambda_pqm(pcat, x, p, q, m + k)
+        parts = lambda_pqm(pcat, x, p, q, m) * lambda_pqm(pcat, y, p, q, k)
         assert whole[0] <= parts[0] + 1e-9
 
 
-def test_lambda_pqm(cat, cat_split):
+def test_lambda_pqm(cat):
     x = np.array([[0.4, 0.9]])
-    assert abs(lambda_pqm(cat, cat_split, x, 1, -1, 3)[0] - LAM**-3) < 1e-9
-    assert abs(lambda_pqm(cat, cat_split, x, 2, -1, 1)[0] - 0.3819660113) < 1e-9
-    assert abs(lambda_pqm(cat, cat_split, x, 0, 0, 4)[0] - 1.0) < 1e-12
+    assert abs(lambda_pqm(cat, x, 1, -1, 3)[0] - LAM**-3) < 1e-9
+    assert abs(lambda_pqm(cat, x, 2, -1, 1)[0] - 0.3819660113) < 1e-9
+    assert abs(lambda_pqm(cat, x, 0, 0, 4)[0] - 1.0) < 1e-12
 
 
-def test_unstable_jacobian(cat, cat_split, pcat, pcat_split, rng):
+def test_unstable_jacobian(cat, pcat, rng):
     x = np.array([[0.4, 0.9]])
-    assert abs(unstable_jacobian(cat, cat_split, x, 1)[0] - 2.6180339887) < 1e-9
-    assert abs(unstable_jacobian(cat, cat_split, x, 4)[0] - 46.97871376) < 1e-7
+    assert abs(unstable_jacobian(cat, x, 1)[0] - 2.6180339887) < 1e-9
+    assert abs(unstable_jacobian(cat, x, 4)[0] - 46.97871376) < 1e-7
     # cocycle identity on the perturbed map
     for _ in range(5):
         x = rng.uniform(0, 1, (1, 2))
@@ -335,9 +364,8 @@ def test_unstable_jacobian(cat, cat_split, pcat, pcat_split, rng):
         y = x.copy()
         for _ in range(m):
             y = pcat.forward(y)
-        lhs = unstable_jacobian(pcat, pcat_split, x, m + k)[0]
-        rhs = (unstable_jacobian(pcat, pcat_split, x, m)
-               * unstable_jacobian(pcat, pcat_split, y, k))[0]
+        lhs = unstable_jacobian(pcat, x, m + k)[0]
+        rhs = (unstable_jacobian(pcat, x, m) * unstable_jacobian(pcat, y, k))[0]
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
@@ -393,11 +421,11 @@ def test_cone_check_at_perturbation_bound(eps):
     _check_perturbed_cones(eps)
 
 
-def test_splitting_transversality_floor(cat, cat_split, pcat, pcat_split, rng):
+def test_splitting_transversality_floor(cat, pcat, rng):
     pts = rng.uniform(0, 1, (60, 2))
-    for split in (cat_split, pcat_split):
-        u = split.unstable(pts)
-        s = split.stable(pts)
+    for sys_ in (cat, pcat):
+        u = maps.unstable_direction(sys_, pts)
+        s = maps.stable_direction(sys_, pts)
         angle = np.arccos(np.clip(np.abs(np.einsum("ij,ij->i", u, s)), 0, 1))
         assert np.min(angle) > 0.5  # radians, far above any reasonable floor
 
@@ -405,11 +433,11 @@ def test_splitting_transversality_floor(cat, cat_split, pcat, pcat_split, rng):
 @pytest.mark.parametrize("build", ["cat", "pcat", "chart", "chart_iterate", "reweighted",
                                    "splitting"])
 @pytest.mark.parametrize("n", [1, 7])
-def test_map_callables_take_and_return_batches(build, n, cat, cat_split, rng):
+def test_map_callables_take_and_return_batches(build, n, cat, rng):
     x = rng.uniform(0.0, 1.0, (n, 2))
     if build == "splitting":
-        for field in (cat_split.stable, cat_split.unstable):
-            assert field(x).shape == (n, 2)
+        for direction in (maps.stable_direction, maps.unstable_direction):
+            assert direction(cat, x).shape == (n, 2)
         return
     sys_ = {
         "cat": lambda: cat,
