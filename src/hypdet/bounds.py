@@ -2,9 +2,11 @@
 
 Two independent routes to the same growth rate are implemented: a Monte
 Carlo integral route (rho) and a periodic-orbit pressure route (the
-variational Q).  Cover and partition-of-unity routes give the starred
-expressions; all m-th-root limits are extrapolated by log-linear least
-squares over the largest four m values, with the residual always reported.
+variational Q).  One draw and orbit walk per period (sample_period) gives
+rho, the sampled sups R of the Appendix-B inequality and the negative
+control.  Cover and partition-of-unity routes give the starred expressions;
+all m-th-root limits are extrapolated by log-linear least squares over the
+largest four m values, with the residual always reported.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ POOR_FIT_RESIDUAL = 0.1
 DEFAULT_CROSS_TOL = 0.05
 PRUNE_SUP = 1e-14
 T_GRID = (1.0, 2.0, math.inf)
+# R(m, t) is a sup over a torus grid and R_SAMPLES random points
+R_SAMPLES = 2048
+R_GRID_SIDE = math.ceil(math.sqrt(R_SAMPLES))
+# appendixB_check compares rho(m) with min_t R(m, t) for m up to this
+APPENDIX_B_M_MAX = 6
 # the cover and partition routes enumerate itineraries, whose number grows
 # exponentially in m; bound_table runs them up to this m
 STAR_M_MAX = 4
@@ -58,16 +65,25 @@ def _integrand(sys, p, q, m, X, det_unstable=False):
     return val, jac_det
 
 
-def rho_pq_m(sys: MapSystem, p: float, q: float, m: int, n_samples: int = 4096, seed: int = 0):
-    """Monte Carlo estimate of int |g^(m)| lambda^{(p,q,m)} dx, with std error."""
+def sample_period(sys: MapSystem, p: float, q: float, m: int, n_samples: int,
+                  seed: int) -> dict:
+    """rho(m), its standard error and R(m, t) (key R_t<t>, t in T_GRID) from
+    one orbit walk: the mean of |g^(m)| lambda^{(p,q,m)} over the first
+    n_samples of max(n_samples, R_SAMPLES) points drawn from default_rng(seed),
+    and the sup of |det DT^m|^{-1/t} times it over the R_GRID_SIDE^2 torus
+    grid and the first R_SAMPLES of those points (t = inf drops the det)."""
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    vals, _ = _integrand(sys, p, q, m, X)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals) / math.sqrt(n_samples))
-    return mean, se
+    grid = _torus_grid(R_GRID_SIDE)
+    draw = np.random.default_rng(seed).uniform(0.0, 1.0, size=(max(n_samples, R_SAMPLES), 2))
+    X = np.vstack([grid, draw])
+    vals, dets = _integrand(sys, p, q, m, X)
+    mc = vals[len(grid):len(grid) + n_samples]
+    sup, dets = vals[:len(grid) + R_SAMPLES], np.abs(dets[:len(grid) + R_SAMPLES])
+    R = {f"R_t{t:g}": float(np.max(sup if math.isinf(t) else sup * dets ** (-1.0 / t)))
+         for t in T_GRID}
+    return {"rho": float(np.mean(mc)),
+            "rho_stderr": float(np.std(mc) / math.sqrt(n_samples)), **R}
 
 
 def log_linear_fit(ms, logs) -> dict:
@@ -92,24 +108,6 @@ def log_linear_fit(ms, logs) -> dict:
         "residual": resid,
         "poor_fit": poor,
     }
-
-
-def R_pqt_m(sys: MapSystem, p: float, q: float, t_grid, m: int,
-            n_samples: int = 2048, seed: int = 0) -> list:
-    """Sampled sup of |det DT^m|^{-1/t} |g^(m)| lambda^{(p,q,m)}, one per t in t_grid.
-
-    The integrand and |det DT^m| come from one orbit walk; t = inf drops the
-    det factor.
-    """
-    if any(t < 1.0 for t in t_grid):
-        raise ValueError("t in [1, inf] required")
-    rng = np.random.default_rng(seed)
-    side = max(2, math.ceil(math.sqrt(n_samples)))
-    X = np.vstack([_torus_grid(side), rng.uniform(0.0, 1.0, size=(n_samples, 2))])
-    vals, dets = _integrand(sys, p, q, m, X)
-    dets = np.abs(dets)
-    return [float(np.max(vals if math.isinf(t) else vals * dets ** (-1.0 / t)))
-            for t in t_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +376,18 @@ def bound_table(sys: MapSystem, pts_by_m: dict, p: float, q: float, m_range,
     under the key R_t<t>, and the topological pressure from |Fix(T^m)|.
 
     Rows with m <= STAR_M_MAX also carry the cover value Q_* (greedy) and the
-    partition value rho_*.  Row m samples from seed + m, so it does not depend
-    on which other m are in the table; kitaev_crosscheck and appendixB_check
-    read these rows instead of sampling again.
+    partition value rho_*.  Row m takes rho and R from one sample_period
+    draw and walk at seed + m, so it does not depend on which other m are in
+    the table; kitaev_crosscheck and appendixB_check read these rows instead
+    of sampling again.
     """
     pressure = pressure_periodic({m: pts_by_m[m] for m in m_range})
     cover = make_grid_cover(4)
     phis = make_torus_partition(3)
     rows = []
     for m in m_range:
-        rho, se = rho_pq_m(sys, p, q, m, n_samples=n_samples, seed=seed + m)
-        R = R_pqt_m(sys, p, q, T_GRID, m, seed=seed + m)
-        row = {"m": m, "rho": rho, "rho_stderr": se,
-               **{f"R_t{t:g}": r for t, r in zip(T_GRID, R)}, "pressure": pressure[m]}
+        row = {"m": m, **sample_period(sys, p, q, m, n_samples, seed + m),
+               "pressure": pressure[m]}
         if m <= STAR_M_MAX:
             row["q_star_greedy"] = q_star_cover(sys, p, q, cover, m)["greedy"]
             row["rho_star"] = rho_star_partition(sys, p, q, phis, m)["value"]
@@ -399,13 +396,14 @@ def bound_table(sys: MapSystem, pts_by_m: dict, p: float, q: float, m_range,
 
 
 def appendixB_check(rows, p: float, q: float) -> dict:
-    """rho^{p,q}(m) <= min_t R^{p,q,t}(m) + 3 sigma_MC for each bound_table row.
+    """rho^{p,q}(m) <= min_t R^{p,q,t}(m) + 3 sigma_MC for each bound_table row
+    with m <= APPENDIX_B_M_MAX.
 
     Valid as a finite-m comparison on volume-one domains.  Raises
     InequalityViolated with the offending row on failure.
     """
     out = []
-    for row in rows:
+    for row in (r for r in rows if r["m"] <= APPENDIX_B_M_MAX):
         Rmin = min(row[f"R_t{t:g}"] for t in T_GRID)
         passed = row["rho"] <= Rmin + 3.0 * row["rho_stderr"] + 1e-12
         out.append({"m": row["m"], "rho": row["rho"], "stderr": row["rho_stderr"],

@@ -341,11 +341,9 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
     m_fit = list(range(cfg.m_max - bd.EXTRAPOLATION_POINTS + 1, cfg.m_max + 1))
     if cfg.negative_control:
         # deliberately mismatched exponents: the integral route at q = 0
-        fit_rows = []
-        for m in m_fit:
-            rho, se = bd.rho_pq_m(sys_, cfg.p, 0.0, m, n_samples=cfg.mc_samples,
-                                  seed=cfg.seed + m)
-            fit_rows.append({"m": m, "rho": rho, "rho_stderr": se})
+        fit_rows = [{"m": m, **bd.sample_period(sys_, cfg.p, 0.0, m, cfg.mc_samples,
+                                                cfg.seed + m)}
+                    for m in m_fit]
     else:
         fit_rows = [r for r in rows if r["m"] in m_fit]
     failures = []
@@ -355,7 +353,7 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
         cross = exc.data
         failures.append("kitaev")
     try:
-        appB = bd.appendixB_check([r for r in rows if r["m"] <= 6], cfg.p, cfg.q)
+        appB = bd.appendixB_check(rows, cfg.p, cfg.q)
     except InequalityViolated as exc:
         appB = exc.data
         failures.append("appendixB")

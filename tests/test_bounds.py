@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypdet import bounds as bd
-from hypdet import maps, orbits
+from hypdet import cli, maps, orbits
 from hypdet.errors import BudgetExceeded, CrossCheckFailed, InequalityViolated
 
 LAM = maps.CAT_LAMBDA
@@ -16,14 +16,62 @@ def zero_weight(sys_):
     return sys_.with_weight(lambda x: np.zeros(x.shape[0]), tag="zero")
 
 
+def rho_pq_m(sys, p, q, m, n_samples=4096, seed=0):
+    """Oracle: the Monte Carlo integral of |g^(m)| lambda^{(p,q,m)} from its
+    own draw of n_samples points, with its standard error."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(n_samples, 2))
+    vals, _ = bd._integrand(sys, p, q, m, X)
+    return float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_samples))
+
+
+def R_pqt_m(sys, p, q, t_grid, m, n_samples=2048, seed=0):
+    """Oracle: the sampled sup of |det DT^m|^{-1/t} |g^(m)| lambda^{(p,q,m)}
+    for each t in t_grid, from its own draw of n_samples points behind the
+    ceil(sqrt(n_samples))^2 torus grid."""
+    rng = np.random.default_rng(seed)
+    side = max(2, math.ceil(math.sqrt(n_samples)))
+    X = np.vstack([bd._torus_grid(side), rng.uniform(0.0, 1.0, size=(n_samples, 2))])
+    vals, dets = bd._integrand(sys, p, q, m, X)
+    dets = np.abs(dets)
+    return [float(np.max(vals if math.isinf(t) else vals * dets ** (-1.0 / t)))
+            for t in t_grid]
+
+
 def test_rho_pq_m_cat(cat):
-    val, se = bd.rho_pq_m(cat, 1, -1, 3, n_samples=512, seed=1)
-    assert abs(val - LAM**-3) < 1e-10  # constant integrand: MC is exact
-    assert se < 1e-12
-    val0, _ = bd.rho_pq_m(cat, 0, 0, 2, n_samples=256, seed=1)
-    assert val0 == pytest.approx(1.0, abs=1e-14)
-    valz, _ = bd.rho_pq_m(zero_weight(cat), 1, -1, 2, n_samples=256)
-    assert valz == 0.0
+    s = bd.sample_period(cat, 1, -1, 3, 512, 1)
+    assert abs(s["rho"] - LAM**-3) < 1e-10  # constant integrand: MC is exact
+    assert s["rho_stderr"] < 1e-12
+    s0 = bd.sample_period(cat, 0, 0, 2, 256, 1)
+    assert s0["rho"] == pytest.approx(1.0, abs=1e-14)
+    assert bd.sample_period(zero_weight(cat), 1, -1, 2, 256, 0)["rho"] == 0.0
+    with pytest.raises(ValueError):
+        bd.sample_period(cat, 1, 0.5, 2, 16, 0)
+
+
+@pytest.fixture(scope="module")
+def expression_pcat():
+    """perturbed_cat at eps 0.03, seed 1, with the weight
+    1 + 0.5 cos(2 pi x_1) + 0.25 sin(2 pi x_2)."""
+    w, hat = cli.build_weight({"id": "expression",
+                               "terms": {"one": 1.0, "cos1": 0.5, "sin2": 0.25}})
+    return maps.make_map("perturbed_cat", 0.03, 1).with_weight(w, hat, tag="expression")
+
+
+@pytest.mark.parametrize("n_samples", [256, 2048, 4096])
+@pytest.mark.parametrize("which", ["cat", "expression_pcat"])
+def test_bound_table_equals_two_draw_oracles(request, point_sets, which, n_samples):
+    # one draw of max(n_samples, 2048) points serves rho (its first
+    # n_samples points) and R (the grid and its first 2048 points): bit for
+    # bit what one draw for each gave
+    sys_ = request.getfixturevalue(which)
+    rows = bd.bound_table(sys_, point_sets(sys_), 1, -1, (2, 5), n_samples=n_samples,
+                          seed=7)
+    for row in rows:
+        m = row["m"]
+        assert (row["rho"], row["rho_stderr"]) == rho_pq_m(sys_, 1, -1, m, n_samples, 7 + m)
+        assert [row["R_t1"], row["R_t2"], row["R_tinf"]] == R_pqt_m(
+            sys_, 1, -1, (1.0, 2.0, math.inf), m, seed=7 + m)
 
 
 def q_estimate(sys_, pts, p, q, periods):
@@ -60,10 +108,10 @@ def test_log_linear_fit_poor_fit_flag(rng):
 
 
 def test_R_pqt_cat(cat):
-    for val in bd.R_pqt_m(cat, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=128):
-        assert abs(val - LAM**-3) < 1e-10  # area preserving: det factor is 1
-    [val0] = bd.R_pqt_m(cat, 0, 0, (math.inf,), 2, n_samples=128)
-    assert abs(val0 - 1.0) < 1e-12
+    s = bd.sample_period(cat, 1, -1, 3, 128, 0)
+    for key in ("R_t1", "R_t2", "R_tinf"):
+        assert abs(s[key] - LAM**-3) < 1e-10  # area preserving: det factor is 1
+    assert abs(bd.sample_period(cat, 0, 0, 2, 128, 0)["R_tinf"] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("m", [6, 8])
@@ -71,23 +119,13 @@ def test_R_pqt_det_factor_of_the_cat_map_is_exactly_one(cat, m):
     # |det DT^m| = 1 is the product of m unit per-step determinants; LU on
     # the entries of A^m, which grow like lambda^m, left it 9.1e-12 off at
     # m = 8 (the shipped bounds m_max) and so R_t1 != R_tinf
-    R_t1, R_t2, R_tinf = bd.R_pqt_m(cat, 1, -1, bd.T_GRID, m, seed=7 + m)
-    assert R_t1 == R_t2 == R_tinf
+    s = bd.sample_period(cat, 1, -1, m, 4096, 7 + m)
+    assert s["R_t1"] == s["R_t2"] == s["R_tinf"]
 
 
 def test_R_monotone_in_t_reported(pcat):
-    vals = bd.R_pqt_m(pcat, 1, -1, (1.0, 2.0, math.inf), 3, n_samples=512)
-    assert all(v > 0 for v in vals)  # reported, not asserted
-
-
-def test_R_pqt_equals_one_t_at_a_time(pcat):
-    grid = (1.0, 2.0, math.inf)
-    together = bd.R_pqt_m(pcat, 1, -1, grid, 3, n_samples=256, seed=5)
-    alone = [bd.R_pqt_m(pcat, 1, -1, (t,), 3, n_samples=256, seed=5)[0]
-             for t in grid]
-    assert together == alone
-    with pytest.raises(ValueError):
-        bd.R_pqt_m(pcat, 1, -1, (0.5,), 3, n_samples=16)
+    s = bd.sample_period(pcat, 1, -1, 3, 512, 0)
+    assert all(s[k] > 0 for k in ("R_t1", "R_t2", "R_tinf"))  # reported, not asserted
 
 
 def test_bound_table_rows_independent_of_range(pcat, pcat_pts):
@@ -100,10 +138,8 @@ def test_bound_table_rows_independent_of_range(pcat, pcat_pts):
     assert [r["m"] for r in full] == [1, 2, 3, 4, 5]
     assert tail == full[2:]  # each row draws from seed + m
     assert {"q_star_greedy", "rho_star"} <= set(full[3]) and "rho_star" not in full[4]
-    rho, se = bd.rho_pq_m(pcat, 1, -1, 3, n_samples=256, seed=5)
-    assert (full[2]["rho"], full[2]["rho_stderr"]) == (rho, se)
-    R = bd.R_pqt_m(pcat, 1, -1, bd.T_GRID, 3, seed=5)
-    assert [full[2][k] for k in ("R_t1", "R_t2", "R_tinf")] == R
+    sample = bd.sample_period(pcat, 1, -1, 3, 256, 5)
+    assert {k: full[2][k] for k in sample} == sample
 
 
 def test_appendixB_cat_and_perturbed(cat, cat_pts, point_sets):
@@ -129,6 +165,14 @@ def test_appendixB_violation_raises(cat, cat_pts):
         row.update({"R_t1": 0.0, "R_t2": 0.0, "R_tinf": 0.0})
     with pytest.raises(InequalityViolated):
         bd.appendixB_check(rows, 1, -1)
+
+
+def test_appendixB_reads_m_up_to_its_window(cat, cat_pts):
+    m_last = bd.APPENDIX_B_M_MAX
+    rows = bd.bound_table(cat, cat_pts, 1, -1, (m_last, m_last + 1), n_samples=64)
+    rows[1].update({"R_t1": 0.0, "R_t2": 0.0, "R_tinf": 0.0})
+    rep = bd.appendixB_check(rows, 1, -1)
+    assert rep["pass"] and [r["m"] for r in rep["rows"]] == [m_last]
 
 
 def test_cover_spec_validation():
@@ -209,8 +253,8 @@ def test_rho_leq_qstar_rate(cat):
     # (which biases the cover route down, as documented).
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        per_m = {m: bd.rho_pq_m(cat, 1, -1, m, n_samples=512,
-                                seed=m)[0] for m in range(2, 6)}
+        per_m = {m: bd.sample_period(cat, 1, -1, m, 512, m)["rho"]
+                 for m in range(2, 6)}
         rho_rate = _fit(per_m)["estimate"]
         cover = bd.make_grid_cover(4)
         q_roots = {m: bd.q_star_cover(cat, 1, -1, cover, m,
@@ -293,8 +337,7 @@ def test_kitaev_crosscheck(cat, cat_pts, pcat, pcat_pts):
 
 def test_crosscheck_negative_control(cat, cat_pts):
     # q = 0 on the integral route only: the rates genuinely differ
-    per_m = {m: bd.rho_pq_m(cat, 1, 0, m, n_samples=256, seed=m)[0]
-             for m in range(4, 9)}
+    per_m = {m: bd.sample_period(cat, 1, 0, m, 256, m)["rho"] for m in range(4, 9)}
     rho_mismatched = _fit(per_m)
     q1 = q_estimate(cat, cat_pts, 1, -1, range(4, 9))
     with pytest.raises(CrossCheckFailed):

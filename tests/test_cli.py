@@ -268,8 +268,8 @@ def test_bounds_cat(quick_bounds_cfg, tmp_path):
 def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_path):
     from hypdet import bounds, maps
 
-    calls = {"rho": 0, "R": 0, "exponents": 0}
-    rho, R, exponents = bounds.rho_pq_m, bounds.R_pqt_m, maps.hyperbolicity_exponents
+    calls = {"sample": 0, "exponents": 0}
+    sample, exponents = bounds.sample_period, maps.hyperbolicity_exponents
     points = count_periodic_points(monkeypatch)
 
     def counted(key, fn):
@@ -278,8 +278,7 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
             return fn(*a, **k)
         return wrapper
 
-    monkeypatch.setattr(bounds, "rho_pq_m", counted("rho", rho))
-    monkeypatch.setattr(bounds, "R_pqt_m", counted("R", R))
+    monkeypatch.setattr(bounds, "sample_period", counted("sample", sample))
     # bounds imports the function by name, so patch both bindings
     monkeypatch.setattr(maps, "hyperbolicity_exponents", counted("exponents", exponents))
     monkeypatch.setattr(bounds, "hyperbolicity_exponents", counted("exponents", exponents))
@@ -288,9 +287,10 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
         rc = cli.main(["bounds", "--config", quick_bounds_cfg, "--out",
                        str(tmp_path / "oc"), "--quiet"])
     assert rc == 0
-    # m = 1..6: rho and R once each per m, and the cover and partition routes
-    # for m <= 4; the variational route reads the stored DT^m
-    assert calls == {"rho": 6, "R": 6, "exponents": 6 + 6 + 4 + 4}
+    # m = 1..6: one draw and walk per m gives rho and R, and the cover and
+    # partition routes walk theirs for m <= 4; the variational route reads
+    # the stored DT^m
+    assert calls == {"sample": 6, "exponents": 6 + 4 + 4}
     # the table's pressure and the Kitaev fit over m = 3..6 share one set each
     assert points == {m: 1 for m in range(1, 7)}
 
@@ -405,13 +405,13 @@ def test_bounds_negative_control(monkeypatch, tmp_path):
     from hypdet import bounds
 
     calls = []
-    rho = bounds.rho_pq_m
+    sample = bounds.sample_period
 
-    def counted(sys, p, q, m, **k):
+    def counted(sys, p, q, m, *a):
         calls.append(m)
-        return rho(sys, p, q, m, **k)
+        return sample(sys, p, q, m, *a)
 
-    monkeypatch.setattr(bounds, "rho_pq_m", counted)
+    monkeypatch.setattr(bounds, "sample_period", counted)
     cfg = write_config(tmp_path, "neg.json", {
         "map": {"id": "cat"}, "m_max": 6, "mc_samples": 256, "seed": 3,
         "negative_control": True,
