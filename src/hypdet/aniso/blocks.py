@@ -153,7 +153,7 @@ class BlockOperator:
     n_max: int
     h_plus: int
     h_minus: int
-    _support: np.ndarray = field(default=None, repr=False)
+    _quad: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         CHART_GRID.require_band(self.n_max)
@@ -163,7 +163,12 @@ class BlockOperator:
         for blk in point_blocks(inside.size):
             pts = lattice_points(c, np.arange(blk.start, blk.stop))
             inside[blk] = np.asarray(self.weight(pts)) > 1e-15
-        self._support = lattice_points(c, np.flatnonzero(inside))
+        self._quad = self._quad_grid(lattice_points(c, np.flatnonzero(inside)))
+
+    @property
+    def quad_points(self) -> int:
+        """Number of quadrature points of the compressed-matrix entries."""
+        return self._quad[2].size
 
     # -- compressed dense matrices -------------------------------------------
 
@@ -211,13 +216,18 @@ class BlockOperator:
         """C[a, b] = (1/|box|) int G(x) e^{i xi_b.T(x)} e^{-i eta_a.x} dx on a
         local quadrature grid over supp G that resolves the largest phase
         rate, summed over blocks of W_BLOCK points x, so no phase table spans
-        every x."""
-        X, w = self._quad_grid()
+        every x.  e^{-i eta.x} = e^{-i eta_1 x_1} e^{-i eta_2 x_2} is
+        gathered from one table per axis of the tensor grid."""
+        (t1, t2), k, w = self._quad
+        E1 = np.exp(-1j * np.outer(t1, eta[:, 0]))
+        E2 = np.exp(-1j * np.outer(t2, eta[:, 1]))
+        i1, i2 = np.divmod(k, t2.size)
+        X = np.stack([t1[i1], t2[i2]], axis=-1)
         C = np.zeros((eta.shape[0], xi.shape[0]), dtype=complex)
         for b in range(0, w.size, W_BLOCK):
             blk = slice(b, b + W_BLOCK)
             phase_in_T = np.exp(1j * (self.sys.forward(X[blk]) @ xi.T))
-            phase_out_x = np.exp(-1j * (X[blk] @ eta.T)) * w[blk, None]
+            phase_out_x = E1[i1[blk]] * E2[i2[blk]] * w[blk, None]
             C += phase_out_x.T @ phase_in_T
         C /= (2.0 * CHART_GRID.box_half) ** 2
         return C
@@ -242,10 +252,13 @@ class BlockOperator:
             modes_in.append(mo if same_theta else band_modes(ring, self.theta, n, s))
         return modes_out, modes_in
 
-    def _quad_grid(self):
-        pts = self._support
-        lo = pts.min(axis=0) - 0.05
-        hi = pts.max(axis=0) + 0.05
+    def _quad_grid(self, support: np.ndarray) -> tuple:
+        """((t1, t2), k, w): the axes of a tensor grid over the box of the
+        support points that resolves the largest phase rate, the flat
+        indices k (row-major in t1 x t2) of its points in supp G, and their
+        quadrature weights."""
+        lo = support.min(axis=0) - 0.05
+        hi = support.max(axis=0) + 0.05
         rate = 2.0 ** (self.n_max + 1) * QUAD_PAD * 2.0
         n_need = int(np.ceil(max(hi - lo) * rate / math.pi))
         n_side = max(QUAD_N, n_need)
@@ -253,9 +266,9 @@ class BlockOperator:
         t2 = lo[1] + (hi[1] - lo[1]) * (np.arange(n_side) + 0.5) / n_side
         X = np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2)
         wq = np.asarray(self.weight(X))
-        keep = wq > 1e-15
+        k = np.flatnonzero(wq > 1e-15)
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n_side**2
-        return X[keep], wq[keep] * cell
+        return (t1, t2), k, wq[k] * cell
 
 
 def band_modes(lattice: np.ndarray, theta: Polarization, n: int, sigma: str) -> np.ndarray:
@@ -316,6 +329,8 @@ class FlatTraceQuadrature:
         X, wq = X[keep], wq[keep]
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n_side**2
         self._W = _phase_kernel(self.dxi * (self.sys.forward(X) - X), wq * cell, j)
+        # sizes the aniso report records: lattice points per side, x points
+        self.lattice_side, self.x_points = j.size, wq.size
         self._axis = j * self.dxi
         self._norm = lattice_norms(self._axis)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.ndimage import map_coordinates, spline_filter
+from scipy.ndimage import map_coordinates
 
 from ..errors import GridTooCoarse
 from ..maps import Polarization, _angdist, _plateau_step
@@ -27,6 +27,12 @@ DIRECTION_SHRINK = 0.95
 # trapezoid error on the shared line sample set, relative to the rhs
 YOUNG_REL_SLACK = 1e-6
 YOUNG_QUAD_SLACK = 2e-3
+# the Young trials: grid side on [-6, 6)^2, line directions, perpendicular
+# offsets and samples per line
+YOUNG_SIDE = 512
+YOUNG_DIRS = 9
+YOUNG_OFFSETS = 65
+YOUNG_LINE_SAMPLES = 384
 # partition_sum_error samples a PARTITION_SIDE^2 lattice of frequencies
 PARTITION_SIDE = 512
 # points per block of the elementwise band formulas: every temporary of an
@@ -197,11 +203,6 @@ class BoxGrid:
     def coords_1d(self) -> np.ndarray:
         return -self.box_half + self.h * np.arange(self.n_pix)
 
-    def points(self) -> np.ndarray:
-        c = self.coords_1d()
-        X1, X2 = np.meshgrid(c, c, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()], axis=-1)
-
     def xi_1d(self) -> np.ndarray:
         return 2.0 * math.pi * sfft.fftfreq(self.n_pix, d=self.h)
 
@@ -215,18 +216,17 @@ class BoxGrid:
                 f"band {n} needs |xi| up to {2.0 ** (n + 1):.0f}, Nyquist is {self.xi_max:.0f}"
             )
 
-    def interp(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Periodic interpolation at arbitrary points of the grid values whose
-        spline_coefficients are coeffs."""
-        ij = (pts + self.box_half) / self.h
-        coords = np.stack([ij[:, 0], ij[:, 1]])
-        return map_coordinates(coeffs, coords, order=SPLINE_ORDER, mode="grid-wrap",
-                               prefilter=False)
+    def spline_symbol(self) -> np.ndarray:
+        """S(2 pi k / n_pix), k = 0..n_pix-1, S(w) = (4 + 2 cos w) / 6: the
+        spectrum of the cubic B-spline's values at the nodes along one axis.
+        The spectrum of grid values divided by S(w1) S(w2) is that of their
+        periodic spline coefficients."""
+        return (4.0 + 2.0 * np.cos(2.0 * math.pi * np.arange(self.n_pix) / self.n_pix)) / 6.0
 
 
 def lattice_points(axis: np.ndarray, k) -> np.ndarray:
-    """Points with flat indices k of the square lattice axis x axis, in the
-    row-major order of BoxGrid.points."""
+    """Points with flat indices k of the square lattice axis x axis in
+    row-major order: point k is (axis[k // m], axis[k % m])."""
     m = axis.size
     return np.stack([axis[k // m], axis[k % m]], axis=-1)
 
@@ -240,14 +240,20 @@ def lattice_norms(axis: np.ndarray) -> np.ndarray:
     return np.sqrt(norm, out=norm)
 
 
-def spline_coefficients(u: np.ndarray) -> np.ndarray:
-    """Periodic spline coefficients of real grid values u.
+def spline_coefficients(spec: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Periodic cubic spline coefficients of the real grid values whose rfft2
+    spectrum is spec, on the square grid whose BoxGrid.spline_symbol is
+    symbol; spec is overwritten.
 
-    map_coordinates(u, ..., mode="grid-wrap") filters u the same way on every
-    call (that mode needs no pre-padding), so BoxGrid.interp on these
-    coefficients gives its values bit for bit, filtering once.
+    The spline through the values has them at the nodes, so its
+    coefficients' spectrum is theirs divided by S(w1) S(w2), one axis at a
+    time; map_coordinates with prefilter=False and mode="grid-wrap"
+    interpolates them.
     """
-    return spline_filter(u, SPLINE_ORDER, output=np.float64, mode="grid-wrap")
+    n = symbol.size
+    spec /= symbol[:, None]
+    spec /= symbol[: n // 2 + 1]
+    return sfft.irfft2(spec, s=(n, n), overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,7 @@ def spline_coefficients(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def admissible_directions(theta: Polarization, n_dirs: int = 17) -> np.ndarray:
+def admissible_directions(theta: Polarization, n_dirs: int) -> np.ndarray:
     """Unit line directions v whose conormal v-perp lies inside cone_plus."""
     center = theta.axis_plus + 0.5 * math.pi
     half = theta.half_plus * DIRECTION_SHRINK
@@ -263,76 +269,103 @@ def admissible_directions(theta: Polarization, n_dirs: int = 17) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def mixed_norm_L1F(grid: BoxGrid, u: np.ndarray, theta: Polarization,
-                   n_dirs: int = 17, n_offsets: int = 129,
-                   offset_extent: float | None = None,
-                   line_samples: int | None = None) -> float:
-    """sup over admissible straight lines of the line integral of |u|.
+@dataclass(frozen=True)
+class NormLines:
+    """The sample points of the straight lines a mixed norm integrates over.
 
-    Lines are sampled over n_dirs admissible directions and n_offsets
-    perpendicular offsets (always including offset zero); trapezoid rule
-    along each line with cubic grid interpolation.
+    coords[d] holds the grid index coordinates (2, n_offsets * samples) of
+    the lines of direction d, one line of samples points after another,
+    spaced dt apart.
     """
-    if line_samples is None:
-        line_samples = grid.n_pix
+
+    coords: np.ndarray
+    samples: int
+    dt: float
+
+
+def norm_lines(grid: BoxGrid, theta: Polarization, n_dirs: int, n_offsets: int,
+               line_samples: int, offset_extent: float | None = None) -> NormLines:
+    """Lines over n_dirs admissible directions and n_offsets perpendicular
+    offsets (always including offset zero), sampled at line_samples points
+    along [-0.75 B, 0.75 B]."""
     if offset_extent is None:
         offset_extent = 0.75 * grid.box_half
-    dirs = admissible_directions(theta, n_dirs)
     offsets = np.linspace(-offset_extent, offset_extent, n_offsets)
     half_len = 0.75 * grid.box_half
     t = np.linspace(-half_len, half_len, line_samples)
-    dt = t[1] - t[0]
-    best = 0.0
-    coeffs = spline_coefficients(np.asarray(u))
-    for v in dirs:
+    coords = np.empty((n_dirs, 2, n_offsets * line_samples))
+    for d, v in enumerate(admissible_directions(theta, n_dirs)):
         nrm = np.array([-v[1], v[0]])
-        # all lines of one direction in a single interpolation call
         pts = (offsets[:, None, None] * nrm[None, None, :]
                + t[None, :, None] * v[None, None, :]).reshape(-1, 2)
-        vals = np.abs(grid.interp(coeffs, pts)).reshape(n_offsets, line_samples)
-        integ = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+        coords[d] = ((pts + grid.box_half) / grid.h).T
+    return NormLines(coords, line_samples, float(t[1] - t[0]))
+
+
+def mixed_norm_L1F(lines: NormLines, coeffs: np.ndarray) -> float:
+    """sup over the lines of the line integral of |u|, u the periodic cubic
+    spline with coefficients coeffs; trapezoid rule along each line.
+
+    One direction is interpolated at a time, so no temporary spans every
+    line.
+    """
+    best = 0.0
+    for coords in lines.coords:
+        vals = map_coordinates(coeffs, coords, order=SPLINE_ORDER, mode="grid-wrap",
+                               prefilter=False)
+        vals = np.abs(vals, out=vals).reshape(-1, lines.samples)
+        integ = lines.dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
         best = max(best, float(integ.max()))
     return best
 
 
-def convolve(grid: BoxGrid, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Continuous convolution a * u of real grid values, realized on the
-    periodic grid with real FFTs (a complex a or u raises TypeError).
-
-    One factor is ifftshifted so that index arithmetic matches coordinates
-    that start at -B rather than 0.
-    """
-    spec = sfft.rfft2(a) * sfft.rfft2(sfft.ifftshift(u))
-    return sfft.irfft2(spec, s=a.shape) * grid.h**2
-
-
-def young_check(grid: BoxGrid, a: np.ndarray, u: np.ndarray, theta: Polarization,
-                **norm_kwargs) -> tuple:
+def young_check(grid: BoxGrid, a: np.ndarray, u: np.ndarray, lines: NormLines,
+                symbol: np.ndarray) -> tuple:
     """(lhs, rhs, pass) for ||a*u||_{L1(F)} <= ||a||_{L1} ||u||_{L1(F)}, a and
-    u real.
+    u real grid values, symbol the grid's spline_symbol.
 
-    Both sides share the same line sample set; the quadrature allowance
-    covers interpolation and trapezoid error on the shared grid.
+    One real FFT of a and of u gives the spline coefficients of both u and
+    the continuous convolution a * u on the periodic grid (u is
+    ifftshifted so that index arithmetic matches coordinates that start at
+    -B); a * u is never formed on the grid.  Both sides share the same line
+    sample set; the quadrature allowance covers interpolation and trapezoid
+    error on it.  A complex a or u raises TypeError.
     """
-    lhs = mixed_norm_L1F(grid, convolve(grid, a, u), theta, **norm_kwargs)
-    a_l1 = float(np.sum(np.abs(a)) * grid.h**2)
-    rhs = a_l1 * mixed_norm_L1F(grid, u, theta, **norm_kwargs)
-    ok = lhs <= rhs * (1.0 + YOUNG_REL_SLACK) + YOUNG_QUAD_SLACK * rhs
-    return lhs, rhs, bool(ok)
+    # each array is dropped once read, so at most five grid arrays live at once
+    spec_u = sfft.rfft2(sfft.ifftshift(u))
+    spec = sfft.rfft2(a)
+    spec *= spec_u
+    spec *= grid.h**2
+    coeffs = spline_coefficients(spec, symbol)
+    del spec
+    lhs = mixed_norm_L1F(lines, coeffs)
+    del coeffs
+    coeffs = sfft.fftshift(spline_coefficients(spec_u, symbol))
+    del spec_u
+    rhs = float(np.sum(np.abs(a)) * grid.h**2) * mixed_norm_L1F(lines, coeffs)
+    return lhs, rhs, bool(lhs <= young_allowance(rhs))
 
 
-def young_trials(theta: Polarization, n_trials: int, seed: int, pool=None) -> int:
-    """Number of passed young_check calls over random pairs (a, u).
+def young_allowance(rhs: float) -> float:
+    """The largest lhs young_check passes against rhs: roundoff and the
+    quadrature allowance on top of it."""
+    return rhs * (1.0 + YOUNG_REL_SLACK) + YOUNG_QUAD_SLACK * rhs
+
+
+def young_trials(theta: Polarization, n_trials: int, seed: int, pool=None) -> list:
+    """The young_check result (lhs, rhs, pass) of each of n_trials random
+    pairs (a, u), in trial order.
 
     a is a Gaussian bump and u a Gaussian-windowed plane wave, with centers,
     widths and wave vectors drawn from one generator seeded by seed, on a
-    512^2 grid of [-6, 6)^2.  Every trial's parameters are drawn here first;
-    with a concurrent.futures pool the trials then run on it, read back in
-    trial order, so the count and the first error raised are those of a
-    serial run.
+    YOUNG_SIDE^2 grid of [-6, 6)^2.  The line geometry and the spline
+    symbol are built once for all trials.  Every trial's parameters are
+    drawn here first; with a concurrent.futures pool the trials then run on
+    it, read back in trial order, so the results and the first error raised
+    are those of a serial run.
     """
-    grid = BoxGrid(6.0, 512)
-    pts = grid.points()
+    grid = BoxGrid(6.0, YOUNG_SIDE)
+    lines = norm_lines(grid, theta, YOUNG_DIRS, YOUNG_OFFSETS, YOUNG_LINE_SAMPLES)
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(n_trials):
@@ -342,19 +375,24 @@ def young_trials(theta: Polarization, n_trials: int, seed: int, pool=None) -> in
         # change every later trial
         k1, _ = rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2)
         draws.append((ca, cu, wa, wu, k1))
-    trial = functools.partial(_young_trial, grid, pts, theta)
-    return sum((map if pool is None else pool.map)(trial, draws))
+    trial = functools.partial(_young_trial, grid, lines, grid.spline_symbol())
+    return list((map if pool is None else pool.map)(trial, draws))
 
 
-def _young_trial(grid: BoxGrid, pts: np.ndarray, theta: Polarization, draw) -> bool:
-    """young_check on the pair (a, u) of one young_trials draw."""
+def _young_trial(grid: BoxGrid, lines: NormLines, symbol: np.ndarray, draw) -> tuple:
+    """young_check on the pair (a, u) of one young_trials draw.
+
+    Both are outer products of 1-D vectors over the grid axis: the Gaussians
+    factor, and cos(k.x) = cos(k_1 x_1) cos(k_2 x_2) - sin(k_1 x_1) sin(k_2 x_2).
+    """
     ca, cu, wa, wu, k1 = draw
-    A = np.exp(-((pts[:, 0] - ca[0]) ** 2 + (pts[:, 1] - ca[1]) ** 2) / wa**2)
-    U = (np.exp(-((pts[:, 0] - cu[0]) ** 2 + (pts[:, 1] - cu[1]) ** 2) / wu**2)
-         * np.cos(k1[0] * pts[:, 0] + k1[1] * pts[:, 1]))
-    n = grid.n_pix
-    return young_check(grid, A.reshape(n, n), U.reshape(n, n), theta,
-                       n_dirs=9, n_offsets=65, line_samples=384)[2]
+    x = grid.coords_1d()
+    A = np.outer(np.exp(-((x - ca[0]) ** 2) / wa**2), np.exp(-((x - ca[1]) ** 2) / wa**2))
+    g1 = np.exp(-((x - cu[0]) ** 2) / wu**2)
+    g2 = np.exp(-((x - cu[1]) ** 2) / wu**2)
+    U = np.outer(g1 * np.cos(k1[0] * x), g2 * np.cos(k1[1] * x))
+    U -= np.outer(g1 * np.sin(k1[0] * x), g2 * np.sin(k1[1] * x))
+    return young_check(grid, A, U, lines, symbol)
 
 
 def partition_sum_error(theta: Polarization, n_max: int) -> float:

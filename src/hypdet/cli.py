@@ -420,35 +420,38 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
         # criterion is pinned at n0 = 8 independently of the band cap
         n0 = 8
         if zero_weight:
-            return {"partial_sum": 0.0, "telescoping_err": 0.0,
-                    "fixed_point_value": 0.0, "gap": 0.0, "pass": True}
+            return ({"partial_sum": 0.0, "telescoping_err": 0.0,
+                     "fixed_point_value": 0.0, "gap": 0.0, "pass": True},
+                    {"lattice_side": 0, "x_points": 0})
         quad = ablocks.FlatTraceQuadrature(sys_, weight, theta_prime, n0_max=n0)
         partial = quad.partial_sum(n0)
         tele = abs(partial - quad.chi_trace(n0))
         oracle = quad.fixed_point_value()
-        return {
+        return ({
             "partial_sum": partial,
             "telescoping_err": tele,
             "fixed_point_value": oracle,
             "gap": abs(partial - oracle),
             "pass": bool(tele <= 1e-8 and abs(partial - oracle) <= 1e-3),
-        }
+        }, {"lattice_side": quad.lattice_side, "x_points": quad.x_points})
 
     def kneading():
         # kneading identity on the compressed truncation
         n_mat = min(6, n_max)
         zs = 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
         if zero_weight:
-            Z = np.zeros((4, 4))
-            knead = ablocks.kneading_check(Z, Z, Z, zs)
+            M = Mb = Mc = np.zeros((4, 4))
+            quad_points = 0
         else:
             block10 = ablocks.BlockOperator(
                 sys=it10, weight=weight, theta=theta, theta_prime=theta_prime,
                 n_max=n_mat, h_plus=hp10, h_minus=hm10,
             )
             M, Mb, Mc, _ = block10.compressed_matrices()
-            knead = ablocks.kneading_check(M, Mb, Mc, zs)
-        return {"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]}
+            quad_points = block10.quad_points
+        knead = ablocks.kneading_check(M, Mb, Mc, zs)
+        return ({"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]},
+                {"dim": M.shape[0], "quadrature_points": quad_points})
 
     def flat_trace_then_kneading():
         # The flat trace and the compressed build each evaluate in blocks of
@@ -463,10 +466,11 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
     with ThreadPoolExecutor(max_workers=cpu_count()) as pool:
         blocks = pool.submit(flat_trace_then_kneading)
         part_err = apart.partition_sum_error(theta, n_max)
-        passed = apart.young_trials(theta, cfg.young_trials, cfg.seed, pool)
+        young = apart.young_trials(theta, cfg.young_trials, cfg.seed, pool)
         # read after the Young trials, so the error raised is the one a
         # serial run would raise first
-        flat, knead = blocks.result()
+        (flat, flat_sizes), (knead, knead_sizes) = blocks.result()
+    passed = sum(ok for _, _, ok in young)
     checks = {
         "partition": {"max_err": part_err, "pass": part_err <= 1e-12},
         "young": {"passed": passed, "trials": cfg.young_trials,
@@ -475,10 +479,21 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
         "flat_trace": flat,
         "kneading": knead,
     }
+    # sizes and the least Young margin: deterministic, so the report stays
+    # byte-identical between reruns, worker counts and BLAS thread counts
+    diagnostics = {
+        "young": {"grid_side": apart.YOUNG_SIDE, "directions": apart.YOUNG_DIRS,
+                  "offsets": apart.YOUNG_OFFSETS, "line_samples": apart.YOUNG_LINE_SAMPLES,
+                  "least_margin": min(((apart.young_allowance(rhs) - lhs) / rhs
+                                       for lhs, rhs, _ in young), default=None)},
+        "compressed": knead_sizes,
+        "flat_trace": flat_sizes,
+    }
 
     all_pass = all(c["pass"] for c in checks.values())
     reports.write_json(os.path.join(out, "aniso.json"),
-                       {"eps": cfg.eps, "n_max": n_max, "checks": checks}, meta)
+                       {"eps": cfg.eps, "n_max": n_max, "checks": checks,
+                        "diagnostics": diagnostics}, meta)
     if not quiet:
         for name, c in checks.items():
             print(f"aniso {name}: {'pass' if c['pass'] else 'FAIL'}")

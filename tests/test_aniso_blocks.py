@@ -284,19 +284,30 @@ def test_compressed_build_working_set(chart0, iter10):
     assert _traced_peak_mb(run) < 60.0
 
 
-def test_compressed_coefficients_match_one_gemm(block):
-    # the blocked x-sum of the raw coefficients against both phase tables
-    # over every quadrature point and one gemm
-    bands = ab.band_indices(block.n_max)
-    modes_out, modes_in = block._band_mode_lists(bands)
-    eta, xi = np.vstack(modes_out), np.vstack(modes_in)
-    X, w = block._quad_grid()
-    assert w.size > 2 * ab.W_BLOCK
-    phase_in = np.exp(1j * (block.sys.forward(X) @ xi.T))
-    phase_out = np.exp(-1j * (X @ eta.T)) * w[:, None]
-    ref = phase_out.T @ phase_in / (2.0 * ab.CHART_GRID.box_half) ** 2
-    C = block._coefficients(eta, xi)
-    assert np.max(np.abs(C - ref)) <= 1e-14 * np.max(np.abs(ref))
+def test_compressed_coefficients_match_one_gemm(block, chart0):
+    # the blocked x-sum of the raw coefficients, with e^{-i eta.x} gathered
+    # from per-axis tables, against both phase tables taken as direct
+    # exponentials over every quadrature point and one gemm; with the chart
+    # weight and with it moved, whose quadrature grid is not square
+    sys_, theta, theta_p = chart0
+    moved = ab.BlockOperator(sys=sys_, weight=shifted_weight, theta=theta,
+                             theta_prime=theta_p, n_max=block.n_max,
+                             h_plus=block.h_plus, h_minus=block.h_minus)
+    for b, weight in ((block, maps.chart_weight), (moved, shifted_weight)):
+        bands = ab.band_indices(b.n_max)
+        modes_out, modes_in = b._band_mode_lists(bands)
+        eta, xi = np.vstack(modes_out), np.vstack(modes_in)
+        (t1, t2), k, w = b._quad
+        grid = np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert np.array_equal(k, np.flatnonzero(weight(grid) > 1e-15))
+        X = grid[k]
+        assert w.size == b.quad_points > 2 * ab.W_BLOCK
+        phase_in = np.exp(1j * (b.sys.forward(X) @ xi.T))
+        phase_out = np.exp(-1j * (X @ eta.T)) * w[:, None]
+        ref = phase_out.T @ phase_in / (2.0 * ab.CHART_GRID.box_half) ** 2
+        C = b._coefficients(eta, xi)
+        assert np.max(np.abs(C - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert not np.array_equal(*moved._quad[0])
 
 
 def test_flat_trace_kernel_same_bits_on_one_and_two_blas_threads():

@@ -436,6 +436,36 @@ def test_aniso_quick(tmp_path):
     assert all(c["pass"] for c in a["checks"].values())
 
 
+def test_aniso_diagnostics(tmp_path):
+    # the sizes recorded next to the checks are those of the objects the
+    # checks built, and the least Young margin is that of the trials
+    from hypdet.aniso import blocks as ab
+    from hypdet.aniso import partition as ap
+
+    cfg = write_config(tmp_path, "aniso_d.json", {
+        "map": {"eps": 0.0}, "n_max_aniso": 4, "young_trials": 3, "seed": 5,
+    })
+    out = str(tmp_path / "outd")
+    assert cli.main(["aniso", "--config", cfg, "--out", out, "--quiet"]) == 0
+    diag = reports.read_json(out + "/aniso.json")["diagnostics"]
+    sys_, theta, theta_p = maps.builtin_chart_model(0.0)
+    margins = [(ap.young_allowance(rhs) - lhs) / rhs
+               for lhs, rhs, _ in ap.young_trials(theta, 3, seed=5)]
+    assert diag["young"] == {"grid_side": 512, "directions": 9, "offsets": 65,
+                             "line_samples": 384, "least_margin": min(margins)}
+    assert 0.0 < min(margins)
+    it10 = maps.iterate_map(sys_, 10)
+    hp, hm = ab.h_exponents(it10, maps.chart_weight, theta, theta_p)
+    block = ab.BlockOperator(sys=it10, weight=maps.chart_weight, theta=theta,
+                             theta_prime=theta_p, n_max=4, h_plus=hp, h_minus=hm)
+    assert diag["compressed"] == {"dim": block.compressed_matrices()[0].shape[0],
+                                  "quadrature_points": block.quad_points}
+    quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=8)
+    assert diag["flat_trace"] == {"lattice_side": quad._W.shape[0],
+                                  "x_points": quad.x_points}
+    assert quad.x_points > 0 and quad._W.shape == (quad.lattice_side,) * 2
+
+
 def run_aniso_with_workers(monkeypatch, tmp_path, workers, cfg):
     """aniso.json bytes of one aniso run on a pool of `workers` threads."""
     monkeypatch.setattr(cli, "cpu_count", lambda: workers)
@@ -506,6 +536,9 @@ def test_aniso_zero_weight(tmp_path):
     assert rc == 0
     a = reports.read_json(out + "/aniso.json")
     assert a["checks"]["flat_trace"]["partial_sum"] == 0.0
+    # no quadrature is built for the zero weight
+    assert a["diagnostics"]["flat_trace"] == {"lattice_side": 0, "x_points": 0}
+    assert a["diagnostics"]["compressed"] == {"dim": 4, "quadrature_points": 0}
 
 
 def test_report_merge_and_gaps(quick_resonances_cfg, tmp_path):
