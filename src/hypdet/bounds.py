@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,124 +114,49 @@ def log_linear_fit(ms, logs) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """Finite cover of the torus by boxes {center, half-width radius}."""
-
-    centers: np.ndarray  # (k, 2)
-    radius: float
-
-    def __post_init__(self):
-        grid = _torus_grid(64)
-        d = _torus_box_dist(grid, self.centers)
-        if np.any(d.min(axis=1) > self.radius + 1e-12):
-            raise ValueError("cover does not cover the torus (grid check)")
-
-    def member_matrix(self, X) -> np.ndarray:
-        """Boolean (n_elements, n_points) membership table."""
-        return _torus_box_dist(X, self.centers).T <= self.radius + 1e-12
-
-
-def _torus_box_dist(X, centers):
-    """(n_points, n_elements) Chebyshev torus distance to each center."""
-    d = X[:, None, :] - centers[None, :, :]
-    d = np.abs(d - np.round(d))
-    return d.max(axis=2)
-
-
-def make_grid_cover(k: int) -> CoverSpec:
-    """k x k box cover of the torus; the boxes tile it exactly."""
-    t = (np.arange(k) + 0.5) / k
-    centers = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    return CoverSpec(centers=centers, radius=0.5 / k)
-
-
-def _element_witnesses(cover: CoverSpec, per_element: int) -> np.ndarray:
-    """Deterministic low-discrepancy grid of witnesses inside each element."""
-    side = max(2, int(math.ceil(math.sqrt(per_element))))
+def _cell_witnesses(k: int, per_cell: int) -> np.ndarray:
+    """Deterministic low-discrepancy grid of witnesses inside each cell of the
+    k x k tiling of the torus, cell by cell."""
+    side = max(2, int(math.ceil(math.sqrt(per_cell))))
     t = (np.arange(side) + 0.5) / side * 2.0 - 1.0  # (-1, 1)
     local = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    # golden-ratio shift decorrelates witness grids from the element lattice
+    # golden-ratio shift decorrelates witness grids from the cell lattice
     local = (local + np.array([0.6180339887498949, 0.2548776662466927])) % 2.0 - 1.0
-    pts = (cover.centers[:, None, :] + local[None, :, :] * cover.radius) % 1.0
+    pts = (_torus_grid(k)[:, None, :] + local[None, :, :] * (0.5 / k)) % 1.0
     return pts.reshape(-1, 2)
 
 
-def q_star_cover(sys: MapSystem, p: float, q: float, cover: CoverSpec, m: int,
-                 n_samples: int = 64, budget: int = 200000) -> dict:
-    """Subcover-minimized itinerary sum Q_*(T, g, W, m), greedy approximation.
+def q_star_cover(sys: MapSystem, p: float, q: float, k: int, m: int,
+                 n_samples: int = 64) -> dict:
+    """Itinerary sum Q_*(T, g, W, m) over the k x k tiling W of the torus,
+    with the itinerary, witness and thin (fewer than 3 witnesses) counts.
 
-    Enumerates itineraries with nonempty witnessed intersections, evaluates
-    the sup of |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}| on each, then
-    greedily extracts an approximate minimal subcover of the witness cloud.
-    Returns the greedy value (upper bound for the true min) and the full
-    no-subcover sum as a bracket.
+    Each witness gets its cell floor(k y) mod k at the steps 0..m-1 (mod k
+    folds a coordinate that % 1.0 rounded up to 1.0); the witnesses that
+    share a cell sequence make one itinerary, whose value is the largest
+    |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}| over them.  The cells tile
+    the torus, so each witness lies in exactly one itinerary: no proper
+    subfamily covers the witnesses, and Q_* is the sum over all of them.
     """
     if not (q <= 0.0 <= p):
         raise ValueError("q <= 0 <= p required")
-    W = _element_witnesses(cover, n_samples)
-    n_pts = W.shape[0]
-    # membership of the k-step images, k = 0..m-1
-    members = []
-    Y = W.copy()
-    for _ in range(m):
-        members.append(cover.member_matrix(Y))
-        Y = sys.forward(Y)
+    W = _cell_witnesses(k, n_samples)
+    orbit = [W]
+    for _ in range(m - 1):
+        orbit.append(sys.forward(orbit[-1]))
+    codes = np.floor(k * np.hstack(orbit)).astype(np.int64) % k
+    _, group, counts = np.unique(codes, axis=0, return_inverse=True, return_counts=True)
     H, _ = _integrand(sys, p, q, m, W, det_unstable=True)
-
-    n_elem = cover.centers.shape[0]
-    # tree expansion over itineraries, pruned by witness emptiness
-    nodes = [((e,), np.flatnonzero(members[0][e])) for e in range(n_elem)]
-    nodes = [nd for nd in nodes if nd[1].size]
-    for k in range(1, m):
-        nxt = []
-        for code, idx in nodes:
-            mk = members[k][:, idx]
-            for e in range(n_elem):
-                sub = idx[mk[e]]
-                if sub.size:
-                    nxt.append((code + (e,), sub))
-            if len(nxt) > budget:
-                raise BudgetExceeded(f"itinerary count exceeded {budget} at depth {k}")
-        nodes = nxt
-    thin = sum(1 for _, idx in nodes if idx.size < 3)
+    sups = np.zeros(len(counts))
+    np.maximum.at(sups, group.ravel(), H)
+    thin = int(np.count_nonzero(counts < 3))
     if thin > 0:
         warnings.warn(
-            f"{thin}/{len(nodes)} itineraries have fewer than 3 witnesses",
+            f"{thin}/{len(counts)} itineraries have fewer than 3 witnesses",
             EmptyWitness,
         )
-
-    values = np.array([H[idx].max() for _, idx in nodes])
-    full_sum = float(math.fsum(values))
-
-    # greedy weighted set cover of the witness cloud
-    covered = np.zeros(n_pts, dtype=bool)
-    greedy_sum = 0.0
-    chosen = 0
-    remaining = set(range(len(nodes)))
-    while covered.sum() < n_pts and remaining:
-        best, best_score, best_new = None, math.inf, 0
-        for i in remaining:
-            new = int(np.count_nonzero(~covered[nodes[i][1]]))
-            if new == 0:
-                continue
-            score = values[i] / new
-            if score < best_score - 1e-15:
-                best, best_score, best_new = i, score, new
-        if best is None:
-            break
-        covered[nodes[best][1]] = True
-        greedy_sum += float(values[best])
-        chosen += 1
-        remaining.discard(best)
-    return {
-        "m": m,
-        "greedy": greedy_sum,
-        "full_sum": full_sum,
-        "n_itineraries": len(nodes),
-        "n_chosen": chosen,
-        "n_witnesses": n_pts,
-    }
+    return {"m": m, "q_star": math.fsum(sups), "itineraries": len(counts),
+            "witnesses": len(W), "thin": thin}
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +295,31 @@ def compare_routes(rho_report: dict, q_report: dict) -> dict:
 
 
 def bound_table(sys: MapSystem, pts_by_m: dict, p: float, q: float, m_range,
-                n_samples: int = 4096, seed: int = 0) -> list:
+                n_samples: int = 4096, seed: int = 0) -> tuple:
     """Per-m rows: rho(m) with its standard error, R(m, t) for each t in T_GRID
-    under the key R_t<t>, and the topological pressure from |Fix(T^m)|.
+    under the key R_t<t>, and the topological pressure from |Fix(T^m)|; and
+    the cover counts of q_star_cover (m, itineraries, witnesses, thin) for
+    each m <= STAR_M_MAX.
 
-    Rows with m <= STAR_M_MAX also carry the cover value Q_* (greedy) and the
-    partition value rho_*.  Row m takes rho and R from one sample_period
-    draw and walk at seed + m, so it does not depend on which other m are in
-    the table; kitaev_crosscheck and appendixB_check read these rows instead
-    of sampling again.
+    Rows with m <= STAR_M_MAX also carry the cover value q_star over the
+    4 x 4 tiling and the partition value rho_*.  Row m takes rho and R from
+    one sample_period draw and walk at seed + m, so it does not depend on
+    which other m are in the table; kitaev_crosscheck and appendixB_check
+    read these rows instead of sampling again.
     """
     pressure = pressure_periodic({m: pts_by_m[m] for m in m_range})
-    cover = make_grid_cover(4)
     phis = make_torus_partition(3)
-    rows = []
+    rows, covers = [], []
     for m in m_range:
         row = {"m": m, **sample_period(sys, p, q, m, n_samples, seed + m),
                "pressure": pressure[m]}
         if m <= STAR_M_MAX:
-            row["q_star_greedy"] = q_star_cover(sys, p, q, cover, m)["greedy"]
+            cover = q_star_cover(sys, p, q, 4, m)
+            row["q_star"] = cover.pop("q_star")
             row["rho_star"] = rho_star_partition(sys, p, q, phis, m)["value"]
+            covers.append(cover)
         rows.append(row)
-    return rows
+    return rows, covers
 
 
 def appendixB_check(rows, p: float, q: float) -> dict:

@@ -87,10 +87,16 @@ class RunConfig:
     def validate(self):
         if not (self.q < 0.0 < self.p):
             raise ValueError(f"require q < 0 < p, got p={self.p}, q={self.q}")
-        # every integer setting except the seeds is a count or an order
+        # every integer setting except the seeds is a count or an order, and
+        # numpy's generators take no negative seed
         for name, tp in typing.get_type_hints(type(self)).items():
-            if tp is int and not name.endswith("seed") and getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            least = 0 if name.endswith("seed") else 1
+            if tp is int and getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        # a radius or tolerance of 0 or less matches nothing, and so passes
+        for name in ("det_radius", "match_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         # the bounds growth-rate fit reads the last EXTRAPOLATION_POINTS m, above m = 1
         if self.m_max < bd.EXTRAPOLATION_POINTS + 1:
             raise ValueError(f"m_max must be at least {bd.EXTRAPOLATION_POINTS + 1}, "
@@ -333,8 +339,8 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
     meta = cfg.meta("bounds")
     periods = orbit_periods(cfg, "bounds")
     pts = {m: orbits.periodic_points(sys_, m) for m in periods}
-    rows = bd.bound_table(sys_, pts, cfg.p, cfg.q, periods,
-                          n_samples=cfg.mc_samples, seed=cfg.seed)
+    rows, cover = bd.bound_table(sys_, pts, cfg.p, cfg.q, periods,
+                                 n_samples=cfg.mc_samples, seed=cfg.seed)
 
     # both routes fit the largest EXTRAPOLATION_POINTS m values; validate
     # keeps them above the m = 1 transient
@@ -371,6 +377,8 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
             "kitaev": cross,
             "appendixB": appB,
             "failures": failures,
+            # itinerary counts and the thin ones that fire EmptyWitness
+            "diagnostics": {"cover": cover},
         },
         meta,
     )
@@ -587,12 +595,11 @@ def _load_config(path, overrides) -> RunConfig:
     if path:
         with open(path) as fh:
             d = json.load(fh)
-    cfg = RunConfig.from_dict(d)
-    if overrides.get("seed") is not None:
-        cfg.seed = overrides["seed"]
-    if overrides.get("out") is not None:
-        cfg.output_dir = overrides["out"]
-    return cfg
+    # the overrides are validated with the file's keys; a top level that is
+    # no object is refused by from_dict
+    if isinstance(d, dict):
+        d = {**d, **{k: v for k, v in overrides.items() if v is not None}}
+    return RunConfig.from_dict(d)
 
 
 def main(argv=None) -> int:
@@ -619,7 +626,7 @@ def main(argv=None) -> int:
             return EXIT_NUMERICAL
 
     try:
-        cfg = _load_config(args.config, {"seed": args.seed, "out": args.out})
+        cfg = _load_config(args.config, {"seed": args.seed, "output_dir": args.out})
         # a map or weight the command does not run is refused before any work
         system = build_system(cfg, args.command)
     except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -57,7 +57,7 @@ def test_criterion_2_kitaev_equality():
     t0 = time.monotonic()
     cat = maps.builtin_cat_map()
     pts = points(cat, range(4, 11))
-    rows = bd.bound_table(cat, pts, 1.0, -1.0, range(4, 11), n_samples=4096, seed=1)
+    rows, _ = bd.bound_table(cat, pts, 1.0, -1.0, range(4, 11), n_samples=4096, seed=1)
     rep = bd.kitaev_crosscheck(cat, pts, 1.0, -1.0, rows)
     elapsed = time.monotonic() - t0
     ok = (
@@ -126,8 +126,8 @@ def test_criterion_6_appendix_b_inequality():
     ok = True
     for eps in (0.0, 0.01):
         sys_ = maps.make_map("cat" if eps == 0.0 else "perturbed_cat", eps)
-        rows = bd.bound_table(sys_, points(sys_, range(1, 7)), 1.0, -1.0, range(1, 7),
-                              n_samples=2048, seed=4)
+        rows, _ = bd.bound_table(sys_, points(sys_, range(1, 7)), 1.0, -1.0, range(1, 7),
+                                 n_samples=2048, seed=4)
         rep = bd.appendixB_check(rows, 1.0, -1.0)
         ok = ok and rep["pass"]
     elapsed = time.monotonic() - t0

@@ -6,7 +6,7 @@ import pytest
 
 from hypdet import bounds as bd
 from hypdet import cli, maps, orbits
-from hypdet.errors import BudgetExceeded, CrossCheckFailed, InequalityViolated
+from hypdet.errors import CrossCheckFailed, EmptyWitness, InequalityViolated
 
 LAM = maps.CAT_LAMBDA
 MU = maps.CAT_MU
@@ -65,8 +65,8 @@ def test_bound_table_equals_two_draw_oracles(request, point_sets, which, n_sampl
     # n_samples points) and R (the grid and its first 2048 points): bit for
     # bit what one draw for each gave
     sys_ = request.getfixturevalue(which)
-    rows = bd.bound_table(sys_, point_sets(sys_), 1, -1, (2, 5), n_samples=n_samples,
-                          seed=7)
+    rows, _ = bd.bound_table(sys_, point_sets(sys_), 1, -1, (2, 5), n_samples=n_samples,
+                             seed=7)
     for row in rows:
         m = row["m"]
         assert (row["rho"], row["rho_stderr"]) == rho_pq_m(sys_, 1, -1, m, n_samples, 7 + m)
@@ -131,36 +131,43 @@ def test_R_monotone_in_t_reported(pcat):
 def test_bound_table_rows_independent_of_range(pcat, pcat_pts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        full = bd.bound_table(pcat, pcat_pts, 1, -1, range(1, 6), n_samples=256,
-                              seed=2)
-        tail = bd.bound_table(pcat, pcat_pts, 1, -1, range(3, 6), n_samples=256,
-                              seed=2)
+        full, full_cover = bd.bound_table(pcat, pcat_pts, 1, -1, range(1, 6),
+                                          n_samples=256, seed=2)
+        tail, tail_cover = bd.bound_table(pcat, pcat_pts, 1, -1, range(3, 6),
+                                          n_samples=256, seed=2)
     assert [r["m"] for r in full] == [1, 2, 3, 4, 5]
     assert tail == full[2:]  # each row draws from seed + m
-    assert {"q_star_greedy", "rho_star"} <= set(full[3]) and "rho_star" not in full[4]
+    assert {"q_star", "rho_star"} <= set(full[3]) and "rho_star" not in full[4]
+    # the counts of q_star_cover for each row with a q_star
+    assert [c["m"] for c in full_cover] == [1, 2, 3, 4] and tail_cover == full_cover[2:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for row, c in zip(full, full_cover):
+            rep = bd.q_star_cover(pcat, 1, -1, 4, row["m"])
+            assert (row["q_star"], c) == (rep.pop("q_star"), rep)
     sample = bd.sample_period(pcat, 1, -1, 3, 256, 5)
     assert {k: full[2][k] for k in sample} == sample
 
 
 def test_appendixB_cat_and_perturbed(cat, cat_pts, point_sets):
-    rows = bd.bound_table(cat, cat_pts, 1, -1, range(1, 5), n_samples=512, seed=3)
+    rows, _ = bd.bound_table(cat, cat_pts, 1, -1, range(1, 5), n_samples=512, seed=3)
     rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]
     pc = maps.builtin_perturbed_cat(0.02)
-    rows2 = bd.bound_table(pc, point_sets(pc), 1, -1, range(1, 4), n_samples=1024, seed=3)
+    rows2, _ = bd.bound_table(pc, point_sets(pc), 1, -1, range(1, 4), n_samples=1024, seed=3)
     rep2 = bd.appendixB_check(rows2, 1, -1)
     assert rep2["pass"]
 
 
 def test_appendixB_zero_weight(cat, point_sets):
     zero = zero_weight(cat)
-    rows = bd.bound_table(zero, point_sets(zero), 1, -1, range(1, 3), n_samples=128)
+    rows, _ = bd.bound_table(zero, point_sets(zero), 1, -1, range(1, 3), n_samples=128)
     rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"]  # 0 <= 0
 
 
 def test_appendixB_violation_raises(cat, cat_pts):
-    rows = bd.bound_table(cat, cat_pts, 1, -1, range(1, 3), n_samples=64)
+    rows, _ = bd.bound_table(cat, cat_pts, 1, -1, range(1, 3), n_samples=64)
     for row in rows:
         row.update({"R_t1": 0.0, "R_t2": 0.0, "R_tinf": 0.0})
     with pytest.raises(InequalityViolated):
@@ -169,40 +176,105 @@ def test_appendixB_violation_raises(cat, cat_pts):
 
 def test_appendixB_reads_m_up_to_its_window(cat, cat_pts):
     m_last = bd.APPENDIX_B_M_MAX
-    rows = bd.bound_table(cat, cat_pts, 1, -1, (m_last, m_last + 1), n_samples=64)
+    rows, _ = bd.bound_table(cat, cat_pts, 1, -1, (m_last, m_last + 1), n_samples=64)
     rows[1].update({"R_t1": 0.0, "R_t2": 0.0, "R_tinf": 0.0})
     rep = bd.appendixB_check(rows, 1, -1)
     assert rep["pass"] and [r["m"] for r in rep["rows"]] == [m_last]
 
 
-def test_cover_spec_validation():
-    with pytest.raises(ValueError):
-        bd.CoverSpec(centers=np.array([[0.5, 0.5]]), radius=0.1)
-    cover = bd.make_grid_cover(4)
-    assert cover.centers.shape == (16, 2)
+def q_star_tree_greedy(sys, p, q, k, m, n_samples=64):
+    """Oracle: the cover route by itinerary tree and greedy subcover.
+
+    The k x k boxes are closed Chebyshev balls of radius 0.5 / k (with a
+    1e-12 slack) about the cell centres, each holding a shifted grid of
+    witnesses.  A tree search over the box sequences keeps the itineraries
+    whose witnessed intersection is nonempty; each is worth the sup of
+    |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}| on its witnesses.  Returns
+    their fsum (full_sum), the value of the weighted greedy subcover of the
+    witness cloud as a plain += in greedy order (greedy), and the numbers of
+    itineraries and of chosen ones."""
+    centers = bd._torus_grid(k)
+    radius = 0.5 / k
+    side = max(2, int(math.ceil(math.sqrt(n_samples))))
+    t = (np.arange(side) + 0.5) / side * 2.0 - 1.0
+    local = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    local = (local + np.array([0.6180339887498949, 0.2548776662466927])) % 2.0 - 1.0
+    W = ((centers[:, None, :] + local[None, :, :] * radius) % 1.0).reshape(-1, 2)
+    members = []
+    Y = W.copy()
+    for _ in range(m):
+        d = Y[:, None, :] - centers[None, :, :]
+        members.append(np.abs(d - np.round(d)).max(axis=2).T <= radius + 1e-12)
+        Y = sys.forward(Y)
+    H, _ = bd._integrand(sys, p, q, m, W, det_unstable=True)
+    nodes = [idx for idx in (np.flatnonzero(members[0][e]) for e in range(len(centers)))
+             if idx.size]
+    for step in range(1, m):
+        nodes = [sub for idx in nodes for e in range(len(centers))
+                 if (sub := idx[members[step][e, idx]]).size]
+    values = [float(H[idx].max()) for idx in nodes]
+    # each itinerary's count of witnesses not yet covered, kept up to date
+    # through the itineraries that hold each witness
+    new = [idx.size for idx in nodes]
+    holders = [[] for _ in W]
+    for i, idx in enumerate(nodes):
+        for w in idx:
+            holders[w].append(i)
+    covered = np.zeros(len(W), dtype=bool)
+    greedy, chosen, remaining = 0.0, 0, set(range(len(nodes)))
+    while not covered.all() and remaining:
+        best, best_score = None, math.inf
+        for i in remaining:
+            if new[i] and values[i] / new[i] < best_score - 1e-15:
+                best, best_score = i, values[i] / new[i]
+        if best is None:
+            break
+        for w in nodes[best][~covered[nodes[best]]]:
+            for i in holders[w]:
+                new[i] -= 1
+        covered[nodes[best]] = True
+        greedy += values[best]
+        chosen += 1
+        remaining.discard(best)
+    return {"full_sum": math.fsum(values), "greedy": greedy,
+            "n_itineraries": len(nodes), "n_chosen": chosen}
+
+
+@pytest.mark.parametrize("n_samples", [64, 128])
+@pytest.mark.parametrize("which", ["cat", "pcat", "expression_pcat"])
+def test_q_star_equals_tree_and_greedy_oracle(request, which, n_samples):
+    # the cells tile the torus and no witness lands on a cell edge, so the
+    # witnessed itineraries are disjoint and the greedy keeps every one
+    sys_ = request.getfixturevalue(which)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m in range(1, 6):
+            rep = bd.q_star_cover(sys_, 1, -1, 4, m, n_samples)
+            ref = q_star_tree_greedy(sys_, 1, -1, 4, m, n_samples)
+            assert rep["q_star"] == ref["full_sum"]
+            assert rep["q_star"] == pytest.approx(ref["greedy"], rel=1e-13, abs=0.0)
+            assert rep["itineraries"] == ref["n_itineraries"] == ref["n_chosen"]
+            assert rep["witnesses"] == 16 * math.ceil(math.sqrt(n_samples)) ** 2
 
 
 def test_q_star_m1_exact(cat):
-    cover = bd.make_grid_cover(4)
-    rep = bd.q_star_cover(cat, 0, 0, cover, 1, n_samples=64)
-    assert abs(rep["greedy"] - 16.0 * MU) < 1e-9
-    assert rep["n_itineraries"] == 16
+    rep = bd.q_star_cover(cat, 0, 0, 4, 1, n_samples=64)
+    assert abs(rep["q_star"] - 16.0 * MU) < 1e-9
+    assert rep["itineraries"] == 16 and rep["thin"] == 0
 
 
 def test_q_star_trend_to_pressure(cat):
-    cover = bd.make_grid_cover(4)
     roots = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for m in range(2, 9):
-            rep = bd.q_star_cover(cat, 0, 0, cover, m, n_samples=128)
-            roots.append(rep["greedy"] ** (1.0 / m))
+            rep = bd.q_star_cover(cat, 0, 0, 4, m, n_samples=128)
+            roots.append(rep["q_star"] ** (1.0 / m))
     assert all(a >= b for a, b in zip(roots, roots[1:]))
     assert abs(roots[-1] - 1.0) <= 0.10  # Q^{0,0} = exp(P_top) = 1
 
 
 def test_q_star_weight_floor_scaling(cat):
-    cover = bd.make_grid_cover(4)
     m = 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -210,55 +282,49 @@ def test_q_star_weight_floor_scaling(cat):
         for n in (4, 8):
             gn = maps.weight_floor(lambda x: np.zeros(x.shape[0]), n)
             sys_n = cat.with_weight(gn, tag=f"floor{n}")
-            vals[n] = bd.q_star_cover(sys_n, 0, 0, cover, m,
-                                      n_samples=64)["full_sum"]
+            vals[n] = bd.q_star_cover(sys_n, 0, 0, 4, m, n_samples=64)["q_star"]
     # constant weight (1/n)^m factors out of the itinerary sums exactly
     assert vals[4] / vals[8] == pytest.approx((8.0 / 4.0) ** m, rel=1e-9)
 
 
 def test_q_star_floor_monotone_in_n(cat):
-    cover = bd.make_grid_cover(4)
     g = lambda x: 0.2 * np.abs(np.sin(2 * np.pi * x[:, 0]))  # noqa: E731
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vals = []
         for n in (3, 4, 6):
             sys_n = cat.with_weight(maps.weight_floor(g, n), tag=f"floor{n}")
-            vals.append(bd.q_star_cover(sys_n, 0, 0, cover, 2,
-                                        n_samples=64)["full_sum"])
+            vals.append(bd.q_star_cover(sys_n, 0, 0, 4, 2, n_samples=64)["q_star"])
     assert vals[0] >= vals[1] >= vals[2]
 
 
 def test_q_star_full_sum_submultiplicative(cat):
-    cover = bd.make_grid_cover(4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        f = {m: bd.q_star_cover(cat, 1, -1, cover, m,
-                                n_samples=64)["full_sum"] for m in (2, 3, 5)}
+        f = {m: bd.q_star_cover(cat, 1, -1, 4, m, n_samples=64)["q_star"]
+             for m in (2, 3, 5)}
     assert f[5] <= f[2] * f[3] * 1.05
 
 
-def test_q_star_budget():
-    cat = maps.builtin_cat_map()
-    cover = bd.make_grid_cover(4)
-    with pytest.raises(BudgetExceeded):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bd.q_star_cover(cat, 0, 0, cover, 8, n_samples=64, budget=100)
+def test_q_star_thin_itineraries_warn(cat):
+    # 64 witnesses per cell spread over the 4^2 itineraries of each cell by
+    # m = 4, some with fewer than 3 witnesses; the count is reported too
+    with pytest.warns(EmptyWitness):
+        rep = bd.q_star_cover(cat, 1, -1, 4, 4, n_samples=64)
+    assert 0 < rep["thin"] <= rep["itineraries"] <= rep["witnesses"]
 
 
 def test_rho_leq_qstar_rate(cat):
     # Lemma-level comparison at the level of extrapolated m-th roots.  The
-    # window stops before the greedy subcover saturates its witness cloud
-    # (which biases the cover route down, as documented).
+    # window stops before the itineraries saturate the witness cloud (each
+    # needs a witness of its own, which biases the cover route down).
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         per_m = {m: bd.sample_period(cat, 1, -1, m, 512, m)["rho"]
                  for m in range(2, 6)}
         rho_rate = _fit(per_m)["estimate"]
-        cover = bd.make_grid_cover(4)
-        q_roots = {m: bd.q_star_cover(cat, 1, -1, cover, m,
-                                      n_samples=256)["greedy"] for m in range(2, 6)}
+        q_roots = {m: bd.q_star_cover(cat, 1, -1, 4, m, n_samples=256)["q_star"]
+                   for m in range(2, 6)}
         q_rate = _fit(q_roots)["estimate"]
     assert rho_rate <= q_rate * 1.05
 
@@ -325,12 +391,12 @@ def test_q_pq_bounded_by_scaled_q00(cat, cat_pts):
 
 
 def test_kitaev_crosscheck(cat, cat_pts, pcat, pcat_pts):
-    rows = bd.bound_table(cat, cat_pts, 1, -1, range(4, 11), n_samples=1024, seed=2)
+    rows, _ = bd.bound_table(cat, cat_pts, 1, -1, range(4, 11), n_samples=1024, seed=2)
     rep = bd.kitaev_crosscheck(cat, cat_pts, 1, -1, rows)
     assert rep["pass"] and rep["log_gap"] <= 0.05
     assert abs(rep["rho_estimate"] - 0.381966) < 0.02 * 0.381966
-    rows2 = bd.bound_table(pcat, pcat_pts, 1, -1, range(4, 9), n_samples=2048,
-                           seed=2)
+    rows2, _ = bd.bound_table(pcat, pcat_pts, 1, -1, range(4, 9), n_samples=2048,
+                              seed=2)
     rep2 = bd.kitaev_crosscheck(pcat, pcat_pts, 1, -1, rows2)
     assert rep2["pass"]
 

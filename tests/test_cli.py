@@ -263,6 +263,11 @@ def test_bounds_cat(quick_bounds_cfg, tmp_path):
     b = reports.read_json(out + "/bounds.json")
     assert b["kitaev"]["pass"] and b["appendixB"]["pass"]
     assert abs(b["kitaev"]["rho_estimate"] - 0.381966) < 0.01
+    # one cover entry per row with a q_star, m <= STAR_M_MAX
+    cover = b["diagnostics"]["cover"]
+    assert [c["m"] for c in cover] == [r["m"] for r in b["per_m"] if "q_star" in r] == [1, 2, 3, 4]
+    assert all(c["witnesses"] == 1024 and 0 <= c["thin"] <= c["itineraries"] <= 1024
+               for c in cover)
 
 
 def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_path):
@@ -603,6 +608,41 @@ def test_report_truncated_json_is_a_bad_artifact(name, payload, tmp_path, capsys
 def test_config_error_exit_code(tmp_path):
     bad = write_config(tmp_path, "bad.json", {"p": -1.0, "q": -1.0})
     assert cli.main(["bounds", "--config", bad, "--out", str(tmp_path)]) == 3
+
+
+QUICK_RESONANCES = {"map": {"id": "cat"}, "N_det": 8, "n_freq": 6, "top_k": 8}
+
+
+@pytest.mark.parametrize("command,payload", [
+    # a radius or tolerance of 0 or less matches nothing, so the match passed
+    *(("resonances", {**QUICK_RESONANCES, key: v})
+      for key in ("det_radius", "match_tol") for v in (-1.0, 0.0)),
+    # numpy's generators refuse a negative seed, with a traceback and exit 1
+    ("bounds", {"map": {"id": "cat"}, "m_max": 5, "mc_samples": 64, "seed": -10}),
+    ("resonances", {**QUICK_RESONANCES, "seed": -3}),
+    ("aniso", {"n_max_aniso": 4, "young_trials": 1, "seed": -1}),
+])
+def test_nonpositive_radius_or_tolerance_and_negative_seed_are_config_errors(
+        command, payload, tmp_path, capsys):
+    bad = write_config(tmp_path, "bad.json", payload)
+    assert cli.main([command, "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["resonances", "bounds", "aniso"])
+def test_negative_seed_flag_is_a_config_error(command, tmp_path, capsys):
+    assert cli.main([command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("config error: seed")
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_and_out_flags_override_the_config(tmp_path):
+    path = write_config(tmp_path, "cfg.json", {"seed": 5, "output_dir": "x"})
+    cfg = cli._load_config(path, {"seed": 0, "output_dir": "y"})
+    assert (cfg.seed, cfg.output_dir) == (0, "y")
+    assert cli._load_config(path, {"seed": None, "output_dir": None}) == \
+        cli.RunConfig(seed=5, output_dir="x")
 
 
 # (command, map id) -> the map the command runs; a pair not listed is refused
