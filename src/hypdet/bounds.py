@@ -4,9 +4,8 @@ Two independent routes to the same growth rate are implemented: a Monte
 Carlo integral route (rho) and a periodic-orbit pressure route (the
 variational Q).  One draw and orbit walk per period (sample_period) gives
 rho, the sampled sups R of the Appendix-B inequality and the negative
-control.  Cover and partition-of-unity routes give the starred expressions;
-all m-th-root limits are extrapolated by log-linear least squares over the
-largest four m values, with the residual always reported.
+control.  All m-th-root limits are extrapolated by log-linear least squares
+over the largest four m values, with the residual always reported.
 """
 
 from __future__ import annotations
@@ -16,33 +15,21 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    CrossCheckFailed,
-    EmptyWitness,
-    InequalityViolated,
-)
-from .maps import (
-    MapSystem,
-    hyperbolicity_exponents,
-    smooth_bump,
-    weight_floor,
-    weight_product,
-)
+from .errors import CrossCheckFailed, InequalityViolated
+from .maps import MapSystem, hyperbolicity_exponents, weight_floor, weight_product
 
 EXTRAPOLATION_POINTS = 4
 POOR_FIT_RESIDUAL = 0.1
 DEFAULT_CROSS_TOL = 0.05
-PRUNE_SUP = 1e-14
 T_GRID = (1.0, 2.0, math.inf)
 # R(m, t) is a sup over a torus grid and R_SAMPLES random points
 R_SAMPLES = 2048
 R_GRID_SIDE = math.ceil(math.sqrt(R_SAMPLES))
+# sample_period draws and walks max(n_samples, R_SAMPLES) points, about 0.9 KB
+# each at m = 8; RunConfig refuses an mc_samples above this
+MC_SAMPLES_MAX = 2**20
 # appendixB_check compares rho(m) with min_t R(m, t) for m up to this
 APPENDIX_B_M_MAX = 6
-# the cover and partition routes enumerate itineraries, whose number grows
-# exponentially in m; bound_table runs them up to this m
-STAR_M_MAX = 4
 # q_variational substitutes the floor sqrt(g^2 + 1/n^2) at this n for a weight
 # that vanishes on some periodic orbit
 WEIGHT_FLOOR_N = 100
@@ -54,14 +41,10 @@ def _torus_grid(side: int) -> np.ndarray:
     return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _integrand(sys, p, q, m, X, det_unstable=False):
-    """|g^(m)| * lambda^{(p,q,m)} at X, optionally over |det DT^m|_{E^u}|,
-    and det DT^m at X."""
+def _integrand(sys, p, q, m, X):
+    """|g^(m)| * lambda^{(p,q,m)} and det DT^m at X."""
     lam, nu, weights, jac_det = hyperbolicity_exponents(sys, X, m)
-    val = np.abs(weights) * np.maximum(lam**p, nu**q)
-    if det_unstable:
-        val = val / nu  # d_u = 1: |det DT^m|_{E^u}| = nu exactly
-    return val, jac_det
+    return np.abs(weights) * np.maximum(lam**p, nu**q), jac_det
 
 
 def sample_period(sys: MapSystem, p: float, q: float, m: int, n_samples: int,
@@ -107,128 +90,6 @@ def log_linear_fit(ms, logs) -> dict:
         "residual": resid,
         "poor_fit": poor,
     }
-
-
-# ---------------------------------------------------------------------------
-# cover route (Q_*)
-# ---------------------------------------------------------------------------
-
-
-def _cell_witnesses(k: int, per_cell: int) -> np.ndarray:
-    """Deterministic low-discrepancy grid of witnesses inside each cell of the
-    k x k tiling of the torus, cell by cell."""
-    side = max(2, int(math.ceil(math.sqrt(per_cell))))
-    t = (np.arange(side) + 0.5) / side * 2.0 - 1.0  # (-1, 1)
-    local = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    # golden-ratio shift decorrelates witness grids from the cell lattice
-    local = (local + np.array([0.6180339887498949, 0.2548776662466927])) % 2.0 - 1.0
-    pts = (_torus_grid(k)[:, None, :] + local[None, :, :] * (0.5 / k)) % 1.0
-    return pts.reshape(-1, 2)
-
-
-def q_star_cover(sys: MapSystem, p: float, q: float, k: int, m: int,
-                 n_samples: int = 64) -> dict:
-    """Itinerary sum Q_*(T, g, W, m) over the k x k tiling W of the torus,
-    with the itinerary, witness and thin (fewer than 3 witnesses) counts.
-
-    Each witness gets its cell floor(k y) mod k at the steps 0..m-1 (mod k
-    folds a coordinate that % 1.0 rounded up to 1.0); the witnesses that
-    share a cell sequence make one itinerary, whose value is the largest
-    |g^(m)| lambda^{(p,q,m)} / |det DT^m|_{E^u}| over them.  The cells tile
-    the torus, so each witness lies in exactly one itinerary: no proper
-    subfamily covers the witnesses, and Q_* is the sum over all of them.
-    """
-    if not (q <= 0.0 <= p):
-        raise ValueError("q <= 0 <= p required")
-    W = _cell_witnesses(k, n_samples)
-    orbit = [W]
-    for _ in range(m - 1):
-        orbit.append(sys.forward(orbit[-1]))
-    codes = np.floor(k * np.hstack(orbit)).astype(np.int64) % k
-    _, group, counts = np.unique(codes, axis=0, return_inverse=True, return_counts=True)
-    H, _ = _integrand(sys, p, q, m, W, det_unstable=True)
-    sups = np.zeros(len(counts))
-    np.maximum.at(sups, group.ravel(), H)
-    thin = int(np.count_nonzero(counts < 3))
-    if thin > 0:
-        warnings.warn(
-            f"{thin}/{len(counts)} itineraries have fewer than 3 witnesses",
-            EmptyWitness,
-        )
-    return {"m": m, "q_star": math.fsum(sups), "itineraries": len(counts),
-            "witnesses": len(W), "thin": thin}
-
-
-# ---------------------------------------------------------------------------
-# partition-of-unity route (rho_*)
-# ---------------------------------------------------------------------------
-
-
-def make_torus_partition(k: int, width_factor: float = 0.75):
-    """k^2 smooth bumps on the torus summing to 1 exactly (normalized)."""
-    centers = (np.arange(k) + 0.5) / k
-    w = width_factor / k
-
-    def bump_1d(t, c):
-        d = t - c
-        d = d - np.round(d)
-        return smooth_bump(d / w)
-
-    def total_1d(t):
-        return sum(bump_1d(t, c) for c in centers)
-
-    phis = []
-    for ci in centers:
-        for cj in centers:
-            def phi(x, ci=ci, cj=cj):
-                num = bump_1d(x[:, 0], ci) * bump_1d(x[:, 1], cj)
-                den = total_1d(x[:, 0]) * total_1d(x[:, 1])
-                return num / den
-            phis.append(phi)
-    return phis
-
-
-def rho_star_partition(sys: MapSystem, p: float, q: float, phis, m: int,
-                       n_grid: int = 48, budget: int = 200000) -> dict:
-    """Partition-of-unity sum rho_*(T, g, Phi, m) with sampled sup norms.
-
-    Products along itineraries are pruned once their sampled sup drops below
-    1e-14 (phi <= 1, so pruned branches cannot recover).
-    """
-    if not (q <= 0.0 <= p):
-        raise ValueError("q <= 0 <= p required")
-    X = _torus_grid(n_grid)
-    total = sum(np.asarray(phi(X)) for phi in phis)
-    if np.max(np.abs(total - 1.0)) > 1e-10:
-        raise ValueError("phis do not sum to 1 on the check grid")
-    tables = []
-    Y = X.copy()
-    for _ in range(m):
-        tables.append(np.stack([np.asarray(phi(Y)) for phi in phis]))
-        Y = sys.forward(Y)
-    F, _ = _integrand(sys, p, q, m, X, det_unstable=True)
-
-    n_phi = len(phis)
-    nodes = []
-    for e in range(n_phi):
-        vals = tables[0][e]
-        idx = np.flatnonzero(vals >= PRUNE_SUP)
-        if idx.size:
-            nodes.append((idx, vals[idx]))
-    for k in range(1, m):
-        nxt = []
-        for idx, vals in nodes:
-            tk = tables[k][:, idx]
-            for e in range(n_phi):
-                v = vals * tk[e]
-                keep = v >= PRUNE_SUP
-                if np.any(keep):
-                    nxt.append((idx[keep], v[keep]))
-            if len(nxt) > budget:
-                raise BudgetExceeded(f"partition itineraries exceeded {budget}")
-        nodes = nxt
-    value = math.fsum(float(np.max(vals * F[idx])) for idx, vals in nodes)
-    return {"m": m, "value": value, "n_terms": len(nodes)}
 
 
 # ---------------------------------------------------------------------------
@@ -295,31 +156,18 @@ def compare_routes(rho_report: dict, q_report: dict) -> dict:
 
 
 def bound_table(sys: MapSystem, pts_by_m: dict, p: float, q: float, m_range,
-                n_samples: int = 4096, seed: int = 0) -> tuple:
+                n_samples: int = 4096, seed: int = 0) -> list:
     """Per-m rows: rho(m) with its standard error, R(m, t) for each t in T_GRID
-    under the key R_t<t>, and the topological pressure from |Fix(T^m)|; and
-    the cover counts of q_star_cover (m, itineraries, witnesses, thin) for
-    each m <= STAR_M_MAX.
+    under the key R_t<t>, and the topological pressure from |Fix(T^m)|.
 
-    Rows with m <= STAR_M_MAX also carry the cover value q_star over the
-    4 x 4 tiling and the partition value rho_*.  Row m takes rho and R from
-    one sample_period draw and walk at seed + m, so it does not depend on
-    which other m are in the table; kitaev_crosscheck and appendixB_check
-    read these rows instead of sampling again.
+    Row m takes rho and R from one sample_period draw and walk at seed + m,
+    so it does not depend on which other m are in the table;
+    kitaev_crosscheck and appendixB_check read these rows instead of
+    sampling again.
     """
     pressure = pressure_periodic({m: pts_by_m[m] for m in m_range})
-    phis = make_torus_partition(3)
-    rows, covers = [], []
-    for m in m_range:
-        row = {"m": m, **sample_period(sys, p, q, m, n_samples, seed + m),
-               "pressure": pressure[m]}
-        if m <= STAR_M_MAX:
-            cover = q_star_cover(sys, p, q, 4, m)
-            row["q_star"] = cover.pop("q_star")
-            row["rho_star"] = rho_star_partition(sys, p, q, phis, m)["value"]
-            covers.append(cover)
-        rows.append(row)
-    return rows, covers
+    return [{"m": m, **sample_period(sys, p, q, m, n_samples, seed + m),
+             "pressure": pressure[m]} for m in m_range]
 
 
 def appendixB_check(rows, p: float, q: float) -> dict:

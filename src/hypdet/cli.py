@@ -93,6 +93,9 @@ class RunConfig:
             least = 0 if name.endswith("seed") else 1
             if tp is int and getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.mc_samples > bd.MC_SAMPLES_MAX:
+            raise ValueError(f"mc_samples must be at most bounds.MC_SAMPLES_MAX = "
+                             f"{bd.MC_SAMPLES_MAX}, got {self.mc_samples}")
         # a radius or tolerance of 0 or less matches nothing, and so passes
         for name in ("det_radius", "match_tol"):
             if not getattr(self, name) > 0.0:
@@ -339,8 +342,8 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
     meta = cfg.meta("bounds")
     periods = orbit_periods(cfg, "bounds")
     pts = {m: orbits.periodic_points(sys_, m) for m in periods}
-    rows, cover = bd.bound_table(sys_, pts, cfg.p, cfg.q, periods,
-                                 n_samples=cfg.mc_samples, seed=cfg.seed)
+    rows = bd.bound_table(sys_, pts, cfg.p, cfg.q, periods,
+                          n_samples=cfg.mc_samples, seed=cfg.seed)
 
     # both routes fit the largest EXTRAPOLATION_POINTS m values; validate
     # keeps them above the m = 1 transient
@@ -364,9 +367,9 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
         appB = exc.data
         failures.append("appendixB")
 
-    header = sorted({k for r in rows for k in r})
+    header = sorted(rows[0])
     reports.write_csv(os.path.join(out, "bounds.csv"), header,
-                      [[r.get(k, "") for k in header] for r in rows], meta)
+                      [[r[k] for k in header] for r in rows], meta)
     reports.write_json(
         os.path.join(out, "bounds.json"),
         {
@@ -377,8 +380,6 @@ def cmd_bounds(cfg: RunConfig, sys_: maps.MapSystem, quiet: bool = False) -> int
             "kitaev": cross,
             "appendixB": appB,
             "failures": failures,
-            # itinerary counts and the thin ones that fire EmptyWitness
-            "diagnostics": {"cover": cover},
         },
         meta,
     )

@@ -42,10 +42,6 @@ class EigenSolverFailure(HypdetError):
     """The nonsymmetric eigensolver did not converge."""
 
 
-class BudgetExceeded(HypdetError):
-    """Itinerary enumeration exceeded the configured budget."""
-
-
 class InequalityViolated(HypdetError):
     """A numeric inequality assertion failed; carries the offending data."""
 
@@ -72,10 +68,6 @@ class EmptyConstraintSet(HypdetError):
 
 class SingularResolvent(HypdetError):
     """Id - z*M_b too ill-conditioned to invert reliably."""
-
-
-class EmptyWitness(UserWarning):
-    """Some itineraries have too few witnesses; their nonemptiness is uncertain."""
 
 
 class IllConditionedRoot(UserWarning):

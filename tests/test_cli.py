@@ -263,11 +263,12 @@ def test_bounds_cat(quick_bounds_cfg, tmp_path):
     b = reports.read_json(out + "/bounds.json")
     assert b["kitaev"]["pass"] and b["appendixB"]["pass"]
     assert abs(b["kitaev"]["rho_estimate"] - 0.381966) < 0.01
-    # one cover entry per row with a q_star, m <= STAR_M_MAX
-    cover = b["diagnostics"]["cover"]
-    assert [c["m"] for c in cover] == [r["m"] for r in b["per_m"] if "q_star" in r] == [1, 2, 3, 4]
-    assert all(c["witnesses"] == 1024 and 0 <= c["thin"] <= c["itineraries"] <= 1024
-               for c in cover)
+    # the report format: one column and one key per quantity, every row alike
+    assert set(b) == {"meta", "parameters", "per_m", "kitaev", "appendixB", "failures"}
+    with open(out + "/bounds.csv") as fh:
+        lines = fh.read().splitlines()
+    assert lines[1] == "R_t1,R_t2,R_tinf,m,pressure,rho,rho_stderr"
+    assert len(lines) == 2 + 6 and all(set(r) == set(lines[1].split(",")) for r in b["per_m"])
 
 
 def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_path):
@@ -292,10 +293,9 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
         rc = cli.main(["bounds", "--config", quick_bounds_cfg, "--out",
                        str(tmp_path / "oc"), "--quiet"])
     assert rc == 0
-    # m = 1..6: one draw and walk per m gives rho and R, and the cover and
-    # partition routes walk theirs for m <= 4; the variational route reads
-    # the stored DT^m
-    assert calls == {"sample": 6, "exponents": 6 + 4 + 4}
+    # m = 1..6: one draw and walk per m gives rho and R; the variational
+    # route reads the stored DT^m
+    assert calls == {"sample": 6, "exponents": 6}
     # the table's pressure and the Kitaev fit over m = 3..6 share one set each
     assert points == {m: 1 for m in range(1, 7)}
 
@@ -324,6 +324,23 @@ def test_orbits_too_large_to_fit_are_a_config_error(command, payload, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "ORBIT_SIZE_MAX" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_mc_samples_too_large_to_fit_are_a_config_error(monkeypatch, tmp_path, capsys):
+    # 10^12 points at about 0.9 KB each; refused before any point is drawn
+    from hypdet import bounds
+
+    def no_draw(*a, **k):
+        raise AssertionError("points were drawn")
+
+    monkeypatch.setattr(bounds, "sample_period", no_draw)
+    bad = write_config(tmp_path, "big.json", {"map": {"id": "cat"}, "mc_samples": 10**12})
+    assert cli.main(["bounds", "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "MC_SAMPLES_MAX" in err
+    assert not (tmp_path / "o").exists()
+    cfg = cli.RunConfig.from_dict({"mc_samples": bounds.MC_SAMPLES_MAX})
+    assert cfg.mc_samples == bounds.MC_SAMPLES_MAX
 
 
 def test_orbit_size_limit_admits_period_16():
