@@ -11,7 +11,7 @@ exactly against the chi_{n0} kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ W_BLOCK = 512
 POWER_SPLIT = 32
 # kneading_check refuses Id - z M_b with a larger condition number
 COND_LIMIT = 1e12
-# the chart grid of BlockOperator: its points bound supp G, its frequency
+# the chart grid of compressed_matrices: its points bound supp G, its frequency
 # lattice holds the band modes, and its Nyquist limit caps the bands at n = 6
 CHART_GRID = BoxGrid(8.0, 1024)
 # decimated lattice modes per band in the compressed matrices
@@ -138,137 +138,103 @@ def triangularity_product_check(masks) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# block operator
+# compressed matrices
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BlockOperator:
-    """Truncated band-block realization of L u = G (u o T) on a chart."""
+def compressed_matrices(sys: MapSystem, weight, theta: Polarization,
+                        theta_prime: Polarization, n_max: int, h_plus: int,
+                        h_minus: int) -> tuple:
+    """(M, M_b, M_c, quad_points): the truncated band-block realization of
+    L u = G (u o T) on a chart, as dense matrices on PER_BAND decimated
+    modes of each band n <= n_max, and the number of quadrature points of
+    their entries.
 
-    sys: MapSystem
-    weight: object
-    theta: Polarization
-    theta_prime: Polarization
-    n_max: int
-    h_plus: int
-    h_minus: int
-    _quad: tuple = field(default=None, repr=False)
+    Entries are direct quadratures psi'(eta) psi~(xi) (1/|box|) int G
+    e^{i (xi.T(x) - eta.x)} dx over supp G.  A multiplier depends only on
+    the mode of its own row or column, so M = psi'[:, None] C psi~[None, :]
+    with one vector per side; the b/c split applies the hook mask blockwise.
+    """
+    CHART_GRID.require_band(n_max)
+    quad = _quad_grid(weight, n_max)
+    bands = band_indices(n_max)
+    modes_out, modes_in = _band_mode_lists(theta, theta_prime, bands)
+    C = _coefficients(sys, quad, np.vstack(modes_out), np.vstack(modes_in))
+    po = np.concatenate([dyadic_partition_eval(theta_prime, n, s, mo)
+                         for (n, s), mo in zip(bands, modes_out)])
+    pi = np.concatenate([psi_tilde_eval(theta, n, s, mi)
+                         for (n, s), mi in zip(bands, modes_in)])
+    M = po[:, None] * C * pi[None, :]
+    linked = (hook_mask(n_max, h_plus, h_minus)
+              .repeat([len(m) for m in modes_out], axis=0)
+              .repeat([len(m) for m in modes_in], axis=1))
+    return M, np.where(linked, M, 0.0), np.where(~linked, M, 0.0), quad[2].size
 
-    def __post_init__(self):
-        CHART_GRID.require_band(self.n_max)
-        # grid points in supp G; they bound the quadrature grid of the entries
-        c = CHART_GRID.coords_1d()
-        inside = np.empty(c.size**2, dtype=bool)
-        for blk in point_blocks(inside.size):
-            pts = lattice_points(c, np.arange(blk.start, blk.stop))
-            inside[blk] = np.asarray(self.weight(pts)) > 1e-15
-        self._quad = self._quad_grid(lattice_points(c, np.flatnonzero(inside)))
 
-    @property
-    def quad_points(self) -> int:
-        """Number of quadrature points of the compressed-matrix entries."""
-        return self._quad[2].size
+def _coefficients(sys: MapSystem, quad: tuple, eta, xi):
+    """C[a, b] = (1/|box|) int G(x) e^{i xi_b.T(x)} e^{-i eta_a.x} dx on the
+    _quad_grid quad over supp G, summed over blocks of W_BLOCK points x, so
+    no phase table spans every x.  e^{-i eta.x} = e^{-i eta_1 x_1}
+    e^{-i eta_2 x_2} is gathered from one table per axis of the tensor grid."""
+    (t1, t2), k, w = quad
+    E1 = np.exp(-1j * np.outer(t1, eta[:, 0]))
+    E2 = np.exp(-1j * np.outer(t2, eta[:, 1]))
+    i1, i2 = np.divmod(k, t2.size)
+    X = np.stack([t1[i1], t2[i2]], axis=-1)
+    C = np.zeros((eta.shape[0], xi.shape[0]), dtype=complex)
+    for b in range(0, w.size, W_BLOCK):
+        blk = slice(b, b + W_BLOCK)
+        phase_in_T = np.exp(1j * (sys.forward(X[blk]) @ xi.T))
+        phase_out_x = E1[i1[blk]] * E2[i2[blk]] * w[blk, None]
+        C += phase_out_x.T @ phase_in_T
+    C /= (2.0 * CHART_GRID.box_half) ** 2
+    return C
 
-    # -- compressed dense matrices -------------------------------------------
 
-    def compressed_matrices(self):
-        """(M, M_b, M_c, index) dense matrices on PER_BAND decimated modes of
-        each band n <= n_max.
+def _band_mode_lists(theta: Polarization, theta_prime: Polarization, bands):
+    """(modes_out, modes_in): the band_modes of each band on the CHART_GRID
+    lattice, for theta_prime and theta.
 
-        Entries are direct quadratures psi'(eta) psi~(xi) (1/|box|) int G
-        e^{i (xi.T(x) - eta.x)} dx over supp G; the b/c split applies the
-        hook mask blockwise.  index lists (band, mode) per matrix row.
-        """
-        bands = band_indices(self.n_max)
-        modes_out, modes_in = self._band_mode_lists(bands)
-        idx = [(bi, k) for bi, mo in enumerate(modes_out) for k in range(mo.shape[0])]
-        eta = np.vstack(modes_out)
-        xi = np.vstack(modes_in)
+    Each band sees only the lattice points of its annulus: it is +0.0
+    outside, and its modes are the points at or above half its maximum, so
+    the modes are those of the whole lattice.  Only the lattice's norms are
+    held; each annulus's points are made from their indices.
+    """
+    axis = CHART_GRID.xi_1d()
+    norm = lattice_norms(axis)
+    same_theta = theta == theta_prime
+    modes_out, modes_in = [], []
+    for n, s in bands:
+        ring = lattice_points(axis, np.flatnonzero(annulus(norm, n)))
+        mo = band_modes(ring, theta_prime, n, s)
+        modes_out.append(mo)
+        modes_in.append(mo if same_theta else band_modes(ring, theta, n, s))
+    return modes_out, modes_in
 
-        C = self._coefficients(eta, xi)
 
-        # multiplier scalings and block masks
-        n_b = len(bands)
-        sizes_out = [m.shape[0] for m in modes_out]
-        sizes_in = [m.shape[0] for m in modes_in]
-        off_out = np.cumsum([0] + sizes_out)
-        off_in = np.cumsum([0] + sizes_in)
-        dim_out, dim_in = off_out[-1], off_in[-1]
-        M = np.zeros((dim_out, dim_in), dtype=complex)
-        linked = np.zeros((dim_out, dim_in), dtype=bool)
-        for i, (n, s) in enumerate(bands):
-            po = np.asarray(dyadic_partition_eval(self.theta_prime, n, s, modes_out[i]))
-            for j, (l, t) in enumerate(bands):
-                pi = np.asarray(psi_tilde_eval(self.theta, l, t, modes_in[j]))
-                blk = C[off_out[i]:off_out[i + 1], off_in[j]:off_in[j + 1]]
-                M[off_out[i]:off_out[i + 1], off_in[j]:off_in[j + 1]] = (
-                    po[:, None] * blk * pi[None, :]
-                )
-                linked[off_out[i]:off_out[i + 1], off_in[j]:off_in[j + 1]] = hook(
-                    (l, t), (n, s), self.h_plus, self.h_minus
-                )
-        Mb = np.where(linked, M, 0.0)
-        Mc = np.where(~linked, M, 0.0)
-        return M, Mb, Mc, idx
-
-    def _coefficients(self, eta, xi):
-        """C[a, b] = (1/|box|) int G(x) e^{i xi_b.T(x)} e^{-i eta_a.x} dx on a
-        local quadrature grid over supp G that resolves the largest phase
-        rate, summed over blocks of W_BLOCK points x, so no phase table spans
-        every x.  e^{-i eta.x} = e^{-i eta_1 x_1} e^{-i eta_2 x_2} is
-        gathered from one table per axis of the tensor grid."""
-        (t1, t2), k, w = self._quad
-        E1 = np.exp(-1j * np.outer(t1, eta[:, 0]))
-        E2 = np.exp(-1j * np.outer(t2, eta[:, 1]))
-        i1, i2 = np.divmod(k, t2.size)
-        X = np.stack([t1[i1], t2[i2]], axis=-1)
-        C = np.zeros((eta.shape[0], xi.shape[0]), dtype=complex)
-        for b in range(0, w.size, W_BLOCK):
-            blk = slice(b, b + W_BLOCK)
-            phase_in_T = np.exp(1j * (self.sys.forward(X[blk]) @ xi.T))
-            phase_out_x = E1[i1[blk]] * E2[i2[blk]] * w[blk, None]
-            C += phase_out_x.T @ phase_in_T
-        C /= (2.0 * CHART_GRID.box_half) ** 2
-        return C
-
-    def _band_mode_lists(self, bands):
-        """(modes_out, modes_in): the band_modes of each band on the
-        CHART_GRID lattice, for theta_prime and theta.
-
-        Each band sees only the lattice points of its annulus: it is +0.0
-        outside, and its modes are the points at or above half its maximum,
-        so the modes are those of the whole lattice.  Only the lattice's
-        norms are held; each annulus's points are made from their indices.
-        """
-        axis = CHART_GRID.xi_1d()
-        norm = lattice_norms(axis)
-        same_theta = self.theta == self.theta_prime
-        modes_out, modes_in = [], []
-        for n, s in bands:
-            ring = lattice_points(axis, np.flatnonzero(annulus(norm, n)))
-            mo = band_modes(ring, self.theta_prime, n, s)
-            modes_out.append(mo)
-            modes_in.append(mo if same_theta else band_modes(ring, self.theta, n, s))
-        return modes_out, modes_in
-
-    def _quad_grid(self, support: np.ndarray) -> tuple:
-        """((t1, t2), k, w): the axes of a tensor grid over the box of the
-        support points that resolves the largest phase rate, the flat
-        indices k (row-major in t1 x t2) of its points in supp G, and their
-        quadrature weights."""
-        lo = support.min(axis=0) - 0.05
-        hi = support.max(axis=0) + 0.05
-        rate = 2.0 ** (self.n_max + 1) * QUAD_PAD * 2.0
-        n_need = int(np.ceil(max(hi - lo) * rate / math.pi))
-        n_side = max(QUAD_N, n_need)
-        t1 = lo[0] + (hi[0] - lo[0]) * (np.arange(n_side) + 0.5) / n_side
-        t2 = lo[1] + (hi[1] - lo[1]) * (np.arange(n_side) + 0.5) / n_side
-        X = np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2)
-        wq = np.asarray(self.weight(X))
-        k = np.flatnonzero(wq > 1e-15)
-        cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n_side**2
-        return (t1, t2), k, wq[k] * cell
+def _quad_grid(weight, n_max: int) -> tuple:
+    """((t1, t2), k, w): the axes of a tensor grid over the box of the
+    CHART_GRID points in supp G that resolves the largest phase rate of
+    bands n <= n_max, the flat indices k (row-major in t1 x t2) of its
+    points in supp G, and their quadrature weights."""
+    c = CHART_GRID.coords_1d()
+    inside = np.empty(c.size**2, dtype=bool)
+    for blk in point_blocks(inside.size):
+        pts = lattice_points(c, np.arange(blk.start, blk.stop))
+        inside[blk] = np.asarray(weight(pts)) > 1e-15
+    support = lattice_points(c, np.flatnonzero(inside))
+    lo = support.min(axis=0) - 0.05
+    hi = support.max(axis=0) + 0.05
+    rate = 2.0 ** (n_max + 1) * QUAD_PAD * 2.0
+    n_need = int(np.ceil(max(hi - lo) * rate / math.pi))
+    n_side = max(QUAD_N, n_need)
+    t1 = lo[0] + (hi[0] - lo[0]) * (np.arange(n_side) + 0.5) / n_side
+    t2 = lo[1] + (hi[1] - lo[1]) * (np.arange(n_side) + 0.5) / n_side
+    X = np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2)
+    wq = np.asarray(weight(X))
+    k = np.flatnonzero(wq > 1e-15)
+    cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n_side**2
+    return (t1, t2), k, wq[k] * cell
 
 
 def band_modes(lattice: np.ndarray, theta: Polarization, n: int, sigma: str) -> np.ndarray:
@@ -362,29 +328,27 @@ class FlatTraceQuadrature:
             terms[blk] = chi_n(self._norm[blk], n0) * W[blk]
         return float(np.sum(terms) * self.dxi**2 / TWO_PI**2)
 
-    def fixed_point_value(self) -> float:
-        """Oracle limit: sum over fixed points in supp G of G/|det(Id-DT)|."""
-        from scipy.optimize import fsolve
 
-        pts = _weight_support_points(self.sys, self.weight, n_side=16)
-        # fsolve leaves its callable in a reference cycle: a closure over
-        # self would keep the quadrature's lattice arrays alive until the
-        # cyclic collector runs
-        forward = self.sys.forward
-        roots = []
-        for x0 in pts[:: max(1, len(pts) // 25)]:
-            # fsolve iterates on one point, which the map takes as a batch of one
-            r = fsolve(lambda x: forward(x.reshape(1, 2))[0] - x, x0, full_output=True)
-            if r[2] == 1:
-                roots.append(r[0])
-        roots = np.array(roots).reshape(-1, 2)
-        fixed = []
-        for x in roots[np.asarray(self.weight(roots)) > 1e-15]:
-            if not any(np.linalg.norm(x - c) < 1e-8 for c in fixed):
-                fixed.append(x)
-        X = np.array(fixed).reshape(-1, 2)
-        dets = np.abs(np.linalg.det(np.eye(2) - self.sys.jacobian(X)))
-        return float(sum(np.asarray(self.weight(X)) / dets))
+def fixed_point_sum(sys: MapSystem, weight) -> float:
+    """Oracle limit of the flat traces: sum over the fixed points in supp G
+    of G/|det(Id-DT)|."""
+    from scipy.optimize import fsolve
+
+    pts = _weight_support_points(sys, weight, n_side=16)
+    roots = []
+    for x0 in pts[:: max(1, len(pts) // 25)]:
+        # fsolve iterates on one point, which the map takes as a batch of one
+        r = fsolve(lambda x: sys.forward(x.reshape(1, 2))[0] - x, x0, full_output=True)
+        if r[2] == 1:
+            roots.append(r[0])
+    roots = np.array(roots).reshape(-1, 2)
+    fixed = []
+    for x in roots[np.asarray(weight(roots)) > 1e-15]:
+        if not any(np.linalg.norm(x - c) < 1e-8 for c in fixed):
+            fixed.append(x)
+    X = np.array(fixed).reshape(-1, 2)
+    dets = np.abs(np.linalg.det(np.eye(2) - sys.jacobian(X)))
+    return float(sum(np.asarray(weight(X)) / dets))
 
 
 def _phase_kernel(phase: np.ndarray, w: np.ndarray, j: np.ndarray) -> np.ndarray:

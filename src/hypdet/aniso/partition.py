@@ -35,6 +35,11 @@ YOUNG_OFFSETS = 65
 YOUNG_LINE_SAMPLES = 384
 # partition_sum_error samples a PARTITION_SIDE^2 lattice of frequencies
 PARTITION_SIDE = 512
+# largest band cap partition_sum_error takes: its lattice spans
+# [-2^n_max, 2^n_max]^2, whose squared norms, up to 2^(2 n_max + 1), stay
+# below the largest double (2^1024) only up to n_max = 511; above, they
+# overflow to inf, and from 1024 on 2.0**n_max itself raises OverflowError
+PARTITION_N_MAX = 511
 # points per block of the elementwise band formulas: every temporary of an
 # evaluation spans at most this many points, whatever the input size
 EVAL_BLOCK = 1 << 15

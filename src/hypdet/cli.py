@@ -93,9 +93,14 @@ class RunConfig:
             least = 0 if name.endswith("seed") else 1
             if tp is int and getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.mc_samples > bd.MC_SAMPLES_MAX:
-            raise ValueError(f"mc_samples must be at most bounds.MC_SAMPLES_MAX = "
-                             f"{bd.MC_SAMPLES_MAX}, got {self.mc_samples}")
+        # sizes past what a run can hold or compute are refused up front
+        for name, module, cap in (("mc_samples", bd, "MC_SAMPLES_MAX"),
+                                  ("n_freq", coll, "N_FREQ_MAX"), ("top_k", coll, "TOP_K_MAX"),
+                                  ("n_max_aniso", apart, "PARTITION_N_MAX")):
+            if getattr(self, name) > getattr(module, cap):
+                raise ValueError(f"{name} must be at most "
+                                 f"{module.__name__.removeprefix('hypdet.')}.{cap} = "
+                                 f"{getattr(module, cap)}, got {getattr(self, name)}")
         # a radius or tolerance of 0 or less matches nothing, and so passes
         for name in ("det_radius", "match_tol"):
             if not getattr(self, name) > 0.0:
@@ -226,7 +231,7 @@ def build_system(cfg: RunConfig, command: str):
     resonances and bounds get a torus MapSystem; aniso gets the chart model
     as (MapSystem, theta, theta_prime).  A map id, seed, eps or weight spec
     the command does not run raises ValueError (resonances runs only weights
-    with declared Fourier coefficients), and so does a largest period whose
+    with declared Fourier coefficients), and so does a period whose
     |det(A^m - I)| points exceed orbits.ORBIT_SIZE_MAX.
     """
     allowed = COMMAND_MAPS[command]
@@ -241,10 +246,12 @@ def build_system(cfg: RunConfig, command: str):
         w = aniso_weight(cfg.weight)
     else:
         sys_ = maps.make_map(map_id, cfg.eps, cfg.map_seed)
-        m = orbit_periods(cfg, command)[-1]
-        if orbits.fixed_point_count(sys_.linear_part, m) > orbits.ORBIT_SIZE_MAX:
-            raise ValueError(f"period {m} has more than orbits.ORBIT_SIZE_MAX = "
-                             f"{orbits.ORBIT_SIZE_MAX} points (|det(A^m - I)|)")
+        # the run needs every period, so the first one over the cap is
+        # refused, and no larger power of A is formed
+        for m in orbit_periods(cfg, command):
+            if orbits.fixed_point_count(sys_.linear_part, m) > orbits.ORBIT_SIZE_MAX:
+                raise ValueError(f"period {m} has more than orbits.ORBIT_SIZE_MAX = "
+                                 f"{orbits.ORBIT_SIZE_MAX} points (|det(A^m - I)|)")
         w = build_weight(cfg.weight)
     if w is not None:
         sys_ = sys_.with_weight(*w, tag=json.dumps(cfg.weight, sort_keys=True))
@@ -419,10 +426,9 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
     it12 = maps.iterate_map(sys_, 12)
     hp10, hm10 = ablocks.h_exponents(it10, h_weight, theta, theta_prime)
     hp12, hm12 = ablocks.h_exponents(it12, h_weight, theta, theta_prime)
-    masks = [ablocks.hook_mask(6, hp10, hm10), ablocks.hook_mask(6, hp12, hm12),
-             ablocks.hook_mask(6, hp10, hm10)]
+    m10 = ablocks.hook_mask(6, hp10, hm10)
     tri = (hp10 < 0 < hm10 and hp12 < 0 < hm12
-           and ablocks.triangularity_product_check(masks))
+           and ablocks.triangularity_product_check([m10, ablocks.hook_mask(6, hp12, hm12), m10]))
 
     def flat_trace():
         # flat-trace convergence to the fixed-point value; the 1e-3 gap
@@ -435,7 +441,7 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
         quad = ablocks.FlatTraceQuadrature(sys_, weight, theta_prime, n0_max=n0)
         partial = quad.partial_sum(n0)
         tele = abs(partial - quad.chi_trace(n0))
-        oracle = quad.fixed_point_value()
+        oracle = ablocks.fixed_point_sum(sys_, weight)
         return ({
             "partial_sum": partial,
             "telescoping_err": tele,
@@ -452,12 +458,8 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
             M = Mb = Mc = np.zeros((4, 4))
             quad_points = 0
         else:
-            block10 = ablocks.BlockOperator(
-                sys=it10, weight=weight, theta=theta, theta_prime=theta_prime,
-                n_max=n_mat, h_plus=hp10, h_minus=hm10,
-            )
-            M, Mb, Mc, _ = block10.compressed_matrices()
-            quad_points = block10.quad_points
+            M, Mb, Mc, quad_points = ablocks.compressed_matrices(
+                it10, weight, theta, theta_prime, n_mat, hp10, hm10)
         knead = ablocks.kneading_check(M, Mb, Mc, zs)
         return ({"max_rel_err": knead["max_rel_err"], "pass": knead["pass"]},
                 {"dim": M.shape[0], "quadrature_points": quad_points})
@@ -493,8 +495,8 @@ def cmd_aniso(cfg: RunConfig, chart: tuple, quiet: bool = False) -> int:
     diagnostics = {
         "young": {"grid_side": apart.YOUNG_SIDE, "directions": apart.YOUNG_DIRS,
                   "offsets": apart.YOUNG_OFFSETS, "line_samples": apart.YOUNG_LINE_SAMPLES,
-                  "least_margin": min(((apart.young_allowance(rhs) - lhs) / rhs
-                                       for lhs, rhs, _ in young), default=None)},
+                  "least_margin": min((apart.young_allowance(rhs) - lhs) / rhs
+                                      for lhs, rhs, _ in young)},
         "compressed": knead_sizes,
         "flat_trace": flat_sizes,
     }

@@ -38,6 +38,13 @@ SPARSE_DROP_TOL = 1e-13
 SUBSPACE_ITERS = 24
 RITZ_RESIDUAL_TOL = 1e-8
 STABILITY_RTOL = 1e-6
+# largest n_freq and top_k a run may ask for: the 2 n_freq build holds
+# (4 n_freq + 1)^2 modes, and the subspace iteration a dense block of
+# dim x min(dim, top_k + 16).  The shipped resonances config at n_freq 32,
+# 40 and 48 with top_k 48 peaks at 251, 392 and 593 MB (ru_maxrss, one
+# BLAS thread, 2-core x86-64), and at (48, 112) at 600 MB in 35 s
+N_FREQ_MAX = 48
+TOP_K_MAX = 112
 # the FFT build samples on a (GRID_FACTOR (2N+1))^2 grid, the anti-aliasing
 # minimum; above FFT_MAX_DIM modes the closed form takes over
 GRID_FACTOR = 4

@@ -24,10 +24,11 @@ def chart0():
 
 @pytest.fixture(scope="module")
 def block(chart0):
+    # compressed_matrices arguments of the chart map itself at n_max 6
     sys_, theta, theta_p = chart0
     hp, hm = ab.h_exponents(sys_, maps.chart_weight, theta, theta_p)
-    return ab.BlockOperator(sys=sys_, weight=maps.chart_weight, theta=theta,
-                            theta_prime=theta_p, n_max=6, h_plus=hp, h_minus=hm)
+    return dict(sys=sys_, weight=maps.chart_weight, theta=theta, theta_prime=theta_p,
+                n_max=6, h_plus=hp, h_minus=hm)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +131,7 @@ def test_triangularity_products(chart0, iter10):
 
 
 def test_split_masks_complementary(block):
-    mb = ab.hook_mask(block.n_max, block.h_plus, block.h_minus)
+    mb = ab.hook_mask(block["n_max"], block["h_plus"], block["h_minus"])
     mc = ~mb
     assert np.all(mb ^ mc)
 
@@ -141,7 +142,7 @@ def test_flat_trace_linear_chart(chart0):
     partial = quad.partial_sum(8)
     assert abs(partial - quad.chi_trace(8)) <= 1e-8  # telescoping
     assert abs(partial - 2.0 * maps.chart_weight(np.zeros((1, 2)))[0]) <= 1e-3
-    assert quad.fixed_point_value() == pytest.approx(2.0, abs=1e-9)
+    assert ab.fixed_point_sum(sys_, maps.chart_weight) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_flat_trace_telescoping_all_orders(chart0):
@@ -189,7 +190,7 @@ def shifted_weight(x):
 def test_flat_trace_no_fixed_point(chart0):
     sys_, theta, theta_p = chart0
     quad = ab.FlatTraceQuadrature(sys_, shifted_weight, theta_p, n0_max=8)
-    assert quad.fixed_point_value() == 0.0
+    assert ab.fixed_point_sum(sys_, shifted_weight) == 0.0
     assert abs(quad.partial_sum(8)) <= 1e-3
 
 
@@ -236,13 +237,13 @@ def test_flat_traces_same_bits_in_one_block(chart0, monkeypatch):
 
 
 def test_quadrature_freed_at_del_after_fixed_point_value(chart0):
-    # nothing the oracle leaves behind refers to the quadrature, so its
+    # the oracle shares no object with the quadrature, so the quadrature's
     # lattice arrays go at del, not when the cyclic collector next runs
     sys_, theta, theta_p = chart0
     quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=2)
     gc.disable()
     try:
-        assert quad.fixed_point_value() == pytest.approx(2.0, abs=1e-9)
+        assert ab.fixed_point_sum(sys_, maps.chart_weight) == pytest.approx(2.0, abs=1e-9)
         ref = weakref.ref(quad)
         del quad
         assert ref() is None
@@ -277,9 +278,7 @@ def test_compressed_build_working_set(chart0, iter10):
     it10, hp10, hm10 = iter10
 
     def run():
-        ab.BlockOperator(sys=it10, weight=maps.chart_weight, theta=theta,
-                         theta_prime=theta_p, n_max=6, h_plus=hp10,
-                         h_minus=hm10).compressed_matrices()
+        ab.compressed_matrices(it10, maps.chart_weight, theta, theta_p, 6, hp10, hm10)
 
     assert _traced_peak_mb(run) < 60.0
 
@@ -290,24 +289,25 @@ def test_compressed_coefficients_match_one_gemm(block, chart0):
     # exponentials over every quadrature point and one gemm; with the chart
     # weight and with it moved, whose quadrature grid is not square
     sys_, theta, theta_p = chart0
-    moved = ab.BlockOperator(sys=sys_, weight=shifted_weight, theta=theta,
-                             theta_prime=theta_p, n_max=block.n_max,
-                             h_plus=block.h_plus, h_minus=block.h_minus)
-    for b, weight in ((block, maps.chart_weight), (moved, shifted_weight)):
-        bands = ab.band_indices(b.n_max)
-        modes_out, modes_in = b._band_mode_lists(bands)
+    quads = []
+    for weight in (maps.chart_weight, shifted_weight):
+        b = {**block, "weight": weight}
+        bands = ab.band_indices(b["n_max"])
+        modes_out, modes_in = ab._band_mode_lists(theta, theta_p, bands)
         eta, xi = np.vstack(modes_out), np.vstack(modes_in)
-        (t1, t2), k, w = b._quad
+        quad = ab._quad_grid(weight, b["n_max"])
+        (t1, t2), k, w = quad
         grid = np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2)
         assert np.array_equal(k, np.flatnonzero(weight(grid) > 1e-15))
         X = grid[k]
-        assert w.size == b.quad_points > 2 * ab.W_BLOCK
-        phase_in = np.exp(1j * (b.sys.forward(X) @ xi.T))
+        assert w.size > 2 * ab.W_BLOCK
+        phase_in = np.exp(1j * (sys_.forward(X) @ xi.T))
         phase_out = np.exp(-1j * (X @ eta.T)) * w[:, None]
         ref = phase_out.T @ phase_in / (2.0 * ab.CHART_GRID.box_half) ** 2
-        C = b._coefficients(eta, xi)
+        C = ab._coefficients(sys_, quad, eta, xi)
         assert np.max(np.abs(C - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert not np.array_equal(*moved._quad[0])
+        quads.append(quad)
+    assert not np.array_equal(*quads[1][0])
 
 
 def test_flat_trace_kernel_same_bits_on_one_and_two_blas_threads():
@@ -352,9 +352,7 @@ def test_band_modes_on_the_annulus_are_those_of_the_lattice(chart0):
     want = {(t, n, s): ab.band_modes(lattice, t, n, s)
             for t in (theta, other) for n, s in bands}
     for prime in (theta_p, other):
-        b = ab.BlockOperator(sys=sys_, weight=maps.chart_weight, theta=theta,
-                             theta_prime=prime, n_max=6, h_plus=5, h_minus=-6)
-        modes_out, modes_in = b._band_mode_lists(bands)
+        modes_out, modes_in = ab._band_mode_lists(theta, prime, bands)
         for (n, s), mo, mi in zip(bands, modes_out, modes_in):
             for got, t in ((mo, prime), (mi, theta)):
                 ref = want[(t, n, s)]
@@ -365,10 +363,8 @@ def test_band_modes_on_the_annulus_are_those_of_the_lattice(chart0):
 def test_kneading_full(chart0, iter10):
     sys_, theta, theta_p = chart0
     it10, hp10, hm10 = iter10
-    b10 = ab.BlockOperator(sys=it10, weight=maps.chart_weight, theta=theta,
-                           theta_prime=theta_p, n_max=4,
-                           h_plus=hp10, h_minus=hm10)
-    M, Mb, Mc, idx = b10.compressed_matrices()
+    M, Mb, Mc, _ = ab.compressed_matrices(it10, maps.chart_weight, theta, theta_p, 4,
+                                          hp10, hm10)
     assert np.max(np.abs(M - (Mb + Mc))) == 0.0
     zs = 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
     rep = ab.kneading_check(M, Mb, Mc, zs)
@@ -379,6 +375,58 @@ def test_kneading_full(chart0, iter10):
     rep0 = ab.kneading_check(M, Mb, Mc, [0.0])
     assert abs(rep0["rows"][0]["lhs"] - 1.0) == 0.0
     assert abs(rep0["rows"][0]["rhs"] - 1.0) == 0.0
+
+
+def _per_block_reference(C, modes_out, modes_in, theta, theta_p, n_max, hp, hm):
+    """(M, M_b, M_c) from the raw coefficients C one band pair at a time: the
+    row band's partition function and the column band's widened multiplier
+    on each block, and the hook relation of the pair on its mask."""
+    bands = ab.band_indices(n_max)
+    off_out = np.cumsum([0] + [m.shape[0] for m in modes_out])
+    off_in = np.cumsum([0] + [m.shape[0] for m in modes_in])
+    M = np.zeros((off_out[-1], off_in[-1]), dtype=complex)
+    linked = np.zeros(M.shape, dtype=bool)
+    for i, (n, s) in enumerate(bands):
+        po = np.asarray(dyadic_partition_eval(theta_p, n, s, modes_out[i]))
+        rows = slice(off_out[i], off_out[i + 1])
+        for j, (ell, t) in enumerate(bands):
+            pi = np.asarray(ap.psi_tilde_eval(theta, ell, t, modes_in[j]))
+            cols = slice(off_in[j], off_in[j + 1])
+            M[rows, cols] = po[:, None] * C[rows, cols] * pi[None, :]
+            linked[rows, cols] = ab.hook((ell, t), (n, s), hp, hm)
+    return M, np.where(linked, M, 0.0), np.where(~linked, M, 0.0)
+
+
+@pytest.mark.parametrize("n_max, m", [(6, 10), (4, 10), (6, 12)])
+def test_compressed_matrices_match_per_block_loop(chart0, monkeypatch, n_max, m):
+    # one multiplier vector per side and the expanded hook mask give the
+    # bits of the per-band-pair products and per-block hook calls, on the
+    # same raw coefficients and modes
+    sys_, theta, theta_p = chart0
+    it = maps.iterate_map(sys_, m)
+    hp, hm = ab.h_exponents(it, maps.chart_weight, theta, theta_p)
+    seen = {}
+    coefficients, mode_lists = ab._coefficients, ab._band_mode_lists
+
+    def spy_coefficients(*args):
+        seen["C"] = coefficients(*args)
+        return seen["C"]
+
+    def spy_mode_lists(*args):
+        seen["modes"] = mode_lists(*args)
+        return seen["modes"]
+
+    monkeypatch.setattr(ab, "_coefficients", spy_coefficients)
+    monkeypatch.setattr(ab, "_band_mode_lists", spy_mode_lists)
+    *got, quad_points = ab.compressed_matrices(it, maps.chart_weight, theta, theta_p,
+                                               n_max, hp, hm)
+    want = _per_block_reference(seen["C"], *seen["modes"], theta, theta_p, n_max, hp, hm)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (16 * 2 * (n_max + 1),) * 2
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    # both parts of the split hold entries
+    assert np.count_nonzero(got[1]) > 0 and np.count_nonzero(got[2]) > 0
+    assert quad_points == ab._quad_grid(maps.chart_weight, n_max)[2].size
 
 
 def test_kneading_random_truncation(rng):

@@ -276,8 +276,7 @@ def test_grid_too_coarse():
     # resolve only 64 pi
     sys_, theta, theta_p = maps.builtin_chart_model(0.0)
     with pytest.raises(GridTooCoarse):
-        ab.BlockOperator(sys=sys_, weight=maps.chart_weight, theta=theta,
-                         theta_prime=theta_p, n_max=7, h_plus=5, h_minus=-6)
+        ab.compressed_matrices(sys_, maps.chart_weight, theta, theta_p, 7, 5, -6)
 
 
 def _psi_hat_lattice(theta, n, sigma, v_pts, dxi):

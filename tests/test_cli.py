@@ -305,12 +305,15 @@ def test_bounds_computes_each_quantity_once(monkeypatch, quick_bounds_cfg, tmp_p
     ("resonances", {"map": {"id": "perturbed_cat", "eps": 0.05}, "N_det": 17}),
     ("bounds", {"m_max": 17}),
     ("bounds", {"map": {"id": "perturbed_cat", "eps": 0.01}, "m_max": 17}),
+    ("resonances", {"N_det": 10**6}),
+    ("bounds", {"m_max": 10**6}),
 ])
 def test_orbits_too_large_to_fit_are_a_config_error(command, payload, monkeypatch, tmp_path,
                                                       capsys):
     # period 17: |det(A^17 - I)| = 1.3e7 points, about 1.5 GB; refused
     # before any orbit work, which would fail this test at once instead of
-    # running
+    # running.  The run needs every period, so a larger top is refused at
+    # period 17 too, without forming A^m for the larger m.
     def refused(points):
         def no_orbits(sys_, m):
             raise AssertionError(f"the period-{m} points were computed")
@@ -322,7 +325,7 @@ def test_orbits_too_large_to_fit_are_a_config_error(command, payload, monkeypatc
     assert cli.main([command, "--config", bad, "--out", str(tmp_path / "o")]) == 3
     assert time.monotonic() - t0 < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "ORBIT_SIZE_MAX" in err
+    assert err.startswith("config error: period 17 has more than orbits.ORBIT_SIZE_MAX")
     assert not (tmp_path / "o").exists()
 
 
@@ -341,6 +344,25 @@ def test_mc_samples_too_large_to_fit_are_a_config_error(monkeypatch, tmp_path, c
     assert not (tmp_path / "o").exists()
     cfg = cli.RunConfig.from_dict({"mc_samples": bounds.MC_SAMPLES_MAX})
     assert cfg.mc_samples == bounds.MC_SAMPLES_MAX
+
+
+@pytest.mark.parametrize("key,module,cap", [
+    ("n_freq", "collocation", "N_FREQ_MAX"),
+    ("top_k", "collocation", "TOP_K_MAX"),
+    ("n_max_aniso", "aniso.partition", "PARTITION_N_MAX"),
+])
+def test_sizes_above_their_caps_are_a_config_error(key, module, cap, tmp_path, capsys):
+    import importlib
+
+    limit = getattr(importlib.import_module(f"hypdet.{module}"), cap)
+    assert getattr(cli.RunConfig.from_dict({key: limit}), key) == limit
+    command = "aniso" if key == "n_max_aniso" else "resonances"
+    bad = write_config(tmp_path, "big.json", {key: limit + 1})
+    assert cli.main([command, "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"config error: {key} must be at most {module}.{cap} = {limit}, "
+                   f"got {limit + 1}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_orbit_size_limit_admits_period_16():
@@ -478,10 +500,9 @@ def test_aniso_diagnostics(tmp_path):
     assert 0.0 < min(margins)
     it10 = maps.iterate_map(sys_, 10)
     hp, hm = ab.h_exponents(it10, maps.chart_weight, theta, theta_p)
-    block = ab.BlockOperator(sys=it10, weight=maps.chart_weight, theta=theta,
-                             theta_prime=theta_p, n_max=4, h_plus=hp, h_minus=hm)
-    assert diag["compressed"] == {"dim": block.compressed_matrices()[0].shape[0],
-                                  "quadrature_points": block.quad_points}
+    M, _, _, quad_points = ab.compressed_matrices(it10, maps.chart_weight, theta, theta_p,
+                                                  4, hp, hm)
+    assert diag["compressed"] == {"dim": M.shape[0], "quadrature_points": quad_points}
     quad = ab.FlatTraceQuadrature(sys_, maps.chart_weight, theta_p, n0_max=8)
     assert diag["flat_trace"] == {"lattice_side": quad._W.shape[0],
                                   "x_points": quad.x_points}
@@ -540,12 +561,28 @@ def test_aniso_raises_the_error_a_serial_run_raises_first(monkeypatch, tmp_path,
     # the pool task, like a serial run, reaches the flat trace before the
     # kneading blocks
     monkeypatch.setattr(blocks, "FlatTraceQuadrature", failing(GridTooCoarse("flat trace")))
-    monkeypatch.setattr(blocks, "BlockOperator", failing(SingularResolvent("kneading")))
+    monkeypatch.setattr(blocks, "compressed_matrices", failing(SingularResolvent("kneading")))
     cfg = write_config(tmp_path, "aniso_o.json", {
         "map": {"eps": 0.0}, "n_max_aniso": 4, "young_trials": 1, "seed": 2,
     })
     assert cli.main(["aniso", "--config", cfg, "--out", str(tmp_path / "oo"), "--quiet"]) == 4
     assert "flat trace" in capsys.readouterr().err
+
+
+def test_aniso_runs_at_the_band_cap_limit(tmp_path):
+    # the partition check at the cap computes no inf or NaN, and passes; the
+    # zero weight skips the flat trace and the kneading blocks, which read
+    # no more than bands 8 and 6
+    from hypdet.aniso import partition as ap
+
+    cfg = write_config(tmp_path, "cap.json", {
+        "weight": {"id": "zero"}, "n_max_aniso": ap.PARTITION_N_MAX, "young_trials": 1,
+    })
+    out = tmp_path / "o"
+    with np.errstate(over="raise", invalid="raise"):
+        assert cli.main(["aniso", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    part = reports.read_json(str(out / "aniso.json"))["checks"]["partition"]
+    assert part["pass"] and part["max_err"] <= 1e-15
 
 
 def test_aniso_zero_weight(tmp_path):
